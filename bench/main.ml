@@ -287,9 +287,9 @@ let ablations () =
 
 (* ------------------------------------------------------------------ *)
 (* `bench6` mode: emit BENCH_6.json on stdout — the before/after
-   Figure 5(b) curves around the hot-path batching overhaul, plus a
-   submission batch-size sweep.  The JSON is hand-rolled (the tree has
-   no JSON dependency and does not want one for a flat report); sweep
+   Figure 5(b) curves around the hot-path batching overhaul.  The JSON
+   is hand-rolled (the tree has no JSON dependency and does not want one
+   for a flat report); sweep
    progress goes to stderr.  Regenerate the committed copy with
 
        dune exec bench/main.exe -- bench6 > BENCH_6.json
@@ -319,33 +319,6 @@ let bench6 () =
   in
   let after_delayed = sweep Repro_storage.Disk.Delayed "delayed" in
   let after_forced = sweep Repro_storage.Disk.Forced "forced" in
-  let batch_delays_us = [ None; Some 0; Some 100; Some 250; Some 500 ] in
-  let batch_points =
-    List.map
-      (fun d ->
-        let submit_delay = Option.map Sim.Time.of_us d in
-        let r, stats =
-          Experiment.run_engine ~servers:5 ~duration ?submit_delay ~clients:40
-            Repro_storage.Disk.Delayed
-        in
-        let batches, batched =
-          List.fold_left
-            (fun (b, a) s ->
-              Repro_core.Engine.
-                (b + s.s_submit_batches, a + s.s_batched_submissions))
-            (0, 0) stats
-        in
-        let mean_batch =
-          if batches = 0 then 1.
-          else float_of_int batched /. float_of_int batches
-        in
-        Format.fprintf eppf
-          "bench6: batch sweep delay=%s -> %9.1f/s mean batch %.2f@."
-          (match d with None -> "off" | Some us -> Printf.sprintf "%dus" us)
-          r.Experiment.r_throughput mean_batch;
-        (d, mean_batch, r))
-      batch_delays_us
-  in
   let after_delayed_at_14 = List.nth after_delayed (List.length after_delayed - 1) in
   let speedup = after_delayed_at_14 /. seed_5b_delayed_at_14 in
   let floats l =
@@ -380,22 +353,6 @@ let bench6 () =
   add "    \"speedup\": %.2f,\n" speedup;
   add "    \"target_speedup\": 10.0,\n";
   add "    \"pass\": %b\n" (speedup >= 10.);
-  add "  },\n";
-  add "  \"batch_sweep\": {\n";
-  add "    \"servers\": 5,\n";
-  add "    \"clients\": 40,\n";
-  add "    \"disk\": \"delayed\",\n";
-  add "    \"points\": [\n";
-  List.iteri
-    (fun i (d, mean_batch, r) ->
-      add
-        "      { \"submit_delay_us\": %s, \"mean_batch\": %.2f, \
-         \"throughput_per_s\": %.1f, \"mean_latency_ms\": %.2f }%s\n"
-        (match d with None -> "null" | Some us -> string_of_int us)
-        mean_batch r.Experiment.r_throughput r.Experiment.r_mean_latency_ms
-        (if i = List.length batch_points - 1 then "" else ","))
-    batch_points;
-  add "    ]\n";
   add "  }\n";
   add "}\n";
   print_string (Buffer.contents b)

@@ -12,9 +12,9 @@
    The primitive vocabulary is the project's storage and group-
    communication API:
 
-   - Persist: [Wlog.append] / [Wlog.append_sync] — an entry enters the
-     log buffer (not yet durable);
-   - Force: [Wlog.sync] / [Wlog.append_sync] / [Disk.force] — a
+   - Persist: [Wlog.append] — a frame of entries enters the log buffer
+     (not yet durable);
+   - Force: [Wlog.sync] / [Disk.force] — a
      stable-storage force is requested; its continuation runs once the
      entries are durable;
    - Send: [Endpoint.send], [Network.unicast] / [Network.broadcast],
@@ -68,8 +68,8 @@ type t = {
       (** per function: table functions it references *)
 }
 
-let persist_prims = [ "Wlog.append"; "Wlog.append_batch"; "Wlog.append_sync" ]
-let force_prims = [ "Wlog.sync"; "Wlog.append_sync"; "Disk.force" ]
+let persist_prims = [ "Wlog.append" ]
+let force_prims = [ "Wlog.sync"; "Disk.force" ]
 
 let send_prims =
   [ "Endpoint.send"; "Network.unicast"; "Network.broadcast"; "Model.send" ]

@@ -107,7 +107,7 @@ let on_deliver t ~node (payload : Types.payload) ~in_regular =
   let sh = shadow t node in
   sh.sh_trigger <-
     (match payload with
-    | Types.Action_msg _ | Types.Action_batch _ -> Tr_action in_regular
+    | Types.Action_batch _ -> Tr_action in_regular
     | Types.Retrans_green _ | Types.Retrans_red _ -> Tr_retrans
     | Types.State_msg _ -> Tr_state_msg
     | Types.Cpc _ -> Tr_cpc)

@@ -78,12 +78,6 @@ type t = {
   mutable pending_green : (int * Action.t) list;
   mutable ongoing : Action.t list; (* own undelivered actions, oldest first *)
   mutable action_index : int;
-  (* end-to-end batching *)
-  submit_delay : Sim.Time.t option;
-      (* [Some d]: submissions accepted within [d] coalesce into one log
-         frame / force / ordered batch; [None]: one action per unit *)
-  mutable pending_submit : buffered_request list; (* newest first *)
-  mutable submit_armed : bool;
   mutable red_accum : Action.t list; (* marks of the burst, newest first *)
   mutable green_accum : Action.t list; (* newest first *)
   mutable burst_depth : int; (* delivery-burst nesting, 0 = flushed *)
@@ -387,113 +381,54 @@ let install t =
 (* ------------------------------------------------------------------ *)
 (* Client requests (paper A.1/A.2 Client_req, A.8)                     *)
 
-let create_action t ~client ~semantics ~size ~req_seq ~req_ack ~kind
-    ~on_created =
+let create_action t r =
   t.action_index <- t.action_index + 1;
   let a =
-    Action.make ~client ~semantics
+    Action.make ~client:r.bq_client ~semantics:r.bq_semantics
       ~green_line:(Action_queue.green_line t.queue)
-      ~size ~req_seq ~req_ack ~server:t.node ~index:t.action_index kind
+      ~size:r.bq_size ~req_seq:r.bq_req_seq ~req_ack:r.bq_req_ack
+      ~server:t.node ~index:t.action_index r.bq_kind
   in
   t.ongoing <- t.ongoing @ [ a ];
-  on_created a.Action.id;
+  r.bq_on_created a.Action.id;
   a
 
-let create_and_log t ~client ~semantics ~size ~req_seq ~req_ack ~kind
-    ~on_created =
-  let a =
-    create_action t ~client ~semantics ~size ~req_seq ~req_ack ~kind
-      ~on_created
-  in
-  Persist.log_ongoing t.persist a;
-  a
-
-(* A singleton still travels as [Action_msg] — the unbatched engine and
-   every recorded trace keep their exact wire shape. *)
 let send_actions t actions =
   match actions with
   | [] -> ()
-  | [ a ] -> send_payload t ~service:Endpoint.Safe (Action_msg a)
   | _ -> send_payload t ~service:Endpoint.Safe (Action_batch actions)
 
-(* One submission batch end to end: every request accepted since the
-   batch timer was armed becomes one multi-record log frame, one
-   covering force, and one ordered [Action_batch]. *)
-let note_submit_batch t actions =
+(* One submission batch end to end: the requests become one
+   ongoing-queue log frame, one covering force, and one ordered
+   [Action_batch].  A lone request is a batch of one. *)
+let submit_batch t requests =
+  let actions = List.map (create_action t) requests in
+  Persist.log_ongoing_batch t.persist actions;
   t.stats.s_submit_batches <- t.stats.s_submit_batches + 1;
   t.stats.s_batched_submissions <-
-    t.stats.s_batched_submissions + List.length actions
-
-let flush_submissions t =
-  t.submit_armed <- false;
-  if not t.halted then begin
-    let requests = List.rev t.pending_submit in
-    t.pending_submit <- [];
-    if requests <> [] then
-      match t.state with
-      | Reg_prim | Non_prim ->
-        let actions =
-          List.map
-            (fun r ->
-              create_action t ~client:r.bq_client ~semantics:r.bq_semantics
-                ~size:r.bq_size ~req_seq:r.bq_req_seq ~req_ack:r.bq_req_ack
-                ~kind:r.bq_kind ~on_created:r.bq_on_created)
-            requests
-        in
-        Persist.log_ongoing_batch t.persist actions;
-        note_submit_batch t actions;
-        sync_then t (fun () -> send_actions t actions)
-      | Trans_prim | Exchange_states | Exchange_actions | Construct
-      | No_state | Un_state ->
-        (* A view change overtook the batch timer: park the requests
-           with the buffered ones — they are created and sent when the
-           exchange resolves. *)
-        t.buffered <- t.buffered @ List.rev requests
-  end
+    t.stats.s_batched_submissions + List.length actions;
+  sync_then t (fun () -> send_actions t actions)
 
 let submit t ?(client = 0) ?(semantics = Action.Strict) ?(size = 200)
     ?(req_seq = 0) ?(req_ack = 0) ~kind ~on_created () =
-  if not t.halted then
+  if not t.halted then begin
+    let r =
+      {
+        bq_client = client;
+        bq_semantics = semantics;
+        bq_size = size;
+        bq_kind = kind;
+        bq_req_seq = req_seq;
+        bq_req_ack = req_ack;
+        bq_on_created = on_created;
+      }
+    in
     match t.state with
-    | Reg_prim | Non_prim -> (
-      match t.submit_delay with
-      | None ->
-        let a =
-          create_and_log t ~client ~semantics ~size ~req_seq ~req_ack ~kind
-            ~on_created
-        in
-        sync_then t (fun () ->
-            send_payload t ~service:Endpoint.Safe (Action_msg a))
-      | Some delay ->
-        t.pending_submit <-
-          {
-            bq_client = client;
-            bq_semantics = semantics;
-            bq_size = size;
-            bq_kind = kind;
-            bq_req_seq = req_seq;
-            bq_req_ack = req_ack;
-            bq_on_created = on_created;
-          }
-          :: t.pending_submit;
-        if not t.submit_armed then begin
-          t.submit_armed <- true;
-          ignore
-            (Sim.Engine.schedule t.sim ~delay (fun () -> flush_submissions t))
-        end)
+    | Reg_prim | Non_prim -> submit_batch t [ r ]
     | Trans_prim | Exchange_states | Exchange_actions | Construct | No_state
     | Un_state ->
-      t.buffered <-
-        {
-          bq_client = client;
-          bq_semantics = semantics;
-          bq_size = size;
-          bq_kind = kind;
-          bq_req_seq = req_seq;
-          bq_req_ack = req_ack;
-          bq_on_created = on_created;
-        }
-        :: t.buffered
+      t.buffered <- r :: t.buffered
+  end
 
 (* Actions created here but never delivered back (the group
    communication drops unordered messages at a view change) are re-sent
@@ -507,19 +442,7 @@ let resend_ongoing t =
 let handle_buffered t =
   let requests = List.rev t.buffered in
   t.buffered <- [];
-  if requests <> [] then begin
-    let actions =
-      List.map
-        (fun r ->
-          create_action t ~client:r.bq_client ~semantics:r.bq_semantics
-            ~size:r.bq_size ~req_seq:r.bq_req_seq ~req_ack:r.bq_req_ack
-            ~kind:r.bq_kind ~on_created:r.bq_on_created)
-        requests
-    in
-    Persist.log_ongoing_batch t.persist actions;
-    note_submit_batch t actions;
-    sync_then t (fun () -> send_actions t actions)
-  end
+  if requests <> [] then submit_batch t requests
 
 (* ------------------------------------------------------------------ *)
 (* State exchange (paper A.4, A.5, A.6, A.7)                           *)
@@ -828,6 +751,16 @@ let rec on_retrans_green t g_index (a : Action.t) =
     t.pending_green <- (g_index, a) :: t.pending_green
   else check_end_of_retrans t (* duplicate *)
 
+(* Most deliveries carry a batch of one: walking it without a
+   [List.iter] closure keeps the common case allocation-free at every
+   replica. *)
+let rec on_actions t actions ~in_regular =
+  match actions with
+  | [] -> ()
+  | a :: rest ->
+    on_action t a ~in_regular;
+    on_actions t rest ~in_regular
+
 let on_retrans_red t a =
   ignore (mark_red t a);
   check_end_of_retrans t
@@ -880,9 +813,7 @@ let handle_event t event =
     | Endpoint.Trans_conf _ -> on_trans_conf t
     | Endpoint.Deliver d -> (
       match d.Endpoint.payload with
-      | Action_msg a -> on_action t a ~in_regular:d.in_regular
-      | Action_batch actions ->
-        List.iter (fun a -> on_action t a ~in_regular:d.in_regular) actions
+      | Action_batch actions -> on_actions t actions ~in_regular:d.in_regular
       | Retrans_green { g_from; g_actions } ->
         List.iteri
           (fun i a -> on_retrans_green t (g_from + 1 + i) a)
@@ -898,8 +829,8 @@ let handle_event t event =
 (* Construction and recovery                                           *)
 
 let make_blank ?(weights = Quorum.no_weights)
-    ?(quorum_policy = Quorum.Dynamic_linear) ?submit_delay ~sim ~node ~servers
-    ~persist ~callbacks () =
+    ?(quorum_policy = Quorum.Dynamic_linear) ~sim ~node ~servers ~persist
+    ~callbacks () =
   {
     sim;
     node;
@@ -927,9 +858,6 @@ let make_blank ?(weights = Quorum.no_weights)
     pending_green = [];
     ongoing = [];
     action_index = 0;
-    submit_delay;
-    pending_submit = [];
-    submit_armed = false;
     red_accum = [];
     green_accum = [];
     burst_depth = 0;
@@ -950,23 +878,20 @@ let make_blank ?(weights = Quorum.no_weights)
     audit = None;
   }
 
-let create ?weights ?quorum_policy ?submit_delay ~sim ~node ~servers ~persist
-    ~callbacks () =
+let create ?weights ?quorum_policy ~sim ~node ~servers ~persist ~callbacks () =
   let t =
-    make_blank ?weights ?quorum_policy ?submit_delay ~sim ~node ~servers
-      ~persist ~callbacks ()
+    make_blank ?weights ?quorum_policy ~sim ~node ~servers ~persist ~callbacks
+      ()
   in
   log_meta t;
   t
 
 let stats t = t.stats
 
-let create_from_snapshot ?weights ?(action_floor = 0) ?submit_delay ~sim ~node
-    ~servers ~snapshot ~green_count ~green_line ~red_cut ~prim ~dedup ~persist
+let create_from_snapshot ?weights ?(action_floor = 0) ~sim ~node ~servers
+    ~snapshot ~green_count ~green_line ~red_cut ~prim ~dedup ~persist
     ~callbacks () =
-  let t =
-    make_blank ?weights ?submit_delay ~sim ~node ~servers ~persist ~callbacks ()
-  in
+  let t = make_blank ?weights ~sim ~node ~servers ~persist ~callbacks () in
   (* An amnesiac rejoiner must not re-mint action ids its previous life
      used: start counting from the sponsor's red cut for this node, or
      from the floor recovered from still-readable log records when that
@@ -982,7 +907,7 @@ let create_from_snapshot ?weights ?(action_floor = 0) ?submit_delay ~sim ~node
     let filler =
       Action.make ~client:0 ~size:32 ~server:node ~index (Action.Update [])
     in
-    Persist.log_ongoing t.persist filler;
+    Persist.log_ongoing_batch t.persist [ filler ];
     t.ongoing <- t.ongoing @ [ filler ]
   done;
   Action_queue.set_join_floor t.queue ~count:green_count ~line:green_line;
@@ -1011,16 +936,16 @@ let create_from_snapshot ?weights ?(action_floor = 0) ?submit_delay ~sim ~node
   sync_then t (fun () -> ());
   t
 
-let recover ?weights ?quorum_policy ?submit_delay ?recovered ~sim ~node
-    ~servers ~persist ~callbacks () =
+let recover ?weights ?quorum_policy ?recovered ~sim ~node ~servers ~persist
+    ~callbacks () =
   let r =
     match recovered with
     | Some r -> r
     | None -> Persist.recover ~self:node persist
   in
   let t =
-    make_blank ?weights ?quorum_policy ?submit_delay ~sim ~node ~servers
-      ~persist ~callbacks ()
+    make_blank ?weights ?quorum_policy ~sim ~node ~servers ~persist ~callbacks
+      ()
   in
   (match r.Persist.r_meta with
   | Some m ->

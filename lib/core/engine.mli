@@ -41,7 +41,8 @@ type stats = {
   mutable s_retrans_batches : int;  (** retransmission batches sent *)
   mutable s_actions_resent : int;  (** ongoing actions re-multicast *)
   mutable s_submit_batches : int;
-      (** submission batches logged and sent (frames on the forced path) *)
+      (** submission batches logged and sent (frames on the forced
+          path): one per direct submission, one per buffered burst *)
   mutable s_batched_submissions : int;
       (** actions carried by those batches — the ratio to
           [s_submit_batches] is the achieved mean batch size *)
@@ -70,7 +71,6 @@ val set_audit : t -> (audit_event -> unit) -> unit
 val create :
   ?weights:Quorum.weights ->
   ?quorum_policy:Quorum.policy ->
-  ?submit_delay:Repro_sim.Time.t ->
   sim:Repro_sim.Engine.t ->
   node:Node_id.t ->
   servers:Node_id.Set.t ->
@@ -80,19 +80,11 @@ val create :
   t
 (** A fresh replica of the initial server set [servers]; the initial
     primary component is the full set with index 0, so the first quorate
-    component installs primary #1.
-
-    [submit_delay] enables end-to-end submission batching: requests
-    accepted within the delay coalesce into one ongoing-queue log
-    frame, one covering force, and one ordered [Action_batch] (a delay
-    of zero still coalesces requests arriving at the same instant).
-    Without it every submission is its own unit, exactly the paper's
-    per-action pipeline. *)
+    component installs primary #1. *)
 
 val create_from_snapshot :
   ?weights:Quorum.weights ->
   ?action_floor:int ->
-  ?submit_delay:Repro_sim.Time.t ->
   sim:Repro_sim.Engine.t ->
   node:Node_id.t ->
   servers:Node_id.Set.t ->
@@ -118,7 +110,6 @@ val create_from_snapshot :
 val recover :
   ?weights:Quorum.weights ->
   ?quorum_policy:Quorum.policy ->
-  ?submit_delay:Repro_sim.Time.t ->
   ?recovered:Persist.recovered ->
   sim:Repro_sim.Engine.t ->
   node:Node_id.t ->
@@ -175,8 +166,11 @@ val submit :
   unit ->
   unit
 (** A client request: creates the action now when in [Reg_prim] or
-    [Non_prim] (write to the ongoing queue, forced sync, then multicast)
-    and buffers it otherwise; [on_created] reports the assigned id.
+    [Non_prim] (write to the ongoing queue, forced sync, then multicast
+    as a one-action [Action_batch]) and buffers it otherwise — requests
+    buffered during an exchange are created, logged and multicast
+    together as one batch when it resolves; [on_created] reports the
+    assigned id.
     [req_seq]/[req_ack] stamp the durable per-client request id for
     exactly-once retries (see {!Action.t}); both default to 0. *)
 

@@ -22,22 +22,20 @@ type t = { log : entry Wlog.t; disk : Disk.t }
 
 let create ~engine ~disk () = { log = Wlog.create ~engine ~disk (); disk }
 let disk t = t.disk
-let log_ongoing t a = Wlog.append t.log (E_ongoing a)
-let log_red t a = Wlog.append t.log (E_red a)
-let log_green t id = Wlog.append t.log (E_green id)
-let log_meta t m = Wlog.append t.log (E_meta m)
+let log_meta t m = Wlog.append t.log [ E_meta m ]
 
-(* Batch variants: one Wlog frame per call — one device write, one
-   checksum, and downstream one covering force for the whole batch. *)
+(* One Wlog frame per call — one device write, one checksum, and
+   downstream one covering force for the whole batch. *)
 let log_ongoing_batch t actions =
-  Wlog.append_batch t.log (List.map (fun a -> E_ongoing a) actions)
+  Wlog.append t.log (List.map (fun a -> E_ongoing a) actions)
 
 let log_red_batch t actions =
-  Wlog.append_batch t.log (List.map (fun a -> E_red a) actions)
+  Wlog.append t.log (List.map (fun a -> E_red a) actions)
 
 let log_green_batch t ids =
-  Wlog.append_batch t.log (List.map (fun id -> E_green id) ids)
-let log_checkpoint t c = Wlog.append t.log (E_checkpoint c)
+  Wlog.append t.log (List.map (fun id -> E_green id) ids)
+
+let log_checkpoint t c = Wlog.append t.log [ E_checkpoint c ]
 let sync t k = Wlog.sync t.log k
 let crash t = Wlog.crash t.log
 let entries_logged t = Wlog.length t.log

@@ -22,23 +22,19 @@ type t
 val create : engine:Repro_sim.Engine.t -> disk:Disk.t -> unit -> t
 val disk : t -> Disk.t
 
-val log_ongoing : t -> Action.t -> unit
-(** A client action created at this server (its [ongoingQueue]). *)
-
-val log_red : t -> Action.t -> unit
-val log_green : t -> Action.Id.t -> unit
 val log_meta : t -> Types.meta -> unit
 
 val log_ongoing_batch : t -> Action.t list -> unit
-(** A whole submission batch as {e one} log frame: one device write and
-    one covering [sync] make every record in it durable together, and a
-    crash loses or keeps the batch as a unit (frame-granular torn
-    tail).  The empty batch writes nothing. *)
+(** Client actions created at this server (its [ongoingQueue]) as
+    {e one} log frame: one device write and one covering [sync] make
+    every record in it durable together, and a crash loses or keeps the
+    batch as a unit (frame-granular torn tail).  The empty batch writes
+    nothing. *)
 
 val log_red_batch : t -> Action.t list -> unit
 val log_green_batch : t -> Action.Id.t list -> unit
-(** One frame for a delivery burst's green marks (group commit: greens
-    are appended without forcing, like {!log_green}). *)
+(** One frame for a delivery burst's red (resp. green) marks (group
+    commit: marks are appended without forcing). *)
 
 (** A durable summary of everything up to a green position: the database
     snapshot at that point, the green line, and the per-creator green

@@ -108,8 +108,6 @@ type t = {
       (* joiner: version being received + contiguous chunks received *)
   weights : Quorum.weights;
   quorum_policy : Quorum.policy;
-  submit_delay : Sim.Time.t option;
-      (* end-to-end submission batching window (None: per-action) *)
   checkpoint_every : int option;
   mutable greens_since_checkpoint : int;
   mutable query_waiters : (unit -> unit) list; (* awaiting own-action drain *)
@@ -447,7 +445,6 @@ let on_transfer_msg t ~src msg =
             t.dedup <- Dedup.of_snapshot p.td_dedup;
             let e =
               Engine.create_from_snapshot ~weights:t.weights
-                ?submit_delay:t.submit_delay
                 ~action_floor:(max p.td_joiner_floor t.amnesia_floor)
                 ~sim:t.cluster.c_sim
                 ~node:t.node_id ~servers:p.td_servers
@@ -476,8 +473,8 @@ let on_transfer_msg t ~src msg =
 
 let base ?(disk_config = Disk.default_forced) ?(attach_cpu = true)
     ?(checkpoint_every = Some 2000) ?(weights = Quorum.no_weights)
-    ?(quorum_policy = Quorum.Dynamic_linear) ?submit_delay
-    ?(dedup_window = 8) ?admission ~cluster ~node ~servers ~role () =
+    ?(quorum_policy = Quorum.Dynamic_linear) ?(dedup_window = 8) ?admission
+    ~cluster ~node ~servers ~role () =
   let disk = Disk.create ~engine:cluster.c_sim ~config:disk_config () in
   let persist = Persist.create ~engine:cluster.c_sim ~disk () in
   let cpu =
@@ -508,7 +505,6 @@ let base ?(disk_config = Disk.default_forced) ?(attach_cpu = true)
       transfer_sessions = Hashtbl.create 4;
       weights;
       quorum_policy;
-      submit_delay;
       checkpoint_every;
       greens_since_checkpoint = 0;
       query_waiters = [];
@@ -537,17 +533,16 @@ let base ?(disk_config = Disk.default_forced) ?(attach_cpu = true)
   t
 
 let create ?disk_config ?attach_cpu ?checkpoint_every ?weights ?quorum_policy
-    ?submit_delay ?dedup_window ?admission ~cluster ~node ~servers () =
+    ?dedup_window ?admission ~cluster ~node ~servers () =
   let servers = Node_id.set_of_list servers in
   let t =
     base ?disk_config ?attach_cpu ?checkpoint_every ?weights ?quorum_policy
-      ?submit_delay ?dedup_window ?admission ~cluster ~node ~servers
-      ~role:Static ()
+      ?dedup_window ?admission ~cluster ~node ~servers ~role:Static ()
   in
   let e =
     Engine.create ~weights:t.weights ~quorum_policy:t.quorum_policy
-      ?submit_delay:t.submit_delay ~sim:cluster.c_sim ~node ~servers
-      ~persist:t.persist ~callbacks:(make_callbacks t) ()
+      ~sim:cluster.c_sim ~node ~servers ~persist:t.persist
+      ~callbacks:(make_callbacks t) ()
   in
   adopt_engine t e;
   (* installs the event handler; nothing is multicast until the network
@@ -556,11 +551,11 @@ let create ?disk_config ?attach_cpu ?checkpoint_every ?weights ?quorum_policy
   ignore (make_endpoint t);
   t
 
-let create_joiner ?disk_config ?attach_cpu ?checkpoint_every ?submit_delay
-    ?dedup_window ?admission ?(retry_interval = Sim.Time.of_ms 500.) ~cluster
-    ~node ~sponsors () =
-  base ?disk_config ?attach_cpu ?checkpoint_every ?submit_delay ?dedup_window
-    ?admission ~cluster ~node ~servers:Node_id.Set.empty
+let create_joiner ?disk_config ?attach_cpu ?checkpoint_every ?dedup_window
+    ?admission ?(retry_interval = Sim.Time.of_ms 500.) ~cluster ~node
+    ~sponsors () =
+  base ?disk_config ?attach_cpu ?checkpoint_every ?dedup_window ?admission
+    ~cluster ~node ~servers:Node_id.Set.empty
     ~role:(Joiner { sponsors; retry = retry_interval })
     ()
 
@@ -743,9 +738,9 @@ let recover t =
       amnesiac_rejoin t
     | Persist.V_clean | Persist.V_torn_tail _ | Persist.V_salvaged _ ->
       let e, ckpt, greens =
-        Engine.recover ~weights:t.weights ?submit_delay:t.submit_delay
-          ~recovered:r ~sim:t.cluster.c_sim ~node:t.node_id ~servers:t.servers
-          ~persist:t.persist ~callbacks:(make_callbacks t) ()
+        Engine.recover ~weights:t.weights ~recovered:r ~sim:t.cluster.c_sim
+          ~node:t.node_id ~servers:t.servers ~persist:t.persist
+          ~callbacks:(make_callbacks t) ()
       in
       (* Rebuild the database and the exactly-once window from the
          latest durable checkpoint (they were captured at the same

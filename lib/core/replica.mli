@@ -45,7 +45,6 @@ val create :
   ?checkpoint_every:int option ->
   ?weights:Quorum.weights ->
   ?quorum_policy:Quorum.policy ->
-  ?submit_delay:Repro_sim.Time.t ->
   ?dedup_window:int ->
   ?admission:admission ->
   cluster:cluster ->
@@ -58,9 +57,7 @@ val create :
     [checkpoint_every] (default [Some 2000]) takes a durable checkpoint —
     database snapshot + green knowledge, followed by log compaction and
     white-action garbage collection — every that many applied actions;
-    [None] disables checkpointing.  [submit_delay] enables end-to-end
-    submission batching (see {!Engine.create}); it survives crash
-    recovery and joiner instantiation.  [dedup_window] (default 8)
+    [None] disables checkpointing.  [dedup_window] (default 8)
     bounds the per-client exactly-once response cache (see {!Dedup});
     [admission] (default none) enables overload shedding. *)
 
@@ -68,7 +65,6 @@ val create_joiner :
   ?disk_config:Disk.config ->
   ?attach_cpu:bool ->
   ?checkpoint_every:int option ->
-  ?submit_delay:Repro_sim.Time.t ->
   ?dedup_window:int ->
   ?admission:admission ->
   ?retry_interval:Repro_sim.Time.t ->

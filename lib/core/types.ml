@@ -110,11 +110,11 @@ type state_msg = {
 
 (** What the engine multicasts through the group communication layer. *)
 type payload =
-  | Action_msg of Action.t  (** a new client (or join/leave) action *)
   | Action_batch of Action.t list
-      (** a submission batch: new actions from one creator, in creation
-          order, ordered and delivered as one unit (their shared log
-          frame was covered by a single force before the send) *)
+      (** a submission batch: new client (or join/leave) actions from
+          one creator, in creation order, ordered and delivered as one
+          unit (their shared log frame was covered by a single force
+          before the send).  A batch of one carries no batch header. *)
   | Retrans_green of { g_from : int; g_actions : Action.t list }
       (** retransmission of the green actions at positions
           [g_from+1 .. g_from+length], batched for flow control *)
@@ -124,18 +124,15 @@ type payload =
       (** Create Primary Component message *)
 
 let payload_size = function
-  | Action_msg a -> a.Action.size
-  | Action_batch actions ->
+  | Action_batch [ a ] -> a.Action.size
+  | Action_batch actions
+  | Retrans_red actions
+  | Retrans_green { g_actions = actions; _ } ->
     List.fold_left (fun acc a -> acc + a.Action.size + 8) 16 actions
-  | Retrans_red actions ->
-    List.fold_left (fun acc a -> acc + a.Action.size + 8) 16 actions
-  | Retrans_green { g_actions; _ } ->
-    List.fold_left (fun acc a -> acc + a.Action.size + 8) 16 g_actions
   | State_msg sm -> 128 + (16 * Node_id.Map.cardinal sm.sm_red_cut)
   | Cpc _ -> 32
 
 let pp_payload ppf = function
-  | Action_msg a -> Format.fprintf ppf "action %a" Action.pp a
   | Action_batch actions ->
     Format.fprintf ppf "action-batch x%d" (List.length actions)
   | Retrans_green { g_from; g_actions } ->

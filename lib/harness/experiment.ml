@@ -75,8 +75,7 @@ let closed_loop ~system ~clients ~warmup ~duration =
   in
   (throughput, latencies, !completed)
 
-let engine_system ~net_config ~params ~mode ~servers ~action_size ~seed
-    ~submit_delay =
+let engine_system ~net_config ~params ~mode ~servers ~action_size ~seed =
   let nodes = List.init servers Fun.id in
   let cluster = Replica.make_cluster ~net_config ~params ~seed ~nodes () in
   let disk_config =
@@ -87,10 +86,7 @@ let engine_system ~net_config ~params ~mode ~servers ~action_size ~seed
   let replicas =
     List.map
       (fun node ->
-        let r =
-          Replica.create ~disk_config ?submit_delay ~cluster ~node
-            ~servers:nodes ()
-        in
+        let r = Replica.create ~disk_config ~cluster ~node ~servers:nodes () in
         Replica.start r;
         (node, r))
       nodes
@@ -104,13 +100,11 @@ let engine_system ~net_config ~params ~mode ~servers ~action_size ~seed
       (Action.Update [])
       ~on_response:(fun _ -> k ())
   in
-  let stats () =
-    List.map (fun (_, r) -> Engine.stats (Replica.engine r)) replicas
-  in
-  ( { sys_sim = Replica.cluster_sim cluster;
-      sys_submit = submit;
-      sys_nodes = nodes },
-    stats )
+  {
+    sys_sim = Replica.cluster_sim cluster;
+    sys_submit = submit;
+    sys_nodes = nodes;
+  }
 
 let corel_system ~net_config ~params ~servers ~action_size ~seed =
   let nodes = List.init servers Fun.id in
@@ -159,29 +153,13 @@ let measure ~system ~clients ~warmup ~duration ~servers ~protocol =
 let run ?(net_config = Network.lan_gigabit)
     ?(params = Repro_gcs.Params.default) ?(servers = 14) ?(action_size = 200)
     ?(warmup = Sim.Time.of_sec 2.) ?(duration = Sim.Time.of_sec 8.)
-    ?(seed = 97) ?submit_delay ~clients protocol =
+    ?(seed = 97) ~clients protocol =
   let system =
     match protocol with
     | Engine_protocol mode ->
-      fst
-        (engine_system ~net_config ~params ~mode ~servers ~action_size ~seed
-           ~submit_delay)
+      engine_system ~net_config ~params ~mode ~servers ~action_size ~seed
     | Corel_protocol ->
       corel_system ~net_config ~params ~servers ~action_size ~seed
     | Twopc_protocol -> twopc_system ~net_config ~servers ~action_size ~seed
   in
   measure ~system ~clients ~warmup ~duration ~servers ~protocol
-
-let run_engine ?(net_config = Network.lan_gigabit)
-    ?(params = Repro_gcs.Params.default) ?(servers = 14) ?(action_size = 200)
-    ?(warmup = Sim.Time.of_sec 2.) ?(duration = Sim.Time.of_sec 8.)
-    ?(seed = 97) ?submit_delay ~clients mode =
-  let system, stats =
-    engine_system ~net_config ~params ~mode ~servers ~action_size ~seed
-      ~submit_delay
-  in
-  let r =
-    measure ~system ~clients ~warmup ~duration ~servers
-      ~protocol:(Engine_protocol mode)
-  in
-  (r, stats ())

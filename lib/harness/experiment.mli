@@ -35,31 +35,11 @@ val run :
   ?warmup:Time.t ->
   ?duration:Time.t ->
   ?seed:int ->
-  ?submit_delay:Time.t ->
   clients:int ->
   protocol ->
   result
 (** Defaults: 14 servers (the paper's testbed), 200-byte actions, 2 s
     warm-up, 8 s measurement, on the gigabit LAN profile (pass
-    [~net_config:Network.lan_100mbit] for the paper's 2001 testbed).
-    [submit_delay] (engine protocols only) enables end-to-end submission
-    batching at the replicas. *)
-
-val run_engine :
-  ?net_config:Repro_net.Network.config ->
-  ?params:Repro_gcs.Params.t ->
-  ?servers:int ->
-  ?action_size:int ->
-  ?warmup:Time.t ->
-  ?duration:Time.t ->
-  ?seed:int ->
-  ?submit_delay:Time.t ->
-  clients:int ->
-  Disk.mode ->
-  result * Repro_core.Engine.stats list
-(** [run] specialised to the engine protocol, additionally returning
-    each replica's cumulative {!Repro_core.Engine.stats} at the end of
-    the window — the submission-batching counters are how the bench's
-    batch-size sweep measures the achieved mean frame size. *)
+    [~net_config:Network.lan_100mbit] for the paper's 2001 testbed). *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -13,7 +13,6 @@ type t = {
   w_checkpoint_every : int option option;
       (* [None] = Replica's default; [Some c] = explicit setting *)
   w_quorum_policy : Quorum.policy;
-  w_submit_delay : Sim.Time.t option;
   w_dedup_window : int option;
   w_admission : Replica.admission option;
   mutable w_proc_guard : Repro_check.Procguard.t option;
@@ -33,7 +32,7 @@ let default_disk =
 
 let make ?(net_config = default_net) ?(params = Repro_gcs.Params.fast)
     ?(disk_config = default_disk) ?(attach_cpu = false) ?checkpoint_every
-    ?quorum_policy ?(seed = 17) ?submit_delay ?dedup_window ?admission ~n () =
+    ?quorum_policy ?(seed = 17) ?dedup_window ?admission ~n () =
   let nodes = List.init n Fun.id in
   let cluster = Replica.make_cluster ~net_config ~params ~seed ~nodes () in
   let replicas = Hashtbl.create n in
@@ -41,8 +40,8 @@ let make ?(net_config = default_net) ?(params = Repro_gcs.Params.fast)
     (fun node ->
       let r =
         Replica.create ~disk_config ~attach_cpu ?checkpoint_every
-          ?quorum_policy ?submit_delay ?dedup_window ?admission ~cluster ~node
-          ~servers:nodes ()
+          ?quorum_policy ?dedup_window ?admission ~cluster ~node ~servers:nodes
+          ()
       in
       Hashtbl.replace replicas node r;
       Replica.start r)
@@ -56,7 +55,6 @@ let make ?(net_config = default_net) ?(params = Repro_gcs.Params.fast)
     w_checkpoint_every = checkpoint_every;
     w_quorum_policy =
       Option.value quorum_policy ~default:Quorum.Dynamic_linear;
-    w_submit_delay = submit_delay;
     w_dedup_window = dedup_window;
     w_admission = admission;
     w_proc_guard = None;
@@ -77,8 +75,8 @@ let add_joiner t ~node ~sponsors =
   let r =
     Replica.create_joiner ~disk_config:t.w_disk_config
       ~attach_cpu:t.w_attach_cpu ?checkpoint_every:t.w_checkpoint_every
-      ?submit_delay:t.w_submit_delay ?dedup_window:t.w_dedup_window
-      ?admission:t.w_admission ~cluster:t.w_cluster ~node ~sponsors ()
+      ?dedup_window:t.w_dedup_window ?admission:t.w_admission
+      ~cluster:t.w_cluster ~node ~sponsors ()
   in
   Hashtbl.replace t.w_replicas node r;
   t.w_nodes <- t.w_nodes @ [ node ];

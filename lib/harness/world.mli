@@ -16,17 +16,15 @@ val make :
   ?checkpoint_every:int option ->
   ?quorum_policy:Quorum.policy ->
   ?seed:int ->
-  ?submit_delay:Repro_sim.Time.t ->
   ?dedup_window:int ->
   ?admission:Replica.admission ->
   n:int ->
   unit ->
   t
 (** [n] replicas on nodes [0..n-1], started.  [disk_config] (and its
-    fault model), [checkpoint_every], [submit_delay] (end-to-end
-    submission batching), [dedup_window] (exactly-once response cache
-    bound) and [admission] (overload shedding) — see {!Replica.create} —
-    apply to every replica, joiners included. *)
+    fault model), [checkpoint_every], [dedup_window] (exactly-once
+    response cache bound) and [admission] (overload shedding) — see
+    {!Replica.create} — apply to every replica, joiners included. *)
 
 val sim : t -> Repro_sim.Engine.t
 val topology : t -> Topology.t

@@ -93,7 +93,6 @@ let digest_yellow (y : Types.yellow) =
   else String.concat ";" (List.map digest_id y.Types.y_set)
 
 let digest_payload = function
-  | Types.Action_msg a -> "act " ^ digest_action a
   | Types.Action_batch actions ->
     Printf.sprintf "batch[%s]" (digest_actions actions)
   | Types.Retrans_green { g_from; g_actions } ->

@@ -52,7 +52,7 @@ let disk t = t.disk
    records ride inside.  The empty batch is a no-op (no frame, no
    write): it must not burn a sequence number that recovery would then
    see as a silent gap. *)
-let append_batch t entries =
+let append t entries =
   match entries with
   | [] -> ()
   | _ ->
@@ -64,12 +64,7 @@ let append_batch t entries =
     t.frames <- { records; epoch; seq; sum_ok = true; torn = false } :: t.frames
   [@@analysis.hotpath "O(batch)"]
 
-let append t entry = append_batch t [ entry ]
 let sync t k = Disk.force t.disk k
-
-let append_sync t entry k =
-  append t entry;
-  sync t k
 
 let crash t =
   Disk.crash t.disk;

@@ -3,9 +3,9 @@ open Repro_sim
 (** A typed write-ahead log on top of a simulated {!Disk}, with frame
     framing: entries are grouped into *frames*, each carrying one
     per-frame checksum and one monotonic sequence number covering all
-    of its records.  [append] writes a one-record frame; [append_batch]
-    amortizes the header, the device write and (downstream) the force
-    over a whole batch.
+    of its records.  Each [append] writes one frame, amortizing the
+    header, the device write and (downstream) the force over the whole
+    list it is given.
 
     Entries are appended to the device buffer immediately; [sync]
     confirms durability of everything appended so far.  On [crash],
@@ -57,24 +57,17 @@ type 'entry t
 val create : engine:Engine.t -> disk:Disk.t -> unit -> 'entry t
 val disk : 'entry t -> Disk.t
 
-val append : 'entry t -> 'entry -> unit
-(** Buffer a one-record frame; not yet durable.  Frames it with the
-    next sequence number and a checksum. *)
-
-val append_batch : 'entry t -> 'entry list -> unit
-(** Buffer all entries as {e one} frame: one sequence number, one
-    checksum, one device write — so one covering [sync] makes the whole
-    batch durable together, and a crash loses or keeps it as a unit.
-    The empty batch is a no-op (no frame is written). *)
+val append : 'entry t -> 'entry list -> unit
+(** Buffer all entries as {e one} frame, not yet durable: one sequence
+    number, one checksum, one device write — so one covering [sync]
+    makes the whole list durable together, and a crash loses or keeps
+    it as a unit.  The empty list is a no-op (no frame is written). *)
 
 val sync : 'entry t -> (unit -> unit) -> unit
 (** Make all appended frames durable; callback on completion
     (group-committed with concurrent syncs on the same disk).  In
     [Delayed] disk mode, the callback fires quickly and durability is
     *not* guaranteed. *)
-
-val append_sync : 'entry t -> 'entry -> (unit -> unit) -> unit
-(** [append] then [sync]. *)
 
 val crash : 'entry t -> unit
 (** Applies crash semantics: the non-durable suffix is discarded —

@@ -12,23 +12,23 @@ open Repro_storage
 type net = { send : size:int -> int -> unit }
 
 let announce_before_force (log : int Wlog.t) (wire : net) seq =
-  Wlog.append log seq;
+  Wlog.append log [ seq ];
   wire.send ~size:8 seq;
   Wlog.sync log (fun () -> ())
 
 let announce_after_force (log : int Wlog.t) (wire : net) seq =
-  Wlog.append log seq;
+  Wlog.append log [ seq ];
   Wlog.sync log (fun () -> wire.send ~size:8 seq)
 
 (* Frame-aware variant: one multi-record frame appended by
-   [Wlog.append_batch] needs exactly one covering force before any of
+   [Wlog.append] needs exactly one covering force before any of
    its records may be announced — sending between the batched append
    and the force reopens the same crash window for the whole frame. *)
 let announce_batch_before_force (log : int Wlog.t) (wire : net) seqs =
-  Wlog.append_batch log seqs;
+  Wlog.append log seqs;
   List.iter (fun seq -> wire.send ~size:8 seq) seqs;
   Wlog.sync log (fun () -> ())
 
 let announce_batch_after_force (log : int Wlog.t) (wire : net) seqs =
-  Wlog.append_batch log seqs;
+  Wlog.append log seqs;
   Wlog.sync log (fun () -> List.iter (fun seq -> wire.send ~size:8 seq) seqs)

@@ -316,26 +316,22 @@ let test_fifo_order_per_client () =
   | _ -> Alcotest.fail "final value must be the last write");
   repcheck_ok mon
 
-(* A submission batch spanning a checkpoint: with end-to-end batching
-   on and a tight checkpoint cadence, one burst of submissions is
-   framed together while the apply side cuts a checkpoint (and
-   compacts the log) in the middle of it.  The framing must not tear:
-   the submitter crashes afterwards, recovers from the checkpointed
-   log, and everything converges. *)
+(* A submission batch spanning a checkpoint: with a tight checkpoint
+   cadence, one burst of submissions is framed together while the
+   apply side cuts a checkpoint (and compacts the log) in the middle
+   of it.  The framing must not tear: the submitter crashes afterwards,
+   recovers from the checkpointed log, and everything converges. *)
 let test_batch_spans_checkpoint () =
-  let w =
-    World.make ~seed:58 ~checkpoint_every:(Some 8)
-      ~submit_delay:(Repro_sim.Time.of_us 200) ~n:3 ()
-  in
+  let w = World.make ~seed:58 ~checkpoint_every:(Some 8) ~n:3 () in
   let mon = World.attach_monitor w in
   run w ~ms:1000.;
-  (* One instantaneous burst of 30 updates from a single node: with a
-     200 us submission window they are framed into batches, and with a
-     checkpoint every 8 greens the burst straddles several checkpoint
-     boundaries. *)
-  for i = 1 to 30 do
-    World.submit_update w ~node:0 ~key:(Printf.sprintf "k%d" (i mod 7)) i
-  done;
+  (* 30 updates buffered during an exchange go out as one batch, and
+     with a checkpoint every 8 greens the burst straddles several
+     checkpoint boundaries. *)
+  Burst.submit_during_exchange w ~node:0 ~count:30 ~key:(fun i ->
+      Printf.sprintf "k%d" (i mod 7));
+  run w ~ms:3000.;
+  Topology.merge_all (World.topology w);
   run w ~ms:3000.;
   let submitter = World.replica w 0 in
   let stats = Engine.stats (Replica.engine submitter) in

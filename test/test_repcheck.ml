@@ -206,7 +206,7 @@ let test_monitor_catches_broken_engine () =
       (Endpoint.Deliver
          {
            Endpoint.sender = a.Action.id.Action.Id.server;
-           payload = Types.Action_msg a;
+           payload = Types.Action_batch [ a ];
            conf = forged_conf;
            seq = 0;
            in_regular = true;
@@ -255,9 +255,11 @@ let test_monitor_violation_report () =
          {
            Endpoint.sender = creator;
            payload =
-             Types.Action_msg
-               (Action.make ~server:creator ~index
-                  (Action.Update [ Op.Set ("evil", Value.Int v) ]));
+             Types.Action_batch
+               [
+                 Action.make ~server:creator ~index
+                   (Action.Update [ Op.Set ("evil", Value.Int v) ]);
+               ];
            conf = { Conf_id.coord = 0; counter = 999_999 };
            seq = 0;
            in_regular = true;
@@ -318,49 +320,30 @@ let test_determinism_seed_matrix () =
         [] diff)
     [ 7; 13; 99 ]
 
-(* Submission batching must change only the framing and timing of the
-   hot path, never the replicated state.  A single submitting node
-   keeps the green order config-independent, so after quiescence the
-   protocol-state fingerprint (no clock line: virtual time legitimately
-   differs across configs) must be identical between a batched and an
-   unbatched run — and each batched run must itself stay deterministic. *)
-let batch_scenario ~submit_delay seed () =
-  let w = World.make ?submit_delay ~seed ~n:3 () in
+(* A burst buffered during an exchange travels as one multi-action
+   batch; the runs that carry it must stay deterministic. *)
+let batch_scenario seed () =
+  let w = World.make ~seed ~n:3 () in
   World.run w ~ms:800.;
-  for i = 1 to 25 do
-    World.submit_update w ~node:0 ~key:(Printf.sprintf "k%d" (i mod 5)) i
-  done;
+  Burst.submit_during_exchange w ~node:0 ~count:25 ~key:(fun i ->
+      Printf.sprintf "k%d" (i mod 5));
   World.run w ~ms:3000.;
+  World.heal_and_settle w;
+  let stats = Engine.stats (Replica.engine (World.replica w 0)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "seed %d: the burst went out batched" seed)
+    true
+    (stats.Engine.s_batched_submissions > stats.Engine.s_submit_batches);
   Check.Determinism.fingerprint (World.replicas w)
-
-let batching_seeds = [ 5; 21; 42 ]
 
 let test_determinism_batched_runs () =
   List.iter
     (fun seed ->
-      let run =
-        batch_scenario
-          ~submit_delay:(Some (Repro_sim.Time.of_us 250))
-          seed
-      in
       Alcotest.(check (list string))
         (Printf.sprintf "seed %d: batched run is deterministic" seed)
         []
-        (Check.Determinism.check ~run ()))
-    batching_seeds
-
-let test_determinism_batched_matches_unbatched () =
-  List.iter
-    (fun seed ->
-      let unbatched = batch_scenario ~submit_delay:None seed () in
-      let batched =
-        batch_scenario ~submit_delay:(Some (Repro_sim.Time.of_us 250)) seed ()
-      in
-      Alcotest.(check (list string))
-        (Printf.sprintf "seed %d: batched state == unbatched state" seed)
-        []
-        (Check.Determinism.diff unbatched batched))
-    batching_seeds
+        (Check.Determinism.check ~run:(batch_scenario seed) ()))
+    [ 5; 21; 42 ]
 
 let test_determinism_diff_detects () =
   Alcotest.(check int) "one differing line" 1
@@ -404,7 +387,5 @@ let () =
             test_determinism_diff_detects;
           Alcotest.test_case "batched runs are deterministic" `Slow
             test_determinism_batched_runs;
-          Alcotest.test_case "batched converges to unbatched state" `Slow
-            test_determinism_batched_matches_unbatched;
         ] );
     ]

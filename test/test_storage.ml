@@ -94,8 +94,8 @@ let test_flush_jitter_within_bounds () =
 let test_wlog_append_recover () =
   let engine, disk = make () in
   let log = Wlog.create ~engine ~disk () in
-  Wlog.append log "a";
-  Wlog.append log "b";
+  Wlog.append log [ "a" ];
+  Wlog.append log [ "b" ];
   let synced = ref false in
   Wlog.sync log (fun () -> synced := true);
   Engine.run engine;
@@ -105,9 +105,10 @@ let test_wlog_append_recover () =
 let test_wlog_crash_loses_unsynced () =
   let engine, disk = make () in
   let log = Wlog.create ~engine ~disk () in
-  Wlog.append_sync log "durable" ignore;
+  Wlog.append log [ "durable" ];
+  Wlog.sync log ignore;
   Engine.run engine;
-  Wlog.append log "volatile";
+  Wlog.append log [ "volatile" ];
   Wlog.crash log;
   Alcotest.(check (list string)) "only durable survives" [ "durable" ] (entries log)
 
@@ -115,7 +116,8 @@ let test_wlog_crash_during_flush () =
   let engine, disk = make () in
   let log = Wlog.create ~engine ~disk () in
   let acked = ref false in
-  Wlog.append_sync log "inflight" (fun () -> acked := true);
+  Wlog.append log [ "inflight" ];
+  Wlog.sync log (fun () -> acked := true);
   (* Crash at 5 ms: the 10 ms flush never completes. *)
   ignore (Engine.schedule engine ~delay:(Time.of_ms 5.) (fun () -> Wlog.crash log));
   Engine.run engine;
@@ -126,7 +128,8 @@ let test_wlog_delayed_mode_can_lose_acked () =
   let engine, disk = make ~config:delayed_nojitter () in
   let log = Wlog.create ~engine ~disk () in
   let acked = ref false in
-  Wlog.append_sync log "risky" (fun () -> acked := true);
+  Wlog.append log [ "risky" ];
+  Wlog.sync log (fun () -> acked := true);
   (* Crash after the ack but before the background flush (100 ms). *)
   ignore (Engine.schedule engine ~delay:(Time.of_ms 10.) (fun () -> Wlog.crash log));
   Engine.run ~until:(Time.of_ms 20.) engine;
@@ -136,7 +139,8 @@ let test_wlog_delayed_mode_can_lose_acked () =
 let test_wlog_delayed_mode_survives_after_flush () =
   let engine, disk = make ~config:delayed_nojitter () in
   let log = Wlog.create ~engine ~disk () in
-  Wlog.append_sync log "eventually-safe" ignore;
+  Wlog.append log [ "eventually-safe" ];
+  Wlog.sync log ignore;
   (* Let the background flush run (100 ms interval + 10 ms flush). *)
   ignore (Engine.schedule engine ~delay:(Time.of_ms 300.) (fun () -> Wlog.crash log));
   Engine.run ~until:(Time.of_ms 400.) engine;
@@ -162,9 +166,10 @@ let faulty ?(torn = 0.) ?(corrupt = 0.) ?(read_error = 0.) ?(read_retries = 4) (
 let test_wlog_torn_tail_verdict () =
   let engine, disk = make ~config:(faulty ~torn:1.0 ()) () in
   let log = Wlog.create ~engine ~disk () in
-  Wlog.append_sync log "a" ignore;
+  Wlog.append log [ "a" ];
+  Wlog.sync log ignore;
   Engine.run engine;
-  Wlog.append log "b";
+  Wlog.append log [ "b" ];
   (* "b" is in flight; with certain torn-tail injection it survives the
      crash as a present-but-unverifiable record. *)
   Wlog.crash log;
@@ -180,9 +185,10 @@ let test_wlog_torn_tail_verdict () =
 let test_wlog_corrupt_interior () =
   let engine, disk = make () in
   let log = Wlog.create ~engine ~disk () in
-  Wlog.append log "a";
-  Wlog.append log "b";
-  Wlog.append_sync log "c" ignore;
+  Wlog.append log [ "a" ];
+  Wlog.append log [ "b" ];
+  Wlog.append log [ "c" ];
+  Wlog.sync log ignore;
   Engine.run engine;
   Alcotest.(check bool) "injection in range" true (Wlog.corrupt log ~nth:1);
   let rv = Wlog.recover log in
@@ -196,8 +202,9 @@ let test_wlog_corrupt_interior () =
 let test_wlog_crash_corruption () =
   let engine, disk = make ~config:(faulty ~corrupt:1.0 ()) () in
   let log = Wlog.create ~engine ~disk () in
-  Wlog.append log "a";
-  Wlog.append_sync log "b" ignore;
+  Wlog.append log [ "a" ];
+  Wlog.append log [ "b" ];
+  Wlog.sync log ignore;
   Engine.run engine;
   Wlog.crash log;
   (* Every durable record was corrupted at crash time: damage starts at
@@ -213,8 +220,9 @@ let test_wlog_read_retry_exhaustion () =
     make ~config:(faulty ~read_error:1.0 ~read_retries:3 ()) ()
   in
   let log = Wlog.create ~engine ~disk () in
-  Wlog.append log "a";
-  Wlog.append_sync log "b" ignore;
+  Wlog.append log [ "a" ];
+  Wlog.append log [ "b" ];
+  Wlog.sync log ignore;
   Engine.run engine;
   let rv = Wlog.recover log in
   (* Each record burns the full retry budget: 2 retries with 500 us then
@@ -228,7 +236,7 @@ let test_wlog_read_retry_exhaustion () =
 let test_wlog_batch_is_one_frame () =
   let engine, disk = make () in
   let log = Wlog.create ~engine ~disk () in
-  Wlog.append_batch log [ "a"; "b"; "c" ];
+  Wlog.append log [ "a"; "b"; "c" ];
   let synced = ref false in
   Wlog.sync log (fun () -> synced := true);
   Engine.run engine;
@@ -237,7 +245,7 @@ let test_wlog_batch_is_one_frame () =
   Alcotest.(check int) "three records" 3 (Wlog.length log);
   (* A later unsynced batch is lost by a crash as a unit: no partial
      batch can survive, because the whole batch is one frame. *)
-  Wlog.append_batch log [ "d"; "e" ];
+  Wlog.append log [ "d"; "e" ];
   Wlog.crash log;
   Alcotest.check verdict_t "clean" Wlog.Clean (verdict log);
   Alcotest.(check (list string))
@@ -247,9 +255,10 @@ let test_wlog_batch_is_one_frame () =
 let test_wlog_torn_batch_frame_granular () =
   let engine, disk = make ~config:(faulty ~torn:1.0 ()) () in
   let log = Wlog.create ~engine ~disk () in
-  Wlog.append_sync log "a" ignore;
+  Wlog.append log [ "a" ];
+  Wlog.sync log ignore;
   Engine.run engine;
-  Wlog.append_batch log [ "b"; "c"; "d" ];
+  Wlog.append log [ "b"; "c"; "d" ];
   (* The batch is in flight; certain torn-tail injection leaves it
      behind damaged — as a unit, because the checksum covers the whole
      frame.  The verdict position is a frame index. *)
@@ -267,11 +276,13 @@ let test_wlog_torn_batch_frame_granular () =
 let test_wlog_seq_survives_compaction () =
   let engine, disk = make () in
   let log = Wlog.create ~engine ~disk () in
-  Wlog.append log "a";
-  Wlog.append_sync log "b" ignore;
+  Wlog.append log [ "a" ];
+  Wlog.append log [ "b" ];
+  Wlog.sync log ignore;
   Engine.run engine;
   Wlog.compact log ~keep:(fun e -> e = "b");
-  Wlog.append_sync log "c" ignore;
+  Wlog.append log [ "c" ];
+  Wlog.sync log ignore;
   Engine.run engine;
   (* Sequence numbers never restart, so the chain across a compaction
      boundary still verifies as strictly increasing. *)
@@ -302,7 +313,8 @@ let test_shared_disk_group_commit () =
   let log = Wlog.create ~engine ~disk () in
   let cell = Stable_cell.create ~disk ~init:"x" in
   let completed = ref 0 in
-  Wlog.append_sync log 1 (fun () -> incr completed);
+  Wlog.append log [ 1 ];
+  Wlog.sync log (fun () -> incr completed);
   Stable_cell.set_sync cell "y" (fun () -> incr completed);
   Engine.run engine;
   Alcotest.(check int) "both complete" 2 !completed;
