@@ -55,12 +55,14 @@ type 'p wire =
 type 'p conf_state = {
   cview : view;
   coord : Node_id.t;
+  member_list : Node_id.t list; (* [cview.members], ascending *)
+  others : Node_id.t list; (* the members but this node: every multicast's destinations *)
   mutable next_lseq : int;
   own_pending : (int, 'p data * Time.t) Hashtbl.t;
     (* own messages not yet ordered: resent if the coordinator stays
        silent about them (loss recovery) *)
-  data_buf : (Node_id.t * int, 'p data) Hashtbl.t; (* received, not yet ordered *)
-  pending_assignment : (Node_id.t * int, int) Hashtbl.t; (* order before payload *)
+  data_buf : (int, 'p data) Hashtbl.t; (* received, not yet ordered; by [msg_key] *)
+  pending_assignment : (int, int) Hashtbl.t; (* order before payload; by [msg_key] *)
   store : (int, 'p data) Hashtbl.t; (* seq -> ordered message *)
   mutable evicted_below : int;
   mutable have_upto : int; (* contiguous prefix present in [store] *)
@@ -188,13 +190,17 @@ let size_of_wire prm = function
   (* Folds over the one message's own entry list — batch-sized. *)
   [@@analysis.cost "O(batch); alloc O(1)"]
 
-let multicast_set t ~dsts msg =
-  let dsts =
-    Node_id.Set.elements dsts
-    |> List.filter (fun n -> not (Node_id.equal n t.node))
-  in
+let multicast_list t ~dsts msg =
   t.last_sent <- Engine.now t.engine;
   Network.multicast t.net ~src:t.node ~dsts ~size:(size_of_wire t.prm msg) msg
+
+let multicast_set t ~dsts msg =
+  multicast_list t msg
+    ~dsts:(Node_id.Set.elements dsts |> List.filter (fun n -> not (Node_id.equal n t.node)))
+
+(* To the installed configuration, whose destination list is built once
+   per view rather than per message. *)
+let multicast_view t cs msg = multicast_list t ~dsts:cs.others msg
 
 let unicast t ~dst msg =
   t.last_sent <- Engine.now t.engine;
@@ -207,10 +213,13 @@ let broadcast_component t msg =
 (* ------------------------------------------------------------------ *)
 (* Data plane within an installed configuration.                       *)
 
-let new_conf_state view =
+let new_conf_state t view =
+  let members = Node_id.Set.elements view.members in
   {
     cview = view;
     coord = Node_id.Set.min_elt view.members;
+    member_list = members;
+    others = List.filter (fun n -> not (Node_id.equal n t.node)) members;
     next_lseq = 0;
     own_pending = Hashtbl.create 16;
     data_buf = Hashtbl.create 64;
@@ -231,50 +240,55 @@ let new_conf_state view =
 
 let i_am_coord t cs = Node_id.equal t.node cs.coord
 
+(* Receipt handling runs per received message: it looks tables up with
+   [find] rather than [find_opt] and loops with top-level functions
+   rather than closures, so that an ack allocates nothing here. *)
+let ack_of cs m = match Hashtbl.find cs.acks m with a -> a | exception Not_found -> 0
+
+let rec min_ack cs acc = function
+  | [] -> acc
+  | m :: rest -> min_ack cs (Int.min acc (ack_of cs m)) rest
+  (* One lookup per member of the view. *)
+  [@@analysis.cost "O(members); alloc O(1)"]
+
 let recompute_safe cs =
-  let min_ack =
-    Node_id.Set.fold
-      (fun m acc ->
-        let a = match Hashtbl.find_opt cs.acks m with Some a -> a | None -> 0 in
-        min acc a)
-      cs.cview.members max_int
-  in
+  let min_ack = min_ack cs max_int cs.member_list in
   if min_ack > cs.safe_upto then cs.safe_upto <- min_ack
 
 (* Deliver every ready message: next in sequence, present, and either
    agreed service or within the safe prefix.  The whole run is one
    delivery burst: an ack or order batch typically releases several
    messages at once, and the application applies them as one group. *)
-let try_deliver t cs =
-  let rec loop () =
-    let next = cs.delivered_upto + 1 in
-    match Hashtbl.find_opt cs.store next with
-    | None -> ()
-    | Some d ->
-      let deliverable =
-        match d.d_service with Agreed -> true | Safe -> next <= cs.safe_upto
-      in
-      if deliverable then begin
-        cs.delivered_upto <- next;
-        t.on_event
-          (Deliver
-             {
-               sender = d.d_sender;
-               payload = d.d_payload;
-               conf = d.d_conf;
-               seq = next;
-               in_regular = true;
-             });
-        loop ()
-      end
-  in
-  t.on_burst_start ();
-  loop ();
-  t.on_burst_end ()
-  (* The local [loop] delivers the contiguous run above [delivered_upto]
-     — each iteration consumes one stored message, so the sweep is
-     bounded by the store (the in-flight queue). *)
+let rec deliver_ready t cs =
+  let next = cs.delivered_upto + 1 in
+  match Hashtbl.find cs.store next with
+  | exception Not_found -> ()
+  | d ->
+    let deliverable =
+      match d.d_service with Agreed -> true | Safe -> next <= cs.safe_upto
+    in
+    if deliverable then begin
+      cs.delivered_upto <- next;
+      t.on_event
+        (Deliver
+           {
+             sender = d.d_sender;
+             payload = d.d_payload;
+             conf = d.d_conf;
+             seq = next;
+             in_regular = true;
+           });
+      deliver_ready t cs
+    end
+  (* Delivers the contiguous run above [delivered_upto] — each call
+     consumes one stored message, so the sweep is bounded by the store
+     (the in-flight queue). *)
   [@@analysis.cost "O(queue); alloc O(queue)"]
+
+let try_deliver t cs =
+  t.on_burst_start ();
+  deliver_ready t cs;
+  t.on_burst_end ()
 
 (* Messages below the safe line are held by every member (safe = everyone
    acked contiguous receipt), so they can never be needed for
@@ -292,14 +306,16 @@ let evict t cs =
      a stored message: amortized one removal per message ever stored. *)
   [@@analysis.cost "O(queue); alloc O(1)"]
 
+let rec advance_have cs =
+  if Hashtbl.mem cs.store (cs.have_upto + 1) then begin
+    cs.have_upto <- cs.have_upto + 1;
+    advance_have cs
+  end
+  (* One store lookup per received message. *)
+  [@@analysis.cost "O(queue); alloc O(1)"]
+
 let rec note_have_advanced t cs =
-  let rec advance () =
-    if Hashtbl.mem cs.store (cs.have_upto + 1) then begin
-      cs.have_upto <- cs.have_upto + 1;
-      advance ()
-    end
-  in
-  advance ();
+  advance_have cs;
   (* Our own cumulative ack is visible locally at once. *)
   Hashtbl.replace cs.acks t.node cs.have_upto;
   recompute_safe cs;
@@ -327,16 +343,19 @@ let rec note_have_advanced t cs =
            if era = t.era then begin
              cs.ack_armed <- false;
              cs.last_acked <- cs.have_upto;
-             multicast_set t ~dsts:cs.cview.members
-               (Ack { a_conf = cs.cview.id; a_upto = cs.have_upto });
+             multicast_view t cs (Ack { a_conf = cs.cview.id; a_upto = cs.have_upto });
              (* Re-arm if safety progress is still pending. *)
              if cs.max_safe_seq > cs.safe_upto then note_have_advanced t cs
            end))
   end
   (* Self-recursive only through the re-armed ack timer (a later event,
-     not this activation); the inline [advance] walks the contiguous
-     receipt run, one store lookup per received message. *)
+     not this activation). *)
   [@@analysis.cost "O(members+queue); alloc O(members+queue)"]
+
+(* A sender's message in one configuration, as one immediate int, so that
+   looking it up allocates no tuple: [lseq] counts one sender's messages
+   in one configuration and stays far below 2^32. *)
+let msg_key ~sender ~lseq = (sender lsl 32) lor lseq
 
 let store_message t cs ~seq (d : 'p data) =
   Hashtbl.replace cs.store seq d;
@@ -346,8 +365,17 @@ let store_message t cs ~seq (d : 'p data) =
   (match d.d_service with
   | Safe -> if seq > cs.max_safe_seq then cs.max_safe_seq <- seq
   | Agreed -> ());
-  Hashtbl.remove cs.data_buf (d.d_sender, d.d_lseq);
-  Hashtbl.remove cs.pending_assignment (d.d_sender, d.d_lseq)
+  let key = msg_key ~sender:d.d_sender ~lseq:d.d_lseq in
+  Hashtbl.remove cs.data_buf key;
+  Hashtbl.remove cs.pending_assignment key
+
+(* The total order puts [sender]'s message [lseq] at [seq]: store it if
+   its payload is here, else hold the place until the payload arrives. *)
+let assign t cs ~seq ~sender ~lseq =
+  let key = msg_key ~sender ~lseq in
+  match Hashtbl.find cs.data_buf key with
+  | d -> store_message t cs ~seq d
+  | exception Not_found -> Hashtbl.replace cs.pending_assignment key seq
 
 let flush_order_batch t cs =
   let entries = List.rev cs.pending_order in
@@ -360,14 +388,8 @@ let flush_order_batch t cs =
           (cs.next_seq, sender, lseq))
         entries
     in
-    List.iter
-      (fun (seq, sender, lseq) ->
-        match Hashtbl.find_opt cs.data_buf (sender, lseq) with
-        | Some d -> store_message t cs ~seq d
-        | None -> Hashtbl.replace cs.pending_assignment (sender, lseq) seq)
-      numbered;
-    multicast_set t ~dsts:cs.cview.members
-      (Order { o_conf = cs.cview.id; o_entries = numbered });
+    List.iter (fun (seq, sender, lseq) -> assign t cs ~seq ~sender ~lseq) numbered;
+    multicast_view t cs (Order { o_conf = cs.cview.id; o_entries = numbered });
     note_have_advanced t cs
   end
 
@@ -388,33 +410,35 @@ let coord_enqueue_order t cs ~sender ~lseq =
    installed, the coordinator assigns it a place in the total order; any
    member may instead be completing an assignment it already knows. *)
 let handle_data t cs ~installed (d : 'p data) =
-  match Hashtbl.find_opt cs.pending_assignment (d.d_sender, d.d_lseq) with
-  | Some seq ->
+  let key = msg_key ~sender:d.d_sender ~lseq:d.d_lseq in
+  match Hashtbl.find cs.pending_assignment key with
+  | seq ->
     store_message t cs ~seq d;
     if installed then note_have_advanced t cs
-  | None ->
-    if not (Hashtbl.mem cs.data_buf (d.d_sender, d.d_lseq)) then begin
-      Hashtbl.replace cs.data_buf (d.d_sender, d.d_lseq) d;
+  | exception Not_found ->
+    if not (Hashtbl.mem cs.data_buf key) then begin
+      Hashtbl.replace cs.data_buf key d;
       if installed && i_am_coord t cs then
         coord_enqueue_order t cs ~sender:d.d_sender ~lseq:d.d_lseq
     end
   [@@analysis.hotpath "O(batch+members+queue)"]
 
+let rec assign_entries t cs = function
+  | [] -> ()
+  | (seq, sender, lseq) :: rest ->
+    if seq > cs.next_seq then cs.next_seq <- seq;
+    if not (Hashtbl.mem cs.store seq) then assign t cs ~seq ~sender ~lseq;
+    assign_entries t cs rest
+  (* One assignment per entry of the one Order message. *)
+  [@@analysis.cost "O(batch); alloc O(batch)"]
+
 let handle_order t cs ~installed o_entries =
-  List.iter
-    (fun (seq, sender, lseq) ->
-      if seq > cs.next_seq then cs.next_seq <- seq;
-      if not (Hashtbl.mem cs.store seq) then
-        match Hashtbl.find_opt cs.data_buf (sender, lseq) with
-        | Some d -> store_message t cs ~seq d
-        | None -> Hashtbl.replace cs.pending_assignment (sender, lseq) seq)
-    o_entries;
+  assign_entries t cs o_entries;
   if installed then note_have_advanced t cs
   [@@analysis.hotpath "O(batch+members+queue)"]
 
 let handle_ack t cs ~from ~upto =
-  let prev = match Hashtbl.find_opt cs.acks from with Some a -> a | None -> 0 in
-  if upto > prev then begin
+  if upto > ack_of cs from then begin
     Hashtbl.replace cs.acks from upto;
     recompute_safe cs;
     try_deliver t cs;
@@ -440,7 +464,7 @@ let send_in_conf t cs ~service ~size payload =
   Hashtbl.replace cs.own_pending d.d_lseq (d, Engine.now t.engine);
   (* Local handling first (self-receipt), then the wire. *)
   handle_data t cs ~installed:true d;
-  multicast_set t ~dsts:cs.cview.members (Data d)
+  multicast_view t cs (Data d)
 
 let send t ~service ~size payload =
   match (t.status, t.conf) with
@@ -737,7 +761,7 @@ and install t fs =
     (Printf.sprintf "install %s (%d members)" (Conf_id.to_string fs.fl_vid)
        (Node_id.Set.cardinal fs.fl_members));
   let new_view = { id = fs.fl_vid; members = fs.fl_members } in
-  let cs = new_conf_state new_view in
+  let cs = new_conf_state t new_view in
   t.conf <- Some cs;
   set_status t Installed;
   t.installed_count <- t.installed_count + 1;
@@ -876,8 +900,7 @@ let rec periodic t =
            if
              Time.(Time.diff now (Time.min now t.last_sent)
                    >= t.prm.heartbeat_interval)
-           then multicast_set t ~dsts:cs.cview.members
-               (Heartbeat { h_conf = cs.cview.id });
+           then multicast_view t cs (Heartbeat { h_conf = cs.cview.id });
            (* Suspect silent members. *)
            let suspect =
              Node_id.Set.exists
@@ -904,7 +927,7 @@ let rec periodic t =
                  if Time.(Time.diff now (Time.min now sent_at) > t.prm.fd_timeout)
                  then begin
                    Hashtbl.replace cs.own_pending lseq (d, now);
-                   multicast_set t ~dsts:cs.cview.members (Data d)
+                   multicast_view t cs (Data d)
                  end)
                cs.own_pending
            end;

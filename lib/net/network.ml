@@ -43,16 +43,53 @@ let wan_default =
     recv_cpu_per_kb = Time.of_us 500;
   }
 
+module Tbl = Hashtbl.Make (Node_id)
+
+type 'msg handler = src:Node_id.t -> 'msg -> unit
+
+(* Delivery allocates nothing per message.  What a message needs at each
+   stage lives in rings, and each stage's event is a timer made once and
+   scheduled again per message, so a delivery schedules exactly the
+   events, in the same order, that a closure per message would. *)
+type 'msg node = {
+  id : Node_id.t;
+  mutable up : bool;
+  mutable handler : 'msg handler option;
+  mutable station : 'msg station option;
+  channels : 'msg channel Tbl.t; (* outgoing, by destination *)
+}
+
+(* One (src, dst) link.  Its arrival times strictly increase, so the
+   messages in flight form a FIFO, and the k-th firing of [arrival]
+   delivers the k-th of them. *)
+and 'msg channel = {
+  mutable horizon : int; (* arrival (µs) of the latest message; -1 before the first *)
+  in_flight_size : int Ring.t;
+  in_flight : 'msg Ring.t;
+  arrival : Engine.timer;
+}
+
+(* A node's attached CPU.  The resource runs jobs FIFO, so the k-th run
+   of [receive] (or [transmit]) handles the k-th message queued here;
+   the rings are cleared when the resource drops its jobs. *)
+and 'msg station = {
+  cpu : Resource.t;
+  rx_src : Node_id.t Ring.t;
+  rx_handler : 'msg handler Ring.t;
+  rx_msg : 'msg Ring.t;
+  receive : unit -> unit;
+  tx_dsts : Node_id.t list Ring.t;
+  tx_size : int Ring.t;
+  tx_msg : 'msg Ring.t;
+  transmit : unit -> unit;
+}
+
 type 'msg t = {
   engine : Engine.t;
   topology : Topology.t;
   config : config;
   rng : Rng.t;
-  handlers : (Node_id.t, src:Node_id.t -> 'msg -> unit) Hashtbl.t;
-  up : (Node_id.t, bool) Hashtbl.t;
-  cpus : (Node_id.t, Resource.t) Hashtbl.t;
-  fifo_horizon : (Node_id.t * Node_id.t, Time.t) Hashtbl.t;
-      (* per-channel FIFO: a message never lands before its predecessor *)
+  nodes : 'msg node Tbl.t;
   mutable messages_sent : int;
   mutable bytes_sent : int;
   mutable messages_dropped : int;
@@ -64,10 +101,7 @@ let create ~engine ~topology ~config () =
     topology;
     config;
     rng = Rng.split (Engine.rng engine);
-    handlers = Hashtbl.create 32;
-    up = Hashtbl.create 32;
-    cpus = Hashtbl.create 32;
-    fifo_horizon = Hashtbl.create 64;
+    nodes = Tbl.create 32;
     messages_sent = 0;
     bytes_sent = 0;
     messages_dropped = 0;
@@ -75,87 +109,158 @@ let create ~engine ~topology ~config () =
 
 let topology t = t.topology
 let engine t = t.engine
-let register t node ~handler = Hashtbl.replace t.handlers node handler
-let attach_cpu t node cpu = Hashtbl.replace t.cpus node cpu
 
-let on_cpu t node ~cost k =
-  match Hashtbl.find_opt t.cpus node with
-  | Some cpu when Time.(cost > Time.zero) -> Resource.submit cpu ~duration:cost k
-  | _ -> k ()
-let set_up t node b = Hashtbl.replace t.up node b
-let is_up t node = match Hashtbl.find_opt t.up node with Some b -> b | None -> true
+let node t id =
+  match Tbl.find t.nodes id with
+  | n -> n
+  | exception Not_found ->
+    let n = { id; up = true; handler = None; station = None; channels = Tbl.create 16 } in
+    Tbl.add t.nodes id n;
+    n
 
+let register t id ~handler = (node t id).handler <- Some handler
+let set_up t id b = (node t id).up <- b
+
+let is_up t id =
+  match Tbl.find t.nodes id with n -> n.up | exception Not_found -> true
+
+let drop t = t.messages_dropped <- t.messages_dropped + 1
+
+(* The float arithmetic of [Time.of_sec] and [Time.scale], written out
+   here: a float argument computed for a call into another module is
+   boxed. *)
 let latency t ~size =
+  let c = t.config in
   let serialisation =
-    Time.of_sec (float_of_int size /. t.config.bandwidth_bytes_per_sec)
+    int_of_float (Float.round (float_of_int size /. c.bandwidth_bytes_per_sec *. 1_000_000.))
   in
-  let base = Time.add t.config.propagation ~span:serialisation in
-  let jitter = Rng.uniform_span t.rng (Time.scale base t.config.jitter) in
+  let base = Time.add c.propagation ~span:(Time.of_us serialisation) in
+  let jitter = Rng.uniform_span t.rng (Time.scale base c.jitter) in
   Time.add base ~span:jitter
 
 let recv_cost t ~size =
-  Time.add t.config.recv_cpu_cost
-    ~span:(Time.scale t.config.recv_cpu_per_kb (float_of_int size /. 1024.))
+  let c = t.config in
+  let per_kb = float_of_int (Time.to_us c.recv_cpu_per_kb) in
+  Time.add c.recv_cpu_cost
+    ~span:(Time.of_us (int_of_float (Float.round (per_kb *. (float_of_int size /. 1024.)))))
 
-let deliver t ~src ~dst ~size msg =
-  (* Re-checked at delivery time: partition cuts or crashes that happened
-     while the message was in flight drop it. *)
-  if is_up t dst && Topology.connected t.topology src dst then
-    match Hashtbl.find_opt t.handlers dst with
-    | Some handler ->
-      on_cpu t dst ~cost:(recv_cost t ~size) (fun () ->
-          if is_up t dst then handler ~src msg)
-    | None -> t.messages_dropped <- t.messages_dropped + 1
-  else t.messages_dropped <- t.messages_dropped + 1
+(* A message reaches the head of its channel.  Partition cuts or crashes
+   that happened while it was in flight drop it. *)
+let arrive t ~src ~dst ~sizes ~msgs =
+  let size = Ring.pop sizes in
+  let msg = Ring.pop msgs in
+  if dst.up && Topology.connected t.topology src dst.id then
+    match dst.handler with
+    | Some handler -> (
+      let cost = recv_cost t ~size in
+      match dst.station with
+      | Some st when Time.(cost > Time.zero) ->
+        Ring.push st.rx_src src;
+        Ring.push st.rx_handler handler;
+        Ring.push st.rx_msg msg;
+        Resource.submit st.cpu ~duration:cost st.receive
+      | _ -> handler ~src msg)
+    | None -> drop t
+  else drop t
+  [@@analysis.hotpath "O(1)"]
 
-let unicast_now t ~src ~dst ~size msg =
-  if not (is_up t src) then t.messages_dropped <- t.messages_dropped + 1
-  else if not (Topology.connected t.topology src dst) then
-    t.messages_dropped <- t.messages_dropped + 1
-  else if Rng.float t.rng 1.0 < t.config.loss_probability then begin
+let channel t src dst =
+  match Tbl.find src.channels dst with
+  | ch -> ch
+  | exception Not_found ->
+    let dst = node t dst and sizes = Ring.create () and msgs = Ring.create () in
+    let ch =
+      {
+        horizon = -1;
+        in_flight_size = sizes;
+        in_flight = msgs;
+        arrival = Engine.make_timer (fun () -> arrive t ~src:src.id ~dst ~sizes ~msgs);
+      }
+    in
+    Tbl.add src.channels dst.id ch;
+    ch
+
+let send_now t src dst ~size msg =
+  if not src.up then drop t
+  else if not (Topology.connected t.topology src.id dst) then drop t
+  else if Rng.chance t.rng t.config.loss_probability then begin
     t.messages_sent <- t.messages_sent + 1;
-    t.messages_dropped <- t.messages_dropped + 1
+    drop t
   end
   else begin
     t.messages_sent <- t.messages_sent + 1;
     t.bytes_sent <- t.bytes_sent + size;
-    let delay =
-      if Node_id.equal src dst then Time.of_us 1 else latency t ~size
-    in
+    let delay = if Node_id.equal src.id dst then Time.of_us 1 else latency t ~size in
+    let ch = channel t src dst in
     (* Channels are FIFO (as a TCP link or an in-order NIC queue): a
        message is never delivered before one sent earlier on the same
        (src, dst) channel. *)
-    let now = Engine.now t.engine in
-    let arrival = Time.add now ~span:delay in
-    let arrival =
-      match Hashtbl.find_opt t.fifo_horizon (src, dst) with
-      | Some horizon when Time.(arrival <= horizon) ->
-        Time.add horizon ~span:(Time.of_us 1)
-      | _ -> arrival
-    in
-    Hashtbl.replace t.fifo_horizon (src, dst) arrival;
-    ignore
-      (Engine.schedule_at t.engine ~at:arrival (fun () ->
-           deliver t ~src ~dst ~size msg))
+    let arrival = Time.to_us (Engine.now t.engine) + Time.to_us delay in
+    let arrival = if arrival <= ch.horizon then ch.horizon + 1 else arrival in
+    ch.horizon <- arrival;
+    Ring.push ch.in_flight_size size;
+    Ring.push ch.in_flight msg;
+    Engine.schedule_timer t.engine ch.arrival ~at:(Time.of_us arrival)
   end
-  (* One channel-horizon update and one scheduled delivery per call —
-     constant work and allocation per message sent. *)
+  (* One channel-horizon update and one scheduled delivery per call. *)
   [@@analysis.cost "O(1); alloc O(1)"]
 
-let unicast t ~src ~dst ~size msg =
-  on_cpu t src ~cost:t.config.send_cpu_cost (fun () ->
-      unicast_now t ~src ~dst ~size msg)
+let rec send_all t src dsts ~size msg =
+  match dsts with
+  | [] -> ()
+  | dst :: rest ->
+    send_now t src dst ~size msg;
+    send_all t src rest ~size msg
+  [@@analysis.cost "O(members); alloc O(1)"]
 
+let attach_cpu t id cpu =
+  let owner = node t id in
+  let rx_src = Ring.create () and rx_handler = Ring.create () and rx_msg = Ring.create () in
+  let tx_dsts = Ring.create () and tx_size = Ring.create () and tx_msg = Ring.create () in
+  let receive () =
+    let src = Ring.pop rx_src in
+    let handler = Ring.pop rx_handler in
+    let msg = Ring.pop rx_msg in
+    if owner.up then handler ~src msg
+  in
+  let transmit () =
+    let dsts = Ring.pop tx_dsts in
+    let size = Ring.pop tx_size in
+    send_all t owner dsts ~size (Ring.pop tx_msg)
+  in
+  Resource.on_reset cpu (fun () ->
+      Ring.clear rx_src;
+      Ring.clear rx_handler;
+      Ring.clear rx_msg;
+      Ring.clear tx_dsts;
+      Ring.clear tx_size;
+      Ring.clear tx_msg);
+  owner.station <-
+    Some { cpu; rx_src; rx_handler; rx_msg; receive; tx_dsts; tx_size; tx_msg; transmit }
+
+(* One NIC operation: the send-side CPU cost is charged once. *)
 let multicast t ~src ~dsts ~size msg =
-  (* One NIC operation: the send-side CPU cost is charged once. *)
-  on_cpu t src ~cost:t.config.send_cpu_cost (fun () ->
-      List.iter (fun dst -> unicast_now t ~src ~dst ~size msg) dsts)
+  let src = node t src in
+  match src.station with
+  | Some st when Time.(t.config.send_cpu_cost > Time.zero) ->
+    Ring.push st.tx_dsts dsts;
+    Ring.push st.tx_size size;
+    Ring.push st.tx_msg msg;
+    Resource.submit st.cpu ~duration:t.config.send_cpu_cost st.transmit
+  | _ -> send_all t src dsts ~size msg
+
+let unicast t ~src ~dst ~size msg = multicast t ~src ~dsts:[ dst ] ~size msg
+
+let registered t id =
+  match Tbl.find t.nodes id with
+  | n -> Option.is_some n.handler
+  | exception Not_found -> false
 
 let broadcast_component t ~src ~size msg =
   let component = Topology.component_of t.topology src in
   let dsts =
     Node_id.Set.elements component
-    |> List.filter (fun n -> (not (Node_id.equal n src)) && Hashtbl.mem t.handlers n)
+    |> List.filter (fun n -> (not (Node_id.equal n src)) && registered t n)
   in
   multicast t ~src ~dsts ~size msg
 

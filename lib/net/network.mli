@@ -9,7 +9,12 @@ open Repro_sim
     boundaries — checked both at send and at delivery time, so a message
     in flight across a cut is dropped).  Each (src, dst) channel is FIFO,
     like a TCP link: jitter never reorders two messages of one channel.
-    Crashed nodes neither send nor receive. *)
+    Crashed nodes neither send nor receive.
+
+    Once its queues have grown to their high-water marks, sending and
+    delivering a message allocates nothing: the messages in flight on a
+    channel and those waiting for a node's CPU are kept in rings, and
+    each stage fires a timer made once per channel or CPU. *)
 
 type config = {
   propagation : Time.t;  (** one-way propagation delay *)

@@ -12,10 +12,13 @@ let create ~nodes =
 
 let nodes t = List.map fst (Node_id.Map.bindings t.group_of)
 
+(* [find], not [find_opt]: the network asks per delivered message, and
+   the option would be an allocation each time. *)
 let label t n =
-  match Node_id.Map.find_opt n t.group_of with
-  | Some g -> g
-  | None -> invalid_arg (Format.asprintf "Topology: unknown node %a" Node_id.pp n)
+  match Node_id.Map.find n t.group_of with
+  | g -> g
+  | exception Not_found ->
+    invalid_arg (Format.asprintf "Topology: unknown node %a" Node_id.pp n)
 
 let connected t a b = Node_id.equal a b || label t a = label t b
 

@@ -1,10 +1,7 @@
-type timer = {
-  at : Time.t;
-  seq : int;
-  label : string;
-  action : unit -> unit;
-  mutable active : bool;
-}
+(* A timer carries no due time of its own: the event queue keys each
+   pending instance by (due time, scheduling sequence), so one timer may
+   be pending several times at once (see [make_timer]). *)
+type timer = { label : string; action : unit -> unit; mutable active : bool }
 
 (* The pluggable scheduler decides which of the events *due at the
    earliest pending time* fires next.  [Fifo] (the default) is the
@@ -49,11 +46,16 @@ let rng t = t.root_rng
 let set_scheduler t s = t.scheduler <- s
 let events_executed t = t.executed
 
-let schedule_at ?(label = "") t ~at action =
+let make_timer action = { label = ""; action; active = true }
+
+let schedule_timer t timer ~at =
   if Time.(at < t.clock) then invalid_arg "Engine.schedule_at: time in the past";
-  let timer = { at; seq = t.seq; label; action; active = true } in
-  t.seq <- t.seq + 1;
-  Heap.Keyed.push t.queue ~key:(Time.to_us at) ~tie:timer.seq timer;
+  Heap.Keyed.push t.queue ~key:(Time.to_us at) ~tie:t.seq timer;
+  t.seq <- t.seq + 1
+
+let schedule_at ?(label = "") t ~at action =
+  let timer = { label; action; active = true } in
+  schedule_timer t timer ~at;
   timer
 
 let schedule ?label t ~delay action =
@@ -64,60 +66,53 @@ let is_active timer = timer.active
 let pending t = Heap.Keyed.length t.queue
 let stop t = t.stopping <- true
 
-let requeue t timer =
-  Heap.Keyed.push t.queue ~key:(Time.to_us timer.at) ~tie:timer.seq timer
-
 (* Pop the timer a [Controlled] scheduler selects among those due at
-   the earliest pending time, reaping cancelled timers along the way.
-   Materialising the due set is queue-bounded and pops each stored
-   timer at most once per scheduling decision; the model checker is
-   the only consumer, so the Fifo fast path in [step] never pays for
-   it. *)
+   the earliest pending time, reaping cancelled timers along the way,
+   and return it with its due time.  Materialising the due set is
+   queue-bounded and pops each stored timer at most once per scheduling
+   decision; the model checker is the only consumer, so the Fifo fast
+   path in [step] never pays for it. *)
 let pop_controlled t pick =
+  let q = t.queue in
   (* Reap cancelled timers first so choices are only live events. *)
   let rec head () =
-    if Heap.Keyed.is_empty t.queue then None
-    else
-      let timer = Heap.Keyed.peek t.queue in
-      if timer.active then Some timer
-      else begin
-        ignore (Heap.Keyed.pop t.queue);
-        head ()
-      end
+    if (not (Heap.Keyed.is_empty q)) && not (Heap.Keyed.peek q).active then begin
+      ignore (Heap.Keyed.pop q);
+      head ()
+    end
   in
-  match head () with
-  | None -> None
-  | Some first ->
+  head ();
+  if Heap.Keyed.is_empty q then None
+  else begin
+    let at = Heap.Keyed.min_key q in
     let rec take acc =
-      if Heap.Keyed.is_empty t.queue then List.rev acc
-      else
-        let timer = Heap.Keyed.peek t.queue in
-        if Time.equal timer.at first.at then begin
-          ignore (Heap.Keyed.pop t.queue);
-          if timer.active then take (timer :: acc) else take acc
-        end
-        else List.rev acc
+      if Heap.Keyed.is_empty q || Heap.Keyed.min_key q <> at then List.rev acc
+      else begin
+        let seq = Heap.Keyed.min_tie q in
+        let timer = Heap.Keyed.pop q in
+        take (if timer.active then (seq, timer) :: acc else acc)
+      end
     in
-    let due = take [] in
-    if List.length due = 1 then Some (List.hd due)
-    else begin
+    match take [] with
+    | [ (_, timer) ] -> Some (at, timer)
+    | due ->
       let choices =
         List.map
-          (fun timer ->
-            { c_at = timer.at; c_seq = timer.seq; c_label = timer.label })
+          (fun (seq, timer) -> { c_at = Time.of_us at; c_seq = seq; c_label = timer.label })
           due
       in
       let i = pick choices in
       let i = if i < 0 || i >= List.length due then 0 else i in
-      let chosen = List.nth due i in
-      List.iteri (fun j timer -> if j <> i then requeue t timer) due;
-      Some chosen
-    end
+      List.iteri
+        (fun j (seq, timer) -> if j <> i then Heap.Keyed.push q ~key:at ~tie:seq timer)
+        due;
+      Some (at, snd (List.nth due i))
+  end
   [@@analysis.cost "O(queue); alloc O(queue)"]
 
-let fire t timer =
+let fire t timer ~at =
   if timer.active then begin
-    t.clock <- timer.at;
+    t.clock <- Time.of_us at;
     t.executed <- t.executed + 1;
     timer.action ()
   end
@@ -127,14 +122,15 @@ let step t =
   | Fifo ->
     if Heap.Keyed.is_empty t.queue then false
     else begin
-      fire t (Heap.Keyed.pop t.queue);
+      let at = Heap.Keyed.min_key t.queue in
+      fire t (Heap.Keyed.pop t.queue) ~at;
       true
     end
   | Controlled pick -> (
     match pop_controlled t pick with
     | None -> false
-    | Some timer ->
-      fire t timer;
+    | Some (at, timer) ->
+      fire t timer ~at;
       true)
   [@@analysis.hotpath "O(queue)"]
 

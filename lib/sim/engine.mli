@@ -46,6 +46,20 @@ val schedule_at : ?label:string -> t -> at:Time.t -> (unit -> unit) -> timer
 (** [schedule_at t ~at f] runs [f] at absolute time [at]; [at] must not be
     in the past. *)
 
+val make_timer : (unit -> unit) -> timer
+(** A timer that is not scheduled yet: {!schedule_timer} queues it.
+    Unlike the one-shot timers of [schedule], it can be queued again and
+    again, and be pending several times at once; each pending instance
+    runs the action once, at its own due time and in its own scheduling
+    order.  A component that fires the same action per message (a
+    network channel, a CPU) makes one and so schedules without
+    allocating.  {!cancel} drops every pending instance. *)
+
+val schedule_timer : t -> timer -> at:Time.t -> unit
+(** [schedule_timer t timer ~at] queues one more instance of [timer] at
+    absolute time [at], which must not be in the past.  It takes the
+    same place in the event order as [schedule_at] called at this point. *)
+
 val cancel : timer -> unit
 (** Cancelling an already-fired or cancelled timer is a no-op. *)
 

@@ -147,6 +147,7 @@ module Keyed = struct
     sift_up t (t.size - 1)
 
   let min_key t = if t.size = 0 then raise Empty else t.keys.(0)
+  let min_tie t = if t.size = 0 then raise Empty else t.tie.(0)
   let peek t = if t.size = 0 then raise Empty else t.vals.(0)
 
   let pop t =

@@ -39,6 +39,9 @@ module Keyed : sig
   val min_key : 'a t -> int
   (** Primary key of the smallest element; raises {!Empty}. *)
 
+  val min_tie : 'a t -> int
+  (** Tiebreak key of the smallest element; raises {!Empty}. *)
+
   val peek : 'a t -> 'a
   (** Smallest payload without removing it; raises {!Empty}. *)
 

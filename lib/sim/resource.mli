@@ -20,4 +20,11 @@ val busy_time : t -> Time.t
 (** Cumulative time the resource has spent occupied. *)
 
 val reset : t -> unit
-(** Drops all queued jobs (their callbacks never fire) — crash semantics. *)
+(** Drops all queued jobs and the running one (their callbacks never
+    fire) — crash semantics — then runs the {!on_reset} hooks. *)
+
+val on_reset : t -> (unit -> unit) -> unit
+(** [on_reset t f] runs [f] on every later {!reset}, after the jobs are
+    dropped, in registration order.  A client that keeps its own FIFO of
+    per-job state beside the resource's queue (a network's messages
+    waiting for this CPU) clears it here. *)

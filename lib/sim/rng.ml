@@ -1,19 +1,28 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in a byte buffer rather than a mutable int64
+   field, which would box a fresh int64 on every draw; with [mix] and
+   [bits64] inlined, a draw that returns an int or a bool allocates
+   nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 seed;
+  t
+
 let of_int seed = create (Int64.of_int seed)
 
 (* SplitMix64 finalizer (Steele, Lea & Flood 2014). *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] bits64 t =
+  let state = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 state;
+  mix state
 
 let split t = create (bits64 t)
 
@@ -23,11 +32,16 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
   v mod bound
 
+(* 53 uniform bits -> [0,1) *)
+let[@inline] unit_float t =
+  Int64.to_float (Int64.shift_right_logical (bits64 t) 11) /. 9007199254740992.
+
 let float t bound =
   if bound < 0. then invalid_arg "Rng.float: negative bound";
-  (* 53 uniform bits -> [0,1) *)
-  let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
-  v /. 9007199254740992. *. bound
+  unit_float t *. bound
+
+(* [float t 1.0 < p], without boxing the drawn float for the caller. *)
+let chance t p = unit_float t < p
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 

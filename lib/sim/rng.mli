@@ -25,6 +25,10 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. Requires [bound >= 0]. *)
 
+val chance : t -> float -> bool
+(** [chance t p] is [float t 1.0 < p]: it draws the same bits and gives
+    the same answer, without allocating. *)
+
 val bool : t -> bool
 
 val exponential : t -> mean:float -> float

@@ -128,6 +128,54 @@ let test_cpu_serialises_receives () =
     Alcotest.(check bool) "second waits for cpu" true (t2 - t1 >= 100)
   | l -> Alcotest.failf "expected 2 deliveries, got %d" (List.length l)
 
+(* A crash resets the node's CPU: the messages waiting for it are
+   dropped, and a later message is delivered, not mistaken for one of
+   the dropped ones. *)
+let test_cpu_reset_drops_waiting () =
+  let config = { quiet_lan with recv_cpu_cost = Time.of_us 100; send_cpu_cost = Time.of_us 5 } in
+  let engine, _, network = make ~config 2 in
+  let cpus = List.map (fun n -> (n, Resource.create engine)) [ 0; 1 ] in
+  List.iter (fun (n, cpu) -> Network.attach_cpu network n cpu) cpus;
+  let rx = collect network 1 in
+  List.iter (fun m -> Network.unicast network ~src:0 ~dst:1 ~size:0 m) [ "a"; "b"; "c" ];
+  ignore
+    (Engine.schedule engine ~delay:(Time.of_us 150) (fun () ->
+         Resource.reset (List.assoc 1 cpus);
+         (* and a send still waiting for the sender's CPU *)
+         Network.unicast network ~src:0 ~dst:1 ~size:0 "lost";
+         Resource.reset (List.assoc 0 cpus);
+         Network.unicast network ~src:0 ~dst:1 ~size:0 "d"));
+  Engine.run engine;
+  Alcotest.(check (list (pair int string)))
+    "only what the CPU finished before the reset, and what came after"
+    [ (0, "d") ] !rx
+
+(* Delivery is allocation-free: once every channel and CPU queue has
+   grown to its high-water mark, a multicast to 13 nodes, its 13
+   arrivals and 13 receive jobs allocate nothing. *)
+let test_delivery_allocates_nothing () =
+  let config = { Network.lan_gigabit with loss_probability = 0.01 } in
+  let engine, _, network = make ~config 14 in
+  let delivered = ref 0 in
+  List.iter
+    (fun n ->
+      Network.attach_cpu network n (Resource.create engine);
+      Network.register network n ~handler:(fun ~src:_ _ -> incr delivered))
+    (List.init 14 Fun.id);
+  let dsts = List.init 13 (fun i -> i + 1) in
+  let round () =
+    for _ = 1 to 20 do
+      Network.multicast network ~src:0 ~dsts ~size:200 "m"
+    done;
+    Engine.run engine
+  in
+  round ();
+  let before = !delivered and words = Gc.minor_words () in
+  round ();
+  let allocated = Gc.minor_words () -. words in
+  Alcotest.(check bool) "messages delivered" true (!delivered - before > 200);
+  Alcotest.(check (float 0.)) "words allocated" 0. allocated
+
 let test_topology_components () =
   let topology = Topology.create ~nodes:[ 0; 1; 2; 3; 4 ] in
   Alcotest.(check int) "one component" 1 (List.length (Topology.components topology));
@@ -190,6 +238,7 @@ let () =
           Alcotest.test_case "latency model" `Quick test_latency_includes_serialisation;
           Alcotest.test_case "multicast fanout" `Quick test_multicast_fanout;
           Alcotest.test_case "loss probability" `Quick test_loss_probability;
+          Alcotest.test_case "allocates nothing" `Quick test_delivery_allocates_nothing;
         ] );
       ( "partitions",
         [
@@ -201,7 +250,10 @@ let () =
       ( "crash",
         [ Alcotest.test_case "crashed node silent" `Quick test_crashed_node_silent ] );
       ( "cpu",
-        [ Alcotest.test_case "cpu serialises receives" `Quick test_cpu_serialises_receives ] );
+        [
+          Alcotest.test_case "cpu serialises receives" `Quick test_cpu_serialises_receives;
+          Alcotest.test_case "reset drops waiting messages" `Quick test_cpu_reset_drops_waiting;
+        ] );
       ( "topology",
         [
           Alcotest.test_case "components" `Quick test_topology_components;

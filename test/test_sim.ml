@@ -17,6 +17,13 @@ let test_time_scale () =
   Alcotest.(check int) "scale up" 150 (Time.to_us (Time.scale (Time.of_us 100) 1.5));
   Alcotest.(check int) "scale zero" 0 (Time.to_us (Time.scale (Time.of_us 100) 0.))
 
+let test_rng_chance_matches_float () =
+  let a = Rng.of_int 9 and b = Rng.of_int 9 in
+  for i = 0 to 999 do
+    let p = float_of_int (i mod 11) /. 10. in
+    Alcotest.(check bool) "same draw, same answer" (Rng.float b 1.0 < p) (Rng.chance a p)
+  done
+
 let test_rng_determinism () =
   let a = Rng.of_int 42 and b = Rng.of_int 42 in
   for _ = 1 to 100 do
@@ -113,6 +120,38 @@ let prop_keyed_heap_sorts =
       in
       drain [] = List.sort Int.compare l)
 
+(* The ring against [Queue], over any interleaving of pushes and
+   pops: growth and wrap-around must keep FIFO order. *)
+let prop_ring_is_fifo =
+  QCheck.Test.make ~name:"ring behaves as a FIFO" ~count:200
+    QCheck.(list (option small_int))
+    (fun ops ->
+      let r = Ring.create () in
+      let model = Queue.create () in
+      List.for_all
+        (function
+          | Some x ->
+            Ring.push r x;
+            Queue.add x model;
+            Ring.length r = Queue.length model
+          | None ->
+            if Queue.is_empty model then Ring.is_empty r
+            else Ring.pop r = Queue.pop model)
+        ops)
+
+let test_ring_clear () =
+  let r = Ring.create () in
+  for i = 1 to 20 do
+    Ring.push r i
+  done;
+  ignore (Ring.pop r);
+  Ring.clear r;
+  Alcotest.(check int) "empty" 0 (Ring.length r);
+  Alcotest.check_raises "pop on empty" (Invalid_argument "Ring.pop: empty") (fun () ->
+      ignore (Ring.pop r));
+  Ring.push r 7;
+  Alcotest.(check int) "usable again" 7 (Ring.pop r)
+
 let test_engine_event_order () =
   let engine = Engine.create () in
   let order = ref [] in
@@ -203,6 +242,44 @@ let test_engine_controlled_out_of_range () =
     "out-of-range choice falls back to scheduling order" [ "a"; "b" ]
     (List.rev !order)
 
+let test_engine_reusable_timer () =
+  let engine = Engine.create () in
+  let order = ref [] in
+  let record tag () = order := (tag, Time.to_us (Engine.now engine)) :: !order in
+  let timer = Engine.make_timer (record "r") in
+  Engine.schedule_timer engine timer ~at:(Time.of_us 30);
+  ignore (Engine.schedule engine ~delay:(Time.of_us 10) (record "a"));
+  Engine.schedule_timer engine timer ~at:(Time.of_us 10);
+  ignore (Engine.schedule engine ~delay:(Time.of_us 10) (record "b"));
+  Engine.run engine;
+  Alcotest.(check (list (pair string int)))
+    "each pending instance fires once, in scheduling order at its time"
+    [ ("a", 10); ("r", 10); ("b", 10); ("r", 30) ]
+    (List.rev !order);
+  Alcotest.(check int) "events executed" 4 (Engine.events_executed engine);
+  Engine.schedule_timer engine timer ~at:(Time.of_us 40);
+  Engine.schedule_timer engine timer ~at:(Time.of_us 50);
+  Engine.cancel timer;
+  Engine.run engine;
+  Alcotest.(check int) "cancel drops every pending instance" 4 (List.length !order);
+  Alcotest.check_raises "the past is refused"
+    (Invalid_argument "Engine.schedule_at: time in the past") (fun () ->
+      Engine.schedule_timer engine timer ~at:(Time.of_us 1))
+
+let test_engine_controlled_reusable () =
+  let engine = Engine.create () in
+  Engine.set_scheduler engine (Engine.Controlled (fun choices -> List.length choices - 1));
+  let order = ref [] in
+  let r = Engine.make_timer (fun () -> order := "r" :: !order) in
+  Engine.schedule_timer engine r ~at:(Time.of_us 10);
+  ignore
+    (Engine.schedule ~label:"a" engine ~delay:(Time.of_us 10) (fun () -> order := "a" :: !order));
+  Engine.schedule_timer engine r ~at:(Time.of_us 20);
+  Engine.run engine;
+  Alcotest.(check (list string)) "a controlled pick keeps each instance's place"
+    [ "a"; "r"; "r" ] (List.rev !order);
+  Alcotest.(check int) "clock at the last instance" 20 (Time.to_us (Engine.now engine))
+
 let test_engine_stop () =
   let engine = Engine.create () in
   let fired = ref 0 in
@@ -237,6 +314,24 @@ let test_resource_reset () =
   Resource.reset r;
   Engine.run engine;
   Alcotest.(check bool) "reset drops jobs" false !fired
+
+let test_resource_reset_hooks () =
+  let engine = Engine.create () in
+  let r = Resource.create engine in
+  let log = ref [] in
+  Resource.on_reset r (fun () -> log := ("first", Resource.queue_length r) :: !log);
+  Resource.on_reset r (fun () -> log := ("second", Resource.queue_length r) :: !log);
+  Resource.submit r ~duration:(Time.of_us 100) (fun () -> log := ("job", 0) :: !log);
+  Resource.submit r ~duration:(Time.of_us 100) (fun () -> log := ("job", 0) :: !log);
+  Alcotest.(check int) "one running, one waiting" 2 (Resource.queue_length r);
+  Resource.reset r;
+  Resource.submit r ~duration:(Time.of_us 10) (fun () ->
+      log := ("after", Time.to_us (Engine.now engine)) :: !log);
+  Engine.run engine;
+  Alcotest.(check (list (pair string int)))
+    "hooks run in order after the jobs are dropped; the orphaned completion is silent"
+    [ ("first", 0); ("second", 0); ("after", 10) ]
+    (List.rev !log)
 
 let test_summary_stats () =
   let s = Stats.Summary.create () in
@@ -333,6 +428,7 @@ let () =
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "shuffle is a permutation" `Quick
             test_rng_shuffle_permutation;
+          Alcotest.test_case "chance matches float" `Quick test_rng_chance_matches_float;
         ] );
       ( "heap",
         [
@@ -342,6 +438,11 @@ let () =
           Alcotest.test_case "keyed ordering" `Quick test_keyed_heap_ordering;
           Alcotest.test_case "keyed tie-break" `Quick test_keyed_heap_tiebreak;
           QCheck_alcotest.to_alcotest prop_keyed_heap_sorts;
+        ] );
+      ( "ring",
+        [
+          QCheck_alcotest.to_alcotest prop_ring_is_fifo;
+          Alcotest.test_case "clear" `Quick test_ring_clear;
         ] );
       ( "engine",
         [
@@ -356,6 +457,9 @@ let () =
           Alcotest.test_case "controlled out-of-range" `Quick
             test_engine_controlled_out_of_range;
           QCheck_alcotest.to_alcotest prop_engine_executes_all;
+          Alcotest.test_case "reusable timer" `Quick test_engine_reusable_timer;
+          Alcotest.test_case "controlled reusable timer" `Quick
+            test_engine_controlled_reusable;
         ] );
       ( "distributions",
         [ QCheck_alcotest.to_alcotest prop_exponential_mean ] );
@@ -363,6 +467,7 @@ let () =
         [
           Alcotest.test_case "serialises jobs" `Quick test_resource_serialises;
           Alcotest.test_case "reset drops jobs" `Quick test_resource_reset;
+          Alcotest.test_case "reset hooks" `Quick test_resource_reset_hooks;
         ] );
       ( "stats",
         [
