@@ -1,12 +1,5 @@
 open Repro_db
 
-module Id_tbl = Hashtbl.Make (struct
-  type t = Action.Id.t
-
-  let equal = Action.Id.equal
-  let hash (id : Action.Id.t) = Hashtbl.hash (id.server, id.index)
-end)
-
 type t = {
   mutable green : Action.t array; (* growable; slot i = green position i+1 *)
   mutable green_count : int;
@@ -17,9 +10,9 @@ type t = {
          the authoritative membership index *)
   mutable red_count : int; (* live entries in [red] *)
   mutable red_dead : int; (* tombstoned entries still in [red] *)
-  green_pos : int Id_tbl.t; (* id -> green position *)
-  bodies : Action.t Id_tbl.t; (* every body we hold *)
-  red_set : unit Id_tbl.t; (* live red ids *)
+  green_pos : int Action.Id.Tbl.t; (* id -> green position *)
+  bodies : Action.t Action.Id.Tbl.t; (* every body we hold *)
+  red_set : unit Action.Id.Tbl.t; (* live red ids *)
 }
 
 let create () =
@@ -31,9 +24,9 @@ let create () =
     red = [];
     red_count = 0;
     red_dead = 0;
-    green_pos = Id_tbl.create 256;
-    bodies = Id_tbl.create 256;
-    red_set = Id_tbl.create 256;
+    green_pos = Action.Id.Tbl.create 256;
+    bodies = Action.Id.Tbl.create 256;
+    red_set = Action.Id.Tbl.create 256;
   }
 
 let green_count t = t.green_count
@@ -65,7 +58,7 @@ let set_join_floor t ~count ~line =
   t.green_count <- count;
   t.floor_line <- line
 
-let is_green t id = Id_tbl.mem t.green_pos id
+let is_green t id = Action.Id.Tbl.mem t.green_pos id
 
 let discard_below t n =
   let n = min n t.green_count in
@@ -76,7 +69,7 @@ let discard_below t n =
     (* The last discarded body becomes the floor line. *)
     let last = t.green.(dropped - 1) in
     for i = 0 to dropped - 1 do
-      Id_tbl.remove t.bodies t.green.(i).Action.id
+      Action.Id.Tbl.remove t.bodies t.green.(i).Action.id
     done;
     let remaining = stored - dropped in
     let ng = if remaining = 0 then [||] else Array.make remaining last in
@@ -108,12 +101,13 @@ let grow t a =
    tombstones outnumber live entries (so each sweep's O(n) is paid for
    by the n removals that preceded it). *)
 let remove_red t id =
-  if Id_tbl.mem t.red_set id then begin
-    Id_tbl.remove t.red_set id;
+  if Action.Id.Tbl.mem t.red_set id then begin
+    Action.Id.Tbl.remove t.red_set id;
     t.red_count <- t.red_count - 1;
     t.red_dead <- t.red_dead + 1;
     if t.red_dead > t.red_count + 64 then begin
-      t.red <- List.filter (fun a -> Id_tbl.mem t.red_set a.Action.id) t.red;
+      t.red <-
+        List.filter (fun a -> Action.Id.Tbl.mem t.red_set a.Action.id) t.red;
       t.red_dead <- 0
     end
   end
@@ -125,21 +119,21 @@ let append_green t a =
   grow t a;
   t.green.(t.green_count - t.floor) <- a;
   t.green_count <- t.green_count + 1;
-  Id_tbl.replace t.green_pos a.Action.id t.green_count;
-  Id_tbl.replace t.bodies a.Action.id a;
+  Action.Id.Tbl.replace t.green_pos a.Action.id t.green_count;
+  Action.Id.Tbl.replace t.bodies a.Action.id a;
   t.green_count
 
 let add_red t a =
-  if not (Id_tbl.mem t.bodies a.Action.id) then begin
+  if not (Action.Id.Tbl.mem t.bodies a.Action.id) then begin
     t.red <- a :: t.red;
     t.red_count <- t.red_count + 1;
-    Id_tbl.replace t.red_set a.Action.id ();
-    Id_tbl.replace t.bodies a.Action.id a
+    Action.Id.Tbl.replace t.red_set a.Action.id ();
+    Action.Id.Tbl.replace t.bodies a.Action.id a
   end
 
 let red_actions t =
   List.rev
-    (List.filter (fun a -> Id_tbl.mem t.red_set a.Action.id) t.red)
+    (List.filter (fun a -> Action.Id.Tbl.mem t.red_set a.Action.id) t.red)
 let red_count t = t.red_count
-let find t id = Id_tbl.find_opt t.bodies id
-let mem t id = Id_tbl.mem t.bodies id
+let find t id = Action.Id.Tbl.find_opt t.bodies id
+let mem t id = Action.Id.Tbl.mem t.bodies id

@@ -17,10 +17,21 @@ open Repro_db
    at the same green position — which is what lets it ride checkpoints
    and state-transfer snapshots. *)
 
+(* The cached responses of one client live in a ring, oldest first.
+   [record] is reached only for [Fresh] requests ([seq > e_hi]), so it
+   always appends a sequence number above every cached one: the ring is
+   sorted ascending, and both bounds of the cache (the ack low-water and
+   the window) drop entries from its oldest end.  Slots are parallel
+   arrays, so caching and evicting a response allocates nothing once
+   the ring has grown; it grows lazily, doubling up to the window,
+   because most clients only ever have one or two responses unacked. *)
 type entry = {
   mutable e_hi : int;  (* highest req_seq applied for this client *)
   mutable e_ack : int;  (* client-acked low-water mark *)
-  mutable e_cache : (int * Action.response) list;  (* seq descending *)
+  mutable e_seqs : int array;
+  mutable e_resps : Action.response array;  (* free slots hold [Busy] *)
+  mutable e_head : int;  (* slot of the oldest cached entry *)
+  mutable e_len : int;
 }
 
 type t = {
@@ -35,70 +46,118 @@ let create ~window () =
 
 let window t = t.d_window
 
-let entry t client =
-  match Hashtbl.find_opt t.d_tbl client with
-  | Some e -> e
-  | None ->
-    let e = { e_hi = 0; e_ack = 0; e_cache = [] } in
-    Hashtbl.replace t.d_tbl client e;
-    e
+let slot e i = (e.e_head + i) mod Array.length e.e_seqs
+
+(* The cached response for [seq], if the window still holds it: a scan
+   of at most [window] slots, allocating only the answer. *)
+let cached e seq =
+  let rec go i =
+    if i = e.e_len then None
+    else
+      let j = slot e i in
+      if e.e_seqs.(j) = seq then Some e.e_resps.(j) else go (i + 1)
+  in
+  go 0
+  [@@analysis.cost "O(1); alloc O(1)"]
 
 let check t ~client ~seq =
   if seq <= 0 then Fresh
   else
-    match Hashtbl.find_opt t.d_tbl client with
-    | None -> Fresh
-    | Some e ->
-      if seq <= e.e_hi then Duplicate (List.assoc_opt seq e.e_cache)
-      else Fresh
-  (* [e_cache] is capped at the dedup window (see [prune]) — the scan
-     is over a constant-bounded list, not a queue-sized one. *)
-  [@@analysis.cost "O(1); alloc O(1)"]
+    match Hashtbl.find t.d_tbl client with
+    | exception Not_found -> Fresh
+    | e -> if seq <= e.e_hi then Duplicate (cached e seq) else Fresh
 
 let is_applied t ~client ~seq =
-  match check t ~client ~seq with Duplicate _ -> true | Fresh -> false
+  seq > 0
+  &&
+  match Hashtbl.find t.d_tbl client with
+  | exception Not_found -> false
+  | e -> seq <= e.e_hi
 
-(* The cache bound: drop everything the client acknowledged, then keep
-   at most [window] of the newest unacknowledged responses.  The ack
-   low-water is the primary bound; the window caps growth when a
-   client's acks lag (e.g. it crashed between issue and ack). *)
-(* Window-bounded input, window-bounded output: constant for the cost
-   lattice (the window is a config constant, not a load-dependent
-   dimension). *)
-let prune t e =
-  e.e_cache <-
-    List.filteri
-      (fun i _ -> i < t.d_window)
-      (List.filter (fun (s, _) -> s > e.e_ack) e.e_cache)
+let drop_oldest e =
+  e.e_resps.(e.e_head) <- Action.Busy;
+  e.e_head <- slot e 1;
+  e.e_len <- e.e_len - 1
+
+(* The ack low-water is the primary bound: responses at or below it can
+   never be re-requested.  Each entry is dropped at most once after the
+   [push] that cached it, so the loop is amortized O(1) per record. *)
+let drop_acked e =
+  while e.e_len > 0 && e.e_seqs.(e.e_head) <= e.e_ack do
+    drop_oldest e
+  done
   [@@analysis.cost "O(1); alloc O(1)"]
+
+(* Double the ring, up to [window] slots, unrolling it to the front. *)
+let grow t e =
+  let cap = Array.length e.e_seqs in
+  let ncap = min t.d_window (max 2 (2 * cap)) in
+  let seqs = Array.make ncap 0 and resps = Array.make ncap Action.Busy in
+  for i = 0 to e.e_len - 1 do
+    let j = slot e i in
+    seqs.(i) <- e.e_seqs.(j);
+    resps.(i) <- e.e_resps.(j)
+  done;
+  e.e_seqs <- seqs;
+  e.e_resps <- resps;
+  e.e_head <- 0
+  (* Capacity doubles up to the window, so each copied slot is paid for
+     by the push that first filled it. *)
+  [@@analysis.cost "O(1); alloc O(1)"]
+
+(* Cache the newest response; the window caps growth when a client's
+   acks lag (e.g. it crashed between issue and ack) by evicting the
+   oldest. *)
+let push t e seq response =
+  if e.e_len >= t.d_window then drop_oldest e
+  else if e.e_len = Array.length e.e_seqs then grow t e;
+  let j = slot e e.e_len in
+  e.e_seqs.(j) <- seq;
+  e.e_resps.(j) <- response;
+  e.e_len <- e.e_len + 1
 
 let observe_ack t ~client ~ack =
   if ack > 0 then
-    match Hashtbl.find_opt t.d_tbl client with
-    | None -> ()
-    | Some e ->
+    match Hashtbl.find t.d_tbl client with
+    | exception Not_found -> ()
+    | e ->
       if ack > e.e_ack then begin
         e.e_ack <- ack;
-        prune t e
+        drop_acked e
       end
+
+let new_entry t client =
+  let e =
+    {
+      e_hi = 0;
+      e_ack = 0;
+      e_seqs = [||];
+      e_resps = [||];
+      e_head = 0;
+      e_len = 0;
+    }
+  in
+  Hashtbl.replace t.d_tbl client e;
+  e
 
 let record t ~client ~seq ~ack response =
   if seq > 0 then begin
-    let e = entry t client in
-    if seq > e.e_hi then e.e_hi <- seq;
-    if ack > e.e_ack then e.e_ack <- ack;
-    e.e_cache <-
-      List.sort
-        (fun (a, _) (b, _) -> Int.compare b a)
-        ((seq, response) :: List.filter (fun (s, _) -> s <> seq) e.e_cache);
-    prune t e
+    let e =
+      match Hashtbl.find t.d_tbl client with
+      | e -> e
+      | exception Not_found -> new_entry t client
+    in
+    if seq <= e.e_hi then invalid_arg "Dedup.record: request is not fresh";
+    e.e_hi <- seq;
+    if ack > e.e_ack then begin
+      e.e_ack <- ack;
+      drop_acked e
+    end;
+    if seq > e.e_ack then push t e seq response
   end
-  [@@analysis.cost "O(1); alloc O(1)"]
 
 let clients t = Hashtbl.length t.d_tbl
-
-let max_cached t =
-  Hashtbl.fold (fun _ e acc -> max acc (List.length e.e_cache)) t.d_tbl 0
+let max_cached t = Hashtbl.fold (fun _ e acc -> max acc e.e_len) t.d_tbl 0
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots: pure data, deterministically ordered so two replicas at
@@ -117,7 +176,12 @@ let snapshot t =
   let cs =
     Hashtbl.fold
       (fun c e acc ->
-        { s_client = c; s_hi = e.e_hi; s_ack = e.e_ack; s_cache = e.e_cache }
+        let cache =
+          List.init e.e_len (fun i ->
+              let j = slot e (e.e_len - 1 - i) in
+              (e.e_seqs.(j), e.e_resps.(j)))
+        in
+        { s_client = c; s_hi = e.e_hi; s_ack = e.e_ack; s_cache = cache }
         :: acc)
       t.d_tbl []
   in
@@ -134,8 +198,18 @@ let of_snapshot s =
   let t = create ~window:s.s_window () in
   List.iter
     (fun c ->
-      Hashtbl.replace t.d_tbl c.s_client
-        { e_hi = c.s_hi; e_ack = c.s_ack; e_cache = c.s_cache })
+      let e = new_entry t c.s_client in
+      e.e_hi <- c.s_hi;
+      e.e_ack <- c.s_ack;
+      let n = List.length c.s_cache in
+      e.e_seqs <- Array.make n 0;
+      e.e_resps <- Array.make n Action.Busy;
+      e.e_len <- n;
+      List.iteri
+        (fun i (seq, r) ->
+          e.e_seqs.(n - 1 - i) <- seq;
+          e.e_resps.(n - 1 - i) <- r)
+        c.s_cache)
     s.s_clients;
   t
 

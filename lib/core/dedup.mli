@@ -40,7 +40,10 @@ val is_applied : t -> client:int -> seq:int -> bool
 val record : t -> client:int -> seq:int -> ack:int -> Action.response -> unit
 (** Book one freshly executed request: advances the high-water mark,
     caches the response, folds in the client's ack and prunes the cache
-    to the window.  No-op when [seq <= 0]. *)
+    to the window.  No-op when [seq <= 0].  Only for a request {!check}
+    answers [Fresh]: raises [Invalid_argument] for [seq] at or below
+    the client's high-water mark.  Allocates nothing once the client's
+    cache has grown to its high-water size. *)
 
 val observe_ack : t -> client:int -> ack:int -> unit
 (** Fold in the ack low-water carried by a request that turned out to

@@ -8,13 +8,6 @@ let log_src = Logs.Src.create "repro.engine" ~doc:"replication engine"
 
 module Log = (val Logs.src_log log_src)
 
-module Id_tbl = Hashtbl.Make (struct
-  type t = Action.Id.t
-
-  let equal = Action.Id.equal
-  let hash (id : Action.Id.t) = Hashtbl.hash (id.server, id.index)
-end)
-
 type callbacks = {
   on_green : Action.t list -> unit;
   on_red : Action.t -> unit;
@@ -81,7 +74,7 @@ type t = {
   mutable red_accum : Action.t list; (* marks of the burst, newest first *)
   mutable green_accum : Action.t list; (* newest first *)
   mutable burst_depth : int; (* delivery-burst nesting, 0 = flushed *)
-  yellow_ids : unit Id_tbl.t; (* membership index over yellow.y_set *)
+  yellow_ids : unit Action.Id.Tbl.t; (* membership index over yellow.y_set *)
   mutable known_servers : Node_id.Set.t;
   mutable prim : prim_component;
   mutable vulnerable : vulnerable;
@@ -181,8 +174,8 @@ let send_payload t ~service p =
    configurations) in step. *)
 let set_yellow t y =
   t.yellow <- y;
-  Id_tbl.reset t.yellow_ids;
-  List.iter (fun id -> Id_tbl.replace t.yellow_ids id ()) y.y_set
+  Action.Id.Tbl.reset t.yellow_ids;
+  List.iter (fun id -> Action.Id.Tbl.replace t.yellow_ids id ()) y.y_set
 
 (* ------------------------------------------------------------------ *)
 (* Group commit (delivery bursts)                                      *)
@@ -292,11 +285,12 @@ and drain_pending_red t creator =
    PERSISTENT_JOIN / PERSISTENT_LEAVE (CodeSegment 5.1). *)
 let mark_green t (a : Action.t) =
   ignore (mark_red t a);
-  (* [is_green] only sees the queue above its floor; after a snapshot
-     resync (or a checkpoint discard) an id greened below the floor is
-     invisible to it, but the per-creator green cut still covers it —
-     re-appending such a copy would fork the total order against
-     replicas that remember the original position. *)
+  (* [is_green] remembers every id this queue greened itself — a
+     checkpoint discard drops bodies but never prunes the id index — yet
+     after a snapshot resync an id greened below the join floor was
+     never in the queue and is invisible to it.  The per-creator green
+     cut still covers it: re-appending such a copy would fork the total
+     order against replicas that remember the original position. *)
   if
     (not (Action_queue.is_green t.queue a.id))
     && a.id.index > green_cut t a.id.server
@@ -333,10 +327,10 @@ let mark_yellow t (a : Action.t) =
   ignore (mark_red t a);
   if
     (not (Action_queue.is_green t.queue a.id))
-    && not (Id_tbl.mem t.yellow_ids a.id)
+    && not (Action.Id.Tbl.mem t.yellow_ids a.id)
   then begin
     t.yellow <- { t.yellow with y_set = t.yellow.y_set @ [ a.id ] };
-    Id_tbl.replace t.yellow_ids a.id ()
+    Action.Id.Tbl.replace t.yellow_ids a.id ()
   end
 
 (* ------------------------------------------------------------------ *)
@@ -861,7 +855,7 @@ let make_blank ?(weights = Quorum.no_weights)
     red_accum = [];
     green_accum = [];
     burst_depth = 0;
-    yellow_ids = Id_tbl.create 64;
+    yellow_ids = Action.Id.Tbl.create 64;
     known_servers = servers;
     prim = initial_prim ~servers;
     vulnerable = invalid_vulnerable;

@@ -13,13 +13,6 @@ type t = {
   k_red_targets : int Node_id.Map.t;
 }
 
-module Id_tbl = Hashtbl.Make (struct
-  type t = Action.Id.t
-
-  let equal = Action.Id.equal
-  let hash (id : Action.Id.t) = Hashtbl.hash (id.server, id.index)
-end)
-
 (* Keep [reference]'s order, intersect with every other set.  One
    counting table over all the other sets — an id survives iff every
    other set contributed it — so the whole intersection is a single
@@ -30,18 +23,20 @@ let intersect_ordered reference others =
   | [] -> reference
   | _ ->
     let k = List.length others in
-    let counts = Id_tbl.create 64 in
+    let counts = Action.Id.Tbl.create 64 in
     List.iter
       (fun ids ->
         List.iter
           (fun id ->
             let c =
-              match Id_tbl.find_opt counts id with Some c -> c | None -> 0
+              match Action.Id.Tbl.find_opt counts id with
+              | Some c -> c
+              | None -> 0
             in
-            Id_tbl.replace counts id (c + 1))
+            Action.Id.Tbl.replace counts id (c + 1))
           ids)
       others;
-    List.filter (fun id -> Id_tbl.find_opt counts id = Some k) reference
+    List.filter (fun id -> Action.Id.Tbl.find_opt counts id = Some k) reference
 
 (* Array filter without the intermediate list a [List.filter] over
    [Array.to_list] would cons per element. *)

@@ -65,14 +65,14 @@ type recovered = {
   r_backoff : Repro_sim.Time.t;
 }
 
+(* No option box: compaction asks this once per logged action. *)
 let cut_of map server =
-  match Node_id.Map.find_opt server map with Some c -> c | None -> 0
+  match Node_id.Map.find server map with c -> c | exception Not_found -> 0
 
 (* Replay a verified entry list into engine state. *)
 let parse ~self entries =
-  let bodies : (Node_id.t * int, Action.t) Hashtbl.t = Hashtbl.create 256 in
-  let greened : (Node_id.t * int, unit) Hashtbl.t = Hashtbl.create 256 in
-  let key (id : Action.Id.t) = (id.server, id.index) in
+  let bodies = Action.Id.Tbl.create 256 in
+  let greened = Action.Id.Tbl.create 256 in
   let meta = ref None in
   let checkpoint = ref None in
   let green_rev = ref [] in
@@ -97,14 +97,14 @@ let parse ~self entries =
         then
           action_index := a.Action.id.index
       | E_red a ->
-        Hashtbl.replace bodies (key a.Action.id) a;
+        Action.Id.Tbl.replace bodies a.Action.id a;
         red_order_rev := a.Action.id :: !red_order_rev;
         note_cut a.Action.id
       | E_green id -> (
-        match Hashtbl.find_opt bodies (key id) with
+        match Action.Id.Tbl.find_opt bodies id with
         | Some a ->
-          if not (Hashtbl.mem greened (key id)) then begin
-            Hashtbl.replace greened (key id) ();
+          if not (Action.Id.Tbl.mem greened id) then begin
+            Action.Id.Tbl.replace greened id ();
             green_rev := a :: !green_rev
           end
         | None -> () (* body lost with the unflushed tail: treated as unknown *))
@@ -121,7 +121,7 @@ let parse ~self entries =
         if cut_of c.c_green_cut self > !action_index then
           action_index := cut_of c.c_green_cut self;
         green_rev := [];
-        Hashtbl.reset greened;
+        Action.Id.Tbl.reset greened;
         red_order_rev :=
           List.filter
             (fun (id : Action.Id.t) -> id.index > cut_of c.c_green_cut id.server)
@@ -132,8 +132,8 @@ let parse ~self entries =
   let r_red =
     List.rev !red_order_rev
     |> List.filter_map (fun id ->
-           if Hashtbl.mem greened (key id) then None
-           else Hashtbl.find_opt bodies (key id))
+           if Action.Id.Tbl.mem greened id then None
+           else Action.Id.Tbl.find_opt bodies id)
   in
   let r_ongoing =
     List.rev !ongoing_rev
@@ -314,36 +314,29 @@ let corrupt_nth t nth = Wlog.corrupt t.log ~nth
    ongoing actions.  Mirrors switching to a fresh log segment whose head
    is the checkpoint. *)
 let compact t =
-  let rv = Wlog.recover t.log in
   (* With damage present, compaction could silently drop records the
      verdict policy still needs; leave the log alone until the next
-     recovery has resolved it. *)
-  let entries =
-    match rv.Wlog.rv_verdict with
-    | Wlog.Torn_tail _ | Wlog.Corrupt_interior _ -> []
-    | Wlog.Clean -> rv.Wlog.rv_trusted
-  in
-  let latest =
-    List.fold_left
-      (fun acc entry ->
-        match entry with E_checkpoint c -> Some c | _ -> acc)
-      None entries
-  in
-  match latest with
-  | None -> ()
-  | Some c ->
-    let covered (id : Action.Id.t) = id.index <= cut_of c.c_green_cut id.server in
-    let after_checkpoint = ref false in
-    let keep entry =
-      if !after_checkpoint then true
-      else
-        match entry with
-        | E_checkpoint c' when c' == c ->
-          after_checkpoint := true;
-          true
-        | E_checkpoint _ | E_meta _ | E_green _ -> false
-        | E_red a -> not (covered a.Action.id)
-        | E_ongoing a -> not (covered a.Action.id)
-    in
-    Wlog.compact t.log ~keep
-  [@@analysis.cost "O(log); alloc O(log)"]
+     recovery has resolved it.  [Wlog.clean] draws the disk's transient
+     read errors exactly as a recovery would. *)
+  if Wlog.clean t.log then
+    match
+      Wlog.find_newest t.log (function E_checkpoint c -> Some c | _ -> None)
+    with
+    | None -> ()
+    | Some c ->
+      let covered (id : Action.Id.t) =
+        id.index <= cut_of c.c_green_cut id.server
+      in
+      let after_checkpoint = ref false in
+      let keep entry =
+        if !after_checkpoint then true
+        else
+          match entry with
+          | E_checkpoint c' when c' == c ->
+            after_checkpoint := true;
+            true
+          | E_checkpoint _ | E_meta _ | E_green _ -> false
+          | E_red a -> not (covered a.Action.id)
+          | E_ongoing a -> not (covered a.Action.id)
+      in
+      Wlog.compact t.log ~keep

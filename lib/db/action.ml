@@ -7,8 +7,19 @@ module Id = struct
     let c = Node_id.compare a.server b.server in
     if c <> 0 then c else Int.compare a.index b.index
 
-  let equal a b = compare a b = 0
+  let equal a b = Node_id.equal a.server b.server && Int.equal a.index b.index
+
+  (* No tuple is built to feed the polymorphic hash: a lookup in a
+     [Tbl] allocates nothing. *)
+  let hash t = (Node_id.hash t.server * 65_599) + t.index
   let pp ppf t = Format.fprintf ppf "%a#%d" Node_id.pp t.server t.index
+
+  module Tbl = Hashtbl.Make (struct
+    type nonrec t = t
+
+    let equal = equal
+    let hash = hash
+  end)
 end
 
 type kind =

@@ -14,7 +14,16 @@ module Id : sig
 
   val compare : t -> t -> int
   val equal : t -> t -> bool
+
+  val hash : t -> int
+  (** Allocation-free; consistent with {!equal}. *)
+
   val pp : Format.formatter -> t -> unit
+
+  (** Hash tables keyed by action id.  Bucket order follows {!hash}, so
+      a table whose iteration order could reach replicated state must
+      not be iterated; none in the engine is. *)
+  module Tbl : Hashtbl.S with type key = t
 end
 
 (** What happens when the action reaches its place in the global order. *)

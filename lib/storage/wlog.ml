@@ -96,19 +96,18 @@ let crash t =
 (* One framed read: transient errors are retried with exponential
    backoff up to the disk's budget; a frame still unreadable after that
    counts as damaged (we cannot tell a dying sector from a corrupt one). *)
+let rec read_attempt t ~retries ~backoff n delay =
+  if Disk.draw_read_error t.disk then
+    if n + 1 >= (Disk.faults t.disk).Disk.read_retries then false
+    else begin
+      incr retries;
+      backoff := Time.add !backoff ~span:delay;
+      read_attempt t ~retries ~backoff (n + 1) (Time.scale delay 2.)
+    end
+  else true
+
 let read_record t ~retries ~backoff =
-  let f = Disk.faults t.disk in
-  let rec attempt n delay =
-    if Disk.draw_read_error t.disk then
-      if n + 1 >= f.Disk.read_retries then false
-      else begin
-        incr retries;
-        backoff := Time.add !backoff ~span:delay;
-        attempt (n + 1) (Time.scale delay 2.)
-      end
-    else true
-  in
-  attempt 0 f.Disk.read_backoff
+  read_attempt t ~retries ~backoff 0 (Disk.faults t.disk).Disk.read_backoff
 
 let recover t =
   let retries = ref 0 in
@@ -195,21 +194,78 @@ let corrupt t ~nth =
   in
   if nth < 0 then false else find 0 (List.rev t.frames)
 
-let compact t ~keep =
-  (* [keep] may be stateful and expects append order (oldest first).
-     Frames are preserved as units — dropping individual records keeps
-     the frame's header (seq, epoch) so the sequence chain that
-     recovery verifies stays intact; only fully-emptied frames are
-     dropped. *)
-  let kept =
-    List.filter_map
-      (fun f ->
-        let records =
-          Array.of_list (List.filter keep (Array.to_list f.records))
-        in
-        if Array.length records = 0 then None else Some { f with records })
-      (List.rev t.frames)
+(* Whether [recover] would find the log [Clean].  It makes the same
+   read-error draws as [recover], in the same order: every frame,
+   newest first, none for a frame whose checksum already fails.  So a
+   caller that only needs the verdict leaves the disk's RNG stream
+   exactly where a full recovery would, without building record lists. *)
+let clean t =
+  let retries = ref 0 and backoff = ref Time.zero in
+  let rec go ok newer_seq = function
+    | [] -> ok
+    | f :: older ->
+      let readable = f.sum_ok && read_record t ~retries ~backoff in
+      go (ok && readable && f.seq < newer_seq) f.seq older
   in
-  t.frames <- List.rev kept;
+  go true max_int t.frames
+  (* One pass over the frames; the retries per frame are bounded by the
+     disk's constant budget. *)
+  [@@analysis.cost "O(log); alloc O(1)"]
+
+let find_newest t f =
+  let rec in_frame records i =
+    if i < 0 then None
+    else
+      match f records.(i) with
+      | Some _ as r -> r
+      | None -> in_frame records (i - 1)
+  in
+  let rec go = function
+    | [] -> None
+    | fr :: older -> (
+      match in_frame fr.records (Array.length fr.records - 1) with
+      | Some _ as r -> r
+      | None -> go older)
+  in
+  go t.frames
+  [@@analysis.cost "O(log); alloc O(1)"]
+
+let compact t ~keep =
+  (* [keep] may be stateful and expects append order (oldest first), so
+     it is asked exactly once per record; [marks] holds its verdicts
+     for the frame at hand.  Frames are preserved as units — dropping
+     individual records keeps the frame's header (seq, epoch) so the
+     sequence chain that recovery verifies stays intact; a frame that
+     keeps every record is reused as is, and fully-emptied frames are
+     dropped. *)
+  let marks = ref Bytes.empty in
+  let keep_frame acc f =
+    let records = f.records in
+    let n = Array.length records in
+    if Bytes.length !marks < n then marks := Bytes.create (max n 64);
+    let kept = ref 0 in
+    for i = 0 to n - 1 do
+      let k = keep records.(i) in
+      Bytes.set !marks i (if k then '1' else '0');
+      if k then incr kept
+    done;
+    if !kept = n then f :: acc
+    else if !kept = 0 then acc
+    else begin
+      let out = Array.make !kept records.(0) in
+      let j = ref 0 in
+      for i = 0 to n - 1 do
+        if Bytes.get !marks i = '1' then begin
+          out.(!j) <- records.(i);
+          incr j
+        end
+      done;
+      { f with records = out } :: acc
+    end
+  in
+  t.frames <- List.fold_left keep_frame [] (List.rev t.frames);
   t.record_count <-
     List.fold_left (fun n f -> n + Array.length f.records) 0 t.frames
+  (* Walks every record once; allocates per frame (the list spines and
+     the arrays of partly kept frames), never per record. *)
+  [@@analysis.cost "O(log); alloc O(log)"]

@@ -100,14 +100,27 @@ val corrupt : 'entry t -> nth:int -> bool
     layout; a per-frame checksum cannot fail for one record alone.
     Deterministic fault injection for tests and the nemesis driver. *)
 
+val clean : 'entry t -> bool
+(** [true] exactly when [recover] would return [Clean].  Makes the same
+    transient read-error draws as [recover], in the same order (every
+    frame, newest first; none for a frame whose checksum already
+    fails), so either call leaves the disk's fault RNG in the same
+    state.  Builds no record lists. *)
+
+val find_newest : 'entry t -> ('entry -> 'a option) -> 'a option
+(** The first [Some] of [f] over the records, newest first (like
+    [List.find_map] on the log reversed).  Reads no disk. *)
+
 val compact : 'entry t -> keep:('entry -> bool) -> unit
-(** Drops records for which [keep] is false; [keep] is applied in
-    append order (oldest first), so it may carry state.  Frames are
-    kept as units (their headers survive so the recovery sequence
-    chain stays intact); fully-emptied frames are dropped.  Models
-    atomically switching to a freshly written log segment, so it
-    should only be called when the retained entries' durability has
-    been established (e.g. right after a checkpoint sync). *)
+(** Drops records for which [keep] is false; [keep] is applied once per
+    record in append order (oldest first), so it may carry state.
+    Frames are kept as units (their headers survive so the recovery
+    sequence chain stays intact): a frame whose records are all kept is
+    reused unchanged, fully-emptied frames are dropped.  Allocates per
+    frame, not per record.  Models atomically switching to a freshly
+    written log segment, so it should only be called when the retained
+    entries' durability has been established (e.g. right after a
+    checkpoint sync). *)
 
 val length : 'entry t -> int
 (** Records currently in the log (durable or not), across all frames.

@@ -1069,6 +1069,206 @@ let test_action_queue_floor () =
   Alcotest.(check int) "nth above floor ok" 1
     (Action_queue.nth_green q 11).Action.id.Action.Id.index
 
+(* --- the dedup window ----------------------------------------------- *)
+
+(* The sorted-list implementation the per-client ring replaced, kept
+   as the reference model. *)
+module Dedup_ref = struct
+  type entry = {
+    mutable hi : int;
+    mutable ack : int;
+    mutable cache : (int * Action.response) list; (* seq descending *)
+  }
+
+  type t = { window : int; tbl : (int, entry) Hashtbl.t }
+
+  let create window = { window = max 1 window; tbl = Hashtbl.create 8 }
+
+  let check t ~client ~seq =
+    if seq <= 0 then Dedup.Fresh
+    else
+      match Hashtbl.find_opt t.tbl client with
+      | None -> Dedup.Fresh
+      | Some e ->
+        if seq <= e.hi then Dedup.Duplicate (List.assoc_opt seq e.cache)
+        else Dedup.Fresh
+
+  let prune t e =
+    e.cache <-
+      List.filteri
+        (fun i _ -> i < t.window)
+        (List.filter (fun (s, _) -> s > e.ack) e.cache)
+
+  let observe_ack t ~client ~ack =
+    if ack > 0 then
+      match Hashtbl.find_opt t.tbl client with
+      | None -> ()
+      | Some e ->
+        if ack > e.ack then begin
+          e.ack <- ack;
+          prune t e
+        end
+
+  let record t ~client ~seq ~ack r =
+    if seq > 0 then begin
+      let e =
+        match Hashtbl.find_opt t.tbl client with
+        | Some e -> e
+        | None ->
+          let e = { hi = 0; ack = 0; cache = [] } in
+          Hashtbl.replace t.tbl client e;
+          e
+      in
+      if seq > e.hi then e.hi <- seq;
+      if ack > e.ack then e.ack <- ack;
+      e.cache <-
+        List.sort
+          (fun (a, _) (b, _) -> Int.compare b a)
+          ((seq, r) :: List.filter (fun (s, _) -> s <> seq) e.cache);
+      prune t e
+    end
+
+  let hi t client =
+    match Hashtbl.find_opt t.tbl client with Some e -> e.hi | None -> 0
+
+  let max_cached t =
+    Hashtbl.fold (fun _ e acc -> max acc (List.length e.cache)) t.tbl 0
+
+  let snapshot t =
+    List.sort compare
+      (Hashtbl.fold (fun c e acc -> (c, e.hi, e.ack, e.cache) :: acc) t.tbl [])
+end
+
+let dedup_state d =
+  List.map
+    (fun c -> Dedup.(c.s_client, c.s_hi, c.s_ack, c.s_cache))
+    (Dedup.snapshot d).Dedup.s_clients
+
+(* Random record / observe_ack / check sequences over three clients,
+   with snapshot round trips interleaved: the ring answers every check
+   as the list model does and holds the same caches after every step.
+   [record] is only reached for fresh requests, as on the apply path. *)
+let prop_dedup_ring_matches_list_model =
+  QCheck.Test.make ~name:"dedup ring matches the list model" ~count:300
+    QCheck.(
+      pair (int_range 1 6)
+        (list_of_size Gen.(int_range 0 200)
+           (triple (int_bound 3) (int_range 1 3) (int_bound 1000))))
+    (fun (window, ops) ->
+      let model = Dedup_ref.create window in
+      let d = ref (Dedup.create ~window ()) in
+      List.for_all
+        (fun (op, client, x) ->
+          let hi = Dedup_ref.hi model client in
+          let agrees =
+            match op with
+            | 0 ->
+              let seq = hi + 1 + (x mod 3) in
+              let ack = x mod (seq + 1) in
+              let r = Action.Procedure_output (Value.Int seq) in
+              let fresh =
+                Dedup.check !d ~client ~seq = Dedup.Fresh
+                && Dedup_ref.check model ~client ~seq = Dedup.Fresh
+              in
+              Dedup.record !d ~client ~seq ~ack r;
+              Dedup_ref.record model ~client ~seq ~ack r;
+              fresh
+            | 1 ->
+              let ack = x mod (hi + 3) in
+              Dedup.observe_ack !d ~client ~ack;
+              Dedup_ref.observe_ack model ~client ~ack;
+              true
+            | 2 ->
+              let seq = x mod (hi + 2) in
+              Dedup.check !d ~client ~seq = Dedup_ref.check model ~client ~seq
+              && Dedup.is_applied !d ~client ~seq
+                 = (Dedup_ref.check model ~client ~seq <> Dedup.Fresh)
+            | _ ->
+              d := Dedup.of_snapshot (Dedup.snapshot !d);
+              true
+          in
+          agrees
+          && Dedup.max_cached !d = Dedup_ref.max_cached model
+          && Dedup.max_cached !d <= window
+          && dedup_state !d = Dedup_ref.snapshot model)
+        ops)
+
+let test_dedup_snapshot_roundtrip () =
+  let d = Dedup.create ~window:3 () in
+  let r n = Action.Procedure_output (Value.Int n) in
+  for seq = 1 to 5 do
+    Dedup.record d ~client:1 ~seq ~ack:0 (r seq)
+  done;
+  Dedup.record d ~client:2 ~seq:4 ~ack:3 (r 40);
+  Alcotest.(check int) "window caps the cache" 3 (Dedup.max_cached d);
+  let s = Dedup.snapshot d in
+  Alcotest.(check (list (pair int int))) "newest first"
+    [ (5, 0); (4, 0); (3, 0) ]
+    (List.map
+       (fun (seq, _) -> (seq, 0))
+       (List.hd s.Dedup.s_clients).Dedup.s_cache);
+  let d' = Dedup.of_snapshot s in
+  Alcotest.(check bool) "round trip" true (Dedup.snapshot d' = s);
+  Alcotest.(check (list (triple int int int))) "summary" (Dedup.summary d)
+    (Dedup.summary d');
+  Alcotest.(check bool) "cached answer survives" true
+    (Dedup.check d' ~client:1 ~seq:4 = Dedup.Duplicate (Some (r 4)));
+  Alcotest.(check bool) "evicted answer is gone" true
+    (Dedup.check d' ~client:1 ~seq:2 = Dedup.Duplicate None);
+  Alcotest.(check bool) "past the high-water is fresh" true
+    (Dedup.check d' ~client:2 ~seq:5 = Dedup.Fresh);
+  Dedup.record d' ~client:1 ~seq:6 ~ack:4 (r 6);
+  Alcotest.(check int) "ack drops the acknowledged" 2 (Dedup.max_cached d')
+
+(* After warm-up the ring has grown to its high-water mark: booking
+   and checking a fresh request allocates nothing, for a client whose
+   acks keep up and for one whose cache the window caps. *)
+let test_dedup_allocates_nothing () =
+  let d = Dedup.create ~window:8 () in
+  let r = Action.Committed [] in
+  let step seq =
+    (match Dedup.check d ~client:1 ~seq with
+    | Dedup.Fresh -> Dedup.record d ~client:1 ~seq ~ack:(seq - 2) r
+    | Dedup.Duplicate _ -> Alcotest.fail "client 1: not fresh");
+    match Dedup.check d ~client:2 ~seq with
+    | Dedup.Fresh -> Dedup.record d ~client:2 ~seq ~ack:0 r
+    | Dedup.Duplicate _ -> Alcotest.fail "client 2: not fresh"
+  in
+  for seq = 1 to 100 do
+    step seq
+  done;
+  let before = Gc.minor_words () in
+  for seq = 101 to 1100 do
+    step seq
+  done;
+  let allocated = Gc.minor_words () -. before in
+  Alcotest.(check int) "window full" 8 (Dedup.max_cached d);
+  Alcotest.(check (float 0.)) "words allocated" 0. allocated
+
+let test_id_table_allocates_nothing () =
+  let tbl = Action.Id.Tbl.create 16 in
+  let ids =
+    Array.init 500 (fun i -> { Action.Id.server = i mod 7; index = i / 7 })
+  in
+  Array.iteri (fun i id -> Action.Id.Tbl.replace tbl id i) ids;
+  (* Equal ids, distinct records: found by value, not by address. *)
+  let probes =
+    Array.map (fun (id : Action.Id.t) -> { id with index = id.index }) ids
+  in
+  let before = Gc.minor_words () in
+  let sum = ref 0 in
+  for i = 0 to Array.length probes - 1 do
+    if Action.Id.Tbl.mem tbl probes.(i) then
+      sum := !sum + Action.Id.Tbl.find tbl probes.(i)
+  done;
+  let allocated = Gc.minor_words () -. before in
+  Alcotest.(check int) "every id found by value" (499 * 500 / 2) !sum;
+  Alcotest.(check (float 0.)) "words allocated" 0. allocated;
+  Alcotest.(check bool) "hash agrees with equal" true
+    (Array.for_all2
+       (fun a b -> Action.Id.hash a = Action.Id.hash b)
+       ids probes)
+
 let () =
   Alcotest.run "core"
     [
@@ -1149,5 +1349,15 @@ let () =
           QCheck_alcotest.to_alcotest prop_knowledge_red_duties_cover;
           Alcotest.test_case "a submission is one frame and one batch" `Quick
             test_submission_is_one_frame_one_batch;
+        ] );
+      ( "dedup",
+        [
+          QCheck_alcotest.to_alcotest prop_dedup_ring_matches_list_model;
+          Alcotest.test_case "snapshot round trip" `Quick
+            test_dedup_snapshot_roundtrip;
+          Alcotest.test_case "allocates nothing" `Quick
+            test_dedup_allocates_nothing;
+          Alcotest.test_case "action-id table allocates nothing" `Quick
+            test_id_table_allocates_nothing;
         ] );
     ]

@@ -290,6 +290,178 @@ let test_wlog_seq_survives_compaction () =
   Alcotest.(check (list string)) "compacted prefix + new tail" [ "b"; "c" ]
     (entries log)
 
+(* --- list-free compaction ------------------------------------------ *)
+
+(* A log shaped like the replica's: checkpoints carry the cut they
+   cover, and compaction keeps the newest checkpoint, everything after
+   it, and the records before it above its cut. *)
+type entry = Ck of { id : int; cut : int } | R of int
+
+let newest_ck = function Ck { id; cut } -> Some (id, cut) | R _ -> None
+
+let keep_from (id, cut) =
+  let after = ref false in
+  fun e ->
+    !after
+    ||
+    match e with
+    | Ck c when c.id = id ->
+      after := true;
+      true
+    | Ck _ -> false
+    | R i -> i > cut
+
+(* The path compaction takes now: the clean check, the newest-first
+   checkpoint search and the frame-reusing filter. *)
+let compact_list_free log =
+  if Wlog.clean log then
+    match Wlog.find_newest log newest_ck with
+    | Some c -> Wlog.compact log ~keep:(keep_from c)
+    | None -> ()
+
+(* The path it replaces, as a reference: recover the whole log into
+   lists, search them for the last checkpoint, filter every frame. *)
+let compact_via_recover frames log =
+  let rv = Wlog.recover log in
+  let entries =
+    match rv.Wlog.rv_verdict with
+    | Wlog.Clean -> rv.Wlog.rv_trusted
+    | Wlog.Torn_tail _ | Wlog.Corrupt_interior _ -> []
+  in
+  match
+    List.fold_left
+      (fun acc e -> match newest_ck e with Some c -> Some c | None -> acc)
+      None entries
+  with
+  | None -> frames
+  | Some c ->
+    let keep = keep_from c in
+    List.filter_map
+      (fun f -> match List.filter keep f with [] -> None | f -> Some f)
+      frames
+
+let build ?(config = forced_nojitter) frames =
+  let engine, disk = make ~config () in
+  let log = Wlog.create ~engine ~disk () in
+  List.iter (Wlog.append log) frames;
+  Wlog.sync log ignore;
+  Engine.run engine;
+  (disk, log)
+
+let gen_frames =
+  let open QCheck.Gen in
+  let entry =
+    frequency
+      [
+        (1, map (fun cut -> `Ck cut) (int_bound 40));
+        (6, map (fun i -> `R i) (int_bound 40));
+      ]
+  in
+  map
+    (fun frames ->
+      let id = ref 0 in
+      List.map
+        (List.map (function
+          | `Ck cut ->
+            incr id;
+            Ck { id = !id; cut }
+          | `R i -> R i))
+        frames)
+    (list_size (int_range 0 30) (list_size (int_range 1 6) entry))
+
+let prop_compact_matches_recover_path =
+  QCheck.Test.make ~name:"compaction keeps what the recover path kept"
+    ~count:300 (QCheck.make gen_frames) (fun frames ->
+      let _, log = build frames in
+      compact_list_free log;
+      let expected = compact_via_recover frames (snd (build frames)) in
+      entries log = List.concat expected
+      && Wlog.frame_count log = List.length expected
+      && Wlog.length log = List.length (List.concat expected)
+      && verdict log = Wlog.Clean)
+
+let test_compact_leaves_damaged_log () =
+  let frames =
+    [ [ R 1; R 2 ]; [ Ck { id = 1; cut = 2 } ]; [ R 3 ]; [ R 4; R 5 ] ]
+  in
+  (* An interior frame failing its checksum, then a torn in-flight
+     frame: compaction must not touch either log. *)
+  let _, corrupt = build frames in
+  ignore (Wlog.corrupt corrupt ~nth:3);
+  let engine, disk = make ~config:(faulty ~torn:1.0 ()) () in
+  let torn = Wlog.create ~engine ~disk () in
+  List.iter (Wlog.append torn) frames;
+  Wlog.sync torn ignore;
+  Engine.run engine;
+  Wlog.append torn [ R 6 ];
+  Wlog.crash torn;
+  List.iter
+    (fun (name, log) ->
+      let before = Wlog.recover log in
+      let records = Wlog.length log and count = Wlog.frame_count log in
+      Alcotest.(check bool) (name ^ " is not clean") false (Wlog.clean log);
+      compact_list_free log;
+      let after = Wlog.recover log in
+      Alcotest.(check int) (name ^ " records") records (Wlog.length log);
+      Alcotest.(check int) (name ^ " frames") count (Wlog.frame_count log);
+      Alcotest.check verdict_t (name ^ " verdict") before.Wlog.rv_verdict
+        after.Wlog.rv_verdict;
+      Alcotest.(check bool) (name ^ " readable records") true
+        (before.Wlog.rv_readable = after.Wlog.rv_readable))
+    [ ("corrupt", corrupt); ("torn", torn) ]
+
+(* With transient read errors on, the clean check consumes the disk's
+   fault stream exactly as a recovery does: after either, the next
+   draws agree, and the two agree on whether the log is clean.  A frame
+   already failing its checksum makes no draw on either path. *)
+let test_clean_draws_like_recover () =
+  let frames = List.init 12 (fun i -> [ R (2 * i); R ((2 * i) + 1) ]) in
+  let next disk = List.init 64 (fun _ -> Disk.draw_read_error disk) in
+  let outcomes = ref [] in
+  List.iter
+    (fun ((read_error, read_retries), damaged) ->
+      let config = faulty ~read_error ~read_retries () in
+      let disk_a, a = build ~config frames in
+      let disk_b, b = build ~config frames in
+      if damaged then begin
+        ignore (Wlog.corrupt a ~nth:5);
+        ignore (Wlog.corrupt b ~nth:5)
+      end;
+      let clean = Wlog.clean a in
+      let recovered_clean = (Wlog.recover b).Wlog.rv_verdict = Wlog.Clean in
+      Alcotest.(check bool) "clean iff recover says Clean" recovered_clean clean;
+      Alcotest.(check (list bool))
+        "same draws follow" (next disk_b) (next disk_a);
+      outcomes := clean :: !outcomes)
+    (List.concat_map
+       (fun faults -> [ (faults, false); (faults, true) ])
+       [ (0.05, 4); (0.3, 4); (0.6, 2); (0.9, 3) ]);
+  Alcotest.(check bool) "both outcomes exercised" true
+    (List.mem true !outcomes && List.mem false !outcomes)
+
+(* Compaction allocates per frame, not per record: the same frames
+   holding 32 records each cost no more than holding one each. *)
+let test_compact_allocates_per_frame () =
+  let words per_frame =
+    let frames =
+      List.init 200 (fun f ->
+          if f = 100 then [ Ck { id = 1; cut = 99 } ]
+          else List.init per_frame (fun _ -> R f))
+    in
+    let _, log = build frames in
+    let before = Gc.minor_words () in
+    compact_list_free log;
+    let allocated = Gc.minor_words () -. before in
+    Alcotest.(check int) "kept from the checkpoint on" (1 + (99 * per_frame))
+      (Wlog.length log);
+    allocated
+  in
+  let one = words 1 and many = words 32 in
+  Alcotest.(check bool)
+    (Printf.sprintf "O(frames): %.0f words for 200x1, %.0f for 200x32" one many)
+    true
+    (many <= one && many < 20. *. 200.)
+
 let test_stable_cell_roundtrip () =
   let engine, disk = make () in
   let cell = Stable_cell.create ~disk ~init:0 in
@@ -358,5 +530,15 @@ let () =
           Alcotest.test_case "crash reverts" `Quick test_stable_cell_crash_reverts;
           Alcotest.test_case "shared disk group commit" `Quick
             test_shared_disk_group_commit;
+        ] );
+      ( "compaction",
+        [
+          QCheck_alcotest.to_alcotest prop_compact_matches_recover_path;
+          Alcotest.test_case "damaged log untouched" `Quick
+            test_compact_leaves_damaged_log;
+          Alcotest.test_case "clean check draws like recover" `Quick
+            test_clean_draws_like_recover;
+          Alcotest.test_case "allocates per frame" `Quick
+            test_compact_allocates_per_frame;
         ] );
     ]
