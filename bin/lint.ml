@@ -30,34 +30,30 @@
 
 module A = Repro_analysis
 
-type drift_mode = Drift_full | Drift_code_only | Drift_off
+type drift_mode = Drift_full | Drift_code_only
 
 type config = {
   mutable roots : string list;
   mutable core : string list;
   mutable entry : string list;  (* ambient-state engine entry prefixes *)
-  mutable race_roots : string list;  (* declared parallel roots *)
   mutable passes : string list;  (* [] = every pass *)
   mutable manifest : string option;  (* procedure-manifest output path *)
   mutable report : string option;
   mutable baseline : string option;
   mutable drift : drift_mode;
   mutable exit_zero : bool;
-  mutable check_baseline : (string * string) option; (* baseline, report *)
 }
 
 let usage () =
   prerr_endline
     "usage: lint.exe [--core PREFIX]... [--entry PREFIX]...\n\
-    \                [--globals] [--races] [--race-root NAME]...\n\
     \                [--cost] [--procedures] [--manifest FILE]\n\
-    \                [--drift full|code-only|off]\n\
-    \                [--report FILE] [--baseline FILE] [--exit-zero]\n\
-    \                [--check-baseline BASELINE --against REPORT] [ROOT]...\n\
-     By default every pass runs; --globals / --races / --procedures \n\
-     restrict the run to the named passes.  --procedures writes the \n\
-     key-space footprint manifest (procedure-manifest.json unless \n\
-     --manifest names another file).";
+    \                [--drift full|code-only]\n\
+    \                [--report FILE] [--baseline FILE] [--exit-zero] [ROOT]...\n\
+     By default every pass runs; --cost / --procedures restrict the \n\
+     run to the named passes.  --procedures writes the key-space \n\
+     footprint manifest (procedure-manifest.json unless --manifest \n\
+     names another file).";
   exit 2
 
 let parse_args () =
@@ -66,17 +62,14 @@ let parse_args () =
       roots = [];
       core = [];
       entry = [];
-      race_roots = [];
       passes = [];
       manifest = None;
       report = None;
       baseline = None;
       drift = Drift_full;
       exit_zero = false;
-      check_baseline = None;
     }
   in
-  let against = ref None and check = ref None in
   let rec go = function
     | [] -> ()
     | "--core" :: v :: rest ->
@@ -84,15 +77,6 @@ let parse_args () =
       go rest
     | "--entry" :: v :: rest ->
       cfg.entry <- cfg.entry @ [ v ];
-      go rest
-    | "--race-root" :: v :: rest ->
-      cfg.race_roots <- cfg.race_roots @ [ v ];
-      go rest
-    | "--globals" :: rest ->
-      cfg.passes <- cfg.passes @ [ "globals" ];
-      go rest
-    | "--races" :: rest ->
-      cfg.passes <- cfg.passes @ [ "races" ];
       go rest
     | "--cost" :: rest ->
       cfg.passes <- cfg.passes @ [ "cost" ];
@@ -110,18 +94,11 @@ let parse_args () =
     | "--baseline" :: v :: rest ->
       cfg.baseline <- Some v;
       go rest
-    | "--check-baseline" :: v :: rest ->
-      check := Some v;
-      go rest
-    | "--against" :: v :: rest ->
-      against := Some v;
-      go rest
     | "--drift" :: v :: rest ->
       (cfg.drift <-
          (match v with
          | "full" -> Drift_full
          | "code-only" -> Drift_code_only
-         | "off" -> Drift_off
          | _ -> usage ()));
       go rest
     | "--exit-zero" :: rest ->
@@ -135,10 +112,6 @@ let parse_args () =
       go rest
   in
   go (List.tl (Array.to_list Sys.argv));
-  (match (!check, !against) with
-  | Some b, Some r -> cfg.check_baseline <- Some (b, r)
-  | None, None -> ()
-  | _ -> usage ());
   if cfg.roots = [] then cfg.roots <- [ "lib" ];
   if cfg.core = [] then cfg.core <- [ "lib/core/" ];
   if cfg.entry = [] then cfg.entry <- [ "lib/core/"; "lib/db/"; "lib/gcs/" ];
@@ -210,24 +183,6 @@ let run_drift cfg (eff : A.Effects.t) sink =
 
 let () =
   let cfg = parse_args () in
-  (* Pure report-vs-baseline comparison: no cmt analysis. *)
-  (match cfg.check_baseline with
-  | Some (baseline_file, report_file) ->
-    let baseline = load_report baseline_file in
-    let report = load_report report_file in
-    let fresh = A.Diag.new_findings ~baseline report in
-    if fresh = [] then begin
-      Printf.printf "lint: no findings beyond the baseline (%d grandfathered)\n"
-        (List.length report);
-      exit 0
-    end
-    else begin
-      List.iter (fun d -> Format.eprintf "%a@.@." A.Diag.pp d) fresh;
-      Printf.eprintf "lint: %d new finding(s) not in %s\n" (List.length fresh)
-        baseline_file;
-      exit 1
-    end
-  | None -> ());
   let cmts, units = A.Cmt_load.load_roots cfg.roots in
   if cmts = [] then begin
     Printf.eprintf "lint: no .cmt files under %s (build the libraries first)\n"
@@ -236,22 +191,17 @@ let () =
   end;
   let graph = A.Callgraph.build units in
   let sink = A.Diag.create_sink () in
-  (* Pass selection: no --globals/--races flag means every pass runs, so
-     the @lint and @analyze dune rules cover the new passes without
+  (* Pass selection: no --cost/--procedures flag means every pass runs,
+     so the @lint and @analyze dune rules cover every pass without
      changing their command lines; naming passes restricts the run. *)
   let want p = cfg.passes = [] || List.mem p cfg.passes in
   if want "rules" then A.Rules.run ~core:cfg.core graph sink;
   let eff = A.Effects.infer graph in
   if want "writeahead" then A.Writeahead.run eff ~core:cfg.core sink;
-  if want "drift" && cfg.drift <> Drift_off then run_drift cfg eff sink;
+  if want "drift" then run_drift cfg eff sink;
   if want "globals" then A.Globals.run eff ~entry:cfg.entry sink;
-  if want "races" then begin
-    let globals = List.map fst (A.Globals.mutable_globals graph) in
-    let fp = A.Footprint.scan graph ~globals in
-    A.Racecheck.run fp ~declared:cfg.race_roots sink
-  end;
   if want "cost" then begin
-    let cost = A.Cost.analyze graph in
+    let cost = A.Cost.analyze eff in
     A.Cost.run cost sink;
     (* The ranked table — the profiling worklist — only when --cost was
        asked for by name: the implicit all-passes runs (@lint) stay

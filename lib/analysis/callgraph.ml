@@ -25,7 +25,7 @@ type fn = {
   f_loc : Location.t;
   f_attrs : Typedtree.attributes;
       (** the binding's [\@\@...] attributes plus the bound expression's
-          [\@...] ones — the ambient-state and race passes read their
+          [\@...] ones — the ambient-state and cost passes read their
           [analysis.*] markers from here *)
 }
 
@@ -75,7 +75,7 @@ let bound_functions (str : Typedtree.structure) =
    functor applications: [module Tbl : S = Hashtbl.Make (K)] records
    "Tbl" -> "Hashtbl.Make", so a later [Tbl.create] canonicalizes to a
    spelling the stateful-module matchers recognize.  This is the shared
-   alias table every pass (rules, globals, footprint) reads — a
+   alias table every pass (rules, globals, cost) reads — a
    [module H = Hashtbl] cannot hide a global table from any of them. *)
 let rec module_head (me : Typedtree.module_expr) =
   match me.mod_desc with
@@ -167,21 +167,22 @@ let candidates ~caller_unit parts =
     (* same-library sibling: "Persist.sync" from Repro_core__Engine *)
     c @ [ join (lib_of_unit caller_unit ^ "__" ^ p0) (p1 :: rest) ]
 
-let resolve t ~caller_unit (p : Path.t) =
-  let raw = Cmt_load.path_name p in
-  let parts = String.split_on_char '.' raw in
-  (* structure-level alias substitution on the head component *)
-  let parts =
-    match parts with
-    | head :: rest -> (
-      match Hashtbl.find_opt t.aliases caller_unit with
-      | Some al -> (
-        match List.assoc_opt head al with
-        | Some target -> String.split_on_char '.' target @ rest
-        | None -> parts)
+(* The components of [p] with structure-level alias substitution on
+   the head component. *)
+let dealiased_parts t ~caller_unit (p : Path.t) =
+  let parts = String.split_on_char '.' (Cmt_load.path_name p) in
+  match parts with
+  | head :: rest -> (
+    match Hashtbl.find_opt t.aliases caller_unit with
+    | Some al -> (
+      match List.assoc_opt head al with
+      | Some target -> String.split_on_char '.' target @ rest
       | None -> parts)
-    | [] -> parts
-  in
+    | None -> parts)
+  | [] -> parts
+
+let resolve t ~caller_unit (p : Path.t) =
+  let parts = dealiased_parts t ~caller_unit p in
   let rec first = function
     | [] -> None
     | key :: rest -> (
@@ -206,23 +207,39 @@ let prim_names t ~caller_unit p =
    not hide Random, [module H = Hashtbl] does not hide a table, and a
    functor alias [module Tbl = Hashtbl.Make (K)] spells [Tbl.create] as
    "Hashtbl.Make.create"), mangling stripped, Stdlib/wrapper prefixes
-   dropped.  Shared by the rule catalogue and both PR 7 passes so no
-   detector has a private — and therefore divergent — alias story. *)
+   dropped.  Shared by every pass that matches names, so no detector
+   has a private — and therefore divergent — alias story. *)
 let canonical t ~caller_unit p =
-  let raw = Cmt_load.path_name p in
-  let parts = String.split_on_char '.' raw in
-  let parts =
-    match parts with
-    | head :: rest -> (
-      match Hashtbl.find_opt t.aliases caller_unit with
-      | Some al -> (
-        match List.assoc_opt head al with
-        | Some target -> String.split_on_char '.' target @ rest
-        | None -> parts)
-      | None -> parts)
-    | [] -> parts
+  Cmt_load.normalize (String.concat "." (dealiased_parts t ~caller_unit p))
+
+(* --- the shared solver ------------------------------------------------- *)
+
+(* Chaotic iteration to a fixpoint: run [step] over [xs] in list order,
+   round after round, until a whole round reports no change.  Every
+   interprocedural pass states its lattice as a monotone [step] over a
+   finite domain, so this terminates; list order keeps the rounds, and
+   so every witness a pass records, deterministic. *)
+let fixpoint step xs =
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter (fun x -> if step x then changed := true) xs
+  done
+
+(* Every node reachable from [roots] along [succ], roots included, in
+   depth-first preorder.  Cycles are fine: a node is visited once. *)
+let reachable ~succ roots =
+  let seen = Hashtbl.create 64 in
+  let order = ref [] in
+  let rec visit x =
+    if not (Hashtbl.mem seen x) then begin
+      Hashtbl.replace seen x ();
+      order := x :: !order;
+      List.iter visit (succ x)
+    end
   in
-  Cmt_load.normalize (String.concat "." parts)
+  List.iter visit roots;
+  List.rev !order
 
 (* --- analysis attributes --------------------------------------------- *)
 

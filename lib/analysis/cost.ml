@@ -4,8 +4,10 @@
    allocation mask over the Loops bound classes — computed to fixpoint
    along the call graph, Effects-style: a function's masks are the join
    of what its body does directly and what its callees' summaries say,
-   and the whole table is rescanned until nothing grows (masks are
-   monotone, so the loop terminates in at most bit-count rounds).
+   and the whole table is rescanned (Callgraph.fixpoint) until nothing
+   grows (masks are monotone, so it terminates in at most bit-count
+   rounds).  Reachability from the roots follows the effect layer's
+   reference graph (Effects.refs).
 
    The body scan tracks a *loop context*: the join of the bound classes
    of every enclosing iteration.  The classification of an iterated
@@ -50,11 +52,10 @@ type summary = {
 let empty_summary = { s_work = 0; s_alloc = 0; s_wwit = []; s_awit = [] }
 
 type t = {
-  graph : Callgraph.t;
+  eff : Effects.t;  (** the call graph and its reference edges *)
   summaries : (string, summary) Hashtbl.t;
   trusted : (string, int * int) Hashtbl.t;
   mutable bad_trusted : (Callgraph.fn * string) list;
-  refs : (string, string list) Hashtbl.t;
 }
 
 let hotpath_attr = "analysis.hotpath"
@@ -125,7 +126,8 @@ let classify ~elems ~wholes (e : Typedtree.expression) =
 (* Strip the leading lambda chain of a binding: its parameters are the
    function's own input (batch-bounded when nothing better is known),
    and the innermost bodies are what actually runs per call.  A
-   match-lambda ([let f t = function ...]) contributes every case body
+   match-lambda ([let f t = function ...]) contributes every case body,
+   every [when] guard (a guard runs on each call that reaches its case)
    and its pattern variables. *)
 let rec strip_params (e : Typedtree.expression) =
   match e.exp_desc with
@@ -137,7 +139,9 @@ let rec strip_params (e : Typedtree.expression) =
     ( List.concat_map
         (fun (c : _ Typedtree.case) -> Typedtree.pat_bound_idents c.c_lhs)
         cases,
-      List.map (fun (c : _ Typedtree.case) -> c.c_rhs) cases )
+      List.concat_map
+        (fun (c : _ Typedtree.case) -> Option.to_list c.c_guard @ [ c.c_rhs ])
+        cases )
   | _ -> ([], [ e ])
 
 let is_constant (e : Typedtree.expression) =
@@ -179,7 +183,6 @@ let scan t (fn : Callgraph.fn) =
   let caller_unit = fn.f_unit.Cmt_load.u_name in
   let work = ref 0 and alloc = ref 0 in
   let wwit = ref [] and awit = ref [] in
-  let rs = ref [] in
   let witness wit bit loc desc =
     if not (List.exists (fun (b, _, _) -> b = bit) !wit) then
       wit := (bit, loc, desc) :: !wit
@@ -197,12 +200,11 @@ let scan t (fn : Callgraph.fn) =
     alloc := Loops.join !alloc m
   in
   let wholes, bodies = strip_params fn.Callgraph.f_expr in
-  let resolve p = Callgraph.resolve t.graph ~caller_unit p in
+  let resolve p = Callgraph.resolve t.eff.Effects.graph ~caller_unit p in
   let callee_at ~ctx ~elem loc (g : Callgraph.fn) =
     if g.Callgraph.f_key = fn.Callgraph.f_key then
       add_work loc "a recursive call (bound not inferred)" Loops.top
     else begin
-      rs := g.Callgraph.f_key :: !rs;
       let w, a = summary_masks t g.Callgraph.f_key in
       let cw, ca = contrib ~ctx ~elem (w, a) in
       add_work loc
@@ -283,7 +285,7 @@ let scan t (fn : Callgraph.fn) =
     let arg_exprs = List.filter_map (fun (_, a) -> a) args in
     match f.Typedtree.exp_desc with
     | Typedtree.Texp_ident (p, _, _) -> (
-      let canon = Callgraph.canonical t.graph ~caller_unit p in
+      let canon = Callgraph.canonical t.eff.Effects.graph ~caller_unit p in
       match (canon, arg_exprs) with
       | ("|>", [ x; g ]) | ("@@", [ g; x ]) ->
         (* Unfold the pipeline so the piped collection reaches the scan
@@ -390,8 +392,7 @@ let scan t (fn : Callgraph.fn) =
     | _ -> walk eff elems a
   in
   List.iter (walk 0 []) bodies;
-  ( { s_work = !work; s_alloc = !alloc; s_wwit = !wwit; s_awit = !awit },
-    List.rev !rs )
+  { s_work = !work; s_alloc = !alloc; s_wwit = !wwit; s_awit = !awit }
 
 (* --- the fixpoint ------------------------------------------------------ *)
 
@@ -400,14 +401,14 @@ let table_fns (graph : Callgraph.t) =
     (fun key -> Callgraph.find graph key)
     graph.Callgraph.keys
 
-let analyze (graph : Callgraph.t) =
+let analyze (eff : Effects.t) =
+  let graph = eff.Effects.graph in
   let t =
     {
-      graph;
+      eff;
       summaries = Hashtbl.create 256;
       trusted = Hashtbl.create 16;
       bad_trusted = [];
-      refs = Hashtbl.create 256;
     }
   in
   let fns = table_fns graph in
@@ -422,31 +423,20 @@ let analyze (graph : Callgraph.t) =
         | None -> t.bad_trusted <- (fn, s) :: t.bad_trusted)
       | None -> ())
     fns;
-  (* Trusted functions keep their declared masks, but their bodies are
-     still scanned once so the reference graph (reachability for the
-     staleness check, the ranked table) passes through them. *)
-  List.iter
+  (* Trusted functions keep their declared masks; everything else is
+     rescanned until no mask grows. *)
+  Callgraph.fixpoint
     (fun fn ->
-      let _, rs = scan t fn in
-      Hashtbl.replace t.refs fn.Callgraph.f_key rs)
-    fns;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun fn ->
-        if not (Hashtbl.mem t.trusted fn.Callgraph.f_key) then begin
-          let s, rs = scan t fn in
-          Hashtbl.replace t.refs fn.Callgraph.f_key rs;
-          (match Hashtbl.find_opt t.summaries fn.Callgraph.f_key with
-          | Some old
-            when old.s_work = s.s_work && old.s_alloc = s.s_alloc ->
-            ()
-          | _ -> changed := true);
-          Hashtbl.replace t.summaries fn.Callgraph.f_key s
-        end)
-      fns
-  done;
+      let key = fn.Callgraph.f_key in
+      let s = scan t fn in
+      let grew =
+        match Hashtbl.find_opt t.summaries key with
+        | Some old -> old.s_work <> s.s_work || old.s_alloc <> s.s_alloc
+        | None -> true
+      in
+      Hashtbl.replace t.summaries key s;
+      grew)
+    (List.filter (fun fn -> not (Hashtbl.mem t.trusted fn.Callgraph.f_key)) fns);
   t
 
 (* --- enforcement ------------------------------------------------------- *)
@@ -457,7 +447,7 @@ let roots t =
       match Callgraph.attr fn hotpath_attr with
       | Some budget -> Some (fn, budget)
       | None -> None)
-    (table_fns t.graph)
+    (table_fns t.eff.Effects.graph)
 
 let effective t key =
   match Hashtbl.find_opt t.trusted key with
@@ -477,11 +467,9 @@ let witness_for wits fallback_loc bit =
   | None -> (fallback_loc, "propagated from a trusted summary")
 
 let run t sink =
-  let fns = table_fns t.graph in
+  let fns = table_fns t.eff.Effects.graph in
   (* The boxed-float-comparator rule is structural, not budgeted: the
      shape is wrong wherever it appears on analyzed code. *)
-  let caller_unit_of (fn : Callgraph.fn) = fn.Callgraph.f_unit.Cmt_load.u_name in
-  ignore caller_unit_of;
   List.iter
     (fun (fn : Callgraph.fn) ->
       let hook it (e : Typedtree.expression) =
@@ -548,21 +536,17 @@ let run t sink =
         end)
     (roots t);
   (* Stale trusted summaries: a waiver no hot path reaches. *)
-  let root_keys = List.map (fun (fn, _) -> fn.Callgraph.f_key) (roots t) in
-  let trusted_keys =
-    List.filter
-      (fun (fn : Callgraph.fn) -> Hashtbl.mem t.trusted fn.Callgraph.f_key)
-      fns
-  in
   let stale =
-    Loops.stale_trusted ~roots:root_keys
-      ~refs:(fun key -> Hashtbl.find t.refs key)
-      ~trusted:(List.map (fun (fn : Callgraph.fn) -> fn.Callgraph.f_key)
-                  trusted_keys)
+    Loops.stale_trusted
+      ~roots:(List.map (fun (fn, _) -> fn.Callgraph.f_key) (roots t))
+      ~refs:(Effects.refs t.eff)
+      ~trusted:
+        (List.filter (Hashtbl.mem t.trusted)
+           (List.map (fun (fn : Callgraph.fn) -> fn.Callgraph.f_key) fns))
   in
   List.iter
     (fun key ->
-      match Callgraph.find t.graph key with
+      match Callgraph.find t.eff.Effects.graph key with
       | Some fn ->
         Diag.addf sink ~rule:unused_rule ~loc:fn.Callgraph.f_loc
           "trusted cost annotation on %s is not reachable from any \
@@ -582,22 +566,13 @@ let ranked_table t =
   let budget_of =
     List.map (fun ((fn : Callgraph.fn), b) -> (fn.Callgraph.f_key, b)) root_list
   in
-  let reached = Hashtbl.create 64 in
-  let rec visit key =
-    if not (Hashtbl.mem reached key) then begin
-      Hashtbl.replace reached key ();
-      List.iter visit
-        (match Hashtbl.find_opt t.refs key with Some l -> l | None -> [])
-    end
-  in
-  List.iter (fun (k, _) -> visit k) budget_of;
   let rank m = if Loops.is_top m then max_int else m land lnot Loops.alloc_const in
   let rows =
-    Hashtbl.fold
-      (fun key () acc ->
+    List.map
+      (fun key ->
         let w, a, _, _ = effective t key in
-        (rank w, rank a, pretty key, key, w, a) :: acc)
-      reached []
+        (rank w, rank a, pretty key, key, w, a))
+      (Callgraph.reachable ~succ:(Effects.refs t.eff) (List.map fst budget_of))
   in
   let rows =
     List.sort

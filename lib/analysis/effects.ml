@@ -230,37 +230,35 @@ let infer (graph : Callgraph.t) =
       Hashtbl.replace t.refs fn.Callgraph.f_key rs)
     fns;
   (* Basic effects: propagate along references to a fixpoint. *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun fn ->
-        let eff = find t fn.Callgraph.f_key in
-        List.iter
-          (fun g ->
-            let ge = find t g in
-            let lift get set =
-              if get ge && not (get eff) then begin
-                set eff;
-                changed := true
-              end
-            in
-            lift (fun e -> e.e_persist) (fun e -> e.e_persist <- true);
-            lift (fun e -> e.e_force) (fun e -> e.e_force <- true);
-            lift (fun e -> e.e_send) (fun e -> e.e_send <- true);
-            lift (fun e -> e.e_mutate) (fun e -> e.e_mutate <- true);
-            lift (fun e -> e.e_raise) (fun e -> e.e_raise <- true);
-            lift (fun e -> e.e_random) (fun e -> e.e_random <- true);
-            lift (fun e -> e.e_unordered) (fun e -> e.e_unordered <- true);
-            lift
-              (fun e -> e.e_phys_eq_value)
-              (fun e -> e.e_phys_eq_value <- true);
-            lift (fun e -> e.e_sets_state) (fun e -> e.e_sets_state <- true))
-          (refs t fn.Callgraph.f_key))
-      fns
-  done;
+  Callgraph.fixpoint
+    (fun fn ->
+      let eff = find t fn.Callgraph.f_key in
+      let changed = ref false in
+      List.iter
+        (fun g ->
+          let ge = find t g in
+          let lift get set =
+            if get ge && not (get eff) then begin
+              set eff;
+              changed := true
+            end
+          in
+          lift (fun e -> e.e_persist) (fun e -> e.e_persist <- true);
+          lift (fun e -> e.e_force) (fun e -> e.e_force <- true);
+          lift (fun e -> e.e_send) (fun e -> e.e_send <- true);
+          lift (fun e -> e.e_mutate) (fun e -> e.e_mutate <- true);
+          lift (fun e -> e.e_raise) (fun e -> e.e_raise <- true);
+          lift (fun e -> e.e_random) (fun e -> e.e_random <- true);
+          lift (fun e -> e.e_unordered) (fun e -> e.e_unordered <- true);
+          lift
+            (fun e -> e.e_phys_eq_value)
+            (fun e -> e.e_phys_eq_value <- true);
+          lift (fun e -> e.e_sets_state) (fun e -> e.e_sets_state <- true))
+        (refs t fn.Callgraph.f_key);
+      !changed)
+    fns;
   (* Unguarded sends: the guarded-continuation scan needs the Force
-     results above, so it runs second, with its own fixpoint. *)
+     results above, so it runs second, on its own edge set. *)
   let unguarded_refs = Hashtbl.create 256 in
   List.iter
     (fun fn ->
@@ -269,22 +267,16 @@ let infer (graph : Callgraph.t) =
       if direct then eff.e_unguarded_send <- true;
       Hashtbl.replace unguarded_refs fn.Callgraph.f_key rs)
     fns;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun fn ->
-        let eff = find t fn.Callgraph.f_key in
-        if not eff.e_unguarded_send then
-          let rs =
-            match Hashtbl.find_opt unguarded_refs fn.Callgraph.f_key with
-            | Some l -> l
-            | None -> []
-          in
-          if List.exists (fun g -> (find t g).e_unguarded_send) rs then begin
-            eff.e_unguarded_send <- true;
-            changed := true
-          end)
-      fns
-  done;
+  Callgraph.fixpoint
+    (fun fn ->
+      let eff = find t fn.Callgraph.f_key in
+      let grows =
+        (not eff.e_unguarded_send)
+        && List.exists
+             (fun g -> (find t g).e_unguarded_send)
+             (Hashtbl.find unguarded_refs fn.Callgraph.f_key)
+      in
+      if grows then eff.e_unguarded_send <- true;
+      grows)
+    fns;
   t

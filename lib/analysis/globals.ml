@@ -163,8 +163,8 @@ let written_record_types (graph : Callgraph.t) =
   written
 
 (* The ambient mutable globals of the loaded units, suppressed or not:
-   [(key, kind description)].  The race pass reads this to give global
-   state its own footprint cells. *)
+   [(key, kind description)].  The procedure pass reads this to flag a
+   body that reaches process-wide state. *)
 let mutable_globals (graph : Callgraph.t) =
   let written = written_record_types graph in
   List.filter_map
@@ -196,32 +196,8 @@ let run (eff : Effects.t) ~entry (sink : Diag.sink) =
   let rev = Hashtbl.create 256 in
   List.iter
     (fun key ->
-      List.iter
-        (fun callee ->
-          let cur =
-            match Hashtbl.find_opt rev callee with Some l -> l | None -> []
-          in
-          Hashtbl.replace rev callee (key :: cur))
-        (Effects.refs eff key))
+      List.iter (fun callee -> Hashtbl.add rev callee key) (Effects.refs eff key))
     graph.Callgraph.keys;
-  (* Everything that transitively reaches [key], by upward BFS. *)
-  let reachers key =
-    let seen = Hashtbl.create 64 in
-    let rec go k =
-      match Hashtbl.find_opt rev k with
-      | None -> ()
-      | Some callers ->
-        List.iter
-          (fun c ->
-            if not (Hashtbl.mem seen c) then begin
-              Hashtbl.replace seen c ();
-              go c
-            end)
-          callers
-    in
-    go key;
-    Hashtbl.fold (fun k () acc -> k :: acc) seen []
-  in
   let annotated = ref [] and flagged = ref [] in
   (* Record every annotated binding (functions included: an exemption on
      something that cannot be flagged is stale by construction). *)
@@ -248,7 +224,7 @@ let run (eff : Effects.t) ~entry (sink : Diag.sink) =
                   match Callgraph.find graph k with
                   | Some g -> in_any entry g.Callgraph.f_unit.Cmt_load.u_src
                   | None -> false)
-                (reachers key)
+                (Callgraph.reachable ~succ:(Hashtbl.find_all rev) [ key ])
             in
             match
               List.sort compare (List.map Cmt_load.demangle entry_reachers)

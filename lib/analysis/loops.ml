@@ -283,12 +283,5 @@ let alloc_prims =
    reachability over the reference graph so the check (and its unit
    test) needs no cmts; mirrors Globals.stale_suppressions. *)
 let stale_trusted ~roots ~refs ~trusted =
-  let reached = Hashtbl.create 64 in
-  let rec visit key =
-    if not (Hashtbl.mem reached key) then begin
-      Hashtbl.replace reached key ();
-      List.iter visit (try refs key with Not_found -> [])
-    end
-  in
-  List.iter visit roots;
-  List.filter (fun key -> not (Hashtbl.mem reached key)) trusted
+  let reached = Callgraph.reachable ~succ:refs roots in
+  List.filter (fun key -> not (List.mem key reached)) trusted

@@ -390,18 +390,13 @@ let nondet_sources ctx (fn : Callgraph.fn) =
   (* Transitive reference closure for ambient-state reachability — the
      effect fixpoint has already saturated the boolean labels, but the
      ambient set is per-binding, so walk the edges here. *)
-  let seen = Hashtbl.create 16 in
-  let rec reach key =
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.replace seen key ();
-      List.iter reach (Effects.refs ctx.eff key)
-    end
+  let seen =
+    Callgraph.reachable ~succ:(Effects.refs ctx.eff) [ fn.Callgraph.f_key ]
   in
-  reach fn.Callgraph.f_key;
   let ambient =
     List.filter_map
       (fun (key, kind) ->
-        if Hashtbl.mem seen key then
+        if List.mem key seen then
           Some
             (Printf.sprintf "ambient state %s (%s)" (Cmt_load.normalize key)
                kind)

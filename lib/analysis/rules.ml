@@ -112,7 +112,7 @@ let check_unit ctx (graph : Callgraph.t) (u : Cmt_load.unit_info) =
   (* The shared canonical speller (Callgraph.canonical): module aliases
      — including functor aliases — substituted, mangling stripped,
      Stdlib/wrapper prefixes dropped.  The same table the ambient-state
-     and race passes read, so an alias that hides [Random] from this
+     and effect passes read, so an alias that hides [Random] from this
      rule would also hide a table from those — and none of them let it. *)
   let canonical p = Callgraph.canonical graph ~caller_unit:u.Cmt_load.u_name p in
   let check_expr (it : Tast_iterator.iterator) (e : Typedtree.expression) =

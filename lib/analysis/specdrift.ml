@@ -267,18 +267,15 @@ let extract (eff : Effects.t) ~core ~all_states =
         add_entry ctx fn.Callgraph.f_key top
       | Some true -> ())
     core_fns;
-  (* Entry-set fixpoint: propagate call-site state sets. *)
-  let rounds = ref 0 in
-  ctx.changed <- true;
-  while ctx.changed && !rounds < 32 do
-    ctx.changed <- false;
-    incr rounds;
-    List.iter
-      (fun fn ->
-        let e = entry ctx fn.Callgraph.f_key in
-        if not (SSet.is_empty e) then walk_fn ctx fn e)
-      core_fns
-  done;
+  (* Entry-set fixpoint: propagate call-site state sets (the state-set
+     lattice is finite, so it terminates). *)
+  Callgraph.fixpoint
+    (fun fn ->
+      ctx.changed <- false;
+      let e = entry ctx fn.Callgraph.f_key in
+      if not (SSet.is_empty e) then walk_fn ctx fn e;
+      ctx.changed)
+    core_fns;
   (* Final pass: emit edges; unreached functions walk under ⊤. *)
   ctx.contribute <- false;
   ctx.emit <- [];

@@ -9,8 +9,7 @@
 
 module Diag = Repro_analysis.Diag
 module Specdrift = Repro_analysis.Specdrift
-module Footprint = Repro_analysis.Footprint
-module Racecheck = Repro_analysis.Racecheck
+module Callgraph = Repro_analysis.Callgraph
 module Globals = Repro_analysis.Globals
 module Keyspace = Repro_analysis.Keyspace
 module Loops = Repro_analysis.Loops
@@ -259,156 +258,65 @@ let test_expand_wildcard () =
         (List.mem (s, "Exchange_states") pairs))
     all_states
 
-(* --- footprint fixpoint (pure solve over synthetic graphs) ------------ *)
+(* --- the shared solver over a cyclic graph ---------------------------- *)
 
-let cell t f = { Footprint.c_type = t; c_field = f }
+(* Mutual recursion plus a self-loop, with a leaf hanging off the cycle:
+   ping -> {pong, ping}, pong -> {ping, leaf}. *)
+let cyclic_succ = function
+  | "ping" -> [ "pong"; "ping" ]
+  | "pong" -> [ "ping"; "leaf" ]
+  | _ -> []
 
-let access ?(tokens = []) ~write c =
-  {
-    Footprint.a_cell = c;
-    a_write = write;
-    a_tokens = tokens;
-    a_loc = loc ~file:"synthetic.ml" ~line:1 ~col:0;
-  }
+let test_fixpoint_cycle_converges () =
+  (* Union propagation of per-node labels along the edges: leaf holds
+     "l", pong holds "m"; both parties of the cycle must end up with
+     both, and the solver must stop. *)
+  let labels = Hashtbl.create 4 in
+  List.iter
+    (fun (k, l) -> Hashtbl.replace labels k l)
+    [ ("ping", []); ("pong", [ "m" ]); ("leaf", [ "l" ]) ];
+  let steps = ref 0 in
+  Callgraph.fixpoint
+    (fun k ->
+      incr steps;
+      let cur = Hashtbl.find labels k in
+      let next =
+        List.sort_uniq compare
+          (cur @ List.concat_map (Hashtbl.find labels) (cyclic_succ k))
+      in
+      Hashtbl.replace labels k next;
+      next <> cur)
+    [ "ping"; "pong"; "leaf" ];
+  let strings = Alcotest.(list string) in
+  Alcotest.(check strings) "ping inherits through the cycle" [ "l"; "m" ]
+    (Hashtbl.find labels "ping");
+  Alcotest.(check strings) "pong holds both" [ "l"; "m" ]
+    (Hashtbl.find labels "pong");
+  Alcotest.(check strings) "the leaf is unchanged" [ "l" ]
+    (Hashtbl.find labels "leaf");
+  (* Round one grows ping and pong, round two grows ping, round three
+     confirms: three rounds over three nodes. *)
+  Alcotest.(check int) "three rounds" 9 !steps
 
-let entry_list summaries key =
-  List.map
-    (fun ((c, w), tokens) -> ((c.Footprint.c_type, c.Footprint.c_field, w), tokens))
-    (Footprint.entries summaries key)
-
-let centry = Alcotest.(pair (triple string string bool) (list string))
-
-let test_footprint_propagation () =
-  (* f writes t.f under lock "l"; g calls f; h calls g: the write and
-     its token reach both callers through the chain. *)
-  let c = cell "t" "f" in
-  let direct = [ ("f", [ access ~tokens:[ "l" ] ~write:true c ]) ] in
-  let edges =
-    [
-      ("g", [ { Footprint.e_callee = "f"; e_tokens = [] } ]);
-      ("h", [ { Footprint.e_callee = "g"; e_tokens = [] } ]);
-    ]
+let test_reachable_cycle () =
+  let strings = Alcotest.(list string) in
+  Alcotest.(check strings) "each node once, depth-first preorder"
+    [ "ping"; "pong"; "leaf" ]
+    (Callgraph.reachable ~succ:cyclic_succ [ "ping" ]);
+  Alcotest.(check strings) "a leaf reaches only itself" [ "leaf" ]
+    (Callgraph.reachable ~succ:cyclic_succ [ "leaf" ]);
+  let callers = function
+    | "leaf" -> [ "pong" ]
+    | "pong" -> [ "ping" ]
+    | "ping" -> [ "ping"; "pong" ]
+    | _ -> []
   in
-  let s = Footprint.solve ~direct ~edges in
-  Alcotest.(check (list centry))
-    "h inherits the guarded write"
-    [ (("t", "f", true), [ "l" ]) ]
-    (entry_list s "h")
-
-let test_footprint_token_intersection () =
-  (* The same write reached guarded on one path and bare on another:
-     only tokens held on EVERY path survive. *)
-  let c = cell "t" "f" in
-  let direct =
-    [
-      ("guarded", [ access ~tokens:[ "l" ] ~write:true c ]);
-      ("bare", [ access ~write:true c ]);
-    ]
-  in
-  let edges =
-    [
-      ("caller",
-       [
-         { Footprint.e_callee = "guarded"; e_tokens = [] };
-         { Footprint.e_callee = "bare"; e_tokens = [] };
-       ]);
-    ]
-  in
-  let s = Footprint.solve ~direct ~edges in
-  Alcotest.(check (list centry))
-    "intersection is empty"
-    [ (("t", "f", true), []) ]
-    (entry_list s "caller")
-
-let test_footprint_cycle_converges () =
-  (* Mutual recursion plus a self-loop: the fixpoint must terminate and
-     both parties must carry the callee's footprint. *)
-  let c = cell "t" "f" in
-  let direct = [ ("leaf", [ access ~tokens:[ "l" ] ~write:true c ]) ] in
-  let edges =
-    [
-      ("ping",
-       [
-         { Footprint.e_callee = "pong"; e_tokens = [] };
-         { Footprint.e_callee = "ping"; e_tokens = [] };
-       ]);
-      ("pong",
-       [
-         { Footprint.e_callee = "ping"; e_tokens = [] };
-         { Footprint.e_callee = "leaf"; e_tokens = [ "m" ] };
-       ]);
-    ]
-  in
-  let s = Footprint.solve ~direct ~edges in
-  Alcotest.(check (list centry))
-    "pong holds both tokens"
-    [ (("t", "f", true), [ "l"; "m" ]) ]
-    (entry_list s "pong");
-  Alcotest.(check (list centry))
-    "ping inherits through the cycle"
-    [ (("t", "f", true), [ "l"; "m" ]) ]
-    (entry_list s "ping")
-
-(* --- race pairing ------------------------------------------------------ *)
-
-let conflict = Alcotest.(pair (pair string string) bool)
-
-let as_pairs l =
-  List.map
-    (fun ((c : Footprint.cell), ww) ->
-      ((c.Footprint.c_type, c.Footprint.c_field), ww))
-    l
-
-let test_race_write_write () =
-  let e c w tokens = ((c, w), tokens) in
-  let c = cell "t" "f" in
-  Alcotest.(check (list conflict))
-    "bare writes conflict"
-    [ (("t", "f"), true) ]
-    (as_pairs
-       (Racecheck.conflict_cells ~self:false
-          [ e c true [] ]
-          [ e c true [] ]));
-  Alcotest.(check (list conflict))
-    "a common token synchronizes"
-    []
-    (as_pairs
-       (Racecheck.conflict_cells ~self:false
-          [ e c true [ "l" ] ]
-          [ e c true [ "l"; "m" ] ]));
-  Alcotest.(check (list conflict))
-    "disjoint locks do not"
-    [ (("t", "f"), true) ]
-    (as_pairs
-       (Racecheck.conflict_cells ~self:false
-          [ e c true [ "l" ] ]
-          [ e c true [ "m" ] ]));
-  Alcotest.(check (list conflict))
-    "read/read is no conflict" []
-    (as_pairs
-       (Racecheck.conflict_cells ~self:false
-          [ e c false [] ]
-          [ e c false [] ]));
-  Alcotest.(check (list conflict))
-    "read/write is, and write/write wins the dedup"
-    [ (("t", "f"), true) ]
-    (as_pairs
-       (Racecheck.conflict_cells ~self:false
-          [ e c false []; e c true [] ]
-          [ e c true [] ]))
-
-let test_race_self_pairing () =
-  let e c w tokens = ((c, w), tokens) in
-  let c = cell "t" "f" in
-  let s = [ e c true [] ] in
-  Alcotest.(check (list conflict))
-    "a multi root's bare write races with itself"
-    [ (("t", "f"), true) ]
-    (as_pairs (Racecheck.conflict_cells ~self:true s s));
-  let guarded = [ e c true [ "l" ] ] in
-  Alcotest.(check (list conflict))
-    "its lock covers both instances" []
-    (as_pairs (Racecheck.conflict_cells ~self:true guarded guarded))
+  Alcotest.(check strings) "reverse edges reach the whole cycle"
+    [ "leaf"; "pong"; "ping" ]
+    (Callgraph.reachable ~succ:callers [ "leaf" ]);
+  Alcotest.(check strings) "shared roots are not repeated"
+    [ "pong"; "ping"; "leaf" ]
+    (Callgraph.reachable ~succ:cyclic_succ [ "pong"; "ping"; "pong" ])
 
 (* --- suppression bookkeeping ------------------------------------------ *)
 
@@ -540,20 +448,12 @@ let () =
           Alcotest.test_case "wildcard source expands" `Quick
             test_expand_wildcard;
         ] );
-      ( "footprint",
+      ( "solver",
         [
-          Alcotest.test_case "propagation along calls" `Quick
-            test_footprint_propagation;
-          Alcotest.test_case "token sets intersect across paths" `Quick
-            test_footprint_token_intersection;
-          Alcotest.test_case "cyclic graphs converge" `Quick
-            test_footprint_cycle_converges;
-        ] );
-      ( "racecheck",
-        [
-          Alcotest.test_case "pairing and locks" `Quick test_race_write_write;
-          Alcotest.test_case "self pairing of multi roots" `Quick
-            test_race_self_pairing;
+          Alcotest.test_case "fixpoint converges on a cycle" `Quick
+            test_fixpoint_cycle_converges;
+          Alcotest.test_case "reachability on a cycle" `Quick
+            test_reachable_cycle;
         ] );
       ( "suppression",
         [
