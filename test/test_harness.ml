@@ -212,6 +212,67 @@ let test_white_line_advances () =
   Alcotest.(check bool) "white line reached the actions" true
     (Engine.white_line e >= 5)
 
+(* The overload plateau that admission control protects.  Five replicas
+   on the CPU-costed 100 Mbit profile take open-loop Poisson arrivals
+   with a 1 s deadline: 4,000/s is what the cluster carries unprotected,
+   and at twice that, admission {8, 64} keeps goodput on its plateau
+   while the unprotected cluster collapses behind an unbounded CPU
+   receive queue.  One fresh cluster per point, 0.5 s of load before a
+   2 s window; the seed of each point is fixed by its rate. *)
+let overload_point ?admission ~seed rate =
+  let w =
+    World.make ~net_config:Network.lan_100mbit ~params:Repro_gcs.Params.default
+      ~attach_cpu:true ?admission ~seed ~n:5 ()
+  in
+  let wl =
+    Workload.open_loop ~deadline:(Repro_sim.Time.of_ms 1_000.) ~busy_retries:3
+      ~sim:(World.sim w) ~mix:Workload.default_mix ~rate_per_sec:rate
+      ~replicas:(World.replicas w) ()
+  in
+  World.run w ~ms:500.;
+  Workload.start_measuring wl;
+  World.run w ~ms:2000.;
+  Workload.stop wl;
+  let cpu_queue =
+    List.fold_left
+      (fun acc r ->
+        match Replica.cpu_stats r with Some (q, _) -> max acc q | None -> acc)
+      0 (World.replicas w)
+  in
+  (Workload.goodput wl ~over:(Repro_sim.Time.of_sec 2.), cpu_queue)
+
+let test_admission_plateau () =
+  let admission = { Replica.adm_max_inflight = 8; adm_max_red = 64 } in
+  let carried, _ = overload_point ~seed:9 4000. in
+  Alcotest.(check bool)
+    (Printf.sprintf "4000/s carried without admission (%.1f/s)" carried)
+    true
+    (carried >= 0.9 *. 4000.);
+  let admitted =
+    List.map
+      (fun (seed, rate) -> overload_point ~admission ~seed rate)
+      [ (19, 4000.); (24, 6000.); (29, 8000.) ]
+  in
+  let peak = List.fold_left (fun acc (g, _) -> Float.max acc g) 0. admitted in
+  let adm_2x, adm_queue = List.nth admitted 2 in
+  let bare_2x, bare_queue = overload_point ~seed:29 8000. in
+  Alcotest.(check bool)
+    (Printf.sprintf "8000/s with admission: %.1f/s >= 80%% of peak %.1f/s"
+       adm_2x peak)
+    true
+    (adm_2x >= 0.8 *. peak);
+  Alcotest.(check bool)
+    (Printf.sprintf "8000/s with admission: cpu queue %d <= 1000" adm_queue)
+    true (adm_queue <= 1_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "8000/s without admission collapses: %.1f/s <= 50%% of %.1f/s"
+       bare_2x adm_2x)
+    true
+    (bare_2x <= 0.5 *. adm_2x);
+  Alcotest.(check bool)
+    (Printf.sprintf "8000/s without admission: cpu queue %d >= 1000" bare_queue)
+    true (bare_queue >= 1_000)
+
 let () =
   Alcotest.run "harness"
     [
@@ -248,4 +309,6 @@ let () =
         ] );
       ( "observability",
         [ Alcotest.test_case "white line advances" `Quick test_white_line_advances ] );
+      ( "overload",
+        [ Alcotest.test_case "admission plateau" `Slow test_admission_plateau ] );
     ]
