@@ -1,3 +1,4 @@
+open Repro_net
 open Repro_db
 
 type t = {
@@ -10,7 +11,10 @@ type t = {
          the authoritative membership index *)
   mutable red_count : int; (* live entries in [red] *)
   mutable red_dead : int; (* tombstoned entries still in [red] *)
-  green_pos : int Action.Id.Tbl.t; (* id -> green position *)
+  cut : (Node_id.t, int) Hashtbl.t;
+      (* per creator: index of its last green action.  Greens are FIFO
+         per creator, so an id is green iff its index is at or below
+         its creator's cut — no per-id index is needed. *)
   bodies : Action.t Action.Id.Tbl.t; (* every body we hold *)
   red_set : unit Action.Id.Tbl.t; (* live red ids *)
 }
@@ -24,7 +28,7 @@ let create () =
     red = [];
     red_count = 0;
     red_dead = 0;
-    green_pos = Action.Id.Tbl.create 256;
+    cut = Hashtbl.create 16;
     bodies = Action.Id.Tbl.create 256;
     red_set = Action.Id.Tbl.create 256;
   }
@@ -51,14 +55,22 @@ let greens_from t n =
   in
   collect t.green_count []
 
-let set_join_floor t ~count ~line =
+let set_join_floor t ~count ~line ~cut =
   if t.green_count <> 0 || t.red_count <> 0 then
     invalid_arg "Action_queue.set_join_floor: queue not empty";
   t.floor <- count;
   t.green_count <- count;
-  t.floor_line <- line
+  t.floor_line <- line;
+  Node_id.Map.iter (fun s c -> Hashtbl.replace t.cut s c) cut
 
-let is_green t id = Action.Id.Tbl.mem t.green_pos id
+(* No option box: asked once per delivered action. *)
+let green_cut t s =
+  match Hashtbl.find t.cut s with c -> c | exception Not_found -> 0
+
+let green_cut_map t =
+  Hashtbl.fold (fun s c acc -> Node_id.Map.add s c acc) t.cut Node_id.Map.empty
+
+let is_green t (id : Action.Id.t) = id.index <= green_cut t id.server
 
 let discard_below t n =
   let n = min n t.green_count in
@@ -119,7 +131,7 @@ let append_green t a =
   grow t a;
   t.green.(t.green_count - t.floor) <- a;
   t.green_count <- t.green_count + 1;
-  Action.Id.Tbl.replace t.green_pos a.Action.id t.green_count;
+  Hashtbl.replace t.cut a.Action.id.server a.Action.id.index;
   Action.Id.Tbl.replace t.bodies a.Action.id a;
   t.green_count
 

@@ -1,3 +1,4 @@
+open Repro_net
 open Repro_db
 
 (** The ordered action queue (paper's [actionsQueue]).
@@ -5,10 +6,13 @@ open Repro_db
     Holds the global green prefix (positions 1..green_count) followed by
     the red actions in local delivery order.  Yellow actions live in the
     red region; their ids are tracked by the engine's [yellow] record.
-    White actions (green everywhere) could be discarded; this
-    implementation retains them so any replica can serve as a green
-    retransmitter (the green floor in state messages accounts for
-    replicas that joined by snapshot and hold no early bodies). *)
+    Greenness is a per-creator cut, not a per-id index: greens are FIFO
+    per creator, so an id is green iff its index is at or below its
+    creator's cut.  Bodies of white actions (green at every known
+    server) are discarded at checkpoints ({!discard_below}); positions
+    at or below the resulting floor have no body, and state messages
+    advertise the floor so the green retransmission plan only asks a
+    replica for bodies it still holds. *)
 
 type t
 
@@ -25,23 +29,35 @@ val greens_from : t -> int -> Action.t list
 val green_floor : t -> int
 (** Positions [<= floor] have no stored body (inherited by snapshot). *)
 
-val set_join_floor : t -> count:int -> line:Action.Id.t option -> unit
+val set_join_floor :
+  t -> count:int -> line:Action.Id.t option -> cut:int Node_id.Map.t -> unit
 (** Initialise a snapshot-created queue: green prefix of [count] virtual
-    actions ending at [line], with no bodies. *)
+    actions ending at [line], with no bodies, whose per-creator green
+    cut is [cut]. *)
+
+val green_cut : t -> Node_id.t -> int
+(** Index of the creator's last green action (0 when none). *)
+
+val green_cut_map : t -> int Node_id.Map.t
+(** The whole per-creator green cut. *)
 
 val discard_below : t -> int -> int
 (** [discard_below t n] frees the stored bodies of green positions
     [<= n] (white actions: known green at every server, paper Figure 1)
-    and raises the floor accordingly.  Greenness of the discarded ids
-    remains queryable; only the bodies go.  Returns the number of bodies
-    discarded.  No-op when [n <= floor]. *)
+    and raises the floor accordingly.  Only the bodies go: greenness is
+    the per-creator cut, which discarding leaves alone.  Returns the
+    number of bodies discarded.  No-op when [n <= floor]. *)
 
 val append_green : t -> Action.t -> int
 (** Appends at the top of the green prefix (removing the action from the
-    red region if present) and returns its green position.  Must not be
-    called on an action that is already green. *)
+    red region if present), advances its creator's green cut, and
+    returns its green position.  Raises [Invalid_argument] on an action
+    that is already green. *)
 
 val is_green : t -> Action.Id.t -> bool
+(** [id.index <= green_cut t id.server]: also true for ids greened below
+    a snapshot join floor, which this queue never held. *)
+
 val add_red : t -> Action.t -> unit
 val red_actions : t -> Action.t list
 (** Red actions in local order (excludes greens). *)

@@ -15,6 +15,7 @@ type callbacks = {
   on_self_leave : unit -> unit;
   on_state_change : engine_state -> unit;
   send : service:Endpoint.service -> size:int -> payload -> unit;
+  on_resync : unit -> unit;
 }
 
 type buffered_request = {
@@ -64,9 +65,8 @@ type t = {
   mutable halted : bool;
   queue : Action_queue.t;
   red_cut : (Node_id.t, int) Hashtbl.t;
-  green_cut : (Node_id.t, int) Hashtbl.t; (* per creator: green prefix index *)
   green_counts : (Node_id.t, int) Hashtbl.t;
-  green_lines : (Node_id.t, Action.Id.t) Hashtbl.t;
+      (* per known server: a green count it is known to hold durably *)
   pending_red : (Node_id.t, (int, Action.t) Hashtbl.t) Hashtbl.t;
   mutable pending_green : (int * Action.t) list;
   mutable ongoing : Action.t list; (* own undelivered actions, oldest first *)
@@ -105,14 +105,10 @@ let red_count t = Action_queue.red_count t.queue
 let green_line t = Action_queue.green_line t.queue
 let ongoing_actions t = t.ongoing
 let attempt t = t.attempt
+let action_index t = t.action_index
 let red_cut t s = match Hashtbl.find_opt t.red_cut s with Some c -> c | None -> 0
 
-let green_cut t s =
-  match Hashtbl.find_opt t.green_cut s with Some c -> c | None -> 0
-
-let green_cut_map t =
-  Hashtbl.fold (fun s c acc -> Node_id.Map.add s c acc) t.green_cut
-    Node_id.Map.empty
+let green_cut_map t = Action_queue.green_cut_map t.queue
 
 let red_cut_map t =
   Hashtbl.fold (fun s c acc -> Node_id.Map.add s c acc) t.red_cut
@@ -215,10 +211,17 @@ let end_burst t =
 (* ------------------------------------------------------------------ *)
 (* Marking (paper CodeSegments A.14 and 5.1)                           *)
 
-let note_own_green t pos (id : Action.Id.t) =
-  Hashtbl.replace t.green_counts t.node pos;
-  Hashtbl.replace t.green_lines t.node id;
-  Hashtbl.replace t.green_cut id.server id.index
+let note_own_green t pos = Hashtbl.replace t.green_counts t.node pos
+
+(* OR-1.1: a green action tells us its creator's green count when it was
+   created — durable there, since the action was sent only after the
+   force covering its creation.  Every server's count therefore reaches
+   us with its own traffic, and the white line advances in steady state
+   instead of only at view changes. *)
+let note_green_count t server count =
+  match Hashtbl.find t.green_counts server with
+  | c -> if count > c then Hashtbl.replace t.green_counts server count
+  | exception Not_found -> Hashtbl.replace t.green_counts server count
 
 (* MarkRed.  Returns [true] when the action is newly accepted; gaps are
    buffered until the missing predecessors arrive (retransmissions from
@@ -285,28 +288,22 @@ and drain_pending_red t creator =
    PERSISTENT_JOIN / PERSISTENT_LEAVE (CodeSegment 5.1). *)
 let mark_green t (a : Action.t) =
   ignore (mark_red t a);
-  (* [is_green] remembers every id this queue greened itself — a
-     checkpoint discard drops bodies but never prunes the id index — yet
-     after a snapshot resync an id greened below the join floor was
-     never in the queue and is invisible to it.  The per-creator green
-     cut still covers it: re-appending such a copy would fork the total
-     order against replicas that remember the original position. *)
-  if
-    (not (Action_queue.is_green t.queue a.id))
-    && a.id.index > green_cut t a.id.server
-  then begin
+  (* Already green when at or below its creator's green cut — including
+     an id greened below a snapshot join floor, which this queue never
+     held: re-appending such a copy would fork the total order against
+     replicas that remember the original position. *)
+  if not (Action_queue.is_green t.queue a.id) then begin
     (* FIFO per creator makes green prefixes per creator contiguous; a
        green marking can therefore never jump over a missing red. *)
     if a.id.index > red_cut t a.id.server then
       invalid_arg "Engine.mark_green: gap below a green action";
     let pos = Action_queue.append_green t.queue a in
     t.green_accum <- a :: t.green_accum;
-    note_own_green t pos a.id;
+    note_own_green t pos;
     (match a.kind with
     | Action.Join joiner when not (Node_id.Set.mem joiner t.known_servers) ->
       t.known_servers <- Node_id.Set.add joiner t.known_servers;
       Hashtbl.replace t.green_counts joiner pos;
-      Hashtbl.replace t.green_lines joiner a.id;
       log_meta t;
       if Node_id.equal a.id.server t.node then
         t.cb.on_transfer_request ~joiner ~join_green_count:pos
@@ -379,7 +376,7 @@ let create_action t r =
   t.action_index <- t.action_index + 1;
   let a =
     Action.make ~client:r.bq_client ~semantics:r.bq_semantics
-      ~green_line:(Action_queue.green_line t.queue)
+      ~green_count:(Action_queue.green_count t.queue)
       ~size:r.bq_size ~req_seq:r.bq_req_seq ~req_ack:r.bq_req_ack
       ~server:t.node ~index:t.action_index r.bq_kind
   in
@@ -513,64 +510,79 @@ and check_all_states t =
         view.Endpoint.members
     then begin
       let knowledge = Knowledge.compute ~members:view.Endpoint.members t.states in
-      t.knowledge <- Some knowledge;
-      (* Retransmit my share: green segments of the plan, then red duties
-         ("if most updated server: Retrans()").  Batched and paced: a
-         long-partitioned member may need thousands of actions, and an
-         unthrottled burst would clog receivers' CPUs long enough to trip
-         their failure detectors (a livelock a real engine avoids with
-         flow-controlled state transfer). *)
-      let green_batches =
-        List.concat_map
-          (fun (source, from_pos, to_pos) ->
-            if Node_id.equal source t.node then begin
-              let rec batches pos acc =
-                if pos >= to_pos then List.rev acc
-                else begin
-                  let upper = min to_pos (pos + retrans_batch) in
-                  let actions =
-                    List.init (upper - pos) (fun i ->
-                        Action_queue.nth_green t.queue (pos + 1 + i))
-                  in
-                  batches upper
-                    (Retrans_green { g_from = pos; g_actions = actions } :: acc)
-                end
-              in
-              batches from_pos []
-            end
-            else [])
-          knowledge.Knowledge.k_green_plan
-      in
-      let duties =
-        Knowledge.red_duties ~self:t.node ~knowledge ~states:t.states
-      in
-      let red_actions =
-        List.concat_map
-          (fun (creator, low, high) ->
-            List.filter_map
-              (fun index ->
-                match
-                  Action_queue.find t.queue { Action.Id.server = creator; index }
-                with
-                | Some a when not (Action_queue.is_green t.queue a.Action.id) ->
-                  Some a
-                | Some _ | None -> None
-                  (* green bodies travel via the green plan *))
-              (List.init (high - low) (fun i -> low + 1 + i)))
-          duties
-      in
-      let rec red_batches = function
-        | [] -> []
-        | actions ->
-          let batch = List.filteri (fun i _ -> i < retrans_batch) actions in
-          let rest =
-            List.filteri (fun i _ -> i >= retrans_batch) actions
-          in
-          Retrans_red batch :: red_batches rest
-      in
-      send_paced t (green_batches @ red_batches red_actions);
-      set_state t Exchange_actions;
-      check_end_of_retrans t
+      if
+        Knowledge.stranded ~green_count:(Action_queue.green_count t.queue)
+          knowledge t.states
+      then begin
+        (* No member holds the bodies above our green count: they were
+           white, and discarded.  Halting silences this engine's pending
+           continuations; the replica re-enters by state transfer. *)
+        t.halted <- true;
+        t.cb.on_resync ()
+      end
+      else begin
+        t.knowledge <- Some knowledge;
+        (* Retransmit my share: green segments of the plan, then red duties
+           ("if most updated server: Retrans()").  Batched and paced: a
+           long-partitioned member may need thousands of actions, and an
+           unthrottled burst would clog receivers' CPUs long enough to trip
+           their failure detectors (a livelock a real engine avoids with
+           flow-controlled state transfer). *)
+        let green_batches =
+          List.concat_map
+            (fun (source, from_pos, to_pos) ->
+              if Node_id.equal source t.node then begin
+                let rec batches pos acc =
+                  if pos >= to_pos then List.rev acc
+                  else begin
+                    let upper = min to_pos (pos + retrans_batch) in
+                    let actions =
+                      List.init (upper - pos) (fun i ->
+                          Action_queue.nth_green t.queue (pos + 1 + i))
+                    in
+                    batches upper
+                      (Retrans_green { g_from = pos; g_actions = actions }
+                      :: acc)
+                  end
+                in
+                batches from_pos []
+              end
+              else [])
+            knowledge.Knowledge.k_green_plan
+        in
+        let duties =
+          Knowledge.red_duties ~self:t.node ~knowledge ~states:t.states
+        in
+        let red_actions =
+          List.concat_map
+            (fun (creator, low, high) ->
+              List.filter_map
+                (fun index ->
+                  match
+                    Action_queue.find t.queue
+                      { Action.Id.server = creator; index }
+                  with
+                  | Some a
+                    when not (Action_queue.is_green t.queue a.Action.id) ->
+                    Some a
+                  | Some _ | None -> None
+                    (* green bodies travel via the green plan *))
+                (List.init (high - low) (fun i -> low + 1 + i)))
+            duties
+        in
+        let rec red_batches = function
+          | [] -> []
+          | actions ->
+            let batch = List.filteri (fun i _ -> i < retrans_batch) actions in
+            let rest =
+              List.filteri (fun i _ -> i >= retrans_batch) actions
+            in
+            Retrans_red batch :: red_batches rest
+        in
+        send_paced t (green_batches @ red_batches red_actions);
+        set_state t Exchange_actions;
+        check_end_of_retrans t
+      end
     end
 
 and check_end_of_retrans t =
@@ -588,18 +600,9 @@ and end_of_retrans t knowledge =
   match t.conf with
   | None -> ()
   | Some view ->
-    (* Incorporate the exchanged green lines. *)
+    (* Incorporate the exchanged green counts. *)
     Node_id.Map.iter
-      (fun m sm ->
-        let current =
-          match Hashtbl.find_opt t.green_counts m with Some c -> c | None -> 0
-        in
-        if sm.sm_green_count > current then begin
-          Hashtbl.replace t.green_counts m sm.sm_green_count;
-          match sm.sm_green_line with
-          | Some id -> Hashtbl.replace t.green_lines m id
-          | None -> ()
-        end)
+      (fun m sm -> note_green_count t m sm.sm_green_count)
       t.states;
     (* Adopt the computed knowledge. *)
     t.prim <- knowledge.Knowledge.k_prim;
@@ -675,13 +678,8 @@ and on_cpc t server conf_id ~in_regular =
         (* Everyone synchronised during the exchange: after install all
            members share this green line (A.9). *)
         let my_count = Action_queue.green_count t.queue in
-        let my_line = Action_queue.green_line t.queue in
         Node_id.Set.iter
-          (fun s ->
-            Hashtbl.replace t.green_counts s my_count;
-            match my_line with
-            | Some id -> Hashtbl.replace t.green_lines s id
-            | None -> ())
+          (fun s -> Hashtbl.replace t.green_counts s my_count)
           view.Endpoint.members;
         install t;
         set_state t Reg_prim;
@@ -712,9 +710,7 @@ let on_action t (a : Action.t) ~in_regular =
   | Reg_prim ->
     assert in_regular;
     mark_green t a;
-    (match a.green_line with
-    | Some gl -> Hashtbl.replace t.green_lines a.id.server gl
-    | None -> ()) (* OR-1.1 *)
+    note_green_count t a.id.server a.green_count
   | Trans_prim -> mark_yellow t a
   | Un_state ->
     (* 1b: someone installed the primary and generated this action before
@@ -845,9 +841,7 @@ let make_blank ?(weights = Quorum.no_weights)
     halted = false;
     queue = Action_queue.create ();
     red_cut = Hashtbl.create 16;
-    green_cut = Hashtbl.create 16;
     green_counts = Hashtbl.create 16;
-    green_lines = Hashtbl.create 16;
     pending_red = Hashtbl.create 16;
     pending_green = [];
     ongoing = [];
@@ -904,17 +898,11 @@ let create_from_snapshot ?weights ?(action_floor = 0) ~sim ~node ~servers
     Persist.log_ongoing_batch t.persist [ filler ];
     t.ongoing <- t.ongoing @ [ filler ]
   done;
-  Action_queue.set_join_floor t.queue ~count:green_count ~line:green_line;
-  Node_id.Map.iter
-    (fun s c ->
-      Hashtbl.replace t.red_cut s c;
-      Hashtbl.replace t.green_cut s c)
-    red_cut;
+  Action_queue.set_join_floor t.queue ~count:green_count ~line:green_line
+    ~cut:red_cut;
+  Node_id.Map.iter (fun s c -> Hashtbl.replace t.red_cut s c) red_cut;
   t.prim <- prim;
   Hashtbl.replace t.green_counts node green_count;
-  (match green_line with
-  | Some id -> Hashtbl.replace t.green_lines node id
-  | None -> ());
   (* The transferred state is this replica's first checkpoint: crash
      recovery restores it from disk rather than replaying actions it
      never held. *)
@@ -952,21 +940,14 @@ let recover ?weights ?quorum_policy ?recovered ~sim ~node ~servers ~persist
   (match r.Persist.r_checkpoint with
   | Some c ->
     Action_queue.set_join_floor t.queue ~count:c.Persist.c_green_count
-      ~line:c.Persist.c_green_line;
-    Hashtbl.replace t.green_counts node c.Persist.c_green_count;
-    (match c.Persist.c_green_line with
-    | Some id -> Hashtbl.replace t.green_lines node id
-    | None -> ());
-    Node_id.Map.iter
-      (fun s cut -> Hashtbl.replace t.green_cut s cut)
-      c.Persist.c_green_cut
+      ~line:c.Persist.c_green_line ~cut:c.Persist.c_green_cut;
+    Hashtbl.replace t.green_counts node c.Persist.c_green_count
   | None -> ());
   (* Rebuild the queue without firing application callbacks: the caller
      replays the returned green prefix into its database itself. *)
   List.iter
     (fun a ->
-      let pos = Action_queue.append_green t.queue a in
-      note_own_green t pos a.Action.id)
+      note_own_green t (Action_queue.append_green t.queue a))
     r.Persist.r_green;
   List.iter (fun a -> Action_queue.add_red t.queue a) r.Persist.r_red;
   Node_id.Map.iter (fun s c -> Hashtbl.replace t.red_cut s c) r.Persist.r_red_cut;

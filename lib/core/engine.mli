@@ -30,6 +30,13 @@ type callbacks = {
   on_state_change : Types.engine_state -> unit;
   send : service:Endpoint.service -> size:int -> Types.payload -> unit;
       (** multicast through the group communication layer *)
+  on_resync : unit -> unit;
+      (** a state exchange found this server's green prefix below
+          every body any member still holds (white actions were
+          discarded past it), so no retransmission can catch it up.
+          The engine has halted; the server must discard its state and
+          re-enter by state transfer, without re-minting any action id
+          this engine created. *)
 }
 
 type t
@@ -198,6 +205,9 @@ val attempt : t -> int
     (paper §4) — logical state a model checker fingerprints. *)
 
 val red_cut : t -> Node_id.t -> int
+
+val action_index : t -> int
+(** The highest own action index this engine minted or saw. *)
 
 val green_cut_map : t -> int Node_id.Map.t
 (** Per creator, the index of its last action inside the green prefix —

@@ -243,6 +243,14 @@ let red_duties ~self ~knowledge ~states =
       end)
     knowledge.k_red_targets []
 
+let stranded ~green_count knowledge states =
+  green_count < knowledge.k_green_target
+  && not
+       (Node_id.Map.exists
+          (fun _ sm ->
+            sm.sm_green_floor <= green_count && green_count < sm.sm_green_count)
+          states)
+
 let exchange_finished ~green_count ~red_cut knowledge =
   green_count >= knowledge.k_green_target
   && Node_id.Map.for_all

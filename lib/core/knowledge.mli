@@ -43,6 +43,14 @@ val red_duties :
     the maximal red cut (lowest id among equals) covers the span from the
     minimal red cut to the maximal. *)
 
+val stranded :
+  green_count:int -> t -> Types.state_msg Node_id.Map.t -> bool
+(** Whether a member at [green_count] is below the target with no
+    state message offering the bodies just above it (no member [m] with
+    [m.floor <= green_count < m.count]): the actions were white and
+    discarded everywhere, so only a state transfer can catch it up.  One
+    scan over the state messages. *)
+
 val exchange_finished :
   green_count:int -> red_cut:(Node_id.t -> int) -> t -> bool
 (** Whether this server has reached the retransmission targets. *)

@@ -38,6 +38,7 @@ let log_green_batch t ids =
 let log_checkpoint t c = Wlog.append t.log [ E_checkpoint c ]
 let sync t k = Wlog.sync t.log k
 let crash t = Wlog.crash t.log
+let reset t = Wlog.reset t.log
 let entries_logged t = Wlog.length t.log
 
 type verdict =

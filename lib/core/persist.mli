@@ -65,6 +65,10 @@ val sync : t -> (unit -> unit) -> unit
 
 val crash : t -> unit
 
+val reset : t -> unit
+(** Discards the whole log: its owner re-enters by state transfer, whose
+    snapshot becomes the new log's first checkpoint. *)
+
 (** What recovery decided after verifying the log's record framing
     (paper A.13 extended with the storage fault model):
 

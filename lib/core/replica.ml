@@ -350,6 +350,85 @@ let on_transfer_request t ~joiner ~join_green_count:_ =
     do_transfer t ~joiner
   end
 
+(* ------------------------------------------------------------------ *)
+(* Rejoining by state transfer                                         *)
+
+let rec joiner_request_loop t sponsors_left all_sponsors retry =
+  if t.up && t.joiner_waiting && t.engine = None then begin
+    let sponsor, rest =
+      match sponsors_left with
+      | s :: rest -> (s, rest)
+      | [] -> (
+        match all_sponsors with
+        | s :: rest -> (s, rest)
+        | [] -> invalid_arg "Replica.create_joiner: no sponsors")
+    in
+    Network.unicast t.cluster.c_transfer ~src:t.node_id ~dst:sponsor ~size:64
+      (Treq { tr_joiner = t.node_id; tr_resume = t.incoming });
+    ignore
+      (Sim.Engine.schedule t.cluster.c_sim ~delay:retry (fun () ->
+           joiner_request_loop t rest all_sponsors retry))
+  end
+
+(* Amnesiac recovery (the log's foundation is gone) and resync: discard
+   local state and re-enter through the §5.1 join/state-transfer path.
+   The incarnation is bumped (after a crash, a second time beyond the
+   crash bump) — the new life's counters must never be compared against
+   the old one's — and the engine stays absent until a sponsor's
+   snapshot arrives, exactly as for a first-time joiner.  The sponsors
+   already count this node among the known servers, so they transfer
+   directly (CodeSegment 5.1, line 21) without re-ordering a Join
+   action. *)
+let amnesiac_rejoin t =
+  Log.info (fun m -> m "n%d: rejoining by state transfer" t.node_id);
+  t.incarnation <- t.incarnation + 1;
+  t.incoming <- None;
+  let sponsors, retry =
+    match t.role with
+    | Joiner { sponsors; retry } -> (sponsors, retry)
+    | Static ->
+      ( Node_id.Set.elements (Node_id.Set.remove t.node_id t.servers),
+        Sim.Time.of_ms 500. )
+  in
+  if sponsors = [] then
+    (* Nobody to transfer from: a lone replica with a destroyed log is
+       unrecoverable; it stays down rather than invent an empty state. *)
+    t.up <- false
+  else begin
+    t.joiner_waiting <- true;
+    joiner_request_loop t sponsors sponsors retry
+  end
+
+(* Volatile state a crash or a resync loses. *)
+let drop_volatile t =
+  Hashtbl.reset t.pending;
+  t.query_waiters <- [];
+  Hashtbl.reset t.transfer_sessions;
+  t.db <- Database.create ();
+  t.dedup <- Dedup.create ~window:t.dedup_window ();
+  t.dirty_cache <- None;
+  t.engine <- None
+
+(* A state exchange found [e]'s green prefix below every body the group
+   still holds, and [e] has halted ([Engine.callbacks.on_resync]).  Leave
+   the group, discard the log and re-enter through the amnesiac
+   state-transfer path; the ids [e] minted seed the next incarnation's
+   counter so none is minted twice.  Deferred one event, like a
+   transfer request, so the halted engine's delivery burst completes
+   first. *)
+let resync t e =
+  let current = match t.engine with Some e' -> e' == e | None -> false in
+  if t.up && (not t.left) && current then begin
+    Log.info (fun m ->
+        m "n%d: green prefix unservable, resyncing by state transfer"
+          t.node_id);
+    t.amnesia_floor <- max t.amnesia_floor (Engine.action_index e);
+    (match t.endpoint with Some ep -> Endpoint.crash ep | None -> ());
+    Persist.reset t.persist;
+    drop_volatile t;
+    amnesiac_rejoin t
+  end
+
 let make_callbacks t =
   {
     Engine.on_green = (fun actions -> apply_green_batch t actions);
@@ -372,6 +451,14 @@ let make_callbacks t =
       (fun ~service ~size payload ->
         match t.endpoint with
         | Some ep -> Endpoint.send ep ~service ~size payload
+        | None -> ());
+    on_resync =
+      (fun () ->
+        match t.engine with
+        | Some e ->
+          ignore
+            (Sim.Engine.schedule t.cluster.c_sim ~delay:Sim.Time.zero
+               (fun () -> resync t e))
         | None -> ());
   }
 
@@ -559,23 +646,6 @@ let create_joiner ?disk_config ?attach_cpu ?checkpoint_every ?dedup_window
     ~role:(Joiner { sponsors; retry = retry_interval })
     ()
 
-let rec joiner_request_loop t sponsors_left all_sponsors retry =
-  if t.up && t.joiner_waiting && t.engine = None then begin
-    let sponsor, rest =
-      match sponsors_left with
-      | s :: rest -> (s, rest)
-      | [] -> (
-        match all_sponsors with
-        | s :: rest -> (s, rest)
-        | [] -> invalid_arg "Replica.create_joiner: no sponsors")
-    in
-    Network.unicast t.cluster.c_transfer ~src:t.node_id ~dst:sponsor ~size:64
-      (Treq { tr_joiner = t.node_id; tr_resume = t.incoming });
-    ignore
-      (Sim.Engine.schedule t.cluster.c_sim ~delay:retry (fun () ->
-           joiner_request_loop t rest all_sponsors retry))
-  end
-
 let start t =
   if not t.started then begin
     t.started <- true;
@@ -677,42 +747,7 @@ let crash t =
     Network.set_up t.cluster.c_transfer t.node_id false;
     Persist.crash t.persist;
     (match t.cpu with Some cpu -> Sim.Resource.reset cpu | None -> ());
-    Hashtbl.reset t.pending;
-    t.query_waiters <- [];
-    Hashtbl.reset t.transfer_sessions;
-    t.db <- Database.create ();
-    t.dedup <- Dedup.create ~window:t.dedup_window ();
-    t.dirty_cache <- None;
-    t.engine <- None
-  end
-
-(* Amnesiac recovery (the log's foundation is gone): discard local
-   state and re-enter through the §5.1 join/state-transfer path.  The
-   incarnation is bumped a second time beyond the crash bump — the new
-   life's counters must never be compared against the old one's — and
-   the engine stays absent until a sponsor's snapshot arrives, exactly
-   as for a first-time joiner.  The sponsors already count this node
-   among the known servers, so they transfer directly (CodeSegment 5.1,
-   line 21) without re-ordering a Join action. *)
-let amnesiac_rejoin t =
-  Log.info (fun m ->
-      m "n%d: log unsalvageable, rejoining by state transfer" t.node_id);
-  t.incarnation <- t.incarnation + 1;
-  t.incoming <- None;
-  let sponsors, retry =
-    match t.role with
-    | Joiner { sponsors; retry } -> (sponsors, retry)
-    | Static ->
-      ( Node_id.Set.elements (Node_id.Set.remove t.node_id t.servers),
-        Sim.Time.of_ms 500. )
-  in
-  if sponsors = [] then
-    (* Nobody to transfer from: a lone replica with a destroyed log is
-       unrecoverable; it stays down rather than invent an empty state. *)
-    t.up <- false
-  else begin
-    t.joiner_waiting <- true;
-    joiner_request_loop t sponsors sponsors retry
+    drop_volatile t
   end
 
 let recover t =

@@ -41,20 +41,20 @@ type t = {
   client : int;
   kind : kind;
   semantics : semantics;
-  green_line : Id.t option;
+  green_count : int;
   size : int;
   req_seq : int;
   req_ack : int;
 }
 
-let make ?(client = 0) ?(semantics = Strict) ?(green_line = None) ?(size = 200)
+let make ?(client = 0) ?(semantics = Strict) ?(green_count = 0) ?(size = 200)
     ?(req_seq = 0) ?(req_ack = 0) ~server ~index kind =
   {
     id = { Id.server; index };
     client;
     kind;
     semantics;
-    green_line;
+    green_count;
     size;
     req_seq;
     req_ack;

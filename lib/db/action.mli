@@ -55,8 +55,12 @@ type t = {
   client : int;  (** issuing client (0 for system actions) *)
   kind : kind;
   semantics : semantics;
-  green_line : Id.t option;
-      (** last action the creator knew green at creation time *)
+  green_count : int;
+      (** the creator's green count at creation time.  The action is
+          multicast only after the force covering its creation, so the
+          count is durable at the creator when any peer sees it: a peer
+          that greens the action learns that the creator has at least
+          this many greens (the white line of paper Figure 1). *)
   size : int;  (** wire size in bytes (the paper uses 200-byte actions) *)
   req_seq : int;
       (** durable per-client request sequence number, [> 0] when the
@@ -75,7 +79,7 @@ type t = {
 val make :
   ?client:int ->
   ?semantics:semantics ->
-  ?green_line:Id.t option ->
+  ?green_count:int ->
   ?size:int ->
   ?req_seq:int ->
   ?req_ack:int ->
@@ -83,8 +87,8 @@ val make :
   index:int ->
   kind ->
   t
-(** [size] defaults to 200 bytes; [req_seq]/[req_ack] default to 0
-    (no exactly-once tracking). *)
+(** [size] defaults to 200 bytes; [green_count], [req_seq] and
+    [req_ack] default to 0 (no exactly-once tracking). *)
 
 (** The outcome reported to the client. *)
 type response =

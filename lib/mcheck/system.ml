@@ -67,7 +67,7 @@ let digest_action (a : Action.t) =
     | Action.Interactive _ -> "i"
     | Action.Join n -> "j" ^ string_of_int n
     | Action.Leave n -> "l" ^ string_of_int n)
-  ^ match a.Action.green_line with None -> "" | Some g -> "@" ^ digest_id g
+  ^ if a.Action.green_count = 0 then "" else "@" ^ string_of_int a.green_count
 
 let digest_actions actions = String.concat ";" (List.map digest_action actions)
 let digest_set s = Format.asprintf "%a" Node_id.pp_set s
@@ -132,6 +132,7 @@ let callbacks t node_id =
     send =
       (fun ~service:_ ~size:_ payload ->
         Model.send t.model ~from:node_id payload);
+    on_resync = (fun () -> ());
   }
 
 let attach_audit t nd e =

@@ -594,6 +594,7 @@ let test_submission_is_one_frame_one_batch () =
       on_red = ignore;
       on_transfer_request = (fun ~joiner:_ ~join_green_count:_ -> ());
       on_self_leave = ignore;
+      on_resync = ignore;
       on_state_change =
         (function
         | Types.Reg_prim -> at_reg_prim := Some (counters ())
@@ -1061,7 +1062,8 @@ let test_action_queue_discard () =
 let test_action_queue_floor () =
   let q = Action_queue.create () in
   Action_queue.set_join_floor q ~count:10
-    ~line:(Some { Action.Id.server = 3; index = 4 });
+    ~line:(Some { Action.Id.server = 3; index = 4 })
+    ~cut:(Node_id.Map.singleton 3 4);
   Alcotest.(check int) "floor count" 10 (Action_queue.green_count q);
   let a = Action.make ~server:1 ~index:1 (Action.Update []) in
   let pos = Action_queue.append_green q a in
@@ -1269,6 +1271,135 @@ let test_id_table_allocates_nothing () =
        (fun a b -> Action.Id.hash a = Action.Id.hash b)
        ids probes)
 
+(* --- bounded green state ---------------------------------------------- *)
+
+(* Greenness is a per-creator cut, not a per-id index.  Reference model:
+   the per-id green set the queue used to keep, plus — for a queue
+   created at a snapshot join floor — the inherited per-creator cut the
+   engine consulted for ids it never held.  A history is a sequence of
+   creator picks, each greening that creator's next index (FIFO per
+   creator); its first [floor_len] greens arrive by snapshot, and the
+   bodies below a random position are discarded midway.  After every
+   append the two agree on every id up to one past each creator's
+   cut, and re-appending a green id is refused. *)
+let prop_green_cut_matches_id_set =
+  QCheck.Test.make ~name:"per-creator green cut = per-id green set" ~count:300
+    QCheck.(
+      quad (int_range 1 4)
+        (list_of_size Gen.(int_range 0 60) (int_bound 3))
+        (int_bound 20) (int_bound 60))
+    (fun (creators, picks, floor_len, discard_at) ->
+      let picks = List.map (fun p -> p mod creators) picks in
+      let floor_len = min floor_len (List.length picks) in
+      let next = Array.make creators 0 in
+      let inherited = Array.make creators 0 in
+      let q = Action_queue.create () in
+      let held = Action.Id.Tbl.create 64 in
+      let id c i = { Action.Id.server = c; index = i } in
+      let ref_green (x : Action.Id.t) =
+        Action.Id.Tbl.mem held x || x.index <= inherited.(x.server)
+      in
+      let agree () =
+        List.for_all
+          (fun c ->
+            List.for_all
+              (fun i -> Action_queue.is_green q (id c i) = ref_green (id c i))
+              (List.init (next.(c) + 1) (fun i -> i + 1)))
+          (List.init creators Fun.id)
+      in
+      let ok = ref true in
+      List.iteri
+        (fun pos c ->
+          next.(c) <- next.(c) + 1;
+          if pos < floor_len then begin
+            inherited.(c) <- next.(c);
+            if pos = floor_len - 1 then
+              Action_queue.set_join_floor q ~count:floor_len
+                ~line:(Some (id c next.(c)))
+                ~cut:
+                  (List.fold_left
+                     (fun m c ->
+                       if inherited.(c) > 0 then
+                         Node_id.Map.add c inherited.(c) m
+                       else m)
+                     Node_id.Map.empty (List.init creators Fun.id))
+          end
+          else begin
+            let a = Action.make ~server:c ~index:next.(c) (Action.Update []) in
+            ignore (Action_queue.append_green q a);
+            Action.Id.Tbl.replace held a.Action.id ();
+            if pos = discard_at then
+              ignore (Action_queue.discard_below q (pos / 2));
+            (match Action_queue.append_green q a with
+            | _ -> ok := false
+            | exception Invalid_argument _ -> ());
+            ok := !ok && agree ()
+          end)
+        picks;
+      !ok && agree ())
+
+(* A member whose green count is below every other member's floor — the
+   bodies it lacks were white and have been discarded everywhere — must
+   re-enter by state transfer and converge.  Replica 2 salvages a log
+   whose tail of green marks was damaged, so it comes back below the
+   count its own actions told the peers it held; the peers checkpoint
+   in the meantime and discard the bodies below that count. *)
+let test_stranded_member_resyncs () =
+  let w = make_world ~seed:33 3 in
+  start_all w;
+  run_sim w ~ms:800.;
+  for i = 1 to 45 do
+    set_kv' (rep w (i mod 3)) (Printf.sprintf "k%d" i) i;
+    run_sim w ~ms:10.
+  done;
+  run_sim w ~ms:500.;
+  let victim = rep w 2 in
+  Replica.crash victim;
+  Alcotest.(check bool) "log damaged in its first third" true
+    (Replica.corrupt_log victim ~nth:(Replica.log_entries victim / 3));
+  List.iter Replica.checkpoint_now [ rep w 0; rep w 1 ];
+  run_sim w ~ms:200.;
+  let floor = Repro_core.Engine.white_line (Replica.engine (rep w 0)) in
+  Replica.recover victim;
+  (match Replica.last_recovery victim with
+  | Some (Persist.V_salvaged _) -> ()
+  | v ->
+    Alcotest.failf "expected a salvaged log, got %s"
+      (match v with
+      | None -> "no recovery"
+      | Some v -> Format.asprintf "%a" Persist.pp_verdict v));
+  let salvaged = Repro_core.Engine.green_count (Replica.engine victim) in
+  Alcotest.(check bool)
+    (Printf.sprintf "salvaged count %d below the peers' floor %d" salvaged
+       floor)
+    true (salvaged < floor);
+  let chunks () =
+    Replica.transfer_chunks_sent (rep w 0)
+    + Replica.transfer_chunks_sent (rep w 1)
+  in
+  let chunks_before = chunks () in
+  run_sim w ~ms:3000.;
+  Alcotest.(check bool) "rejoined" true (Replica.is_ready victim);
+  Alcotest.(check bool) "served by state transfer" true
+    (chunks () > chunks_before);
+  Alcotest.(check int) "incarnation: crash + resync" 2
+    (Replica.incarnation victim);
+  (* The new incarnation mints fresh ids: its next action turns green
+     everywhere. *)
+  set_kv' victim "after" 1;
+  run_sim w ~ms:1000.;
+  Alcotest.(check int) "green everywhere" 46
+    (Repro_core.Engine.green_count (Replica.engine (rep w 0)));
+  check_db_equal "resynced member converged" (rep w 0) victim;
+  (* It holds bodies only above its transfer point. *)
+  let mine = green_ids victim and theirs = green_ids (rep w 0) in
+  Alcotest.(check bool) "same green suffix" true
+    (mine <> []
+    && List.equal Action.Id.equal mine
+         (List.filteri
+            (fun i _ -> i >= List.length theirs - List.length mine)
+            theirs))
+
 let () =
   Alcotest.run "core"
     [
@@ -1359,5 +1490,11 @@ let () =
             test_dedup_allocates_nothing;
           Alcotest.test_case "action-id table allocates nothing" `Quick
             test_id_table_allocates_nothing;
+        ] );
+      ( "green-state",
+        [
+          QCheck_alcotest.to_alcotest prop_green_cut_matches_id_set;
+          Alcotest.test_case "stranded member resyncs by transfer" `Quick
+            test_stranded_member_resyncs;
         ] );
     ]

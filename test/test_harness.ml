@@ -273,6 +273,48 @@ let test_admission_plateau () =
     (Printf.sprintf "8000/s without admission: cpu queue %d >= 1000" bare_queue)
     true (bare_queue >= 1_000)
 
+(* Live memory is bounded by the checkpoint cadence, not by history:
+   every green action carries its creator's green count, so the white
+   line advances in steady state and each checkpoint frees the bodies
+   below it.  Three replicas run one closed loop each (fixed keys, no
+   exactly-once tracking, nothing recorded per request).  The words
+   reachable from the world are sampled every 250 virtual ms; their
+   peak over [0, 2T] stays within 10% of their peak over [0, T].  With
+   the white line stuck between view changes, every green body stayed
+   live and the peak grew with the window. *)
+let test_live_memory_flat () =
+  let w = World.make ~n:3 () in
+  World.run w ~ms:1000.;
+  List.iter
+    (fun r ->
+      let key = Printf.sprintf "loop%d" (Replica.node r) in
+      let rec loop i =
+        Replica.submit r
+          (Action.Update [ Op.Set (key, Value.Int i) ])
+          ~on_response:(fun _ -> loop (i + 1))
+      in
+      loop 1)
+    (World.replicas w);
+  let peak = ref 0 in
+  let run_for ms =
+    for _ = 1 to int_of_float (ms /. 250.) do
+      World.run w ~ms:250.;
+      peak := max !peak (Obj.reachable_words (Obj.repr w))
+    done;
+    (!peak, Engine.green_count (Replica.engine (World.replica w 0)))
+  in
+  let peak_t, greens_t = run_for 12_000. in
+  let peak_2t, greens_2t = run_for 12_000. in
+  Alcotest.(check bool)
+    (Printf.sprintf "the loops ran (%d then %d greens)" greens_t greens_2t)
+    true
+    (greens_t >= 6_000 && greens_2t >= 2 * greens_t - 100);
+  Alcotest.(check bool)
+    (Printf.sprintf "peak reachable words flat: %d over T, %d over 2T" peak_t
+       peak_2t)
+    true
+    (float_of_int peak_2t <= 1.1 *. float_of_int peak_t)
+
 let () =
   Alcotest.run "harness"
     [
@@ -311,4 +353,9 @@ let () =
         [ Alcotest.test_case "white line advances" `Quick test_white_line_advances ] );
       ( "overload",
         [ Alcotest.test_case "admission plateau" `Slow test_admission_plateau ] );
+      ( "memory",
+        [
+          Alcotest.test_case "live memory flat in time" `Quick
+            test_live_memory_flat;
+        ] );
     ]

@@ -243,6 +243,21 @@ let test_nemesis_deterministic () =
   let b = Nemesis.run ~config () in
   Alcotest.(check bool) "same outcome" true (a = b)
 
+(* Regression campaigns.  At seeds 10 and 40 one member came back from
+   its faults with a green count below every body the group still held:
+   the green retransmission plan could not cover the gap, so the state
+   exchange never finished and the member stayed stuck for the rest of
+   the run.  Such a member now re-enters by state transfer, and both
+   campaigns must converge with every checker silent. *)
+let test_nemesis_campaign_clean seed () =
+  let config = { Nemesis.default_config with seed; active_ms = 3_000. } in
+  let o = Nemesis.run ~config () in
+  Alcotest.(check (list string))
+    "no checker violations" [] o.Nemesis.o_violations;
+  Alcotest.(check bool) "converged" true (Nemesis.converged o);
+  Alcotest.(check int)
+    "every replica ready" config.Nemesis.nodes o.Nemesis.o_ready
+
 let () =
   Alcotest.run "nemesis"
     [
@@ -268,5 +283,12 @@ let () =
             test_nemesis_campaign_seed42;
           Alcotest.test_case "seeded campaign is deterministic" `Quick
             test_nemesis_deterministic;
+        ] );
+      ( "regression",
+        [
+          Alcotest.test_case "seed 10 converges" `Quick
+            (test_nemesis_campaign_clean 10);
+          Alcotest.test_case "seed 40 converges" `Quick
+            (test_nemesis_campaign_clean 40);
         ] );
     ]
