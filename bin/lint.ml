@@ -1,8 +1,8 @@
 (* The static-analysis driver (see lib/analysis for the framework).
 
    Loads the .cmt typed ASTs dune produced for the units under the
-   given roots (default: lib) and runs, on one shared traversal
-   infrastructure:
+   given roots (default: lib) and runs, on one shared typed-AST walker
+   (Repro_analysis.Walk):
 
    - the pattern-level rule catalogue (Repro_analysis.Rules);
    - interprocedural effect inference (Repro_analysis.Effects) feeding
@@ -12,12 +12,17 @@
    - spec drift (Repro_analysis.Specdrift): the engine_state transition
      graph statically extracted from the core, diffed against the
      Figure 4 table exported by Repro_check.Spec — transitions in code
-     but not in spec (or vice versa) fail the build.
+     but not in spec (or vice versa) fail the build;
+   - ambient mutable state (Repro_analysis.Globals);
+   - hot-path cost budgets (Repro_analysis.Cost; --cost also prints the
+     ranked table of every function a hot path reaches);
+   - procedure key-space footprints (Repro_analysis.Procfoot), written
+     as the procedure manifest with --manifest or --procedures.
 
    Output is deterministic: findings are deduplicated and totally
    ordered, and --report writes a SARIF-lite JSON that is byte-
-   identical across runs over the same tree.  --baseline grandfathers
-   known findings: the exit code then reflects *new* findings only.
+   identical across runs over the same tree.  Any finding fails the
+   run (exit 1) unless --exit-zero is given.
 
    Runs from the build context root (dune executes it in
    _build/default), so the .cmt files and the copied sources are
@@ -39,7 +44,6 @@ type config = {
   mutable passes : string list;  (* [] = every pass *)
   mutable manifest : string option;  (* procedure-manifest output path *)
   mutable report : string option;
-  mutable baseline : string option;
   mutable drift : drift_mode;
   mutable exit_zero : bool;
 }
@@ -49,7 +53,7 @@ let usage () =
     "usage: lint.exe [--core PREFIX]... [--entry PREFIX]...\n\
     \                [--cost] [--procedures] [--manifest FILE]\n\
     \                [--drift full|code-only]\n\
-    \                [--report FILE] [--baseline FILE] [--exit-zero] [ROOT]...\n\
+    \                [--report FILE] [--exit-zero] [ROOT]...\n\
      By default every pass runs; --cost / --procedures restrict the \n\
      run to the named passes.  --procedures writes the key-space \n\
      footprint manifest (procedure-manifest.json unless --manifest \n\
@@ -65,7 +69,6 @@ let parse_args () =
       passes = [];
       manifest = None;
       report = None;
-      baseline = None;
       drift = Drift_full;
       exit_zero = false;
     }
@@ -91,9 +94,6 @@ let parse_args () =
     | "--report" :: v :: rest ->
       cfg.report <- Some v;
       go rest
-    | "--baseline" :: v :: rest ->
-      cfg.baseline <- Some v;
-      go rest
     | "--drift" :: v :: rest ->
       (cfg.drift <-
          (match v with
@@ -117,27 +117,10 @@ let parse_args () =
   if cfg.entry = [] then cfg.entry <- [ "lib/core/"; "lib/db/"; "lib/gcs/" ];
   cfg
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let write_file path contents =
   let oc = open_out_bin path in
   output_string oc contents;
   close_out oc
-
-let load_report path =
-  match A.Diag.parse_report (read_file path) with
-  | findings -> findings
-  | exception Sys_error msg ->
-    Printf.eprintf "lint: cannot read %s: %s\n" path msg;
-    exit 2
-  | exception A.Diag.Parse_error msg ->
-    Printf.eprintf "lint: cannot parse %s: %s\n" path msg;
-    exit 2
 
 (* --- spec drift wiring ----------------------------------------------- *)
 
@@ -163,7 +146,7 @@ let run_drift cfg (eff : A.Effects.t) sink =
         | Some loc -> loc
         | None -> spec_loc
       in
-      A.Diag.addf sink ~rule:"spec-drift" ~loc
+      A.Diag.addf sink ~rule:A.Specdrift.rule ~loc
         "transition %s -> %s is taken in code but is not an edge of the \
          Fig. 4 specification (lib/check/spec.ml); either the engine or \
          the spec table is wrong"
@@ -172,7 +155,7 @@ let run_drift cfg (eff : A.Effects.t) sink =
   if cfg.drift = Drift_full then
     List.iter
       (fun (from_, target) ->
-        A.Diag.addf sink ~rule:"spec-drift" ~loc:spec_loc
+        A.Diag.addf sink ~rule:A.Specdrift.rule ~loc:spec_loc
           "Fig. 4 edge %s -> %s has no corresponding transition in the core \
            (%s); dead spec edges hide refinement gaps"
           from_ target
@@ -195,8 +178,17 @@ let () =
      so the @lint and @analyze dune rules cover every pass without
      changing their command lines; naming passes restricts the run. *)
   let want p = cfg.passes = [] || List.mem p cfg.passes in
-  if want "rules" then A.Rules.run ~core:cfg.core graph sink;
-  let eff = A.Effects.infer graph in
+  let sites = ref [] in
+  let eff =
+    A.Effects.infer graph
+      ((if want "rules" then [ A.Rules.visitor ~core:cfg.core graph sink ]
+        else [])
+      @ (if want "cost" then [ A.Cost.comparator_visitor sink ] else [])
+      @
+      if want "procedures" || cfg.manifest <> None then
+        [ A.Procfoot.visitor graph sites ]
+      else [])
+  in
   if want "writeahead" then A.Writeahead.run eff ~core:cfg.core sink;
   if want "drift" then run_drift cfg eff sink;
   if want "globals" then A.Globals.run eff ~entry:cfg.entry sink;
@@ -209,7 +201,7 @@ let () =
     if List.mem "cost" cfg.passes then print_string (A.Cost.ranked_table cost)
   end;
   if want "procedures" || cfg.manifest <> None then begin
-    let procs = A.Procfoot.analyze eff in
+    let procs = A.Procfoot.analyze eff !sites in
     if want "procedures" then A.Procfoot.run procs sink;
     match cfg.manifest with
     | Some path -> write_file path (A.Procfoot.manifest_json procs)
@@ -219,28 +211,9 @@ let () =
   (match cfg.report with
   | Some path -> write_file path (A.Diag.report_json diags)
   | None -> ());
-  let effective =
-    match cfg.baseline with
-    | Some path ->
-      let baseline = load_report path in
-      List.iter
-        (fun d ->
-          Printf.printf
-            "lint: note: stale baseline entry (no current finding): %s %s %s\n"
-            d.A.Diag.d_rule d.A.Diag.d_file d.A.Diag.d_message)
-        (A.Diag.stale_baseline ~baseline diags);
-      A.Diag.new_findings ~baseline diags
-    | None -> diags
-  in
-  match (diags, effective) with
-  | [], _ ->
-    Printf.printf "lint: %d compilation units clean\n" (List.length units)
-  | _, [] ->
+  match diags with
+  | [] -> Printf.printf "lint: %d compilation units clean\n" (List.length units)
+  | _ ->
     List.iter (fun d -> Format.eprintf "%a@.@." A.Diag.pp d) diags;
-    Printf.printf "lint: %d finding(s), all grandfathered in the baseline\n"
-      (List.length diags)
-  | _, fresh ->
-    List.iter (fun d -> Format.eprintf "%a@.@." A.Diag.pp d) diags;
-    Printf.eprintf "lint: %d finding(s), %d new\n" (List.length diags)
-      (List.length fresh);
+    Printf.eprintf "lint: %d finding(s)\n" (List.length diags);
     if not cfg.exit_zero then exit 1

@@ -31,24 +31,11 @@ type fn = {
 
 type t = {
   fns : (string, fn) Hashtbl.t;
-  keys : string list;  (** insertion order: unit order, then source order *)
+  order : fn list;  (** insertion order: unit order, then source order *)
   aliases : (string, (string * string) list) Hashtbl.t;
       (** per mangled unit: structure-level [module X = P] aliases *)
   units : Cmt_load.unit_info list;
 }
-
-(* Every direct subexpression of [e], in syntactic order — the generic
-   child step for hand-rolled walks, via a one-level Tast_iterator. *)
-let subexprs (e : Typedtree.expression) =
-  let acc = ref [] in
-  let it =
-    {
-      Tast_iterator.default_iterator with
-      expr = (fun _ e' -> acc := e' :: !acc);
-    }
-  in
-  Tast_iterator.default_iterator.expr it e;
-  List.rev !acc
 
 let bound_functions (str : Typedtree.structure) =
   List.concat_map
@@ -97,7 +84,7 @@ let unit_aliases (str : Typedtree.structure) =
 
 let build (units : Cmt_load.unit_info list) =
   let fns = Hashtbl.create 256 in
-  let keys = ref [] in
+  let order = ref [] in
   let aliases = Hashtbl.create 16 in
   List.iter
     (fun (u : Cmt_load.unit_info) ->
@@ -106,16 +93,26 @@ let build (units : Cmt_load.unit_info list) =
         (fun (name, expr, loc, attrs) ->
           let key = u.u_name ^ "." ^ name in
           if not (Hashtbl.mem fns key) then begin
-            Hashtbl.replace fns key
+            let fn =
               { f_key = key; f_unit = u; f_name = name; f_expr = expr;
-                f_loc = loc; f_attrs = attrs };
-            keys := key :: !keys
+                f_loc = loc; f_attrs = attrs }
+            in
+            Hashtbl.replace fns key fn;
+            order := fn :: !order
           end)
         (bound_functions u.u_str))
     units;
-  { fns; keys = List.rev !keys; aliases; units }
+  { fns; order = List.rev !order; aliases; units }
 
 let find t key = Hashtbl.find_opt t.fns key
+
+(* The table functions in table order; [within] keeps those whose source
+   is under one of the prefixes (the [--core] scope). *)
+let table_fns ?within t =
+  match within with
+  | None -> t.order
+  | Some prefixes ->
+    List.filter (fun fn -> Cmt_load.under prefixes fn.f_unit.Cmt_load.u_src) t.order
 
 (* The library wrapper of a mangled unit name:
    "Repro_core__Engine" -> "Repro_core"; a plain unit is its own. *)
@@ -251,23 +248,10 @@ let attr (fn : fn) name =
     (fun (a : Parsetree.attribute) ->
       if a.attr_name.txt <> name then None
       else
-        Some
-          (match a.attr_payload with
-          | Parsetree.PStr
-              [
-                {
-                  pstr_desc =
-                    Parsetree.Pstr_eval
-                      ( {
-                          pexp_desc =
-                            Parsetree.Pexp_constant
-                              (Parsetree.Pconst_string (s, _, _));
-                          _;
-                        },
-                        _ );
-                  _;
-                };
-              ] ->
-            s
-          | _ -> ""))
+        match a.attr_payload with
+        | Parsetree.PStr
+            [ { pstr_desc = Pstr_eval ({ pexp_desc = Pexp_constant c; _ }, _); _ } ]
+          -> (
+          match c with Parsetree.Pconst_string (s, _, _) -> Some s | _ -> Some "")
+        | _ -> Some "")
     fn.f_attrs

@@ -58,6 +58,17 @@ let has_prefix prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
+(* Is source path [src] under one of [prefixes]?  The one scope test of
+   every pass ([--core], [--entry], the rule catalogue's allow-lists). *)
+let under prefixes src = List.exists (fun p -> has_prefix p src) prefixes
+
+(* [p] is [Stdlib.s] for one of [names] (an operator as the typechecker
+   records it). *)
+let stdlib_ident p names =
+  match p with
+  | Path.Pdot (Path.Pident m, s) -> Ident.name m = "Stdlib" && List.mem s names
+  | _ -> false
+
 (* Strip the dune mangling from one dot-component:
    "Repro_net__Node_id" -> "Node_id".  A trailing "__" (the wrapper
    alias module "Repro_core__") has no tail and is left alone. *)
@@ -99,13 +110,20 @@ let type_constr_name ty =
   | Types.Tconstr (p, _, _) -> Some (demangle (path_name p))
   | _ -> None
 
-let is_engine_state ty =
-  match type_constr_name ty with
-  | Some name ->
-    name = "engine_state" || Filename.check_suffix name ".engine_state"
-  | None -> false
+(* [name] is [x] itself or a qualified spelling of it: "Wlog.recover"
+   answers to "Wlog.recover" and "Repro_storage.Wlog.recover". *)
+let is_named x name = name = x || Filename.check_suffix name ("." ^ x)
 
-let is_value_type ty =
-  match type_constr_name ty with
-  | Some name -> name = "Value.t" || Filename.check_suffix name ".Value.t"
-  | None -> false
+let has_type x ty =
+  match type_constr_name ty with Some name -> is_named x name | None -> false
+
+(* The head type constructor after abbreviation expansion, with its
+   [normalize]d name: type paths reach here spelled through the stdlib
+   alias chain ("Stdlib.Hashtbl.t"), and the leading Stdlib must not
+   hide a container. *)
+let expand env ty = try Ctype.expand_head env ty with _ -> ty
+
+let head_constr env ty =
+  match Types.get_desc (expand env ty) with
+  | Types.Tconstr (p, args, _) -> Some (normalize (path_name p), p, args)
+  | _ -> None

@@ -33,8 +33,7 @@
    Budgets are declared at the roots: [@@analysis.hotpath "O(queue)"]
    on a per-event handler fails the build if the propagated summary
    exceeds the budget, with the offending scan or allocation site as
-   the finding location.  Messages carry no line numbers, so baselines
-   survive code motion (Diag fingerprints are rule+file+message).
+   the finding location.
 
    Approximations, documented in DESIGN.md §15: mutual recursion
    between top-level functions is approximated by summary join (the
@@ -48,8 +47,6 @@ type summary = {
   s_wwit : (int * Location.t * string) list;  (* per-bit work witness *)
   s_awit : (int * Location.t * string) list;  (* per-bit alloc witness *)
 }
-
-let empty_summary = { s_work = 0; s_alloc = 0; s_wwit = []; s_awit = [] }
 
 type t = {
   eff : Effects.t;  (** the call graph and its reference edges *)
@@ -149,13 +146,15 @@ let is_constant (e : Typedtree.expression) =
 
 (* --- the body scan ----------------------------------------------------- *)
 
-let summary_masks t key =
+(* A function's masks and witnesses; a trusted summary replaces the
+   computed one. *)
+let effective t key =
   match Hashtbl.find_opt t.trusted key with
-  | Some (w, a) -> (w, a)
+  | Some (w, a) -> (w, a, [], [])
   | None -> (
     match Hashtbl.find_opt t.summaries key with
-    | Some s -> (s.s_work, s.s_alloc)
-    | None -> (0, 0))
+    | Some s -> (s.s_work, s.s_alloc, s.s_wwit, s.s_awit)
+    | None -> (0, 0, [], []))
 
 (* The contribution of a saturated callee with masks [(w, a)] invoked
    in loop context [ctx].  [elem] marks a call whose argument is a bare
@@ -205,7 +204,7 @@ let scan t (fn : Callgraph.fn) =
     if g.Callgraph.f_key = fn.Callgraph.f_key then
       add_work loc "a recursive call (bound not inferred)" Loops.top
     else begin
-      let w, a = summary_masks t g.Callgraph.f_key in
+      let w, a, _, _ = effective t g.Callgraph.f_key in
       let cw, ca = contrib ~ctx ~elem (w, a) in
       add_work loc
         (Printf.sprintf "calls %s (work %s)" (pretty g.Callgraph.f_key)
@@ -225,63 +224,51 @@ let scan t (fn : Callgraph.fn) =
            (Loops.to_string ctx))
         ctx
   in
-  let rec walk ctx elems (e : Typedtree.expression) =
+  let alloc_noun (e : Typedtree.expression) =
     match e.exp_desc with
-    | Typedtree.Texp_ident (p, _, _) -> (
-      match resolve p with
-      | Some g -> callee_at ~ctx ~elem:false e.exp_loc g
-      | None -> ())
-    | Typedtree.Texp_apply (f, args) -> apply ctx elems e f args
-    | Typedtree.Texp_function { cases; _ } ->
-      alloc_site ctx e.exp_loc "a closure";
-      List.iter
-        (fun (c : _ Typedtree.case) ->
-          Option.iter (walk ctx elems) c.c_guard;
-          walk ctx elems c.c_rhs)
-        cases
-    | Typedtree.Texp_let (rec_flag, vbs, body) ->
-      if
-        rec_flag = Asttypes.Recursive
-        && List.exists
+    | Typedtree.Texp_function _ -> Some "a closure"
+    | Typedtree.Texp_tuple _ -> Some "a tuple"
+    | Typedtree.Texp_record _ -> Some "a record"
+    | Typedtree.Texp_array _ -> Some "an array"
+    | Typedtree.Texp_construct (_, _, _ :: _) -> Some "a constructor"
+    | Typedtree.Texp_variant (_, Some _) -> Some "a variant"
+    | _ -> None
+  in
+  (* The context is the loop class and the enclosing element variables;
+     nothing flows. *)
+  let rec transfer go (ctx, elems) () (e : Typedtree.expression) =
+    let walk ctx e = go (ctx, elems) () e in
+    match e.exp_desc with
+    | Typedtree.Texp_ident (p, _, _) ->
+      Option.iter (callee_at ~ctx ~elem:false e.exp_loc) (resolve p);
+      Some ()
+    | Typedtree.Texp_apply (f, args) -> Some (apply go ctx elems e f args)
+    | Typedtree.Texp_let (Asttypes.Recursive, vbs, _)
+      when List.exists
              (fun (vb : Typedtree.value_binding) ->
-               match vb.vb_expr.exp_desc with
-               | Typedtree.Texp_function _ -> true
-               | _ -> false)
-             vbs
-      then
-        add_work e.exp_loc
-          "a locally recursive function (bound not inferred)" Loops.top;
-      List.iter
-        (fun (vb : Typedtree.value_binding) -> walk ctx elems vb.vb_expr)
-        vbs;
-      walk ctx elems body
-    | Typedtree.Texp_while _ ->
+               Effects.is_fun_literal vb.vb_expr)
+             vbs ->
+      add_work e.exp_loc "a locally recursive function (bound not inferred)"
+        Loops.top;
+      None
+    | Typedtree.Texp_while (cond, body) ->
       add_work e.exp_loc "a while loop (bound not inferred)" Loops.top;
-      List.iter (walk Loops.top elems) (Callgraph.subexprs e)
+      walk Loops.top cond;
+      walk Loops.top body;
+      Some ()
     | Typedtree.Texp_for (_, _, lo, hi, _, body) ->
       let const_bounds = is_constant lo && is_constant hi in
       if not const_bounds then
         add_work e.exp_loc "a for loop with a non-constant bound" Loops.top;
-      walk ctx elems lo;
-      walk ctx elems hi;
-      walk (if const_bounds then ctx else Loops.top) elems body
-    | Typedtree.Texp_tuple _ ->
-      alloc_site ctx e.exp_loc "a tuple";
-      List.iter (walk ctx elems) (Callgraph.subexprs e)
-    | Typedtree.Texp_record _ ->
-      alloc_site ctx e.exp_loc "a record";
-      List.iter (walk ctx elems) (Callgraph.subexprs e)
-    | Typedtree.Texp_array _ ->
-      alloc_site ctx e.exp_loc "an array";
-      List.iter (walk ctx elems) (Callgraph.subexprs e)
-    | Typedtree.Texp_construct (_, _, args) when args <> [] ->
-      alloc_site ctx e.exp_loc "a constructor";
-      List.iter (walk ctx elems) (Callgraph.subexprs e)
-    | Typedtree.Texp_variant (_, Some _) ->
-      alloc_site ctx e.exp_loc "a variant";
-      List.iter (walk ctx elems) (Callgraph.subexprs e)
-    | _ -> List.iter (walk ctx elems) (Callgraph.subexprs e)
-  and apply ctx elems e f args =
+      walk ctx lo;
+      walk ctx hi;
+      walk (if const_bounds then ctx else Loops.top) body;
+      Some ()
+    | _ ->
+      Option.iter (alloc_site ctx e.exp_loc) (alloc_noun e);
+      None
+  and apply go ctx elems e f args =
+    let walk ctx elems a = go (ctx, elems) () a in
     let arg_exprs = List.filter_map (fun (_, a) -> a) args in
     match f.Typedtree.exp_desc with
     | Typedtree.Texp_ident (p, _, _) -> (
@@ -293,8 +280,8 @@ let scan t (fn : Callgraph.fn) =
            is [List.filter p xs], not an application with no target. *)
         (match g.Typedtree.exp_desc with
         | Typedtree.Texp_apply (h, pargs) ->
-          apply ctx elems e h (pargs @ [ (Asttypes.Nolabel, Some x) ])
-        | _ -> apply ctx elems e g [ (Asttypes.Nolabel, Some x) ])
+          apply go ctx elems e h (pargs @ [ (Asttypes.Nolabel, Some x) ])
+        | _ -> apply go ctx elems e g [ (Asttypes.Nolabel, Some x) ])
       | _ -> (
       match Loops.scan_target canon with
       | Some { Loops.sc_arg; sc_allocs } ->
@@ -342,7 +329,7 @@ let scan t (fn : Callgraph.fn) =
         List.iteri
           (fun i a ->
             if i = sc_arg then walk ctx elems a
-            else if is_arrow a.Typedtree.exp_type then iteratee eff elems a
+            else if is_arrow a.Typedtree.exp_type then iteratee go eff elems a
             else walk ctx elems a)
           arg_exprs
       | None -> (
@@ -366,40 +353,32 @@ let scan t (fn : Callgraph.fn) =
       (* A curried application chain — what the typechecker leaves of
          [xs |> List.filter p] — flattens to one call with all the
          arguments, so the scan combinator sees its collection. *)
-      apply ctx elems e g (pargs @ args)
+      apply go ctx elems e g (pargs @ args)
     | _ ->
       walk ctx elems f;
       List.iter (walk ctx elems) arg_exprs
   (* An arrow-typed argument of an iteration primitive: runs once per
      element of an [eff]-bounded loop. *)
-  and iteratee eff elems (a : Typedtree.expression) =
+  and iteratee go eff elems (a : Typedtree.expression) =
+    let walk ctx elems a = go (ctx, elems) () a in
     match a.Typedtree.exp_desc with
     | Typedtree.Texp_function _ ->
       let vars, bodies = strip_params a in
       List.iter (walk eff (vars @ elems)) bodies
-    | Typedtree.Texp_ident (p, _, _) -> (
-      match resolve p with
-      | Some g -> callee_at ~ctx:eff ~elem:true a.Typedtree.exp_loc g
-      | None -> ())
+    | Typedtree.Texp_ident (p, _, _) ->
+      Option.iter (callee_at ~ctx:eff ~elem:true a.Typedtree.exp_loc) (resolve p)
     | Typedtree.Texp_apply ({ exp_desc = Typedtree.Texp_ident (p, _, _); _ }, pargs)
-      -> (
+      ->
       let pre = List.filter_map (fun (_, x) -> x) pargs in
-      (match resolve p with
-      | Some g -> callee_at ~ctx:eff ~elem:true a.Typedtree.exp_loc g
-      | None -> ());
+      Option.iter (callee_at ~ctx:eff ~elem:true a.Typedtree.exp_loc) (resolve p);
       (* the closed-over arguments are evaluated once, outside the loop *)
-      List.iter (walk 0 elems) pre)
+      List.iter (walk 0 elems) pre
     | _ -> walk eff elems a
   in
-  List.iter (walk 0 []) bodies;
+  List.iter (Walk.descend transfer (0, [])) bodies;
   { s_work = !work; s_alloc = !alloc; s_wwit = !wwit; s_awit = !awit }
 
 (* --- the fixpoint ------------------------------------------------------ *)
-
-let table_fns (graph : Callgraph.t) =
-  List.filter_map
-    (fun key -> Callgraph.find graph key)
-    graph.Callgraph.keys
 
 let analyze (eff : Effects.t) =
   let graph = eff.Effects.graph in
@@ -411,7 +390,7 @@ let analyze (eff : Effects.t) =
       bad_trusted = [];
     }
   in
-  let fns = table_fns graph in
+  let fns = Callgraph.table_fns graph in
   List.iter
     (fun fn ->
       match Callgraph.attr fn trusted_attr with
@@ -447,15 +426,7 @@ let roots t =
       match Callgraph.attr fn hotpath_attr with
       | Some budget -> Some (fn, budget)
       | None -> None)
-    (table_fns t.eff.Effects.graph)
-
-let effective t key =
-  match Hashtbl.find_opt t.trusted key with
-  | Some (w, a) -> (w, a, [], [])
-  | None -> (
-    match Hashtbl.find_opt t.summaries key with
-    | Some s -> (s.s_work, s.s_alloc, s.s_wwit, s.s_awit)
-    | None -> (0, 0, [], []))
+    (Callgraph.table_fns t.eff.Effects.graph)
 
 let offending mask budget =
   if Loops.is_top mask then [ Loops.top ]
@@ -466,32 +437,28 @@ let witness_for wits fallback_loc bit =
   | Some (_, loc, desc) -> (loc, desc)
   | None -> (fallback_loc, "propagated from a trusted summary")
 
+(* The boxed-float-comparator rule is structural, not budgeted: the
+   shape is wrong wherever it appears in a table function.  A visitor on
+   the shared walk. *)
+let comparator_visitor sink : Walk.visitor =
+ fun fn _ e ->
+  match (fn, e.Typedtree.exp_desc) with
+  | Some _, Typedtree.Texp_apply (_, args) ->
+    List.iter
+      (fun (_, a) ->
+        match a with
+        | Some a when is_float_comparator_literal a ->
+          Diag.add sink ~rule:comparator_rule ~loc:a.Typedtree.exp_loc
+            "float comparator closure passed to a polymorphic \
+             higher-order function: both floats are boxed on every \
+             comparison; specialize the container to unboxed keys \
+             (int-keyed heap, float array sort via Float.compare)"
+        | _ -> ())
+      args
+  | _ -> ()
+
 let run t sink =
-  let fns = table_fns t.eff.Effects.graph in
-  (* The boxed-float-comparator rule is structural, not budgeted: the
-     shape is wrong wherever it appears on analyzed code. *)
-  List.iter
-    (fun (fn : Callgraph.fn) ->
-      let hook it (e : Typedtree.expression) =
-        (match e.Typedtree.exp_desc with
-        | Typedtree.Texp_apply (_, args) ->
-          List.iter
-            (fun (_, a) ->
-              match a with
-              | Some a when is_float_comparator_literal a ->
-                Diag.add sink ~rule:comparator_rule ~loc:a.Typedtree.exp_loc
-                  "float comparator closure passed to a polymorphic \
-                   higher-order function: both floats are boxed on every \
-                   comparison; specialize the container to unboxed keys \
-                   (int-keyed heap, float array sort via Float.compare)"
-              | _ -> ())
-            args
-        | _ -> ());
-        Tast_iterator.default_iterator.expr it e
-      in
-      let it = { Tast_iterator.default_iterator with expr = hook } in
-      it.Tast_iterator.expr it fn.Callgraph.f_expr)
-    fns;
+  let fns = Callgraph.table_fns t.eff.Effects.graph in
   List.iter
     (fun ((fn : Callgraph.fn), s) ->
       Diag.addf sink ~rule:annot_rule ~loc:fn.Callgraph.f_loc
@@ -577,14 +544,7 @@ let ranked_table t =
   let rows =
     List.sort
       (fun (rw1, ra1, n1, k1, _, _) (rw2, ra2, n2, k2, _, _) ->
-        let c = compare rw2 rw1 in
-        if c <> 0 then c
-        else
-          let c = compare ra2 ra1 in
-          if c <> 0 then c
-          else
-            let c = compare n1 n2 in
-            if c <> 0 then c else compare k1 k2)
+        compare (rw2, ra2, n1, k1) (rw1, ra1, n2, k2))
       rows
   in
   let b = Buffer.create 1024 in

@@ -15,9 +15,7 @@
 
    The JSON report is SARIF-lite: a fixed top-level shape with a
    [findings] array, hand-rolled with a fixed key order and no
-   timestamps so two runs over the same tree are byte-identical.  The
-   parser below reads exactly that shape back (for baseline
-   comparison); it is not a general JSON parser. *)
+   timestamps so two runs over the same tree are byte-identical. *)
 
 type t = {
   d_rule : string;
@@ -107,163 +105,3 @@ let report_json diags =
   if diags <> [] then Buffer.add_string b "\n  ";
   Buffer.add_string b "]\n}\n";
   Buffer.contents b
-
-(* --- JSON parsing (the report shape only) --------------------------- *)
-
-exception Parse_error of string
-
-type token =
-  | Tok_lbrace
-  | Tok_rbrace
-  | Tok_lbracket
-  | Tok_rbracket
-  | Tok_colon
-  | Tok_comma
-  | Tok_string of string
-  | Tok_int of int
-  | Tok_eof
-
-let tokenize s =
-  let toks = ref [] and i = ref 0 in
-  let len = String.length s in
-  let push t = toks := t :: !toks in
-  while !i < len do
-    (match s.[!i] with
-    | ' ' | '\t' | '\n' | '\r' -> incr i
-    | '{' -> push Tok_lbrace; incr i
-    | '}' -> push Tok_rbrace; incr i
-    | '[' -> push Tok_lbracket; incr i
-    | ']' -> push Tok_rbracket; incr i
-    | ':' -> push Tok_colon; incr i
-    | ',' -> push Tok_comma; incr i
-    | '"' ->
-      incr i;
-      let b = Buffer.create 16 in
-      let rec str () =
-        if !i >= len then raise (Parse_error "unterminated string")
-        else
-          match s.[!i] with
-          | '"' -> incr i
-          | '\\' ->
-            if !i + 1 >= len then raise (Parse_error "bad escape");
-            (match s.[!i + 1] with
-            | '"' -> Buffer.add_char b '"'
-            | '\\' -> Buffer.add_char b '\\'
-            | 'n' -> Buffer.add_char b '\n'
-            | 't' -> Buffer.add_char b '\t'
-            | 'r' -> Buffer.add_char b '\r'
-            | 'u' ->
-              if !i + 5 >= len then raise (Parse_error "bad \\u escape");
-              let code = int_of_string ("0x" ^ String.sub s (!i + 2) 4) in
-              Buffer.add_char b (Char.chr (code land 0xff));
-              i := !i + 4
-            | c -> raise (Parse_error (Printf.sprintf "bad escape \\%c" c)));
-            i := !i + 2;
-            str ()
-          | c ->
-            Buffer.add_char b c;
-            incr i;
-            str ()
-      in
-      str ();
-      push (Tok_string (Buffer.contents b))
-    | '-' | '0' .. '9' ->
-      let start = !i in
-      incr i;
-      while !i < len && (match s.[!i] with '0' .. '9' -> true | _ -> false) do
-        incr i
-      done;
-      push (Tok_int (int_of_string (String.sub s start (!i - start))))
-    | c -> raise (Parse_error (Printf.sprintf "unexpected character %c" c)))
-  done;
-  push Tok_eof;
-  List.rev !toks
-
-let parse_report s =
-  let toks = ref (tokenize s) in
-  let next () =
-    match !toks with
-    | [] -> Tok_eof
-    | t :: rest ->
-      toks := rest;
-      t
-  in
-  let expect t =
-    let got = next () in
-    if got <> t then raise (Parse_error "unexpected token")
-  in
-  let expect_string () =
-    match next () with
-    | Tok_string s -> s
-    | _ -> raise (Parse_error "expected string")
-  in
-  (* Skips a value we do not care about (strings and ints only: the
-     report format has no nested values outside [findings]). *)
-  let rec parse_finding () =
-    expect Tok_lbrace;
-    let rule = ref "" and file = ref "" and line = ref 0 and col = ref 0 in
-    let message = ref "" in
-    let rec fields () =
-      let key = expect_string () in
-      expect Tok_colon;
-      (match (key, next ()) with
-      | "rule", Tok_string s -> rule := s
-      | "file", Tok_string s -> file := s
-      | "line", Tok_int n -> line := n
-      | "col", Tok_int n -> col := n
-      | "message", Tok_string s -> message := s
-      | _ -> raise (Parse_error "unexpected finding field"));
-      match next () with
-      | Tok_comma -> fields ()
-      | Tok_rbrace -> ()
-      | _ -> raise (Parse_error "expected , or } in finding")
-    in
-    fields ();
-    { d_rule = !rule; d_file = !file; d_line = !line; d_col = !col;
-      d_message = !message }
-  and parse_findings acc =
-    match next () with
-    | Tok_rbracket -> List.rev acc
-    | Tok_comma -> parse_findings acc
-    | Tok_lbrace ->
-      toks := Tok_lbrace :: !toks;
-      parse_findings (parse_finding () :: acc)
-    | _ -> raise (Parse_error "expected finding or ]")
-  in
-  expect Tok_lbrace;
-  let findings = ref [] in
-  let rec top () =
-    let key = expect_string () in
-    expect Tok_colon;
-    (match key with
-    | "findings" ->
-      expect Tok_lbracket;
-      findings := parse_findings []
-    | _ -> ignore (next ()) (* version / tool: a scalar *));
-    match next () with
-    | Tok_comma -> top ()
-    | Tok_rbrace -> ()
-    | _ -> raise (Parse_error "expected , or } at top level")
-  in
-  top ();
-  !findings
-
-(* --- baseline comparison -------------------------------------------- *)
-
-(* The fingerprint deliberately drops line/col: shifting code around a
-   grandfathered finding must not resurface it as "new". *)
-let fingerprint d = (d.d_rule, d.d_file, d.d_message)
-
-let new_findings ~baseline diags =
-  let known = Hashtbl.create 64 in
-  List.iter (fun d -> Hashtbl.replace known (fingerprint d) ()) baseline;
-  List.filter (fun d -> not (Hashtbl.mem known (fingerprint d))) diags
-
-(* The other direction: baseline entries no current finding matches.
-   An obsolete fingerprint is debt — it would silently grandfather a
-   *re-introduced* instance of the finding it once excused — so the
-   driver surfaces these as notes whenever a baseline is in play. *)
-let stale_baseline ~baseline diags =
-  let current = Hashtbl.create 64 in
-  List.iter (fun d -> Hashtbl.replace current (fingerprint d) ()) diags;
-  List.filter (fun d -> not (Hashtbl.mem current (fingerprint d))) baseline

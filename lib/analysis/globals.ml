@@ -58,26 +58,15 @@ let is_functor_creator name =
   (Cmt_load.has_prefix "Hashtbl." name || Cmt_load.has_prefix "Ephemeron." name)
   && (Filename.check_suffix name ".create" || Filename.check_suffix name ".make")
 
-let expand env ty = try Ctype.expand_head env ty with _ -> ty
-
-(* [normalize], not [demangle]: type paths reach here spelled through
-   the stdlib alias chain ("Stdlib.Hashtbl.t"), and the leading Stdlib
-   must not hide the container from [container_types]. *)
-let head_constr env ty =
-  match Types.get_desc (expand env ty) with
-  | Types.Tconstr (p, args, _) ->
-    Some (Cmt_load.normalize (Cmt_load.path_name p), p, args)
-  | _ -> None
-
 let container_kind env ty =
-  match head_constr env ty with
+  match Cmt_load.head_constr env ty with
   | Some (name, _, _) when List.mem name container_types -> Some name
   | _ -> None
 
 (* Record scrutiny: the declared kind of the head constructor.  Returns
    [(type name, has mutable field, has container-typed field)]. *)
 let record_info env ty =
-  match head_constr env ty with
+  match Cmt_load.head_constr env ty with
   | Some (name, p, _) -> (
     match Env.find_type p env with
     | exception Not_found -> None
@@ -117,7 +106,7 @@ type verdict =
 let classify (graph : Callgraph.t) (fn : Callgraph.fn) =
   let env = fn.Callgraph.f_expr.Typedtree.exp_env in
   let ty = fn.Callgraph.f_expr.Typedtree.exp_type in
-  match Types.get_desc (expand env ty) with
+  match Types.get_desc (Cmt_load.expand env ty) with
   | Types.Tarrow _ -> None
   | _ -> (
     match container_kind env ty with
@@ -143,86 +132,62 @@ let classify (graph : Callgraph.t) (fn : Callgraph.fn) =
         | Some (name, true, false) -> Some (Mutable_record name)
         | Some _ | None -> None)))
 
-(* Write evidence for the Mutable_record verdict: every record type
-   name that receives a [Texp_setfield] somewhere in the loaded units. *)
-let written_record_types (graph : Callgraph.t) =
-  let written = Hashtbl.create 32 in
-  let expr_hook it (e : Typedtree.expression) =
-    (match e.Typedtree.exp_desc with
-    | Typedtree.Texp_setfield (obj, _, _, _) -> (
-      match head_constr obj.Typedtree.exp_env obj.Typedtree.exp_type with
-      | Some (name, _, _) -> Hashtbl.replace written name ()
-      | None -> ())
-    | _ -> ());
-    Tast_iterator.default_iterator.expr it e
-  in
-  let it = { Tast_iterator.default_iterator with expr = expr_hook } in
-  List.iter
-    (fun (u : Cmt_load.unit_info) -> it.Tast_iterator.structure it u.Cmt_load.u_str)
-    graph.Callgraph.units;
-  written
-
 (* The ambient mutable globals of the loaded units, suppressed or not:
    [(key, kind description)].  The procedure pass reads this to flag a
-   body that reaches process-wide state. *)
-let mutable_globals (graph : Callgraph.t) =
-  let written = written_record_types graph in
+   body that reaches process-wide state.  A Mutable_record needs write
+   evidence: a field assignment to its type somewhere in the loaded
+   units (recorded by the effect layer's walk, [Effects.written]). *)
+let mutable_globals (eff : Effects.t) =
+  let graph = eff.Effects.graph in
   List.filter_map
-    (fun key ->
-      match Callgraph.find graph key with
-      | None -> None
-      | Some fn -> (
-        match classify graph fn with
-        | Some (Container name) -> Some (key, name)
-        | Some (Functor_state creator) -> Some (key, creator ^ " state")
-        | Some (Mutable_record name) ->
-          if Hashtbl.mem written name then Some (key, name ^ " (mutable fields)")
-          else None
-        | None -> None))
-    graph.Callgraph.keys
+    (fun (fn : Callgraph.fn) ->
+      let key = fn.f_key in
+      match classify graph fn with
+      | Some (Container name) -> Some (key, name)
+      | Some (Functor_state creator) -> Some (key, creator ^ " state")
+      | Some (Mutable_record name) when Hashtbl.mem eff.Effects.written name ->
+        Some (key, name ^ " (mutable fields)")
+      | Some (Mutable_record _) | None -> None)
+    (Callgraph.table_fns graph)
 
 (* Pure bookkeeping for the unused-suppression report, unit-testable
    without cmts: annotated bindings that were never flagged. *)
 let stale_suppressions ~annotated ~flagged =
   List.filter (fun (key, _) -> not (List.mem key flagged)) annotated
 
-let in_any prefixes src =
-  List.exists (fun p -> Cmt_load.has_prefix p src) prefixes
-
 let run (eff : Effects.t) ~entry (sink : Diag.sink) =
   let graph = eff.Effects.graph in
-  let globals = mutable_globals graph in
+  let globals = mutable_globals eff in
   (* Reverse reference graph: who references me. *)
   let rev = Hashtbl.create 256 in
   List.iter
-    (fun key ->
-      List.iter (fun callee -> Hashtbl.add rev callee key) (Effects.refs eff key))
-    graph.Callgraph.keys;
-  let annotated = ref [] and flagged = ref [] in
-  (* Record every annotated binding (functions included: an exemption on
+    (fun (fn : Callgraph.fn) ->
+      List.iter
+        (fun callee -> Hashtbl.add rev callee fn.f_key)
+        (Effects.refs eff fn.f_key))
+    (Callgraph.table_fns graph);
+  (* Every annotated binding (functions included: an exemption on
      something that cannot be flagged is stale by construction). *)
-  List.iter
-    (fun key ->
-      match Callgraph.find graph key with
-      | Some fn when Callgraph.attr fn attr_name <> None ->
-        annotated := (key, fn.Callgraph.f_loc) :: !annotated
-      | Some _ | None -> ())
-    graph.Callgraph.keys;
+  let annotated =
+    List.filter_map
+      (fun (fn : Callgraph.fn) ->
+        Option.map (fun _ -> (fn.f_key, fn.f_loc)) (Callgraph.attr fn attr_name))
+      (Callgraph.table_fns graph)
+  in
   List.iter
     (fun (key, kind) ->
       let fn = Option.get (Callgraph.find graph key) in
-      flagged := key :: !flagged;
       if Callgraph.attr fn attr_name = None then begin
         let src = fn.Callgraph.f_unit.Cmt_load.u_src in
         let classification =
-          if in_any entry src then
+          if Cmt_load.under entry src then
             Printf.sprintf "defined inside engine code (%s)" src
           else
             let entry_reachers =
               List.filter
                 (fun k ->
                   match Callgraph.find graph k with
-                  | Some g -> in_any entry g.Callgraph.f_unit.Cmt_load.u_src
+                  | Some g -> Cmt_load.under entry g.Callgraph.f_unit.Cmt_load.u_src
                   | None -> false)
                 (Callgraph.reachable ~succ:(Hashtbl.find_all rev) [ key ])
             in
@@ -247,4 +212,4 @@ let run (eff : Effects.t) ~entry (sink : Diag.sink) =
         "[@@%s] on '%s' suppresses nothing (the binding is not detected as \
          ambient mutable state); remove the stale exemption"
         attr_name (Cmt_load.demangle key))
-    (stale_suppressions ~annotated:(List.rev !annotated) ~flagged:!flagged)
+    (stale_suppressions ~annotated ~flagged:(List.map fst globals))

@@ -52,9 +52,6 @@ let class_names =
   [ (batch, "batch"); (members, "members"); (queue, "queue");
     (log_bound, "log") ]
 
-let class_name bit =
-  match List.assoc_opt bit class_names with Some n -> n | None -> "?"
-
 let to_string m =
   if is_top m then "Top"
   else
@@ -134,7 +131,7 @@ let parse_budget s =
 
 let marker_table =
   [ (log_bound, [ "Wlog"; "frame" ]);
-    (queue, [ "Action"; "timer"; "choice"; "Heap"; "Id_tbl" ]);
+    (queue, [ "Action"; "timer"; "choice"; "Heap" ]);
     (members, [ "Node_id"; "state_msg"; "prim_component"; "vulnerable" ]);
     (batch, [ "Op"; "Value"; "payload" ]) ]
 

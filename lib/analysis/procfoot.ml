@@ -6,7 +6,7 @@
    position on every replica.  Two forthcoming consumers need static
    facts about them:
 
-   - the parallel-apply scheduler (ROADMAP item 2) needs each action's
+   - the parallel-apply scheduler (ROADMAP, Deferred) needs each action's
      *predicted* write keys before execution, so independent actions
      can apply concurrently — the data-item routing assumption of the
      partial-replication literature;
@@ -91,11 +91,6 @@ type ctx = {
 let read_prims = [ "Database.get"; "Database.timestamp"; "Database.read" ]
 let commutative_ops = [ "Add"; "Set_if_newer" ]
 let op_constructors = [ "Set"; "Add"; "Remove"; "Set_if_newer" ]
-
-let is_op_type ty =
-  match Cmt_load.type_constr_name ty with
-  | Some name -> name = "Op.t" || Filename.check_suffix name ".Op.t"
-  | None -> false
 
 let canonical ctx ~caller_unit p =
   Callgraph.canonical ctx.eff.Effects.graph ~caller_unit p
@@ -185,87 +180,61 @@ and eval ctx ~caller_unit env (e : Typedtree.expression) =
 
 and mentions_read ctx ~caller_unit tainted (e : Typedtree.expression) =
   let found = ref false in
-  let rec go (e : Typedtree.expression) =
-    if not !found then begin
-      (match e.exp_desc with
-      | Typedtree.Texp_ident (p, _, _) -> (
+  let transfer _ () () (e : Typedtree.expression) =
+    if !found then Some ()
+    else
+      match e.exp_desc with
+      | Typedtree.Texp_ident (p, _, _) ->
         (match p with
         | Path.Pident id when List.exists (Ident.same id) tainted ->
           found := true
         | _ -> ());
-        if List.mem (canonical ctx ~caller_unit p) read_prims then found := true
-        else
-          match resolve ctx ~caller_unit p with
-          | Some fn -> (
-            match Hashtbl.find_opt ctx.helpers fn.Callgraph.f_key with
-            | Some (Some s) when s.h_reads_db -> found := true
-            | Some _ -> ()
-            | None -> if (helper_of ctx fn).h_reads_db then found := true)
-          | None -> ())
-      | _ -> ());
-      if not !found then List.iter go (Callgraph.subexprs e)
-    end
+        (if List.mem (canonical ctx ~caller_unit p) read_prims then found := true
+         else
+           match resolve ctx ~caller_unit p with
+           | Some fn -> (
+             match Hashtbl.find_opt ctx.helpers fn.Callgraph.f_key with
+             | Some (Some s) when s.h_reads_db -> found := true
+             | Some _ -> ()
+             | None -> if (helper_of ctx fn).h_reads_db then found := true)
+           | None -> ());
+        Some ()
+      | _ -> None
   in
-  go e;
+  Walk.descend transfer () e;
   !found
 
 (* --- the body walk ---------------------------------------------------- *)
 
-and taint_pattern_vars : type k. st -> k Typedtree.general_pattern -> unit =
- fun st p ->
-  (match p.Typedtree.pat_desc with
-  | Typedtree.Tpat_var (id, _) -> st.tainted <- id :: st.tainted
-  | Typedtree.Tpat_alias (_, id, _) -> st.tainted <- id :: st.tainted
-  | _ -> ());
-  let it =
-    {
-      Tast_iterator.default_iterator with
-      pat = (fun _ q -> taint_pattern_vars st q);
-    }
-  in
-  Tast_iterator.default_iterator.pat it p
-
+(* The context is the key environment and the read guard (is this code
+   under a branch whose condition depends on a database read?); the
+   findings accumulate in [st]. *)
 and walk ctx ~caller_unit (st : st) env ~guard (e : Typedtree.expression) =
-  let eval' = eval ctx ~caller_unit env in
-  match e.exp_desc with
-  | Typedtree.Texp_let (_, vbs, body) ->
-    List.iter (fun (vb : Typedtree.value_binding) ->
-        walk ctx ~caller_unit st env ~guard vb.vb_expr)
-      vbs;
-    let env' =
-      List.fold_left
-        (fun acc (vb : Typedtree.value_binding) ->
-          match vb.vb_pat.pat_desc with
-          | Typedtree.Tpat_var (id, _) | Typedtree.Tpat_alias (_, id, _) ->
-            (id, eval ctx ~caller_unit env vb.vb_expr) :: acc
-          | _ -> acc)
-        env vbs
-    in
-    List.iter
-      (fun (vb : Typedtree.value_binding) ->
-        if mentions_read ctx ~caller_unit st.tainted vb.vb_expr then
-          taint_pattern_vars st vb.vb_pat)
-      vbs;
-    walk ctx ~caller_unit st env' ~guard body
-  | Typedtree.Texp_ifthenelse (cond, then_, else_) ->
-    walk ctx ~caller_unit st env ~guard cond;
-    let g = guard || mentions_read ctx ~caller_unit st.tainted cond in
-    walk ctx ~caller_unit st env ~guard:g then_;
-    Option.iter (walk ctx ~caller_unit st env ~guard:g) else_
-  | Typedtree.Texp_match (scrut, cases, _) ->
-    walk ctx ~caller_unit st env ~guard scrut;
-    let g = guard || mentions_read ctx ~caller_unit st.tainted scrut in
-    List.iter
-      (fun (c : Typedtree.computation Typedtree.case) ->
-        if g then taint_pattern_vars st c.Typedtree.c_lhs;
-        Option.iter (walk ctx ~caller_unit st env ~guard:g) c.Typedtree.c_guard;
-        walk ctx ~caller_unit st env ~guard:g c.Typedtree.c_rhs)
-      cases
-  | Typedtree.Texp_construct (_, cstr, args)
-    when List.mem cstr.Types.cstr_name op_constructors && is_op_type e.exp_type
-    -> (
-    match args with
-    | key :: rest ->
+  let taint pat = st.tainted <- Typedtree.pat_bound_idents pat @ st.tainted in
+  let transfer go (env, guard) () (e : Typedtree.expression) =
+    let walk e = go (env, guard) () e in
+    let eval' = eval ctx ~caller_unit env in
+    match e.exp_desc with
+    | Typedtree.Texp_let (_, vbs, body) ->
+      List.iter (fun (vb : Typedtree.value_binding) -> walk vb.vb_expr) vbs;
+      let env' =
+        List.fold_left
+          (fun acc (vb : Typedtree.value_binding) ->
+            match vb.vb_pat.pat_desc with
+            | Typedtree.Tpat_var (id, _) | Typedtree.Tpat_alias (_, id, _) ->
+              (id, eval' vb.vb_expr) :: acc
+            | _ -> acc)
+          env vbs
+      in
+      List.iter
+        (fun (vb : Typedtree.value_binding) ->
+          if mentions_read ctx ~caller_unit st.tainted vb.vb_expr then
+            taint vb.vb_pat)
+        vbs;
+      Some (go (env', guard) () body)
+    | Typedtree.Texp_construct (_, cstr, key :: _)
+      when List.mem cstr.Types.cstr_name op_constructors
+           && Cmt_load.has_type "Op.t" e.exp_type ->
       st.writes <-
         {
           w_key = eval' key;
@@ -273,51 +242,61 @@ and walk ctx ~caller_unit (st : st) env ~guard (e : Typedtree.expression) =
           w_guarded = guard;
         }
         :: st.writes;
-      List.iter (walk ctx ~caller_unit st env ~guard) (key :: rest)
-    | [] -> ())
-  | Typedtree.Texp_apply
-      (({ exp_desc = Typedtree.Texp_ident (p, _, _); _ } as f), args) -> (
-    walk ctx ~caller_unit st env ~guard f;
-    List.iter
-      (fun (_, a) -> Option.iter (walk ctx ~caller_unit st env ~guard) a)
-      args;
-    let pos = positional args in
-    match canonical ctx ~caller_unit p with
-    | ("Database.get" | "Database.timestamp") -> (
-      match pos with
-      | _ :: key :: _ -> st.reads <- eval' key :: st.reads
-      | _ -> st.reads <- Keyspace.Top :: st.reads)
-    | "Database.read" -> (
-      match pos with
-      | _ :: keys :: _ ->
-        let rec list_elems (e : Typedtree.expression) =
-          match e.exp_desc with
-          | Typedtree.Texp_construct (_, { cstr_name = "::"; _ }, [ hd; tl ])
-            ->
-            eval' hd :: list_elems tl
-          | Typedtree.Texp_construct (_, { cstr_name = "[]"; _ }, []) -> []
-          | _ -> [ Keyspace.Top ]
-        in
-        st.reads <- list_elems keys @ st.reads
-      | _ -> st.reads <- Keyspace.Top :: st.reads)
-    | _ -> (
-      match resolve ctx ~caller_unit p with
-      | Some fn ->
-        let s = helper_of ctx fn in
-        let actuals = List.map eval' pos in
-        st.reads <- Keyspace.subst_set actuals s.h_reads @ st.reads;
-        st.writes <-
-          List.map
-            (fun w ->
-              {
-                w with
-                w_key = Keyspace.subst actuals w.w_key;
-                w_guarded = w.w_guarded || guard;
-              })
-            s.h_writes
-          @ st.writes
-      | None -> ()))
-  | _ -> List.iter (walk ctx ~caller_unit st env ~guard) (Callgraph.subexprs e)
+      None
+    | Typedtree.Texp_apply ({ exp_desc = Typedtree.Texp_ident (p, _, _); _ }, args)
+      -> (
+      List.iter (fun (_, a) -> Option.iter walk a) args;
+      let pos = positional args in
+      Some
+        (match canonical ctx ~caller_unit p with
+        | "Database.get" | "Database.timestamp" -> (
+          match pos with
+          | _ :: key :: _ -> st.reads <- eval' key :: st.reads
+          | _ -> st.reads <- Keyspace.Top :: st.reads)
+        | "Database.read" -> (
+          match pos with
+          | _ :: keys :: _ ->
+            let rec list_elems (e : Typedtree.expression) =
+              match e.exp_desc with
+              | Typedtree.Texp_construct (_, { cstr_name = "::"; _ }, [ hd; tl ])
+                ->
+                eval' hd :: list_elems tl
+              | Typedtree.Texp_construct (_, { cstr_name = "[]"; _ }, []) -> []
+              | _ -> [ Keyspace.Top ]
+            in
+            st.reads <- list_elems keys @ st.reads
+          | _ -> st.reads <- Keyspace.Top :: st.reads)
+        | _ -> (
+          match resolve ctx ~caller_unit p with
+          | Some fn ->
+            let s = helper_of ctx fn in
+            let actuals = List.map eval' pos in
+            st.reads <- Keyspace.subst_set actuals s.h_reads @ st.reads;
+            st.writes <-
+              List.map
+                (fun w ->
+                  {
+                    w with
+                    w_key = Keyspace.subst actuals w.w_key;
+                    w_guarded = w.w_guarded || guard;
+                  })
+                s.h_writes
+              @ st.writes
+          | None -> ())))
+    | _ -> None
+  in
+  (* A branch on a read-dependent condition or scrutinee guards both
+     arms; a read-guarded case's pattern variables are tainted. *)
+  let refine (env, guard) () b =
+    let read e = guard || mentions_read ctx ~caller_unit st.tainted e in
+    match b with
+    | Walk.Then c | Walk.Else c -> ((env, read c), ())
+    | Walk.Case (scrut, pat) ->
+      let g = read scrut in
+      if g then taint pat;
+      ((env, g), ())
+  in
+  Walk.descend ~refine transfer (env, guard) e
 
 (* --- entry analysis: the two-stage procedure shape -------------------- *)
 
@@ -350,12 +329,6 @@ and bind_element i (p : Typedtree.value Typedtree.general_pattern) =
       subpats
   | _ -> []
 
-type inference = {
-  i_reads : Keyspace.abs list;
-  i_writes : Keyspace.abs list;
-  i_commutative : bool;
-}
-
 let analyze_body ctx ~caller_unit (body : Typedtree.expression) =
   let st = { reads = []; writes = []; tainted = [] } in
   (match body.exp_desc with
@@ -376,17 +349,14 @@ let analyze_body ctx ~caller_unit (body : Typedtree.expression) =
          argument-derived key degrades to Top (sound, imprecise) *)
       walk ctx ~caller_unit st [] ~guard:false db_rhs)
   | _ -> walk ctx ~caller_unit st [] ~guard:false body);
-  {
-    i_reads = Keyspace.normalize st.reads;
-    i_writes = Keyspace.normalize (List.map (fun w -> w.w_key) st.writes);
-    i_commutative =
-      List.for_all (fun w -> w.w_commutative && not w.w_guarded) st.writes;
-  }
+  ( Keyspace.normalize st.reads,
+    Keyspace.normalize (List.map (fun w -> w.w_key) st.writes),
+    List.for_all (fun w -> w.w_commutative && not w.w_guarded) st.writes )
 
 (* --- determinism verdict ---------------------------------------------- *)
 
 let nondet_sources ctx (fn : Callgraph.fn) =
-  let eff = Effects.find ctx.eff fn.Callgraph.f_key in
+  let has = Effects.has ctx.eff fn.Callgraph.f_key in
   (* Transitive reference closure for ambient-state reachability — the
      effect fixpoint has already saturated the boolean labels, but the
      ambient set is per-binding, so walk the edges here. *)
@@ -404,10 +374,9 @@ let nondet_sources ctx (fn : Callgraph.fn) =
       ctx.ambient
   in
   List.sort compare
-    ((if eff.Effects.e_random then [ "random or wall-clock read" ] else [])
-    @ (if eff.Effects.e_unordered then [ "unordered hash iteration" ] else [])
-    @ (if eff.Effects.e_phys_eq_value then
-         [ "physical equality on Value.t" ]
+    ((if has Effects.random then [ "random or wall-clock read" ] else [])
+    @ (if has Effects.unordered then [ "unordered hash iteration" ] else [])
+    @ (if has Effects.phys_eq_value then [ "physical equality on Value.t" ]
        else [])
     @ ambient)
 
@@ -473,90 +442,81 @@ let rec parse_footprint ctx ~caller_unit (e : Typedtree.expression) =
         match field "writes" with Some l -> l | None -> [ Keyspace.Top ] )
   | _ -> Some ([ Keyspace.Top ], [ Keyspace.Top ])
 
-let analyze (eff : Effects.t) =
-  let graph = eff.Effects.graph in
-  let ctx =
-    { eff; helpers = Hashtbl.create 64; ambient = Globals.mutable_globals graph }
-  in
-  let reports = ref [] in
-  let scan_unit (u : Cmt_load.unit_info) =
+(* The register sites, in walk order: a visitor on the shared walk
+   collects [register reg "name" body] applications as
+   (unit, site, name, body, arguments).  A forwarding site whose name is
+   not a literal (Replica.register_procedure) carries no procedure of
+   its own and is skipped — the actual registrations behind it are
+   themselves register sites. *)
+let visitor (graph : Callgraph.t) sites : Walk.visitor =
+ fun _ u e ->
+  match e.Typedtree.exp_desc with
+  | Typedtree.Texp_apply ({ exp_desc = Typedtree.Texp_ident (p, _, _); _ }, args)
+    -> (
     let caller_unit = u.Cmt_load.u_name in
-    let expr_hook it (e : Typedtree.expression) =
-      (match e.Typedtree.exp_desc with
-      | Typedtree.Texp_apply
-          ({ exp_desc = Typedtree.Texp_ident (p, _, _); _ }, args)
-        when List.mem "Procedure.register"
-               (canonical ctx ~caller_unit p
-               :: Callgraph.prim_names graph ~caller_unit p) -> (
-        let pos = positional args in
-        (* [register reg "name" body]: a forwarding site whose name is
-           not a literal (Replica.register_procedure) carries no
-           procedure of its own and is skipped — the actual
-           registrations behind it are themselves register sites. *)
-        match pos with
-        | [ _reg; name_arg; body_arg ] -> (
-          match string_arg name_arg with
-          | Some name -> (
-            let declared =
-              List.find_map
-                (fun (lbl, a) ->
-                  match (lbl, a) with
-                  | ( (Asttypes.Labelled "footprint" | Asttypes.Optional "footprint"),
-                      Some fe ) ->
-                    parse_footprint ctx ~caller_unit fe
-                  | _ -> None)
-                args
-            in
-            let body_fn =
-              match body_arg.Typedtree.exp_desc with
-              | Typedtree.Texp_ident (bp, _, _) -> resolve ctx ~caller_unit bp
-              | _ -> None
-            in
-            match body_fn with
-            | Some fn ->
-              let inf =
-                analyze_body ctx
-                  ~caller_unit:fn.Callgraph.f_unit.Cmt_load.u_name
-                  fn.Callgraph.f_expr
-              in
-              reports :=
-                {
-                  r_name = name;
-                  r_src = fn.Callgraph.f_unit.Cmt_load.u_src;
-                  r_body_loc = fn.Callgraph.f_loc;
-                  r_reg_loc = e.Typedtree.exp_loc;
-                  r_reads = inf.i_reads;
-                  r_writes = inf.i_writes;
-                  r_commutative = inf.i_commutative;
-                  r_nondet = nondet_sources ctx fn;
-                  r_declared = declared;
-                }
-                :: !reports
-            | None ->
-              (* literal or unresolvable body: record it with Top sets
-                 so the manifest is honest about the blind spot *)
-              reports :=
-                {
-                  r_name = name;
-                  r_src = u.Cmt_load.u_src;
-                  r_body_loc = e.Typedtree.exp_loc;
-                  r_reg_loc = e.Typedtree.exp_loc;
-                  r_reads = [ Keyspace.Top ];
-                  r_writes = [ Keyspace.Top ];
-                  r_commutative = false;
-                  r_nondet = [];
-                  r_declared = declared;
-                }
-                :: !reports)
-          | None -> ())
-        | _ -> ())
-      | _ -> ());
-      Tast_iterator.default_iterator.expr it e
+    let names =
+      Callgraph.canonical graph ~caller_unit p
+      :: Callgraph.prim_names graph ~caller_unit p
     in
-    let it = { Tast_iterator.default_iterator with expr = expr_hook } in
-    it.Tast_iterator.structure it u.Cmt_load.u_str
+    match positional args with
+    | [ _reg; name_arg; body_arg ] when List.mem "Procedure.register" names -> (
+      match string_arg name_arg with
+      | Some name -> sites := (u, e, name, body_arg, args) :: !sites
+      | None -> ())
+    | _ -> ())
+  | _ -> ()
+
+let analyze (eff : Effects.t) sites =
+  let ctx = { eff; helpers = Hashtbl.create 64; ambient = Globals.mutable_globals eff } in
+  let report (u, (e : Typedtree.expression), name, body_arg, args) =
+    let caller_unit = u.Cmt_load.u_name in
+    let declared =
+      List.find_map
+        (fun (lbl, a) ->
+          match (lbl, a) with
+          | (Asttypes.Labelled "footprint" | Asttypes.Optional "footprint"), Some fe
+            ->
+            parse_footprint ctx ~caller_unit fe
+          | _ -> None)
+        args
+    in
+    let body_fn =
+      match body_arg.Typedtree.exp_desc with
+      | Typedtree.Texp_ident (bp, _, _) -> resolve ctx ~caller_unit bp
+      | _ -> None
+    in
+    (* a literal or unresolvable body is recorded with Top sets, so the
+       manifest is honest about the blind spot *)
+    let blind =
+      {
+        r_name = name;
+        r_src = u.Cmt_load.u_src;
+        r_body_loc = e.exp_loc;
+        r_reg_loc = e.exp_loc;
+        r_reads = [ Keyspace.Top ];
+        r_writes = [ Keyspace.Top ];
+        r_commutative = false;
+        r_nondet = [];
+        r_declared = declared;
+      }
+    in
+    match body_fn with
+    | None -> blind
+    | Some fn ->
+      let reads, writes, commutative =
+        analyze_body ctx ~caller_unit:fn.Callgraph.f_unit.Cmt_load.u_name
+          fn.Callgraph.f_expr
+      in
+      {
+        blind with
+        r_src = fn.Callgraph.f_unit.Cmt_load.u_src;
+        r_body_loc = fn.Callgraph.f_loc;
+        r_reads = reads;
+        r_writes = writes;
+        r_commutative = commutative;
+        r_nondet = nondet_sources ctx fn;
+      }
   in
-  List.iter scan_unit graph.Callgraph.units;
   List.sort_uniq
     (fun a b ->
       let c = compare a.r_name b.r_name in
@@ -567,7 +527,7 @@ let analyze (eff : Effects.t) =
         else
           compare a.r_reg_loc.Location.loc_start.Lexing.pos_lnum
             b.r_reg_loc.Location.loc_start.Lexing.pos_lnum)
-    !reports
+    (List.map report (List.rev sites))
 
 (* --- findings --------------------------------------------------------- *)
 

@@ -33,9 +33,6 @@ module SSet = Set.Make (String)
 
 let rule = "spec-drift"
 
-let in_scope prefixes src =
-  List.exists (fun p -> Cmt_load.has_prefix p src) prefixes
-
 (* --- pattern and condition refinement -------------------------------- *)
 
 (* The engine_state constructors named by a pattern; None = no
@@ -57,7 +54,7 @@ let rec pat_constructors : type k. k Typedtree.general_pattern -> SSet.t option
 
 let constr_of (e : Typedtree.expression) =
   match e.exp_desc with
-  | Typedtree.Texp_construct (_, cd, []) when Cmt_load.is_engine_state e.exp_type
+  | Typedtree.Texp_construct (_, cd, []) when Cmt_load.has_type "engine_state" e.exp_type
     ->
     Some cd.cstr_name
   | _ -> None
@@ -76,9 +73,9 @@ let rec cond_states (e : Typedtree.expression) =
       | None, None -> None)
     | "=" | "==" -> (
       match (constr_of a, constr_of b) with
-      | Some c, _ when Cmt_load.is_engine_state b.exp_type ->
+      | Some c, _ when Cmt_load.has_type "engine_state" b.exp_type ->
         Some (SSet.singleton c)
-      | _, Some c when Cmt_load.is_engine_state a.exp_type ->
+      | _, Some c when Cmt_load.has_type "engine_state" a.exp_type ->
         Some (SSet.singleton c)
       | _ -> None)
     | _ -> None)
@@ -97,9 +94,7 @@ type ctx = {
 }
 
 let entry ctx key =
-  match Hashtbl.find_opt ctx.entries key with
-  | Some s -> s
-  | None -> SSet.empty
+  Option.value ~default:SSet.empty (Hashtbl.find_opt ctx.entries key)
 
 let add_entry ctx key s =
   let cur = entry ctx key in
@@ -110,12 +105,7 @@ let add_entry ctx key s =
   end
 
 let target_of_args args =
-  List.fold_left
-    (fun acc (_, arg) ->
-      match acc with
-      | Some _ -> acc
-      | None -> ( match arg with Some a -> constr_of a | None -> None))
-    None args
+  List.find_map (fun (_, arg) -> Option.bind arg constr_of) args
 
 let walk_fn ctx (fn : Callgraph.fn) s0 =
   let caller_unit = fn.Callgraph.f_unit.Cmt_load.u_name in
@@ -124,104 +114,64 @@ let walk_fn ctx (fn : Callgraph.fn) s0 =
     SSet.iter (fun from_ -> ctx.emit <- (from_, target, loc) :: ctx.emit) s;
     SSet.singleton target
   in
-  let rec walk s (e : Typedtree.expression) =
+  let contribute (g : Callgraph.fn) s =
+    if ctx.contribute && Cmt_load.under ctx.core g.f_unit.Cmt_load.u_src then
+      add_entry ctx g.f_key s
+  in
+  let transfer go () s (e : Typedtree.expression) =
     match e.exp_desc with
-    | Typedtree.Texp_ifthenelse (c, then_, else_) ->
-      let s = walk s c in
-      let s_then =
-        match cond_states c with Some cs -> SSet.inter s cs | None -> s
-      in
-      let st = walk s_then then_ in
-      let se = match else_ with Some e' -> walk s e' | None -> s in
-      SSet.union st se
-    | Typedtree.Texp_match (scrut, cases, _) ->
-      let s = walk s scrut in
-      let refines = Cmt_load.is_engine_state scrut.exp_type in
-      List.fold_left
-        (fun acc (c : Typedtree.computation Typedtree.case) ->
-          let s_case =
-            if refines then
-              match pat_constructors c.Typedtree.c_lhs with
-              | Some cs -> SSet.inter s cs
-              | None -> s
-            else s
-          in
-          let s_case =
-            match c.Typedtree.c_guard with
-            | Some g -> walk s_case g
-            | None -> s_case
-          in
-          SSet.union acc (walk s_case c.Typedtree.c_rhs))
-        SSet.empty cases
-    | Typedtree.Texp_try (body, cases) ->
-      let s = walk s body in
-      List.fold_left
-        (fun acc (c : Typedtree.value Typedtree.case) ->
-          SSet.union acc (walk s c.Typedtree.c_rhs))
-        s cases
-    | Typedtree.Texp_function { cases; _ } ->
-      (* a literal: its body runs under the S of its occurrence; what it
-         leaves behind does not flow back to the definition site *)
-      List.iter
-        (fun (c : Typedtree.value Typedtree.case) ->
-          ignore (walk s c.Typedtree.c_rhs))
-        cases;
-      s
     | Typedtree.Texp_setfield (obj, _, _lbl, v)
-      when Cmt_load.is_engine_state v.exp_type ->
-      let s = walk (walk s obj) v in
-      (match constr_of v with
-      | Some target -> transition s target e.exp_loc
-      | None -> ctx.top)
-    | Typedtree.Texp_apply (f, args) -> (
-      match f.exp_desc with
-      | Typedtree.Texp_ident (p, _, _) -> (
-        let resolved = Callgraph.resolve graph ~caller_unit p in
-        (* record the call-site S as the callee's entry set *)
-        (match resolved with
-        | Some g
-          when ctx.contribute
-               && in_scope ctx.core g.Callgraph.f_unit.Cmt_load.u_src ->
-          add_entry ctx g.Callgraph.f_key s
-        | Some _ | None -> ());
-        let s_args =
-          List.fold_left
-            (fun acc (_, arg) ->
-              match arg with Some a -> walk acc a | None -> acc)
-            s args
-        in
-        if Effects.is_transition_path p then
-          match target_of_args args with
-          | Some target -> transition s target e.exp_loc
-          | None -> ctx.top
-        else
-          let sets_state =
-            match resolved with
-            | Some g ->
-              (Effects.find ctx.eff g.Callgraph.f_key).Effects.e_sets_state
-            | None -> false
-          in
-          if sets_state then ctx.top else s_args)
-      | _ ->
-        let s = walk s f in
+      when Cmt_load.has_type "engine_state" v.exp_type ->
+      let s = go () (go () s obj) v in
+      Some
+        (match constr_of v with
+        | Some target -> transition s target e.exp_loc
+        | None -> ctx.top)
+    | Typedtree.Texp_apply
+        ({ exp_desc = Typedtree.Texp_ident (p, _, _); _ }, args) ->
+      let resolved = Callgraph.resolve graph ~caller_unit p in
+      (* record the call-site S as the callee's entry set *)
+      Option.iter (fun g -> contribute g s) resolved;
+      let s_args =
         List.fold_left
           (fun acc (_, arg) ->
-            match arg with Some a -> walk acc a | None -> acc)
-          s args)
+            match arg with Some a -> go () acc a | None -> acc)
+          s args
+      in
+      Some
+        (if Effects.is_transition_path p then
+           match target_of_args args with
+           | Some target -> transition s target e.exp_loc
+           | None -> ctx.top
+         else
+           match resolved with
+           | Some g when Effects.has ctx.eff g.f_key Effects.sets_state ->
+             ctx.top
+           | Some _ | None -> s_args)
     | Typedtree.Texp_ident (p, _, _) ->
       (* a bare reference (a closure being passed): it may run under
          any state its consumer chooses — contribute ⊤, not S *)
       (match Callgraph.resolve graph ~caller_unit p with
-      | Some g
-        when ctx.contribute
-             && g.Callgraph.f_key <> fn.Callgraph.f_key
-             && in_scope ctx.core g.Callgraph.f_unit.Cmt_load.u_src ->
-        add_entry ctx g.Callgraph.f_key ctx.top
+      | Some g when g.Callgraph.f_key <> fn.Callgraph.f_key ->
+        contribute g ctx.top
       | Some _ | None -> ());
-      s
-    | _ -> List.fold_left walk s (Callgraph.subexprs e)
+      Some s
+    | _ -> None
   in
-  ignore (walk s0 fn.Callgraph.f_expr)
+  let narrow s = function Some cs -> SSet.inter s cs | None -> s in
+  let refine () s = function
+    | Walk.Then c -> ((), narrow s (cond_states c))
+    | Walk.Case (scrut, pat) when Cmt_load.has_type "engine_state" scrut.exp_type
+      ->
+      ((), narrow s (pat_constructors pat))
+    | Walk.Else _ | Walk.Case _ -> ((), s)
+  in
+  (* A literal's body runs under the S of its occurrence; what it leaves
+     behind does not flow back to the definition site. *)
+  ignore
+    (Walk.fold
+       { transfer; refine; join = SSet.union; literal = (fun s _ -> s) }
+       () s0 fn.Callgraph.f_expr)
 
 (* --- extraction ------------------------------------------------------- *)
 
@@ -232,33 +182,19 @@ let extract (eff : Effects.t) ~core ~all_states =
     { eff; top; entries = Hashtbl.create 64; core; emit = []; contribute = true;
       changed = false }
   in
-  let core_fns =
-    List.filter_map
-      (fun key ->
-        match Callgraph.find graph key with
-        | Some fn when in_scope core fn.Callgraph.f_unit.Cmt_load.u_src ->
-          Some fn
-        | Some _ | None -> None)
-      graph.Callgraph.keys
-  in
+  let core_fns = Callgraph.table_fns ~within:core graph in
   (* Roots: referenced from outside the scope, or not referenced at all. *)
   let referenced = Hashtbl.create 64 in
   List.iter
-    (fun key ->
-      let inside =
-        match Callgraph.find graph key with
-        | Some fn -> in_scope core fn.Callgraph.f_unit.Cmt_load.u_src
-        | None -> false
-      in
+    (fun (fn : Callgraph.fn) ->
+      let inside = Cmt_load.under core fn.f_unit.Cmt_load.u_src in
       List.iter
         (fun g ->
-          if g <> key then
+          if g <> fn.f_key then
             Hashtbl.replace referenced g
-              (inside && (match Hashtbl.find_opt referenced g with
-                          | Some false -> false
-                          | _ -> true)))
-        (Effects.refs eff key))
-    graph.Callgraph.keys;
+              (inside && Hashtbl.find_opt referenced g <> Some false))
+        (Effects.refs eff fn.f_key))
+    (Callgraph.table_fns graph);
   List.iter
     (fun fn ->
       match Hashtbl.find_opt referenced fn.Callgraph.f_key with

@@ -24,82 +24,34 @@
 
 let rule = "write-ahead-ordering"
 
-let in_scope prefixes src =
-  List.exists (fun p -> Cmt_load.has_prefix p src) prefixes
-
-let walk_cases :
-    'k.
-    (bool -> Typedtree.expression -> bool) ->
-    bool ->
-    'k Typedtree.case list ->
-    bool =
- fun walk pending cases ->
-  List.fold_left
-    (fun acc (c : 'k Typedtree.case) ->
-      let p =
-        match c.Typedtree.c_guard with
-        | Some g -> walk pending g
-        | None -> pending
-      in
-      acc || walk p c.Typedtree.c_rhs)
-    false cases
-
 let check_fn (eff : Effects.t) (fn : Callgraph.fn) (sink : Diag.sink) =
   let caller_unit = fn.Callgraph.f_unit.Cmt_load.u_name in
-  let graph = eff.Effects.graph in
-  let resolve p = Callgraph.resolve graph ~caller_unit p in
-  let callee_effects (f : Typedtree.expression) =
-    match f.exp_desc with
-    | Typedtree.Texp_ident (p, _, _) -> (
-      let names = Callgraph.prim_names graph ~caller_unit p in
-      let prim prims = List.exists (fun n -> List.mem n prims) names in
-      let resolved = resolve p in
-      let e =
-        Option.map (fun g -> Effects.find eff g.Callgraph.f_key) resolved
-      in
-      let get f = match e with Some e -> f e | None -> false in
-      ( prim Effects.persist_prims || get (fun e -> e.Effects.e_persist),
-        prim Effects.force_prims || get (fun e -> e.Effects.e_force),
-        get (fun e -> e.Effects.e_unguarded_send),
-        resolved ))
-    | _ -> (false, false, false, None)
-  in
-  let rec walk pending (e : Typedtree.expression) =
+  let transfer go () pending (e : Typedtree.expression) =
     match e.exp_desc with
-    | Typedtree.Texp_ifthenelse (c, then_, else_) ->
-      let p = walk pending c in
-      let pt = walk p then_ in
-      let pe = match else_ with Some e' -> walk p e' | None -> p in
-      pt || pe
-    | Typedtree.Texp_match (scrut, cases, _) ->
-      walk_cases walk (walk pending scrut) cases
-    | Typedtree.Texp_try (body, cases) ->
-      let p = walk pending body in
-      p || walk_cases walk p cases
-    | Typedtree.Texp_function { cases; _ } -> walk_cases walk pending cases
     | Typedtree.Texp_apply (f, args) ->
-      let persists, forces, unguarded, resolved = callee_effects f in
+      let labels, resolved = Effects.callee eff ~caller_unit f in
+      let has l = labels land l <> 0 in
       let p = ref pending in
       (match f.exp_desc with
       | Typedtree.Texp_field (obj, _, lbl) when lbl.lbl_name = "send" ->
-        p := walk !p obj;
+        p := go () !p obj;
         if !p then
           Diag.addf sink ~rule ~loc:e.exp_loc
             "group-communication send before the log force completes: the \
              multicast must run in the continuation of the stable-storage \
              sync (paper §4: the vulnerable record only covers an action \
              whose log record is durable first)"
-      | _ -> p := walk !p f);
+      | _ -> p := go () !p f);
       List.iter
         (fun (_, arg) ->
           match arg with
-          | Some a when forces && Effects.is_fun_literal a ->
+          | Some a when has Effects.force && Effects.is_fun_literal a ->
             (* the force's continuation: durability holds inside *)
-            ignore (walk false a)
-          | Some a -> p := walk !p a
+            ignore (go () false a)
+          | Some a -> p := go () !p a
           | None -> ())
         args;
-      if unguarded && !p then
+      if has Effects.unguarded_send && !p then
         Diag.addf sink ~rule ~loc:e.exp_loc
           "call to %s multicasts before the log force completes: the send \
            must be dominated by the stable-storage sync (paper §4, \
@@ -107,18 +59,19 @@ let check_fn (eff : Effects.t) (fn : Callgraph.fn) (sink : Diag.sink) =
           (match resolved with
           | Some g -> Cmt_load.demangle g.Callgraph.f_key
           | None -> "a sending function");
-      !p || persists
-    | _ -> List.fold_left walk pending (Callgraph.subexprs e)
+      Some (!p || has Effects.persist)
+    | _ -> None
   in
-  ignore (walk false fn.Callgraph.f_expr)
+  (* Branches fork the flag and rejoin with OR; a literal's body may run
+     where it occurs, so its exit flows on. *)
+  ignore
+    (Walk.fold
+       { transfer; refine = Walk.no_refine; join = ( || );
+         literal = (fun _ exit -> exit) }
+       () false fn.Callgraph.f_expr)
 
 (* Check every function of the units under the core prefixes. *)
 let run (eff : Effects.t) ~core (sink : Diag.sink) =
-  let graph = eff.Effects.graph in
   List.iter
-    (fun key ->
-      match Callgraph.find graph key with
-      | Some fn when in_scope core fn.Callgraph.f_unit.Cmt_load.u_src ->
-        check_fn eff fn sink
-      | Some _ | None -> ())
-    graph.Callgraph.keys
+    (fun fn -> check_fn eff fn sink)
+    (Callgraph.table_fns ~within:core eff.Effects.graph)

@@ -544,6 +544,10 @@ let on_transfer_msg t ~src msg =
             t.amnesia_floor <- 0;
             adopt_engine t e;
             let ep =
+              (* as in [create]: installs the event handler; nothing is
+                 multicast until the network delivers an event, so the
+                 meta record the engine appended need not be forced yet.
+                 repcheck: allow *)
               match t.endpoint with Some ep -> ep | None -> make_endpoint t
             in
             (* An amnesiac rejoiner's endpoint is still crashed; a fresh

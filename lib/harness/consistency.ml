@@ -14,115 +14,16 @@ let ready_engines replicas =
     (fun r -> if Replica.is_ready r then Some (r, Replica.engine r) else None)
     replicas
 
-(* The comparable green suffix of an engine: positions above its floor
-   (snapshot-instantiated replicas hold no early bodies). *)
-let green_ids e =
-  List.map (fun a -> a.Action.id) (Engine.green_actions e)
-
-let floor_of e = Engine.green_count e - List.length (Engine.green_actions e)
-
-let drop n l =
-  let rec go n l =
-    if n <= 0 then l else match l with [] -> [] | _ :: tl -> go (n - 1) tl
-  in
-  go n l
-
-(* Compare the overlap of two green sequences, position by position;
-   the first disagreeing position, if any. *)
-let prefix_disagreement (fa, ga) (fb, gb) =
-  let base = max fa fb in
-  let ga = drop (base - fa) ga and gb = drop (base - fb) gb in
-  let rec go i a b =
-    match (a, b) with
-    | [], _ | _, [] -> None
-    | x :: a', y :: b' ->
-      if Action.Id.equal x y then go (i + 1) a' b' else Some (i, x, y)
-  in
-  go (base + 1) ga gb
-
-(* Agreement on overlapping prefixes is transitive through a common
-   reference, so instead of O(n^2) pairwise comparisons it suffices to
-   compare every replica against the one with the longest green
-   sequence (ties broken towards the lowest floor, i.e. the widest
-   coverage).  Positions below the reference's own floor are not
-   covered by it; only the (rare) replicas still holding such early
-   bodies are compared pairwise, and only on that segment. *)
-let check_global_total_order replicas =
-  let engines =
-    List.map
-      (fun (r, e) -> (r, floor_of e, green_ids e, Engine.green_count e))
-      (ready_engines replicas)
-  in
-  match engines with
-  | [] | [ _ ] -> []
-  | first :: rest ->
-    let reference =
-      List.fold_left
-        (fun ((_, bf, _, bc) as best) ((_, f, _, c) as cand) ->
-          if c > bc || (c = bc && f < bf) then cand else best)
-        first rest
-    in
-    let ref_r, ref_floor, ref_ids, _ = reference in
-    let disagree (ra, fa, ga) (rb, fb, gb) =
-      match prefix_disagreement (fa, ga) (fb, gb) with
-      | None -> []
-      | Some (i, x, y) ->
-        [
-          violation "global-total-order"
-            "replicas %d and %d disagree at green position %d: %a vs %a"
-            (Replica.node ra) (Replica.node rb) i Action.Id.pp x Action.Id.pp
-            y;
-        ]
-    in
-    let against_ref =
-      List.concat_map
-        (fun (r, f, g, _) ->
-          if r == ref_r then []
-          else disagree (r, f, g) (ref_r, ref_floor, ref_ids))
-        engines
-    in
-    let below =
-      List.filter_map
-        (fun (r, f, g, _) ->
-          if f < ref_floor then
-            (* keep only the segment the reference does not cover *)
-            Some (r, f, List.filteri (fun i _ -> i < ref_floor - f) g)
-          else None)
-        engines
-    in
-    let rec pairs = function
-      | [] | [ _ ] -> []
-      | x :: rest -> List.map (fun y -> (x, y)) rest @ pairs rest
-    in
-    let below_ref =
-      List.concat_map (fun (a, b) -> disagree a b) (pairs below)
-    in
-    against_ref @ below_ref
-
-let check_global_fifo replicas =
-  let engines = ready_engines replicas in
-  List.concat_map
-    (fun (r, e) ->
-      let seen : (Repro_net.Node_id.t, int) Hashtbl.t = Hashtbl.create 16 in
-      List.filter_map
-        (fun (id : Action.Id.t) ->
-          let prev =
-            match Hashtbl.find_opt seen id.server with
-            | Some i -> i
-            | None ->
-              (* A snapshot-inherited prefix may hide earlier indices:
-                 accept the first occurrence as the baseline. *)
-              id.index - 1
-          in
-          Hashtbl.replace seen id.server id.index;
-          if id.index <> prev + 1 then
-            Some
-              (violation "global-fifo"
-                 "replica %d greens %a after index %d of the same creator"
-                 (Replica.node r) Action.Id.pp id prev)
-          else None)
-        (green_ids e))
-    engines
+(* Theorems 1 and 2 (global total order, global FIFO) have one
+   implementation, [Repro_check.Snapshot]'s; its findings keep their
+   names here ("global-total-order", "global-fifo"). *)
+let check_global_orders replicas =
+  let module S = Repro_check.Snapshot in
+  let snaps = List.filter_map S.of_replica replicas in
+  List.map
+    (fun (v : S.violation) ->
+      violation v.S.v_invariant "%a" S.pp_violation v)
+    (S.check_total_order snaps @ S.check_fifo snaps)
 
 let check_single_primary replicas =
   let engines = ready_engines replicas in
@@ -215,8 +116,7 @@ let check_exactly_once ~ledgers replicas =
     ready
 
 let check_all ?(converged = false) replicas =
-  check_global_total_order replicas
-  @ check_global_fifo replicas
+  check_global_orders replicas
   @ check_single_primary replicas
   @ if converged then check_convergence replicas else []
 

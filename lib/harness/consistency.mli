@@ -13,20 +13,6 @@ type violation = {
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val check_global_total_order : Replica.t list -> violation list
-(** Theorem 1: if two replicas both performed their i-th action, the
-    actions are identical — green prefixes must be pairwise consistent.
-    Checked in O(n) sequence comparisons against the longest green
-    sequence as the common reference (prefix agreement is transitive);
-    pairwise comparison only remains for the segment below the
-    reference's floor, among the replicas still holding it. *)
-
-val check_global_fifo : Replica.t list -> violation list
-(** Theorem 2: a replica that performed action [a] of server [s] already
-    performed every earlier action of [s] (modulo a snapshot-inherited
-    prefix) — per-creator indices inside each green sequence must be
-    increasing and gap-free. *)
-
 val check_single_primary : Replica.t list -> violation list
 (** At most one group of live replicas believes it is the primary
     component, identified by the installed primary index. *)
@@ -53,7 +39,12 @@ val check_exactly_once : ledgers:ledger list -> Replica.t list -> violation list
 
 val check_all : ?converged:bool -> Replica.t list -> violation list
 (** Every safety check; [converged] (default false) adds the liveness
-    check. *)
+    check.  Theorem 1 (global total order: green prefixes agree on
+    their overlap) and Theorem 2 (global FIFO: per-creator indices in
+    each green sequence are increasing and gap-free) are
+    {!Repro_check.Snapshot.check_total_order} and
+    {!Repro_check.Snapshot.check_fifo} over the ready replicas,
+    reported as "global-total-order" and "global-fifo". *)
 
 val assert_ok : ?converged:bool -> Replica.t list -> unit
 (** Raises [Failure] with a description if any check fails. *)

@@ -17,3 +17,9 @@ let step m =
   | Types.Exchange_actions | Types.Construct | Types.No_state | Types.Un_state
     ->
     ()
+
+(* Clean twin, for refinement: [finish] is a root, so it is entered
+   with every state possible, and Construct -> Reg_prim is legal only
+   because the condition narrows the state set to {Construct}.  Without
+   the narrowing the extraction would emit every state -> Reg_prim. *)
+let finish m = if m.state = Types.Construct then set_state m Types.Reg_prim

@@ -32,3 +32,12 @@ let announce_batch_before_force (log : int Wlog.t) (wire : net) seqs =
 let announce_batch_after_force (log : int Wlog.t) (wire : net) seqs =
   Wlog.append log seqs;
   Wlog.sync log (fun () -> List.iter (fun seq -> wire.send ~size:8 seq) seqs)
+
+(* Join: the append happens on one arm of the [if] only, and the send
+   after it is reached with the record un-forced along that arm.  The
+   arms rejoin with OR (some path is pending), so the send is flagged;
+   an AND join would let it through. *)
+let announce_after_branch (log : int Wlog.t) (wire : net) seq urgent =
+  if urgent then Wlog.append log [ seq ];
+  wire.send ~size:8 seq;
+  Wlog.sync log (fun () -> ())

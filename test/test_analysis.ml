@@ -1,6 +1,5 @@
 (* Unit tests for the static-analysis framework's pure parts: the
-   diagnostic sink (dedup, ordering, JSON round-trip, baseline
-   fingerprints) and the spec-drift diff against the real Figure 4
+   diagnostic sink (dedup, ordering, JSON rendering and escaping) and the spec-drift diff against the real Figure 4
    table from lib/check/spec.ml.
 
    NOTE: no [open] of project libraries — repro_analysis links
@@ -59,23 +58,6 @@ let test_order () =
     [ ("a.ml", 2, 1); ("a.ml", 2, 5); ("a.ml", 9, 0); ("b.ml", 1, 0) ]
     got
 
-let test_json_roundtrip () =
-  let sink = Diag.create_sink () in
-  add sink ~rule:"no-poly-id-compare" ~file:"lib/x.ml" ~line:4 ~col:7
-    "tricky \"quoted\"\nmessage\twith escapes";
-  add sink ~rule:"spec-drift" ~file:"lib/y.ml" ~line:1 ~col:0 "plain";
-  let diags = Diag.to_list sink in
-  let parsed = Diag.parse_report (Diag.report_json diags) in
-  Alcotest.(check int) "same count" (List.length diags) (List.length parsed);
-  List.iter2
-    (fun a b ->
-      Alcotest.(check string) "rule" a.Diag.d_rule b.Diag.d_rule;
-      Alcotest.(check string) "file" a.Diag.d_file b.Diag.d_file;
-      Alcotest.(check int) "line" a.Diag.d_line b.Diag.d_line;
-      Alcotest.(check int) "col" a.Diag.d_col b.Diag.d_col;
-      Alcotest.(check string) "message" a.Diag.d_message b.Diag.d_message)
-    diags parsed
-
 let test_json_deterministic () =
   let sink = Diag.create_sink () in
   add sink ~rule:"r" ~file:"a.ml" ~line:1 ~col:0 "m";
@@ -83,51 +65,22 @@ let test_json_deterministic () =
   Alcotest.(check string)
     "byte-identical" (Diag.report_json diags) (Diag.report_json diags)
 
-let test_baseline_ignores_line_moves () =
+(* The report's string escaping, pinned to literal output: a quote, a
+   backslash, a newline and a tab in a message. *)
+let test_json_escapes () =
   let sink = Diag.create_sink () in
-  add sink ~rule:"r" ~file:"a.ml" ~line:10 ~col:2 "grandfathered";
-  let baseline = Diag.to_list sink in
-  (* the same finding, shifted down 5 lines: still grandfathered *)
-  let moved = Diag.create_sink () in
-  add moved ~rule:"r" ~file:"a.ml" ~line:15 ~col:4 "grandfathered";
-  Alcotest.(check int)
-    "line move is not new" 0
-    (List.length (Diag.new_findings ~baseline (Diag.to_list moved)));
-  (* a different message is a new finding *)
-  let fresh = Diag.create_sink () in
-  add fresh ~rule:"r" ~file:"a.ml" ~line:10 ~col:2 "different";
-  Alcotest.(check int)
-    "message change is new" 1
-    (List.length (Diag.new_findings ~baseline (Diag.to_list fresh)))
-
-let test_json_render_parse_render_stable () =
-  (* Render → parse → render must be byte-identical — the golden
-     reports and the baseline can be regenerated from either side. *)
-  let sink = Diag.create_sink () in
-  add sink ~rule:"z-rule" ~file:"lib/z.ml" ~line:2 ~col:3 "last file first";
-  add sink ~rule:"a-rule" ~file:"lib/a.ml" ~line:40 ~col:0
-    "escapes: \"\\ \t and\nnewline";
-  add sink ~rule:"m-rule" ~file:"lib/a.ml" ~line:4 ~col:12 "middle";
-  let j1 = Diag.report_json (Diag.to_list sink) in
-  let j2 = Diag.report_json (Diag.parse_report j1) in
-  Alcotest.(check string) "byte-identical after round-trip" j1 j2
-
-let test_baseline_survives_roundtrip () =
-  (* A baseline written to JSON and parsed back grandfathers exactly
-     what the in-memory baseline does: fingerprints survive the trip. *)
-  let sink = Diag.create_sink () in
-  add sink ~rule:"r" ~file:"a.ml" ~line:10 ~col:2 "known";
-  add sink ~rule:"s" ~file:"b.ml" ~line:3 ~col:0 "also known";
-  let baseline = Diag.to_list sink in
-  let reparsed = Diag.parse_report (Diag.report_json baseline) in
-  let current = Diag.create_sink () in
-  add current ~rule:"r" ~file:"a.ml" ~line:22 ~col:7 "known";
-  add current ~rule:"s" ~file:"b.ml" ~line:3 ~col:0 "also known";
-  add current ~rule:"r" ~file:"a.ml" ~line:5 ~col:1 "genuinely new";
-  let fresh = Diag.new_findings ~baseline:reparsed (Diag.to_list current) in
-  Alcotest.(check (list string))
-    "only the new finding survives" [ "genuinely new" ]
-    (List.map (fun d -> d.Diag.d_message) fresh)
+  add sink ~rule:"r" ~file:"a.ml" ~line:4 ~col:7 "say \"hi\" \\ then\nnext\tcol";
+  Alcotest.(check string)
+    "escaped"
+    "{\n\
+    \  \"version\": \"1\",\n\
+    \  \"tool\": \"repro-analysis\",\n\
+    \  \"findings\": [\n\
+    \    {\"rule\": \"r\", \"file\": \"a.ml\", \"line\": 4, \"col\": 7, \
+     \"message\": \"say \\\"hi\\\" \\\\ then\\nnext\\tcol\"}\n\
+    \  ]\n\
+     }\n"
+    (Diag.report_json (Diag.to_list sink))
 
 (* --- source-level suppression ----------------------------------------- *)
 
@@ -393,23 +346,6 @@ let test_stale_trusted () =
     (Loops.stale_trusted ~roots:[ "root" ] ~refs
        ~trusted:[ "waived"; "orphan" ])
 
-let test_stale_baseline () =
-  let sink = Diag.create_sink () in
-  add sink ~rule:"hotpath-cost" ~file:"a.ml" ~line:3 ~col:0 "still here";
-  let current = Diag.to_list sink in
-  let gone =
-    { (List.hd current) with Diag.d_rule = "hotpath-alloc"; d_message = "fixed" }
-  in
-  Alcotest.(check (list string))
-    "only the entry with no current match is stale" [ "fixed" ]
-    (List.map
-       (fun d -> d.Diag.d_message)
-       (Diag.stale_baseline ~baseline:(gone :: current) current));
-  (* fingerprints carry no line number: a moved finding is not stale *)
-  let moved = { (List.hd current) with Diag.d_line = 99 } in
-  Alcotest.(check int) "line moves do not strand the baseline" 0
-    (List.length (Diag.stale_baseline ~baseline:[ moved ] current))
-
 let () =
   Alcotest.run "analysis"
     [
@@ -417,15 +353,9 @@ let () =
         [
           Alcotest.test_case "dedup by (file, line, rule)" `Quick test_dedup;
           Alcotest.test_case "total order" `Quick test_order;
-          Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "json deterministic" `Quick
             test_json_deterministic;
-          Alcotest.test_case "baseline fingerprint" `Quick
-            test_baseline_ignores_line_moves;
-          Alcotest.test_case "render-parse-render stable" `Quick
-            test_json_render_parse_render_stable;
-          Alcotest.test_case "baseline survives round-trip" `Quick
-            test_baseline_survives_roundtrip;
+          Alcotest.test_case "json escapes" `Quick test_json_escapes;
         ] );
       ( "suppression-tags",
         [
@@ -466,7 +396,5 @@ let () =
           Alcotest.test_case "budget grammar" `Quick test_cost_budget_grammar;
           Alcotest.test_case "type markers" `Quick test_cost_type_markers;
           Alcotest.test_case "stale hotpath waivers" `Quick test_stale_trusted;
-          Alcotest.test_case "stale baseline fingerprints" `Quick
-            test_stale_baseline;
         ] );
     ]
