@@ -65,7 +65,10 @@ let ablation () =
 let ablation_cmd =
   Cmd.v
     (Cmd.info "ablation"
-       ~doc:"Ablation A1: GCS acknowledgement batching sweep.")
+       ~doc:
+         "Ablations A1 (GCS acknowledgement batching sweep), A3 (the §6 \
+          read-only query path) and A5 (primary availability under churn, \
+          per quorum policy).")
     Term.(const ablation $ const ())
 
 let wan () = ignore (Repro_harness.Figures.wan_prediction ppf ())
@@ -287,7 +290,11 @@ let all () =
 
 let all_cmd =
   Cmd.v
-    (Cmd.info "all" ~doc:"Every figure, table and ablation in sequence.")
+    (Cmd.info "all"
+       ~doc:
+         "Figures 5(a) and 5(b), the latency table, the WAN prediction and \
+          ablations A1-A3 in sequence (A4 is $(b,scale), A5 is in \
+          $(b,ablation)).")
     Term.(const all $ const ())
 
 (* ------------------------------------------------------------------ *)

@@ -44,7 +44,7 @@ let fingerprint_replica r =
     ]
   end
 
-let fingerprint ?sim ?trace replicas =
+let fingerprint ?sim replicas =
   let sorted =
     List.sort
       (fun a b -> Node_id.compare (Replica.node a) (Replica.node b))
@@ -55,15 +55,7 @@ let fingerprint ?sim ?trace replicas =
     | Some s -> [ Format.asprintf "time %a" Sim.Time.pp (Sim.Engine.now s) ]
     | None -> []
   in
-  let tail =
-    match trace with
-    | Some tr ->
-      List.map
-        (fun e -> Format.asprintf "trace %a" Sim.Trace.pp_entry e)
-        (Sim.Trace.entries tr)
-    | None -> []
-  in
-  head @ List.concat_map fingerprint_replica sorted @ tail
+  head @ List.concat_map fingerprint_replica sorted
 
 let diff a b =
   let rec go i a b acc =

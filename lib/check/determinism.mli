@@ -9,16 +9,11 @@ open Repro_core
     bug (unseeded randomness, wall-clock leakage, hash-order dependence)
     and names the first diverging fact. *)
 
-val fingerprint :
-  ?sim:Repro_sim.Engine.t ->
-  ?trace:Repro_sim.Trace.t ->
-  Replica.t list ->
-  string list
+val fingerprint : ?sim:Repro_sim.Engine.t -> Replica.t list -> string list
 (** A canonical line-per-fact encoding of the replicas' protocol state
     (engine state, green order and floor, red set and cut, white line,
     primary component, database digest), sorted by node id.  [sim]
-    prepends the virtual clock; [trace] appends every trace entry, so
-    the whole event history participates in the comparison. *)
+    prepends the virtual clock. *)
 
 val diff : string list -> string list -> string list
 (** Line-by-line comparison of two fingerprints; empty means equal. *)

@@ -2,29 +2,30 @@ module Sim = Repro_sim
 open Repro_net
 open Repro_core
 
-(* The online invariant monitor: subscribes to every replica's engine
-   audit feed, re-checks event-level invariants (quorum decisions,
-   installs) as they happen, and sweeps the instantaneous + step
-   catalogue of [Snapshot] after every state transition (i.e. at every
-   view change) — each sweep runs as a zero-delay simulation event, so
-   it observes quiescent post-event state and never perturbs the run. *)
+(* The online invariant monitor: feeds every replica's engine input and
+   audit streams to the Figure 4 spec oracle ([Spec]), and sweeps the
+   instantaneous + step catalogue of [Snapshot] after every audited
+   decision (i.e. at every view change) — each sweep runs as a
+   zero-delay simulation event, so it observes quiescent post-event
+   state and never perturbs the run. *)
+
+type entry = Sim.Time.t * Node_id.t * Engine.audit_event
 
 type record = {
   r_at : Sim.Time.t;
   r_violation : Snapshot.violation;
-  r_window : Sim.Trace.entry list;  (** trace window around the failure *)
+  r_window : entry list;
 }
+
+(* Audit events each violation record keeps as context. *)
+let window = 40
 
 type t = {
   sim : Sim.Engine.t;
   replicas : unit -> Replica.t list;
-  trace : Sim.Trace.t;
-  window : int;
-  policy : Quorum.policy option;
-  weights : Quorum.weights;
+  spec : Spec.t;
+  recent : entry Queue.t; (* the last [window] audit events *)
   history : (Node_id.t, Snapshot.node_snap) Hashtbl.t;
-  installs : (int, Types.prim_component) Hashtbl.t;
-      (* prim_index -> the one component ever installed with it *)
   mutable attached : Node_id.Set.t;
   mutable records : record list; (* newest first *)
   mutable scheduled : bool;
@@ -35,103 +36,18 @@ let violations t = List.rev_map (fun r -> r.r_violation) t.records
 let records t = List.rev t.records
 let ok t = t.records = []
 let observations t = t.observations
-let trace t = t.trace
+let recent t = List.of_seq (Queue.to_seq t.recent)
 
 let add t v =
-  Sim.Trace.record t.trace ~at:(Sim.Engine.now t.sim)
-    ~node:(match v.Snapshot.v_node with Some n -> n | None -> -1)
-    ~tag:"violation"
-    (Format.asprintf "%a" Snapshot.pp_violation v);
   t.records <-
-    {
-      r_at = Sim.Engine.now t.sim;
-      r_violation = v;
-      r_window = Sim.Trace.last t.trace t.window;
-    }
+    { r_at = Sim.Engine.now t.sim; r_violation = v; r_window = recent t }
     :: t.records
-
-let note t ~node ~tag detail =
-  Sim.Trace.record t.trace ~at:(Sim.Engine.now t.sim) ~node ~tag detail
-
-(* ------------------------------------------------------------------ *)
-(* Event-driven checks (audit feed)                                    *)
-
-let on_quorum t ~node ~members ~vulnerable ~prev_prim ~granted =
-  note t ~node ~tag:"quorum"
-    (Format.asprintf "granted=%b members=%a vulnerable=%a prev-prim=%d"
-       granted Node_id.pp_set members Node_id.pp_set vulnerable
-       prev_prim.Types.prim_index);
-  (* IsQuorum (paper §5): no quorum may contain a vulnerable server. *)
-  if granted && not (Node_id.Set.is_empty vulnerable) then
-    add t
-      (Snapshot.violation ~node "quorum-vulnerable"
-         "quorum granted over %a despite vulnerable %a" Node_id.pp_set members
-         Node_id.pp_set vulnerable);
-  (* Cross-check the decision itself against the declared policy. *)
-  match t.policy with
-  | Some Quorum.Dynamic_linear ->
-    let expected =
-      Node_id.Set.is_empty vulnerable
-      && Quorum.has_majority ~weights:t.weights
-           ~prev:prev_prim.Types.prim_servers members
-    in
-    if granted <> expected then
-      add t
-        (Snapshot.violation ~node "quorum-decision"
-           "engine %s a quorum the declared policy would %s"
-           (if granted then "granted" else "denied")
-           (if expected then "grant" else "deny"))
-  | Some (Quorum.Static_majority | Quorum.Mutated_weak_majority) | None -> ()
-
-let on_install t ~node (prim : Types.prim_component) =
-  note t ~node ~tag:"install"
-    (Format.asprintf "primary %d attempt %d members %a" prim.Types.prim_index
-       prim.Types.prim_attempt Node_id.pp_set prim.Types.prim_servers);
-  (match Hashtbl.find_opt t.installs prim.Types.prim_index with
-  | Some first
-    when first.Types.prim_attempt <> prim.Types.prim_attempt
-         || not
-              (Node_id.Set.equal first.Types.prim_servers
-                 prim.Types.prim_servers) ->
-    (* Two different components installed under one index: the split
-       brain the vulnerable record exists to prevent (paper §4). *)
-    add t
-      (Snapshot.violation ~node "primary-exclusivity"
-         "primary %d installed twice: attempt %d %a vs attempt %d %a"
-         prim.Types.prim_index first.Types.prim_attempt Node_id.pp_set
-         first.Types.prim_servers prim.Types.prim_attempt Node_id.pp_set
-         prim.Types.prim_servers)
-  | Some _ | None -> Hashtbl.replace t.installs prim.Types.prim_index prim);
-  (* Dynamic linear voting: each component is a (weighted) majority of
-     the previously installed one. *)
-  match (t.policy, Hashtbl.find_opt t.installs (prim.Types.prim_index - 1)) with
-  | Some Quorum.Dynamic_linear, Some prev ->
-    if
-      not
-        (Quorum.has_majority ~weights:t.weights ~prev:prev.Types.prim_servers
-           prim.Types.prim_servers)
-    then
-      add t
-        (Snapshot.violation ~node "primary-quorum"
-           "primary %d (%a) is not a majority of primary %d (%a)"
-           prim.Types.prim_index Node_id.pp_set prim.Types.prim_servers
-           (prim.Types.prim_index - 1) Node_id.pp_set prev.Types.prim_servers)
-  | (Some _ | None), _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Snapshot sweeps                                                     *)
 
 let observe t =
   t.observations <- t.observations + 1;
-  let snaps = List.filter_map Snapshot.of_replica (t.replicas ()) in
-  List.iter (add t) (Snapshot.check_observation snaps);
-  List.iter
-    (fun cur ->
-      (match Hashtbl.find_opt t.history cur.Snapshot.ns_node with
-      | Some prev -> List.iter (add t) (Snapshot.check_step ~prev ~cur)
-      | None -> ());
-      Hashtbl.replace t.history cur.Snapshot.ns_node cur)
-    snaps
+  List.iter (add t)
+    (Snapshot.sweep t.history
+       (List.filter_map Snapshot.of_replica (t.replicas ())))
 
 (* Sweep after the current simulation event completes: engine state is
    transient inside an event; a zero-delay event observes the settled
@@ -146,28 +62,35 @@ let schedule_observe t =
   end
 
 let on_audit t ~node ev =
-  match ev with
-  | Engine.Audit_state s ->
-    note t ~node ~tag:"state" (Format.asprintf "%a" Types.pp_engine_state s);
-    schedule_observe t
-  | Engine.Audit_quorum { aq_members; aq_vulnerable; aq_prev_prim; aq_granted }
-    ->
-    on_quorum t ~node ~members:aq_members ~vulnerable:aq_vulnerable
-      ~prev_prim:aq_prev_prim ~granted:aq_granted;
-    schedule_observe t
-  | Engine.Audit_install prim ->
-    on_install t ~node prim;
-    schedule_observe t
+  Queue.push (Sim.Engine.now t.sim, node, ev) t.recent;
+  if Queue.length t.recent > window then ignore (Queue.pop t.recent);
+  Spec.on_audit t.spec ~node ev;
+  List.iter (add t) (Spec.take t.spec);
+  schedule_observe t
 
 (* Replicas can appear after creation (joiners): re-scan on every
-   sweep and hook anything new. *)
+   [check_now] and hook anything new.  A changed incarnation (crash,
+   amnesia, resync) restarts the node's abstract state at NonPrim. *)
 let attach_new t =
   List.iter
     (fun r ->
       let node = Replica.node r in
       if not (Node_id.Set.mem node t.attached) then begin
         t.attached <- Node_id.Set.add node t.attached;
-        Replica.set_audit r (fun ev -> on_audit t ~node ev)
+        let seen = ref (Replica.incarnation r) in
+        let sync () =
+          if Replica.incarnation r <> !seen then begin
+            seen := Replica.incarnation r;
+            Spec.on_recover t.spec ~node
+          end
+        in
+        Replica.set_audit r
+          ~input:(fun ev ->
+            sync ();
+            Spec.on_input t.spec ~node ev)
+          (fun ev ->
+            sync ();
+            on_audit t ~node ev)
       end)
     (t.replicas ())
 
@@ -175,19 +98,14 @@ let check_now t =
   attach_new t;
   observe t
 
-let create ?(window = 40) ?(policy = Some Quorum.Dynamic_linear)
-    ?(weights = Quorum.no_weights) ?(trace_capacity = 20_000) ~sim ~replicas ()
-    =
+let create ~sim ~replicas =
   let t =
     {
       sim;
       replicas;
-      trace = Sim.Trace.create ~capacity:trace_capacity ();
-      window;
-      policy;
-      weights;
+      spec = Spec.create ();
+      recent = Queue.create ();
       history = Hashtbl.create 16;
-      installs = Hashtbl.create 16;
       attached = Node_id.Set.empty;
       records = [];
       scheduled = false;
@@ -200,6 +118,20 @@ let create ?(window = 40) ?(policy = Some Quorum.Dynamic_linear)
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
 
+let pp_audit ppf = function
+  | Engine.Audit_state s ->
+    Format.fprintf ppf "state %a" Types.pp_engine_state s
+  | Engine.Audit_quorum { aq_members; aq_vulnerable; aq_prev_prim; aq_granted }
+    ->
+    Format.fprintf ppf
+      "quorum granted=%b members=%a vulnerable=%a prev-prim=%d" aq_granted
+      Node_id.pp_set aq_members Node_id.pp_set aq_vulnerable
+      aq_prev_prim.Types.prim_index
+  | Engine.Audit_install p ->
+    Format.fprintf ppf "install primary %d attempt %d members %a"
+      p.Types.prim_index p.Types.prim_attempt Node_id.pp_set
+      p.Types.prim_servers
+
 let pp_record ppf r =
   Format.fprintf ppf "@[<v 2>at %a: %a" Sim.Time.pp r.r_at
     Snapshot.pp_violation r.r_violation;
@@ -207,7 +139,9 @@ let pp_record ppf r =
     Format.fprintf ppf "@,trace window (last %d events):"
       (List.length r.r_window);
     List.iter
-      (fun e -> Format.fprintf ppf "@,  %a" Sim.Trace.pp_entry e)
+      (fun (at, node, ev) ->
+        Format.fprintf ppf "@,  [%a] %a %a" Sim.Time.pp at Node_id.pp node
+          pp_audit ev)
       r.r_window
   end;
   Format.fprintf ppf "@]"

@@ -1,22 +1,22 @@
+open Repro_net
 open Repro_core
 
 (** The online protocol invariant monitor ("repcheck").
 
     Attach one monitor to a scenario's replicas and it evaluates the
-    invariant catalogue of {!Snapshot} for the whole run:
+    invariant catalogue for the whole run:
 
-    - {b event-driven}: every engine emits an audit feed
-      ({!Engine.audit_event}); quorum decisions are re-checked against
-      the declared policy and the vulnerable-exclusion rule the moment
-      they are made, and primary installs are checked against a global
-      registry (at most one component per [prim_index] — the paper's §4
-      exclusivity argument);
-    - {b sweeps}: after every state transition the monitor schedules a
+    - {b event-driven}: every engine's input and audit streams
+      ({!Engine.set_audit}) feed the Figure 4 spec oracle ({!Spec}) the
+      moment they happen — illegal state edges, quorum decisions that
+      differ from dynamic linear voting with vulnerable members excluded,
+      and installs that are unjustified or repeat a [prim_index] with a
+      different component (the paper's §4 exclusivity argument);
+    - {b sweeps}: after every audited decision the monitor schedules a
       zero-delay simulation event and, once the triggering event has
-      settled, snapshots all ready replicas and runs the instantaneous
-      catalogue (total order, FIFO, primary exclusivity, coherence)
-      plus the per-node step catalogue (color monotonicity) against the
-      previous sweep.
+      settled, snapshots all ready replicas and runs {!Snapshot.sweep}
+      (total order, FIFO, primary exclusivity, coherence, and color
+      monotonicity against the previous sweep).
 
     The monitor is purely observational: it sends no messages and
     mutates no replica, and its zero-delay events do not reorder the
@@ -26,31 +26,19 @@ open Repro_core
 
 type t
 
+type entry = Repro_sim.Time.t * Node_id.t * Engine.audit_event
+
 type record = {
   r_at : Repro_sim.Time.t;
   r_violation : Snapshot.violation;
-  r_window : Repro_sim.Trace.entry list;
-      (** the most recent trace entries at the time of the violation,
-          oldest first — the context a report pretty-prints *)
+  r_window : entry list;
+      (** the last 40 audit events at the time of the violation, oldest
+          first — the context a report pretty-prints *)
 }
 
-val create :
-  ?window:int ->
-  ?policy:Quorum.policy option ->
-  ?weights:Quorum.weights ->
-  ?trace_capacity:int ->
-  sim:Repro_sim.Engine.t ->
-  replicas:(unit -> Replica.t list) ->
-  unit ->
-  t
-(** [create ~sim ~replicas ()] attaches to every replica currently
-    returned by [replicas] and re-scans for newcomers (joiners) at each
-    sweep.  [window] (default 40) is how many trace entries each
-    violation record captures.  [policy] (default
-    [Some Quorum.Dynamic_linear]) enables the quorum-decision and
-    primary-lineage cross-checks; pass [None] when the scenario runs a
-    different policy.  [weights] must match the scenario's voting
-    weights. *)
+val create : sim:Repro_sim.Engine.t -> replicas:(unit -> Replica.t list) -> t
+(** [create ~sim ~replicas] attaches to every replica currently returned
+    by [replicas]; {!check_now} re-scans for newcomers (joiners). *)
 
 val check_now : t -> unit
 (** Forces a sweep immediately (use at quiescence, after [Sim.Engine.run]
@@ -66,12 +54,11 @@ val observations : t -> int
 (** Number of sweeps performed (for "the monitor actually ran"
     assertions). *)
 
-val trace : t -> Repro_sim.Trace.t
-(** The monitor's own trace: audit events ([state], [quorum],
-    [install]) and [violation] entries. *)
+val recent : t -> entry list
+(** The last 40 audit events, oldest first. *)
 
 val report : t -> Format.formatter -> unit
-(** Pretty-prints every violation with its trace window, or a one-line
+(** Pretty-prints every violation with its audit window, or a one-line
     all-clear. *)
 
 val assert_ok : t -> unit

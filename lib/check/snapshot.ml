@@ -322,3 +322,14 @@ let check_step ~prev ~cur =
 let check_observation snaps =
   check_total_order snaps @ check_fifo snaps @ check_primary_exclusivity snaps
   @ check_coherence snaps
+
+(* One sweep: the instantaneous catalogue, then each node's step against
+   its previous snapshot in [history] (the node's baseline from here on). *)
+let sweep history snaps =
+  check_observation snaps
+  @ List.concat_map
+      (fun cur ->
+        let prev = Hashtbl.find_opt history cur.ns_node in
+        Hashtbl.replace history cur.ns_node cur;
+        match prev with Some prev -> check_step ~prev ~cur | None -> [])
+      snaps

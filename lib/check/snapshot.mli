@@ -80,3 +80,9 @@ val check_step : prev:node_snap -> cur:node_snap -> violation list
     knowledge is irrevocable), green count / white line / per-creator
     red cuts never regress.  Returns [] when the incarnations differ —
     a crash legitimately loses volatile state. *)
+
+val sweep :
+  (Node_id.t, node_snap) Hashtbl.t -> node_snap list -> violation list
+(** {!check_observation} plus, per node, {!check_step} against the node's
+    previous snapshot in the history table, which then records [snaps] —
+    the one sweep both the online monitor and the model checker run. *)

@@ -1,12 +1,15 @@
 open Repro_net
+open Repro_gcs
 open Repro_core
 
-(* An executable model of the paper's Figure 4 / Appendix A automaton.
-
-   The model checker feeds it the observable behaviour of each concrete
-   engine — the group-communication events it consumes (before the
-   engine processes them) and the audit feed it emits — and the oracle
-   verifies that every concrete step refines an abstract one:
+(* An executable model of the paper's Figure 4 / Appendix A automaton,
+   the one event-level protocol oracle.  Both drivers feed it the
+   observable behaviour of each concrete engine through the engine's
+   sinks ([Engine.set_audit]): the online monitor for every replica of a
+   simulated world, the model checker for every engine it explores.  The
+   input sink hands it each group-communication event before the engine
+   processes it, the audit sink each decision the engine makes, and the
+   oracle verifies that every concrete step refines an abstract one:
 
    - every [Audit_state] transition must be an edge of Figure 4, taken
      under the trigger that the abstract automaton takes it under
@@ -58,14 +61,13 @@ type shadow = {
 }
 
 type t = {
-  weights : Quorum.weights;
   shadows : (Node_id.t, shadow) Hashtbl.t;
   installs : (int, Types.prim_component) Hashtbl.t;
   mutable violations : Snapshot.violation list; (* newest first *)
 }
 
-let create ?(weights = Quorum.no_weights) () =
-  { weights; shadows = Hashtbl.create 8; installs = Hashtbl.create 8; violations = [] }
+let create () =
+  { shadows = Hashtbl.create 8; installs = Hashtbl.create 8; violations = [] }
 
 let fresh_shadow () =
   { sh_state = Types.Non_prim; sh_trigger = Tr_none; sh_quorum = Q_pending }
@@ -95,22 +97,20 @@ let ok t = t.violations = []
 (* ------------------------------------------------------------------ *)
 (* Observed inputs                                                     *)
 
-let on_view t ~node kind =
-  let sh = shadow t node in
-  match kind with
-  | `Trans -> sh.sh_trigger <- Tr_trans_conf
-  | `Reg ->
-    sh.sh_trigger <- Tr_reg_conf;
-    sh.sh_quorum <- Q_pending
-
-let on_deliver t ~node (payload : Types.payload) ~in_regular =
+let on_input t ~node (ev : Types.payload Endpoint.event) =
   let sh = shadow t node in
   sh.sh_trigger <-
-    (match payload with
-    | Types.Action_batch _ -> Tr_action in_regular
-    | Types.Retrans_green _ | Types.Retrans_red _ -> Tr_retrans
-    | Types.State_msg _ -> Tr_state_msg
-    | Types.Cpc _ -> Tr_cpc)
+    (match ev with
+    | Endpoint.Trans_conf _ -> Tr_trans_conf
+    | Endpoint.Reg_conf _ ->
+      sh.sh_quorum <- Q_pending;
+      Tr_reg_conf
+    | Endpoint.Deliver d -> (
+      match d.Endpoint.payload with
+      | Types.Action_batch _ -> Tr_action d.Endpoint.in_regular
+      | Types.Retrans_green _ | Types.Retrans_red _ -> Tr_retrans
+      | Types.State_msg _ -> Tr_state_msg
+      | Types.Cpc _ -> Tr_cpc))
 
 let on_recover t ~node = Hashtbl.replace t.shadows node (fresh_shadow ())
 
@@ -211,9 +211,8 @@ let on_quorum t ~node ~members ~vulnerable ~prev_prim ~granted =
     flag t ~node "quorum evaluated in %a (spec: ExchangeActions only)"
       Types.pp_engine_state sh.sh_state;
   let expected =
-    Node_id.Set.is_empty vulnerable
-    && Quorum.has_majority ~weights:t.weights
-         ~prev:prev_prim.Types.prim_servers members
+    Quorum.is_quorum ~prev:prev_prim.Types.prim_servers
+      ~vulnerable_present:(not (Node_id.Set.is_empty vulnerable)) members
   in
   if granted <> expected then
     flag t ~node
@@ -262,8 +261,8 @@ let on_install t ~node (prim : Types.prim_component) =
   match Hashtbl.find_opt t.installs (prim.Types.prim_index - 1) with
   | Some prev
     when not
-           (Quorum.has_majority ~weights:t.weights
-              ~prev:prev.Types.prim_servers prim.Types.prim_servers) ->
+           (Quorum.has_majority ~prev:prev.Types.prim_servers
+              prim.Types.prim_servers) ->
     flag t ~node "primary %d (%a) is not a majority of primary %d (%a)"
       prim.Types.prim_index Node_id.pp_set prim.Types.prim_servers
       (prim.Types.prim_index - 1)

@@ -1,4 +1,5 @@
 open Repro_net
+open Repro_gcs
 open Repro_core
 
 (** The abstract-specification conformance oracle: an executable model
@@ -6,9 +7,10 @@ open Repro_core
     {!Engine} step must refine.
 
     Feed it, per node and in order, the group-communication events the
-    engine consumes ({!on_view}, {!on_deliver} — call {e before} handing
-    the event to the engine) and the audit feed the engine emits
-    ({!on_audit}).  It verifies that
+    engine consumes ({!on_input}) and the audit feed the engine emits
+    ({!on_audit}) — wire them as the engine's two sinks
+    ({!Engine.set_audit}).  Both the online {!Monitor} and the model
+    checker do.  It verifies that
 
     - each state transition is a Figure 4 edge taken under its abstract
       trigger,
@@ -39,20 +41,17 @@ val edges : (Types.engine_state option * Types.engine_state) list
 
 type t
 
-val create : ?weights:Quorum.weights -> unit -> t
-(** The specification's quorum system is the paper's dynamic linear
-    voting; [weights] must match the scenario (default: unweighted). *)
+val create : unit -> t
+(** The specification's quorum system is the paper's unweighted dynamic
+    linear voting. *)
 
-val on_view : t -> node:Node_id.t -> [ `Trans | `Reg ] -> unit
-(** A transitional/regular configuration event is about to reach the
-    node's engine. *)
-
-val on_deliver :
-  t -> node:Node_id.t -> Types.payload -> in_regular:bool -> unit
-(** A payload delivery is about to reach the node's engine. *)
+val on_input :
+  t -> node:Node_id.t -> Types.payload Endpoint.event -> unit
+(** An endpoint event is about to reach the node's engine: wire as the
+    engine's input sink. *)
 
 val on_audit : t -> node:Node_id.t -> Engine.audit_event -> unit
-(** Wire as the engine's audit sink (or tee into it). *)
+(** Wire as the engine's audit sink. *)
 
 val on_recover : t -> node:Node_id.t -> unit
 (** The node's engine was rebuilt from stable storage: its abstract

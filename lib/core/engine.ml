@@ -90,9 +90,12 @@ type t = {
   mutable buffered : buffered_request list; (* newest first *)
   mutable era : int; (* bumped on every view event; guards sync continuations *)
   mutable audit : (audit_event -> unit) option;
+  mutable input : (payload Endpoint.event -> unit) option;
 }
 
-let set_audit t f = t.audit <- Some f
+let set_audit ?input t f =
+  t.audit <- Some f;
+  t.input <- input
 let emit_audit t ev = match t.audit with Some f -> f ev | None -> ()
 
 let node t = t.node
@@ -792,6 +795,7 @@ let on_reg_conf t view =
 
 let handle_event t event =
   if not t.halted then begin
+    (match t.input with Some f -> f event | None -> ());
     (* Every event is its own (innermost) delivery burst: marks flush at
        the end even when the engine is driven without a group-commit
        wrapper (model checker, direct tests).  When the GCS endpoint
@@ -864,6 +868,7 @@ let make_blank ?(weights = Quorum.no_weights)
     buffered = [];
     era = 0;
     audit = None;
+    input = None;
   }
 
 let create ?weights ?quorum_policy ~sim ~node ~servers ~persist ~callbacks () =

@@ -72,8 +72,10 @@ type audit_event =
   | Audit_install of Types.prim_component
       (** a primary component was installed at this server *)
 
-val set_audit : t -> (audit_event -> unit) -> unit
-(** Attaches (or replaces) the audit sink. *)
+val set_audit :
+  ?input:(Types.payload Endpoint.event -> unit) -> t ->
+  (audit_event -> unit) -> unit
+(** Attaches (or replaces) the audit and {!handle_event} input sinks. *)
 
 val create :
   ?weights:Quorum.weights ->

@@ -125,7 +125,8 @@ type t = {
   mutable shed : int; (* submissions answered [Busy] by admission *)
   mutable left : bool;
   mutable audit : (Engine.audit_event -> unit) option;
-      (* re-attached to every engine this replica creates *)
+  mutable input : (Types.payload Endpoint.event -> unit) option;
+      (* both re-attached to every engine this replica creates *)
   mutable proc_hook : (Executor.procedure_trace -> unit) option;
       (* observes every executed procedure's actual key accesses
          (green apply, red answer, dirty reads, recovery replay);
@@ -182,15 +183,16 @@ let dedup_summary t = Dedup.summary t.dedup
 (* ------------------------------------------------------------------ *)
 (* Engine callbacks                                                    *)
 
-(* Install a freshly created engine, re-attaching the audit sink (the
+(* Install a freshly created engine, re-attaching the audit sinks (the
    repcheck monitor survives crash/recovery and joiner instantiation). *)
 let adopt_engine t e =
-  (match t.audit with Some f -> Engine.set_audit e f | None -> ());
+  (match t.audit with Some f -> Engine.set_audit ?input:t.input e f | None -> ());
   t.engine <- Some e
 
-let set_audit t f =
+let set_audit ?input t f =
   t.audit <- Some f;
-  match t.engine with Some e -> Engine.set_audit e f | None -> ()
+  t.input <- input;
+  match t.engine with Some e -> Engine.set_audit ?input e f | None -> ()
 
 let checkpoint_now t =
   match t.engine with
@@ -613,6 +615,7 @@ let base ?(disk_config = Disk.default_forced) ?(attach_cpu = true)
       shed = 0;
       left = false;
       audit = None;
+      input = None;
       proc_hook = None;
       incarnation = 0;
       last_recovery = None;

@@ -202,9 +202,11 @@ val incarnation : t -> int
     incarnations to know when volatile state was legitimately lost and
     monotonicity baselines must reset. *)
 
-val set_audit : t -> (Engine.audit_event -> unit) -> unit
-(** Attaches an engine audit sink, re-attached automatically across
-    crash/recovery and joiner instantiation. *)
+val set_audit :
+  ?input:(Types.payload Endpoint.event -> unit) -> t ->
+  (Engine.audit_event -> unit) -> unit
+(** Attaches the engine audit and input sinks ({!Engine.set_audit}),
+    re-attached across crash/recovery and joiner instantiation. *)
 
 (* --- Statistics ----------------------------------------------------- *)
 

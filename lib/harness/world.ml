@@ -110,11 +110,8 @@ let attach_procedure_guard t =
   List.iter (Repro_check.Procguard.attach g) (replicas t);
   g
 
-let attach_monitor ?window t =
-  Repro_check.Monitor.create ?window ~policy:(Some t.w_quorum_policy)
-    ~sim:(sim t)
-    ~replicas:(fun () -> replicas t)
-    ()
+let attach_monitor t =
+  Repro_check.Monitor.create ~sim:(sim t) ~replicas:(fun () -> replicas t)
 
 let heal_and_settle ?(ms = 5_000.) t =
   Topology.merge_all (topology t);

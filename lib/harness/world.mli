@@ -36,9 +36,10 @@ val nodes : t -> Node_id.t list
 val add_joiner : t -> node:Node_id.t -> sponsors:Node_id.t list -> Replica.t
 (** Adds the node to the topology, creates and starts a joining replica. *)
 
-val attach_monitor : ?window:int -> t -> Repro_check.Monitor.t
+val attach_monitor : t -> Repro_check.Monitor.t
 (** Attaches a repcheck invariant monitor (see [Repro_check]) to every
-    replica of the world, configured with the world's quorum policy.
+    replica of the world; it holds the engines to the paper's dynamic
+    linear voting, whatever quorum policy the world runs.
     Call before running the scenario; at the end, [Monitor.check_now]
     for a final quiescent sweep and [Monitor.assert_ok]. *)
 

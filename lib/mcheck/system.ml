@@ -14,10 +14,9 @@ module Check = Repro_check
    what the explorer branches on.
 
    Every transition is followed by the two oracles: the repcheck
-   [Snapshot] catalogue (instantaneous + step invariants over engine
-   snapshots) and the abstract-spec conformance oracle ([Spec]), fed the
-   view/delivery triggers before the engine consumes them and the audit
-   feed while it does. *)
+   [Snapshot] sweep (instantaneous + step invariants over engine
+   snapshots) and the abstract-spec conformance oracle ([Spec]), wired
+   as each engine's input and audit sinks. *)
 
 type config = {
   nodes : int;
@@ -29,7 +28,6 @@ type node = {
   persist : Persist.t;  (** survives crashes: the durable log *)
   mutable engine : Engine.t option;  (** [None] while crashed *)
   mutable incarnation : int;
-  mutable prev_snap : Check.Snapshot.node_snap option;
 }
 
 type t = {
@@ -38,6 +36,7 @@ type t = {
   model : Types.payload Model.t;
   topo : Topology.t;
   spec : Check.Spec.t;
+  history : (Node_id.t, Check.Snapshot.node_snap) Hashtbl.t;
   nodes : node array;
   servers : Node_id.Set.t;
   mutable trace : Script.transition list; (* newest first *)
@@ -136,7 +135,9 @@ let callbacks t node_id =
   }
 
 let attach_audit t nd e =
-  Engine.set_audit e (fun ev -> Check.Spec.on_audit t.spec ~node:nd.id ev)
+  Engine.set_audit e
+    ~input:(Check.Spec.on_input t.spec ~node:nd.id)
+    (Check.Spec.on_audit t.spec ~node:nd.id)
 
 let drain t = ignore (Sim.Engine.drain t.sim)
 
@@ -159,6 +160,7 @@ let create ?(policy = Quorum.Dynamic_linear) ~nodes:n () =
       model;
       topo;
       spec;
+      history = Hashtbl.create 8;
       nodes =
         Array.of_list
           (List.map
@@ -169,7 +171,6 @@ let create ?(policy = Quorum.Dynamic_linear) ~nodes:n () =
                  persist = Persist.create ~engine:sim ~disk ();
                  engine = None;
                  incarnation = 0;
-                 prev_snap = None;
                })
              ids);
       servers;
@@ -204,38 +205,17 @@ let check t =
         | None -> acc)
       t.nodes []
   in
-  let observation = Check.Snapshot.check_observation snaps in
-  let steps =
-    List.concat_map
-      (fun cur ->
-        let nd = t.nodes.(cur.Check.Snapshot.ns_node) in
-        let vs =
-          match nd.prev_snap with
-          | Some prev -> Check.Snapshot.check_step ~prev ~cur
-          | None -> []
-        in
-        nd.prev_snap <- Some cur;
-        vs)
-      snaps
-  in
-  spec_violations @ observation @ steps
+  spec_violations @ Check.Snapshot.sweep t.history snaps
 
 (* ------------------------------------------------------------------ *)
 (* Transitions                                                         *)
 
-(* One endpoint event, spec oracle first (it must see the trigger before
-   the engine's audit feed reports the reaction), then the engine, then
-   quiescence. *)
+(* One endpoint event (the engine's input sink hands it to the spec
+   oracle first), then quiescence. *)
 let deliver_one t nd e =
   match Model.deliver t.model nd.id with
   | None -> None
   | Some ev ->
-    (match ev with
-    | Endpoint.Trans_conf _ -> Check.Spec.on_view t.spec ~node:nd.id `Trans
-    | Endpoint.Reg_conf _ -> Check.Spec.on_view t.spec ~node:nd.id `Reg
-    | Endpoint.Deliver d ->
-      Check.Spec.on_deliver t.spec ~node:nd.id d.Endpoint.payload
-        ~in_regular:d.Endpoint.in_regular);
     Engine.handle_event e ev;
     drain t;
     Some ev
@@ -264,10 +244,9 @@ let reconfigure t =
 
 let crash t nd =
   nd.incarnation <- nd.incarnation + 1;
-  nd.prev_snap <- None;
-  (* Detach the audit sink before dropping the engine: era-guarded
-     closures of the dead incarnation may still fire inside later drains
-     and must not feed the spec oracle as this node. *)
+  (* Detach the audit and input sinks before dropping the engine:
+     era-guarded closures of the dead incarnation may still fire inside
+     later drains and must not feed the spec oracle as this node. *)
   (match nd.engine with Some e -> Engine.set_audit e (fun _ -> ()) | None -> ());
   Persist.crash nd.persist;
   nd.engine <- None;

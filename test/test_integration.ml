@@ -15,8 +15,8 @@ let run = World.run
 (* Every scenario runs under a repcheck invariant monitor (the online
    checker of the paper's safety lemmas): zero violations across the
    whole run is part of each test's assertion. *)
-let make_world ?quorum_policy ~seed ~n () =
-  let w = World.make ?quorum_policy ~seed ~n () in
+let make_world ~seed ~n () =
+  let w = World.make ~seed ~n () in
   let mon = World.attach_monitor w in
   (w, mon)
 

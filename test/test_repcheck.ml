@@ -4,7 +4,6 @@
    and — the critical property of any checker — a deliberately broken
    engine must be caught. *)
 
-module Sim = Repro_sim
 open Repro_net
 open Repro_gcs
 open Repro_db
@@ -183,13 +182,15 @@ let test_monitor_clean_run () =
   Check.Monitor.check_now mon;
   Alcotest.(check bool) "no violations" true (Check.Monitor.ok mon);
   Alcotest.(check bool) "monitor swept" true (Check.Monitor.observations mon > 0);
-  let trace = Check.Monitor.trace mon in
+  let saw f =
+    List.exists (fun (_, _, ev) -> f ev) (Check.Monitor.recent mon)
+  in
   Alcotest.(check bool) "saw state transitions" true
-    (Sim.Trace.count trace ~tag:"state" > 0);
+    (saw (function Engine.Audit_state _ -> true | _ -> false));
   Alcotest.(check bool) "saw quorum decisions" true
-    (Sim.Trace.count trace ~tag:"quorum" > 0);
+    (saw (function Engine.Audit_quorum _ -> true | _ -> false));
   Alcotest.(check bool) "saw primary installs" true
-    (Sim.Trace.count trace ~tag:"install" > 0)
+    (saw (function Engine.Audit_install _ -> true | _ -> false))
 
 (* The checker's reason to exist: feed two replicas conflicting forged
    actions — something a correct total-order layer can never do — and
@@ -292,6 +293,72 @@ let test_monitor_violation_report () =
   Alcotest.(check bool) "report prints the trace window" true
     (contains "trace window")
 
+(* The Figure 4 edge guard, driven by hand: the spec oracle must accept
+   an edge taken under its abstract trigger and flag one that is not. *)
+let test_spec_edges () =
+  let spec = Check.Spec.create () in
+  let conf = { Conf_id.coord = 0; counter = 1 } in
+  let members = Node_id.set_of_list [ 0; 1 ] in
+  Check.Spec.on_input spec ~node:0
+    (Endpoint.Reg_conf { Endpoint.id = conf; members });
+  Check.Spec.on_audit spec ~node:0 (Engine.Audit_state Types.Exchange_states);
+  Alcotest.(check int) "RegConf then ExchangeStates is clean" 0
+    (List.length (Check.Spec.take spec));
+  let sm =
+    {
+      Types.sm_server = 1;
+      sm_conf = conf;
+      sm_red_cut = Node_id.Map.empty;
+      sm_green_count = 0;
+      sm_green_line = None;
+      sm_green_floor = 0;
+      sm_attempt = 0;
+      sm_prim = Types.initial_prim ~servers:members;
+      sm_vulnerable = Types.invalid_vulnerable;
+      sm_yellow = Types.invalid_yellow;
+    }
+  in
+  Check.Spec.on_input spec ~node:0
+    (Endpoint.Deliver
+       {
+         Endpoint.sender = 1;
+         payload = Types.State_msg sm;
+         conf;
+         seq = 0;
+         in_regular = true;
+       });
+  Check.Spec.on_audit spec ~node:0 (Engine.Audit_state Types.Reg_prim);
+  match Check.Spec.take spec with
+  | [ v ] ->
+    Alcotest.(check string) "invariant" "spec-refinement"
+      v.Snapshot.v_invariant;
+    Alcotest.(check bool) "names the illegal edge" true
+      (String.starts_with ~prefix:"illegal Figure 4 edge" v.Snapshot.v_detail)
+  | vs ->
+    Alcotest.failf "expected one illegal edge, got %d violations"
+      (List.length vs)
+
+(* The online monitor runs the spec's IsQuorum: a world whose engines use
+   the seeded weak-majority quorum (exactly half, no tie-breaker) must be
+   caught the moment a half partition is granted a quorum. *)
+let test_monitor_catches_mutated_quorum () =
+  let w =
+    World.make ~quorum_policy:Quorum.Mutated_weak_majority ~seed:3 ~n:4 ()
+  in
+  let mon = World.attach_monitor w in
+  World.run w ~ms:1000.;
+  Topology.partition (World.topology w) [ [ 0 ]; [ 1 ]; [ 2; 3 ] ];
+  World.run w ~ms:2000.;
+  Check.Monitor.check_now mon;
+  Alcotest.(check bool) "mutated quorum caught" false (Check.Monitor.ok mon);
+  Alcotest.(check bool) "a granted quorum the spec would deny" true
+    (List.exists
+       (fun v ->
+         String.starts_with
+           ~prefix:"engine granted a quorum the specification would deny"
+           v.Snapshot.v_detail)
+       (Check.Monitor.violations mon))
+
 (* --- determinism ------------------------------------------------------ *)
 
 let scenario seed () =
@@ -376,6 +443,10 @@ let () =
             test_monitor_catches_broken_engine;
           Alcotest.test_case "violation report carries trace window" `Quick
             test_monitor_violation_report;
+          Alcotest.test_case "spec flags an illegal Figure 4 edge" `Quick
+            test_spec_edges;
+          Alcotest.test_case "mutated quorum is caught" `Quick
+            test_monitor_catches_mutated_quorum;
         ] );
       ( "determinism",
         [

@@ -356,16 +356,6 @@ let test_timeline_rates () =
   | l -> Alcotest.failf "expected 2 buckets, got %d" (List.length l));
   ()
 
-let test_trace_roundtrip () =
-  let tr = Trace.create () in
-  Trace.record tr ~at:Time.zero ~node:1 ~tag:"view" "v1";
-  Trace.record tr ~at:(Time.of_us 5) ~node:2 ~tag:"deliver" "m1";
-  Trace.record tr ~at:(Time.of_us 9) ~node:1 ~tag:"view" "v2";
-  Alcotest.(check int) "count by tag" 2 (Trace.count tr ~tag:"view");
-  Alcotest.(check int) "all entries" 3 (List.length (Trace.entries tr));
-  Trace.clear tr;
-  Alcotest.(check int) "cleared" 0 (List.length (Trace.entries tr))
-
 let prop_exponential_mean =
   QCheck.Test.make ~name:"exponential draws average near the mean" ~count:20
     QCheck.(int_range 1 1000)
@@ -378,17 +368,6 @@ let prop_exponential_mean =
       done;
       let avg = !sum /. float_of_int n in
       avg > 4.0 && avg < 6.0)
-
-let test_trace_capacity_trims () =
-  let tr = Trace.create ~capacity:10 () in
-  for i = 1 to 100 do
-    Trace.record tr ~at:(Time.of_us i) ~node:0 ~tag:"t" (string_of_int i)
-  done;
-  let entries = Trace.entries tr in
-  Alcotest.(check bool) "bounded" true (List.length entries <= 20);
-  (* The newest entries survive. *)
-  let last = List.nth entries (List.length entries - 1) in
-  Alcotest.(check string) "newest kept" "100" last.Trace.detail
 
 let test_summary_percentile_interpolates () =
   let s = Stats.Summary.create () in
@@ -473,8 +452,6 @@ let () =
         [
           Alcotest.test_case "summary" `Quick test_summary_stats;
           Alcotest.test_case "timeline rates" `Quick test_timeline_rates;
-          Alcotest.test_case "trace" `Quick test_trace_roundtrip;
-          Alcotest.test_case "trace capacity" `Quick test_trace_capacity_trims;
           Alcotest.test_case "percentile interpolation" `Quick
             test_summary_percentile_interpolates;
         ] );
