@@ -1,7 +1,7 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (§7) on the simulated substrate, with a shape
-   check after each.  Host cost per layer is timed by
-   benchmark/layers.ml, not here.
+   paper's evaluation (§7) and ablations A1-A5 on the simulated
+   substrate, with shape checks after them.  Host cost per layer is
+   timed by benchmark/layers.ml, not here.
 
    Run with:  dune exec bench/main.exe            (full suite)
               dune exec bench/main.exe -- quick   (shorter sweeps)   *)
@@ -279,7 +279,8 @@ let ablations () =
       0. timeline
   in
   check_shape "majority keeps committing during the partition"
-    (rate_near 9. > 0.)
+    (rate_near 9. > 0.);
+  ignore (Figures.ablation_scale ~duration ppf ())
 
 let () =
   Format.fprintf ppf

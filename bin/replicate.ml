@@ -1,91 +1,15 @@
-(* The command-line front end: runs any experiment or scenario of the
-   reproduction.  `replicate --help` lists the commands. *)
+(* The command-line front end for the reproduction's scenarios and
+   checkers: a guided fault scenario, seeded nemesis campaigns, the
+   Figure 4 specification and the model checker.  The paper's figures
+   and ablations are run by bench/main.exe.  `replicate --help` lists
+   the commands. *)
 
-module Sim = Repro_sim
 open Cmdliner
 
 let ppf = Format.std_formatter
 
 (* ------------------------------------------------------------------ *)
-(* Shared options                                                      *)
-
-let duration_t =
-  let doc = "Measurement window in virtual seconds." in
-  Arg.(value & opt float 8.0 & info [ "duration" ] ~docv:"SECONDS" ~doc)
-
-let servers_t =
-  let doc = "Number of replicas (the paper used 14)." in
-  Arg.(value & opt int 14 & info [ "servers" ] ~docv:"N" ~doc)
-
-let clients_t =
-  let doc = "Comma-separated client counts to sweep." in
-  Arg.(
-    value
-    & opt (list int) [ 1; 2; 4; 6; 8; 10; 12; 14 ]
-    & info [ "clients" ] ~docv:"LIST" ~doc)
-
-(* ------------------------------------------------------------------ *)
-(* Commands                                                            *)
-
-let fig5a duration servers clients =
-  ignore
-    (Repro_harness.Figures.figure_5a ~clients ~servers
-       ~duration:(Sim.Time.of_sec duration) ppf ())
-
-let fig5a_cmd =
-  Cmd.v
-    (Cmd.info "fig5a"
-       ~doc:"Figure 5(a): engine vs COReL vs 2PC throughput sweep.")
-    Term.(const fig5a $ duration_t $ servers_t $ clients_t)
-
-let fig5b duration servers clients =
-  ignore
-    (Repro_harness.Figures.figure_5b ~clients ~servers
-       ~duration:(Sim.Time.of_sec duration) ppf ())
-
-let fig5b_cmd =
-  Cmd.v
-    (Cmd.info "fig5b"
-       ~doc:"Figure 5(b): engine throughput, forced vs delayed disk writes.")
-    Term.(const fig5b $ duration_t $ servers_t $ clients_t)
-
-let latency () = ignore (Repro_harness.Figures.latency_table ppf ())
-
-let latency_cmd =
-  Cmd.v
-    (Cmd.info "latency"
-       ~doc:"The §7 latency experiment: mean action latency per protocol.")
-    Term.(const latency $ const ())
-
-let ablation () =
-  ignore (Repro_harness.Figures.ablation_ack_batching ppf ());
-  ignore (Repro_harness.Figures.ablation_query_path ppf ());
-  ignore (Repro_harness.Figures.ablation_quorum_availability ppf ())
-
-let ablation_cmd =
-  Cmd.v
-    (Cmd.info "ablation"
-       ~doc:
-         "Ablations A1 (GCS acknowledgement batching sweep), A3 (the §6 \
-          read-only query path) and A5 (primary availability under churn, \
-          per quorum policy).")
-    Term.(const ablation $ const ())
-
-let wan () = ignore (Repro_harness.Figures.wan_prediction ppf ())
-
-let wan_cmd =
-  Cmd.v
-    (Cmd.info "wan"
-       ~doc:"The §7 wide-area prediction: protocol latencies, LAN vs WAN.")
-    Term.(const wan $ const ())
-
-let partition () = ignore (Repro_harness.Figures.partition_timeline ppf ())
-
-let partition_cmd =
-  Cmd.v
-    (Cmd.info "partition"
-       ~doc:"Ablation A2: throughput timeline across a partition and merge.")
-    Term.(const partition $ const ())
+(* Scenarios                                                           *)
 
 let scenario seed =
   (* A guided fault-schedule demo with the consistency checker on. *)
@@ -116,50 +40,6 @@ let scenario seed =
   Format.fprintf ppf
     "healed and recovered: all replicas converged to identical databases.@.";
   Format.fprintf ppf "scenario OK.@."
-
-let fuzz seed rounds =
-  (* Random fault schedules with the consistency checker after each. *)
-  let open Repro_harness in
-  let rng = Repro_sim.Rng.of_int seed in
-  let w = World.make ~seed ~n:5 () in
-  World.run w ~ms:1000.;
-  let key = ref 0 in
-  for round = 1 to rounds do
-    (match Repro_sim.Rng.int rng 4 with
-    | 0 ->
-      let pivot = Repro_sim.Rng.int rng 4 + 1 in
-      Repro_net.Topology.partition (World.topology w)
-        [ List.init pivot Fun.id; List.init (5 - pivot) (fun i -> pivot + i) ]
-    | 1 -> Repro_net.Topology.merge_all (World.topology w)
-    | 2 -> Repro_core.Replica.crash (World.replica w (Repro_sim.Rng.int rng 5))
-    | _ ->
-      Repro_core.Replica.recover (World.replica w (Repro_sim.Rng.int rng 5)));
-    for _ = 1 to 5 do
-      incr key;
-      World.submit_update w ~node:(!key mod 5) ~key:(Printf.sprintf "f%d" !key)
-        !key
-    done;
-    World.run w ~ms:700.;
-    Consistency.assert_ok (World.replicas w);
-    Format.fprintf ppf "round %2d: safety OK@." round
-  done;
-  World.heal_and_settle ~ms:8000. w;
-  Consistency.assert_ok ~converged:true (World.replicas w);
-  Format.fprintf ppf "healed: converged. fuzz OK (seed %d, %d rounds)@." seed
-    rounds
-
-let fuzz_cmd =
-  let seed_t =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
-  in
-  let rounds_t =
-    Arg.(value & opt int 20 & info [ "rounds" ] ~docv:"N" ~doc:"Fault rounds.")
-  in
-  Cmd.v
-    (Cmd.info "fuzz"
-       ~doc:
-         "Random partition/crash/recover schedule with the consistency           checker after every step.")
-    Term.(const fuzz $ seed_t $ rounds_t)
 
 let nemesis_outcome_json seed (o : Repro_harness.Nemesis.outcome) =
   let open Repro_harness in
@@ -263,13 +143,6 @@ let nemesis_cmd =
           convergence and a clean invariant-monitor sweep.")
     Term.(const nemesis $ seed_t $ nodes_t $ ms_t $ settle_t $ expect_t $ json_t)
 
-let scale () = ignore (Repro_harness.Figures.ablation_scale ppf ())
-
-let scale_cmd =
-  Cmd.v
-    (Cmd.info "scale" ~doc:"Ablation A4: engine scalability in replicas.")
-    Term.(const scale $ const ())
-
 let scenario_cmd =
   let seed_t =
     Arg.(value & opt int 5 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
@@ -278,24 +151,6 @@ let scenario_cmd =
     (Cmd.info "scenario"
        ~doc:"A guided partition/crash/heal scenario with safety checks.")
     Term.(const scenario $ seed_t)
-
-let all () =
-  ignore (Repro_harness.Figures.figure_5a ppf ());
-  ignore (Repro_harness.Figures.figure_5b ppf ());
-  ignore (Repro_harness.Figures.latency_table ppf ());
-  ignore (Repro_harness.Figures.wan_prediction ppf ());
-  ignore (Repro_harness.Figures.ablation_ack_batching ppf ());
-  ignore (Repro_harness.Figures.ablation_query_path ppf ());
-  ignore (Repro_harness.Figures.partition_timeline ppf ())
-
-let all_cmd =
-  Cmd.v
-    (Cmd.info "all"
-       ~doc:
-         "Figures 5(a) and 5(b), the latency table, the WAN prediction and \
-          ablations A1-A3 in sequence (A4 is $(b,scale), A5 is in \
-          $(b,ablation)).")
-    Term.(const all $ const ())
 
 (* ------------------------------------------------------------------ *)
 (* Model checking                                                      *)
@@ -499,22 +354,7 @@ let main_cmd =
      Tutu, ICDCS 2002)."
   in
   Cmd.group (Cmd.info "replicate" ~version:"1.0.0" ~doc)
-    [
-      fig5a_cmd;
-      fig5b_cmd;
-      latency_cmd;
-      wan_cmd;
-      ablation_cmd;
-      partition_cmd;
-      scenario_cmd;
-      fuzz_cmd;
-      nemesis_cmd;
-      scale_cmd;
-      all_cmd;
-      spec_cmd;
-      mcheck_cmd;
-      mcheck_replay_cmd;
-    ]
+    [ scenario_cmd; nemesis_cmd; spec_cmd; mcheck_cmd; mcheck_replay_cmd ]
 
 (* REPRO_LOG=debug|info enables engine/replica tracing on stderr. *)
 let setup_logs () =

@@ -11,9 +11,8 @@ module Log = (val Logs.src_log log_src)
 type callbacks = {
   on_green : Action.t list -> unit;
   on_red : Action.t -> unit;
-  on_transfer_request : joiner:Node_id.t -> join_green_count:int -> unit;
+  on_transfer_request : joiner:Node_id.t -> unit;
   on_self_leave : unit -> unit;
-  on_state_change : engine_state -> unit;
   send : service:Endpoint.service -> size:int -> payload -> unit;
   on_resync : unit -> unit;
 }
@@ -57,8 +56,7 @@ type t = {
   sim : Sim.Engine.t;
   node : Node_id.t;
   persist : Persist.t;
-  weights : Quorum.weights;
-  quorum_policy : Quorum.policy;
+  quorum : Quorum.rule;
   stats : stats;
   cb : callbacks;
   mutable state : engine_state;
@@ -141,7 +139,6 @@ let set_state t s =
     Log.debug (fun m ->
         m "n%d: %a -> %a" t.node pp_engine_state t.state pp_engine_state s);
     t.state <- s;
-    t.cb.on_state_change s;
     emit_audit t (Audit_state s)
   end
 
@@ -309,7 +306,7 @@ let mark_green t (a : Action.t) =
       Hashtbl.replace t.green_counts joiner pos;
       log_meta t;
       if Node_id.equal a.id.server t.node then
-        t.cb.on_transfer_request ~joiner ~join_green_count:pos
+        t.cb.on_transfer_request ~joiner
     | Action.Join _ -> () (* duplicate announcement: first one counted *)
     | Action.Leave leaver when Node_id.Set.mem leaver t.known_servers ->
       t.known_servers <- Node_id.Set.remove leaver t.known_servers;
@@ -466,7 +463,7 @@ let is_quorum t knowledge members =
         | None -> false)
       members
   in
-  Quorum.policy_quorum t.quorum_policy ~weights:t.weights
+  Quorum.policy_quorum t.quorum.policy ~weights:t.quorum.weights
     ~prev:knowledge.Knowledge.k_prim.prim_servers ~all:t.known_servers
     ~vulnerable_present members
 
@@ -822,15 +819,12 @@ let handle_event t event =
 (* ------------------------------------------------------------------ *)
 (* Construction and recovery                                           *)
 
-let make_blank ?(weights = Quorum.no_weights)
-    ?(quorum_policy = Quorum.Dynamic_linear) ~sim ~node ~servers ~persist
-    ~callbacks () =
+let make_blank ~quorum ~sim ~node ~servers ~persist ~callbacks () =
   {
     sim;
     node;
     persist;
-    weights;
-    quorum_policy;
+    quorum;
     stats =
       {
         s_exchanges = 0;
@@ -871,20 +865,17 @@ let make_blank ?(weights = Quorum.no_weights)
     input = None;
   }
 
-let create ?weights ?quorum_policy ~sim ~node ~servers ~persist ~callbacks () =
-  let t =
-    make_blank ?weights ?quorum_policy ~sim ~node ~servers ~persist ~callbacks
-      ()
-  in
+let create ~quorum ~sim ~node ~servers ~persist ~callbacks () =
+  let t = make_blank ~quorum ~sim ~node ~servers ~persist ~callbacks () in
   log_meta t;
   t
 
 let stats t = t.stats
 
-let create_from_snapshot ?weights ?(action_floor = 0) ~sim ~node ~servers
+let create_from_snapshot ~quorum ?(action_floor = 0) ~sim ~node ~servers
     ~snapshot ~green_count ~green_line ~red_cut ~prim ~dedup ~persist
     ~callbacks () =
-  let t = make_blank ?weights ~sim ~node ~servers ~persist ~callbacks () in
+  let t = make_blank ~quorum ~sim ~node ~servers ~persist ~callbacks () in
   (* An amnesiac rejoiner must not re-mint action ids its previous life
      used: start counting from the sponsor's red cut for this node, or
      from the floor recovered from still-readable log records when that
@@ -923,17 +914,13 @@ let create_from_snapshot ?weights ?(action_floor = 0) ~sim ~node ~servers
   sync_then t (fun () -> ());
   t
 
-let recover ?weights ?quorum_policy ?recovered ~sim ~node ~servers ~persist
-    ~callbacks () =
+let recover ~quorum ?recovered ~sim ~node ~servers ~persist ~callbacks () =
   let r =
     match recovered with
     | Some r -> r
     | None -> Persist.recover ~self:node persist
   in
-  let t =
-    make_blank ?weights ?quorum_policy ~sim ~node ~servers ~persist ~callbacks
-      ()
-  in
+  let t = make_blank ~quorum ~sim ~node ~servers ~persist ~callbacks () in
   (match r.Persist.r_meta with
   | Some m ->
     t.prim <- m.m_prim;

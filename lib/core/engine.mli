@@ -22,12 +22,11 @@ type callbacks = {
           batch.  Invoked once per burst (the batch is never empty). *)
   on_red : Action.t -> unit;
       (** the action was accepted locally (dirty knowledge) *)
-  on_transfer_request : joiner:Node_id.t -> join_green_count:int -> unit;
+  on_transfer_request : joiner:Node_id.t -> unit;
       (** a [Join] created by this server turned green: this server is
           the representative and must snapshot and transfer state *)
   on_self_leave : unit -> unit;
       (** this server's [Leave] turned green: it exits the system *)
-  on_state_change : Types.engine_state -> unit;
   send : service:Endpoint.service -> size:int -> Types.payload -> unit;
       (** multicast through the group communication layer *)
   on_resync : unit -> unit;
@@ -78,8 +77,7 @@ val set_audit :
 (** Attaches (or replaces) the audit and {!handle_event} input sinks. *)
 
 val create :
-  ?weights:Quorum.weights ->
-  ?quorum_policy:Quorum.policy ->
+  quorum:Quorum.rule ->
   sim:Repro_sim.Engine.t ->
   node:Node_id.t ->
   servers:Node_id.Set.t ->
@@ -92,7 +90,7 @@ val create :
     component installs primary #1. *)
 
 val create_from_snapshot :
-  ?weights:Quorum.weights ->
+  quorum:Quorum.rule ->
   ?action_floor:int ->
   sim:Repro_sim.Engine.t ->
   node:Node_id.t ->
@@ -117,8 +115,7 @@ val create_from_snapshot :
     are never re-minted. *)
 
 val recover :
-  ?weights:Quorum.weights ->
-  ?quorum_policy:Quorum.policy ->
+  quorum:Quorum.rule ->
   ?recovered:Persist.recovered ->
   sim:Repro_sim.Engine.t ->
   node:Node_id.t ->

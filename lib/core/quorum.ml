@@ -38,6 +38,7 @@ let is_quorum ?(weights = no_weights) ~prev ~vulnerable_present candidate =
   (not vulnerable_present) && has_majority ~weights ~prev candidate
 
 type policy = Dynamic_linear | Static_majority | Mutated_weak_majority
+type rule = { policy : policy; weights : weights }
 
 (* The seeded bug: >= instead of >, and no tie-breaker, so two disjoint
    halves of the previous primary can both pass. *)

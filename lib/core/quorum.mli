@@ -46,6 +46,10 @@ type policy =
           both be quorate — the seeded fault the model checker's smoke
           test must catch.  Never use outside checker tests. *)
 
+type rule = { policy : policy; weights : weights }
+(** How one replica votes.  Every engine it builds — fresh, rebuilt from
+    its log, or built from a transferred snapshot — takes the same rule. *)
+
 val policy_quorum :
   policy ->
   ?weights:weights ->

@@ -106,8 +106,7 @@ type t = {
   mutable transfer_chunks_sent : int;
   mutable incoming : (transfer_version * int) option;
       (* joiner: version being received + contiguous chunks received *)
-  weights : Quorum.weights;
-  quorum_policy : Quorum.policy;
+  quorum : Quorum.rule; (* given to every engine this replica builds *)
   checkpoint_every : int option;
   mutable greens_since_checkpoint : int;
   mutable query_waiters : (unit -> unit) list; (* awaiting own-action drain *)
@@ -346,7 +345,7 @@ let do_transfer ?(from_chunk = 0) t ~joiner =
     in
     send_chunk (max 0 from_chunk)
 
-let on_transfer_request t ~joiner ~join_green_count:_ =
+let on_transfer_request t ~joiner =
   if Hashtbl.mem t.transfer_sessions joiner then begin
     Hashtbl.remove t.transfer_sessions joiner;
     do_transfer t ~joiner
@@ -436,19 +435,18 @@ let make_callbacks t =
     Engine.on_green = (fun actions -> apply_green_batch t actions);
     on_red = (fun a -> apply_red t a);
     on_transfer_request =
-      (fun ~joiner ~join_green_count ->
+      (fun ~joiner ->
         (* The request fires inside a delivery burst, where green marks
            may be ahead of the database (applies run at burst end).
            Defer the capture one event so snapshot and green count are
            taken from the same consistent instant. *)
         ignore
           (Sim.Engine.schedule t.cluster.c_sim ~delay:Sim.Time.zero (fun () ->
-               on_transfer_request t ~joiner ~join_green_count)));
+               on_transfer_request t ~joiner)));
     on_self_leave =
       (fun () ->
         t.left <- true;
         match t.endpoint with Some ep -> Endpoint.crash ep | None -> ());
-    on_state_change = (fun _ -> ());
     send =
       (fun ~service ~size payload ->
         match t.endpoint with
@@ -533,7 +531,7 @@ let on_transfer_msg t ~src msg =
             t.db <- Database.of_snapshot p.td_snapshot;
             t.dedup <- Dedup.of_snapshot p.td_dedup;
             let e =
-              Engine.create_from_snapshot ~weights:t.weights
+              Engine.create_from_snapshot ~quorum:t.quorum
                 ~action_floor:(max p.td_joiner_floor t.amnesia_floor)
                 ~sim:t.cluster.c_sim
                 ~node:t.node_id ~servers:p.td_servers
@@ -596,8 +594,7 @@ let base ?(disk_config = Disk.default_forced) ?(attach_cpu = true)
       cpu;
       pending = Hashtbl.create 32;
       transfer_sessions = Hashtbl.create 4;
-      weights;
-      quorum_policy;
+      quorum = { policy = quorum_policy; weights };
       checkpoint_every;
       greens_since_checkpoint = 0;
       query_waiters = [];
@@ -634,9 +631,8 @@ let create ?disk_config ?attach_cpu ?checkpoint_every ?weights ?quorum_policy
       ?dedup_window ?admission ~cluster ~node ~servers ~role:Static ()
   in
   let e =
-    Engine.create ~weights:t.weights ~quorum_policy:t.quorum_policy
-      ~sim:cluster.c_sim ~node ~servers ~persist:t.persist
-      ~callbacks:(make_callbacks t) ()
+    Engine.create ~quorum:t.quorum ~sim:cluster.c_sim ~node ~servers
+      ~persist:t.persist ~callbacks:(make_callbacks t) ()
   in
   adopt_engine t e;
   (* installs the event handler; nothing is multicast until the network
@@ -645,11 +641,11 @@ let create ?disk_config ?attach_cpu ?checkpoint_every ?weights ?quorum_policy
   ignore (make_endpoint t);
   t
 
-let create_joiner ?disk_config ?attach_cpu ?checkpoint_every ?dedup_window
-    ?admission ?(retry_interval = Sim.Time.of_ms 500.) ~cluster ~node
-    ~sponsors () =
-  base ?disk_config ?attach_cpu ?checkpoint_every ?dedup_window ?admission
-    ~cluster ~node ~servers:Node_id.Set.empty
+let create_joiner ?disk_config ?attach_cpu ?checkpoint_every ?quorum_policy
+    ?dedup_window ?admission ?(retry_interval = Sim.Time.of_ms 500.) ~cluster
+    ~node ~sponsors () =
+  base ?disk_config ?attach_cpu ?checkpoint_every ?quorum_policy ?dedup_window
+    ?admission ~cluster ~node ~servers:Node_id.Set.empty
     ~role:(Joiner { sponsors; retry = retry_interval })
     ()
 
@@ -780,7 +776,7 @@ let recover t =
       amnesiac_rejoin t
     | Persist.V_clean | Persist.V_torn_tail _ | Persist.V_salvaged _ ->
       let e, ckpt, greens =
-        Engine.recover ~weights:t.weights ~recovered:r ~sim:t.cluster.c_sim
+        Engine.recover ~quorum:t.quorum ~recovered:r ~sim:t.cluster.c_sim
           ~node:t.node_id ~servers:t.servers ~persist:t.persist
           ~callbacks:(make_callbacks t) ()
       in

@@ -65,6 +65,7 @@ val create_joiner :
   ?disk_config:Disk.config ->
   ?attach_cpu:bool ->
   ?checkpoint_every:int option ->
+  ?quorum_policy:Quorum.policy ->
   ?dedup_window:int ->
   ?admission:admission ->
   ?retry_interval:Repro_sim.Time.t ->

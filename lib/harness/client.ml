@@ -53,8 +53,6 @@ type t = {
   mutable epoch : int;  (* invalidates stale deadlines/Busy handlers *)
   mutable stopped : bool;
   (* counters *)
-  mutable completed : int;
-  mutable aborted : int;
   mutable retries : int;
   mutable failovers : int;
   mutable busy : int;
@@ -77,8 +75,6 @@ let create ?(config = default_config) ~sim ~id ~replicas () =
     attempt = 0;
     epoch = 0;
     stopped = false;
-    completed = 0;
-    aborted = 0;
     retries = 0;
     failovers = 0;
     busy = 0;
@@ -88,8 +84,6 @@ let create ?(config = default_config) ~sim ~id ~replicas () =
 let id t = t.id
 let issued t = t.seq
 let acked t = t.acked
-let completed t = t.completed
-let aborted t = t.aborted
 let retries t = t.retries
 let failovers t = t.failovers
 let busy_responses t = t.busy
@@ -176,10 +170,6 @@ and on_response t ~seq ~epoch resp =
       (* Any attempt's response completes the seq — replica-side dedup
          makes every attempt return the same replicated response. *)
       t.acked <- seq;
-      t.completed <- t.completed + 1;
-      (match resp with
-      | Action.Aborted -> t.aborted <- t.aborted + 1
-      | _ -> ());
       t.epoch <- t.epoch + 1 (* kill the outstanding deadline *);
       let op = t.current in
       t.current <- None;

@@ -77,8 +77,6 @@ val acked : t -> int
     replica, where at most [issued - acked <= 1]. *)
 
 val outstanding : t -> int
-val completed : t -> int
-val aborted : t -> int
 
 val retries : t -> int
 (** Re-attempts (timeout- or Busy-triggered) beyond each seq's first. *)

@@ -25,11 +25,6 @@ type result = {
   r_completed : int;
 }
 
-let pp_result ppf r =
-  Format.fprintf ppf "%-24s servers=%2d clients=%2d tput=%8.1f/s lat=%6.2fms p99=%6.2fms"
-    (protocol_name r.r_protocol) r.r_servers r.r_clients r.r_throughput
-    r.r_mean_latency_ms r.r_p99_latency_ms
-
 (* A generic closed-loop run over an abstract system. *)
 type system = {
   sys_sim : Sim.Engine.t;
@@ -76,35 +71,24 @@ let closed_loop ~system ~clients ~warmup ~duration =
   (throughput, latencies, !completed)
 
 let engine_system ~net_config ~params ~mode ~servers ~action_size ~seed =
-  let nodes = List.init servers Fun.id in
-  let cluster = Replica.make_cluster ~net_config ~params ~seed ~nodes () in
   let disk_config =
     match mode with
     | Disk.Forced -> Disk.default_forced
     | Disk.Delayed -> Disk.default_delayed
   in
-  let replicas =
-    List.map
-      (fun node ->
-        let r = Replica.create ~disk_config ~cluster ~node ~servers:nodes () in
-        Replica.start r;
-        (node, r))
-      nodes
+  let w =
+    World.make ~net_config ~params ~disk_config ~attach_cpu:true ~seed
+      ~n:servers ()
   in
   let submit ~node ~k =
-    let r = List.assoc node replicas in
     (* The paper measures the replication engines themselves: clients get
        their response when the action is globally ordered, without
        touching a database — a no-op update keeps the executor trivial. *)
-    Replica.submit r ~size:action_size
+    Replica.submit (World.replica w node) ~size:action_size
       (Action.Update [])
       ~on_response:(fun _ -> k ())
   in
-  {
-    sys_sim = Replica.cluster_sim cluster;
-    sys_submit = submit;
-    sys_nodes = nodes;
-  }
+  { sys_sim = World.sim w; sys_submit = submit; sys_nodes = World.nodes w }
 
 let corel_system ~net_config ~params ~servers ~action_size ~seed =
   let nodes = List.init servers Fun.id in

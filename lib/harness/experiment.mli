@@ -41,5 +41,3 @@ val run :
 (** Defaults: 14 servers (the paper's testbed), 200-byte actions, 2 s
     warm-up, 8 s measurement, on the gigabit LAN profile (pass
     [~net_config:Network.lan_100mbit] for the paper's 2001 testbed). *)
-
-val pp_result : Format.formatter -> result -> unit

@@ -94,11 +94,8 @@ let figure_5b ?(clients = default_clients) ?(servers = 14)
      paper); forced writes track Figure 5(a)'s engine curve.@.";
   named
 
-let latency_table ?(servers = [ 2; 4; 6; 8; 10; 12; 14 ]) ?(actions = 2000)
-    ppf () =
-  (* One client, sequential actions: the measurement window is sized so
-     the client completes ~[actions] actions at the slowest protocol. *)
-  ignore actions;
+let latency_table ?(servers = [ 2; 4; 6; 8; 10; 12; 14 ]) ppf () =
+  (* One client, sequential actions over a 20 s window. *)
   let protocols =
     [
       Experiment.Twopc_protocol;
@@ -170,7 +167,6 @@ let wan_prediction ?(servers = 5) ppf () =
 
 let ablation_ack_batching ?(delays_us = [ 100; 250; 500; 1000; 2000; 5000 ])
     ?(clients = 14) ?(duration = Time.of_sec 6.) ppf () =
-  let nodes = List.init 14 Fun.id in
   let points =
     List.map
       (fun delay_us ->
@@ -180,36 +176,11 @@ let ablation_ack_batching ?(delays_us = [ 100; 250; 500; 1000; 2000; 5000 ])
         (* Pinned to the paper's 100 Mbit profile: the ablation's point
            is the per-message CPU cost that ack batching amortises, and
            the gigabit profile's cheap messages would flatten it. *)
-        let cluster =
-          Replica.make_cluster ~net_config:Network.lan_100mbit ~params
-            ~seed:131 ~nodes ()
+        let r =
+          Experiment.run ~net_config:Network.lan_100mbit ~params ~seed:131
+            ~duration ~clients (Experiment.Engine_protocol Disk.Forced)
         in
-        let replicas =
-          List.map
-            (fun node ->
-              let r =
-                Replica.create ~disk_config:Disk.default_forced ~cluster ~node
-                  ~servers:nodes ()
-              in
-              Replica.start r;
-              (node, r))
-            nodes
-        in
-        let sim = Replica.cluster_sim cluster in
-        Sim.Engine.run ~until:(Time.of_sec 2.) sim;
-        let completed = ref 0 in
-        let measuring = ref false in
-        let rec client node =
-          Replica.submit (List.assoc node replicas) (Action.Update [])
-            ~on_response:(fun _ ->
-              if !measuring then incr completed;
-              client node)
-        in
-        List.iteri (fun i _ -> client (i mod 14)) (List.init clients Fun.id);
-        Sim.Engine.run ~until:(Time.of_sec 3.) sim;
-        measuring := true;
-        Sim.Engine.run ~until:(Time.add (Time.of_sec 3.) ~span:duration) sim;
-        (delay_us, float_of_int !completed /. Time.to_sec duration))
+        (delay_us, r.Experiment.r_throughput))
       delays_us
   in
   Format.fprintf ppf
@@ -326,20 +297,12 @@ let ablation_scale ?(servers = [ 2; 4; 8; 14; 20 ]) ?(clients = 8)
 let ablation_query_path ?(clients = 8) ?(read_fraction = 0.8)
     ?(duration = Time.of_sec 6.) ppf () =
   let run optimized =
-    let nodes = List.init 5 Fun.id in
-    let cluster = Replica.make_cluster ~seed:307 ~nodes () in
-    let replicas =
-      List.map
-        (fun node ->
-          let r =
-            Replica.create ~disk_config:Disk.default_forced ~cluster ~node
-              ~servers:nodes ()
-          in
-          Replica.start r;
-          r)
-        nodes
+    let w =
+      World.make ~net_config:Network.lan_gigabit
+        ~params:Repro_gcs.Params.default ~disk_config:Disk.default_forced
+        ~attach_cpu:true ~seed:307 ~n:5 ()
     in
-    let sim = Replica.cluster_sim cluster in
+    let sim = World.sim w and replicas = World.replicas w in
     Sim.Engine.run ~until:(Time.of_sec 2.) sim;
     let mix =
       {
@@ -370,22 +333,15 @@ let ablation_query_path ?(clients = 8) ?(read_fraction = 0.8)
   ((ordered_tput, ordered_lat), (local_tput, local_lat))
 
 let partition_timeline ?(servers = 7) ?(clients = 7) ppf () =
-  let nodes = List.init servers Fun.id in
-  let cluster = Replica.make_cluster ~seed:211 ~nodes () in
-  let disk_config = { Disk.default_forced with sync_latency = Time.of_ms 5. } in
-  let replicas =
-    List.map
-      (fun node ->
-        let r = Replica.create ~disk_config ~cluster ~node ~servers:nodes () in
-        Replica.start r;
-        (node, r))
-      nodes
+  let w =
+    World.make ~net_config:Network.lan_gigabit ~params:Repro_gcs.Params.default
+      ~disk_config:{ Disk.default_forced with sync_latency = Time.of_ms 5. }
+      ~attach_cpu:true ~seed:211 ~n:servers ()
   in
-  let sim = Replica.cluster_sim cluster in
-  let topology = Replica.cluster_topology cluster in
+  let sim = World.sim w and topology = World.topology w in
   let timeline = Stats.Timeline.create ~bucket:(Time.of_ms 500.) in
   let rec client node =
-    Replica.submit (List.assoc node replicas) (Action.Update [])
+    Replica.submit (World.replica w node) (Action.Update [])
       ~on_response:(fun _ ->
         Stats.Timeline.record timeline ~at:(Sim.Engine.now sim);
         client node)

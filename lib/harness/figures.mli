@@ -1,7 +1,7 @@
 open Repro_sim
 
 (** Reproduction of every artifact in the paper's evaluation (§7), plus
-    the two ablations DESIGN.md commits to.
+    the ablations A1-A5 DESIGN.md commits to.
 
     Each generator prints the series the paper reports (same rows/axes)
     to the given formatter and returns the measured numbers so tests and
@@ -33,7 +33,6 @@ val figure_5b :
 
 val latency_table :
   ?servers:int list ->
-  ?actions:int ->
   Format.formatter ->
   unit ->
   (string * series) list

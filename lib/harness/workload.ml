@@ -31,8 +31,6 @@ type t = {
   mutable stopped : bool;
   mutable completed : int;
   mutable good : int;  (* completed within the deadline *)
-  mutable shed : int;  (* dropped after exhausting Busy retries *)
-  mutable busy_retried : int;  (* re-submissions after a Busy *)
   latencies : Stats.Summary.t;
 }
 
@@ -67,7 +65,6 @@ let issue t replica ~k =
           match resp with
           | Action.Busy ->
             if attempt < t.busy_retries then begin
-              t.busy_retried <- t.busy_retried + 1;
               let cap =
                 Time.to_ms t.retry_backoff *. (2. ** float_of_int attempt)
               in
@@ -76,10 +73,7 @@ let issue t replica ~k =
                 (SimE.schedule t.sim ~delay (fun () ->
                      if not t.stopped then go (attempt + 1) else k ()))
             end
-            else begin
-              if t.measuring then t.shed <- t.shed + 1;
-              k ()
-            end
+            else k ()
           | Action.Committed _ | Action.Procedure_output _ | Action.Aborted ->
             done_ ())
     in
@@ -118,8 +112,6 @@ let make ?deadline ?(busy_retries = 3) ?(retry_backoff = Time.of_ms 10.) ~sim
     stopped = false;
     completed = 0;
     good = 0;
-    shed = 0;
-    busy_retried = 0;
     latencies = Stats.Summary.create ();
   }
 
@@ -159,15 +151,10 @@ let open_loop ?deadline ?busy_retries ?retry_backoff ~sim ~mix ~rate_per_sec
 let start_measuring t =
   t.measuring <- true;
   t.completed <- 0;
-  t.good <- 0;
-  t.shed <- 0;
-  t.busy_retried <- 0
+  t.good <- 0
 
 let stop t = t.stopped <- true
 let completed t = t.completed
-let completed_in_deadline t = t.good
-let shed t = t.shed
-let busy_retried t = t.busy_retried
 let latencies_ms t = t.latencies
 
 let throughput t ~over =

@@ -70,15 +70,6 @@ val stop : t -> unit
 
 val completed : t -> int
 
-val completed_in_deadline : t -> int
-(** Completions within [deadline] ([= completed] when no deadline). *)
-
-val shed : t -> int
-(** Requests dropped after exhausting the Busy-retry budget. *)
-
-val busy_retried : t -> int
-(** Re-submissions performed after receiving [Busy]. *)
-
 val latencies_ms : t -> Stats.Summary.t
 val throughput : t -> over:Time.t -> float
 

@@ -8,13 +8,8 @@ type t = {
   w_cluster : Replica.cluster;
   w_replicas : (Node_id.t, Replica.t) Hashtbl.t;
   mutable w_nodes : Node_id.t list;
-  w_disk_config : Disk.config;
-  w_attach_cpu : bool;
-  w_checkpoint_every : int option option;
-      (* [None] = Replica's default; [Some c] = explicit setting *)
-  w_quorum_policy : Quorum.policy;
-  w_dedup_window : int option;
-  w_admission : Replica.admission option;
+  w_joiner : node:Node_id.t -> sponsors:Node_id.t list -> Replica.t;
+      (* built with the settings every initial replica got *)
   mutable w_proc_guard : Repro_check.Procguard.t option;
       (* attached to every replica, joiners included, once requested *)
 }
@@ -46,23 +41,20 @@ let make ?(net_config = default_net) ?(params = Repro_gcs.Params.fast)
       Hashtbl.replace replicas node r;
       Replica.start r)
     nodes;
+  let joiner ~node ~sponsors =
+    Replica.create_joiner ~disk_config ~attach_cpu ?checkpoint_every
+      ?quorum_policy ?dedup_window ?admission ~cluster ~node ~sponsors ()
+  in
   {
     w_cluster = cluster;
     w_replicas = replicas;
     w_nodes = nodes;
-    w_disk_config = disk_config;
-    w_attach_cpu = attach_cpu;
-    w_checkpoint_every = checkpoint_every;
-    w_quorum_policy =
-      Option.value quorum_policy ~default:Quorum.Dynamic_linear;
-    w_dedup_window = dedup_window;
-    w_admission = admission;
+    w_joiner = joiner;
     w_proc_guard = None;
   }
 
 let sim t = Replica.cluster_sim t.w_cluster
 let topology t = Replica.cluster_topology t.w_cluster
-let cluster t = t.w_cluster
 
 let replicas t =
   List.filter_map (fun n -> Hashtbl.find_opt t.w_replicas n) t.w_nodes
@@ -72,12 +64,7 @@ let nodes t = t.w_nodes
 
 let add_joiner t ~node ~sponsors =
   Topology.add_node (topology t) node;
-  let r =
-    Replica.create_joiner ~disk_config:t.w_disk_config
-      ~attach_cpu:t.w_attach_cpu ?checkpoint_every:t.w_checkpoint_every
-      ?dedup_window:t.w_dedup_window ?admission:t.w_admission
-      ~cluster:t.w_cluster ~node ~sponsors ()
-  in
+  let r = t.w_joiner ~node ~sponsors in
   Hashtbl.replace t.w_replicas node r;
   t.w_nodes <- t.w_nodes @ [ node ];
   (match t.w_proc_guard with
@@ -89,8 +76,6 @@ let add_joiner t ~node ~sponsors =
 let run t ~ms =
   let s = sim t in
   Sim.Engine.run ~until:(Sim.Time.add (Sim.Engine.now s) ~span:(Sim.Time.of_ms ms)) s
-
-let run_until_quiescent ?(max_ms = 30_000.) t = run t ~ms:max_ms
 
 let submit_update t ~node ~key v =
   let r = replica t node in

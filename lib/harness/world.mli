@@ -3,8 +3,9 @@ open Repro_storage
 open Repro_core
 
 (** A test/experiment world: a cluster of engine replicas plus fault
-    injection and convergence helpers.  Used by scenarios, examples and
-    the property-based fault-schedule tests. *)
+    injection and convergence helpers.  The one place the harness
+    assembles replicas: scenarios, nemesis campaigns, every measured
+    engine cluster of {!Experiment} and {!Figures}, and the tests. *)
 
 type t
 
@@ -22,13 +23,13 @@ val make :
   unit ->
   t
 (** [n] replicas on nodes [0..n-1], started.  [disk_config] (and its
-    fault model), [checkpoint_every], [dedup_window] (exactly-once
-    response cache bound) and [admission] (overload shedding) — see
-    {!Replica.create} — apply to every replica, joiners included. *)
+    fault model), [checkpoint_every], [quorum_policy], [dedup_window]
+    (exactly-once response cache bound) and [admission] (overload
+    shedding) — see {!Replica.create} — apply to every replica, joiners
+    included. *)
 
 val sim : t -> Repro_sim.Engine.t
 val topology : t -> Topology.t
-val cluster : t -> Replica.cluster
 val replicas : t -> Replica.t list
 val replica : t -> Node_id.t -> Replica.t
 val nodes : t -> Node_id.t list
@@ -45,9 +46,6 @@ val attach_monitor : t -> Repro_check.Monitor.t
 
 val run : t -> ms:float -> unit
 (** Advance virtual time. *)
-
-val run_until_quiescent : ?max_ms:float -> t -> unit
-(** Run until the event queue drains or [max_ms] (default 30_000) pass. *)
 
 val submit_update : t -> node:Node_id.t -> key:string -> int -> unit
 (** Fire-and-forget strict update. *)

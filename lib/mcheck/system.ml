@@ -125,14 +125,15 @@ let callbacks t node_id =
   {
     Engine.on_green = (fun _ -> ());
     on_red = (fun _ -> ());
-    on_transfer_request = (fun ~joiner:_ ~join_green_count:_ -> ());
+    on_transfer_request = (fun ~joiner:_ -> ());
     on_self_leave = (fun () -> ());
-    on_state_change = (fun _ -> ());
     send =
       (fun ~service:_ ~size:_ payload ->
         Model.send t.model ~from:node_id payload);
     on_resync = (fun () -> ());
   }
+
+let quorum t = { Quorum.policy = t.cfg.policy; weights = Quorum.no_weights }
 
 let attach_audit t nd e =
   Engine.set_audit e
@@ -180,7 +181,7 @@ let create ?(policy = Quorum.Dynamic_linear) ~nodes:n () =
   Array.iter
     (fun nd ->
       let e =
-        Engine.create ~quorum_policy:policy ~sim ~node:nd.id ~servers
+        Engine.create ~quorum:(quorum t) ~sim ~node:nd.id ~servers
           ~persist:nd.persist
           ~callbacks:(callbacks t nd.id)
           ()
@@ -256,7 +257,7 @@ let crash t nd =
 let recover t nd =
   Check.Spec.on_recover t.spec ~node:nd.id;
   let e, _snapshot, _greens =
-    Engine.recover ~quorum_policy:t.cfg.policy ~sim:t.sim ~node:nd.id
+    Engine.recover ~quorum:(quorum t) ~sim:t.sim ~node:nd.id
       ~servers:t.servers ~persist:nd.persist
       ~callbacks:(callbacks t nd.id)
       ()

@@ -1,83 +1,10 @@
-type 'a t = {
-  cmp : 'a -> 'a -> int;
-  mutable data : 'a array;
-  mutable size : int;
-}
-
-let create ~cmp = { cmp; data = [||]; size = 0 }
-let length t = t.size
-let is_empty t = t.size = 0
-
-let grow t x =
-  let cap = Array.length t.data in
-  if t.size = cap then begin
-    let ncap = if cap = 0 then 16 else cap * 2 in
-    let ndata = Array.make ncap x in
-    Array.blit t.data 0 ndata 0 t.size;
-    t.data <- ndata
-  end
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if t.cmp t.data.(i) t.data.(parent) < 0 then begin
-      let tmp = t.data.(i) in
-      t.data.(i) <- t.data.(parent);
-      t.data.(parent) <- tmp;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && t.cmp t.data.(l) t.data.(!smallest) < 0 then smallest := l;
-  if r < t.size && t.cmp t.data.(r) t.data.(!smallest) < 0 then smallest := r;
-  if !smallest <> i then begin
-    let tmp = t.data.(i) in
-    t.data.(i) <- t.data.(!smallest);
-    t.data.(!smallest) <- tmp;
-    sift_down t !smallest
-  end
-
-let push t x =
-  grow t x;
-  t.data.(t.size) <- x;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1)
-
-let peek t = if t.size = 0 then None else Some t.data.(0)
-
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
-    Some top
-  end
-
-let clear t =
-  t.data <- [||];
-  t.size <- 0
-
-let to_sorted_list t =
-  let copy = { cmp = t.cmp; data = Array.sub t.data 0 t.size; size = t.size } in
-  let rec drain acc =
-    match pop copy with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  drain []
-
 (* A min-heap over two immediate-int keys (primary, tiebreak) with the
-   payload alongside.  The generic heap above compares through a [cmp]
-   closure — an indirect call per sift step, and for float or tuple
-   keys a box per comparison.  The sim event loop orders timers by
-   (due-time in µs, sequence), both immediate ints, so the specialized
-   heap compares inline and its pop returns the payload directly: zero
-   allocation per event on the Fifo fast path. *)
+   payload alongside.  A heap compared through a [cmp] closure pays an
+   indirect call per sift step, and for float or tuple keys a box per
+   comparison.  The sim event loop orders timers by (due-time in µs,
+   sequence), both immediate ints, so this heap compares inline and its
+   pop returns the payload directly: zero allocation per event on the
+   Fifo fast path. *)
 module Keyed = struct
   type 'a t = {
     mutable keys : int array; (* primary key *)

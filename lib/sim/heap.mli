@@ -1,26 +1,3 @@
-(** A minimal binary min-heap, specialised by a comparison function.
-
-    Used as the backing store of the simulation event queue; exposed
-    separately so it can be unit- and property-tested in isolation. *)
-
-type 'a t
-
-val create : cmp:('a -> 'a -> int) -> 'a t
-val length : 'a t -> int
-val is_empty : 'a t -> bool
-val push : 'a t -> 'a -> unit
-
-val peek : 'a t -> 'a option
-(** Smallest element without removing it. *)
-
-val pop : 'a t -> 'a option
-(** Removes and returns the smallest element. *)
-
-val clear : 'a t -> unit
-
-val to_sorted_list : 'a t -> 'a list
-(** Drains a copy of the heap; the heap itself is not modified. *)
-
 (** A min-heap ordered by two immediate-int keys (primary, tiebreak),
     payload alongside: comparisons are inline int compares (no closure
     call, no boxing) and [pop] returns the payload directly (no option

@@ -70,18 +70,6 @@ module Summary = struct
         t.count (mean t) (percentile t 50.) (percentile t 99.) t.min t.max
 end
 
-module Counter = struct
-  type t = { mutable value : int }
-
-  let create () = { value = 0 }
-  let incr ?(by = 1) t = t.value <- t.value + by
-  let value t = t.value
-
-  let rate t ~over =
-    let secs = Time.to_sec over in
-    if secs <= 0. then 0. else float_of_int t.value /. secs
-end
-
 module Timeline = struct
   type t = { bucket : Time.t; counts : (int, int ref) Hashtbl.t }
 

@@ -19,18 +19,6 @@ module Summary : sig
   val pp : Format.formatter -> t -> unit
 end
 
-(** A monotonically increasing event counter with rate computation. *)
-module Counter : sig
-  type t
-
-  val create : unit -> t
-  val incr : ?by:int -> t -> unit
-  val value : t -> int
-
-  val rate : t -> over:Time.t -> float
-  (** Events per second over a virtual-time span. *)
-end
-
 (** Fixed-bucket histogram over time, for throughput timelines. *)
 module Timeline : sig
   type t

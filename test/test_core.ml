@@ -592,13 +592,9 @@ let test_submission_is_one_frame_one_batch () =
     {
       Engine.on_green = ignore;
       on_red = ignore;
-      on_transfer_request = (fun ~joiner:_ ~join_green_count:_ -> ());
+      on_transfer_request = (fun ~joiner:_ -> ());
       on_self_leave = ignore;
       on_resync = ignore;
-      on_state_change =
-        (function
-        | Types.Reg_prim -> at_reg_prim := Some (counters ())
-        | _ -> ());
       send =
         (fun ~service:_ ~size payload ->
           (match payload with
@@ -608,9 +604,13 @@ let test_submission_is_one_frame_one_batch () =
     }
   in
   let e =
-    Engine.create ~sim ~node:0 ~servers:(Node_id.Set.singleton 0) ~persist
-      ~callbacks ()
+    Engine.create
+      ~quorum:{ Quorum.policy = Dynamic_linear; weights = Quorum.no_weights }
+      ~sim ~node:0 ~servers:(Node_id.Set.singleton 0) ~persist ~callbacks ()
   in
+  Engine.set_audit e (function
+    | Engine.Audit_state Types.Reg_prim -> at_reg_prim := Some (counters ())
+    | _ -> ());
   (* Deliver every queued event; report the frames and records the event
      that installed the primary logged after the installation itself. *)
   let rec settle acc =
@@ -1400,6 +1400,40 @@ let test_stranded_member_resyncs () =
             (fun i _ -> i >= List.length theirs - List.length mine)
             theirs))
 
+(* Every engine a replica builds votes by the replica's quorum policy:
+   the one crash recovery rebuilds from the log and the one an amnesiac
+   replica builds from a transferred snapshot as much as the first.
+   Under a static majority of five, two replicas are never a primary,
+   whatever a dynamic-linear-voting history would allow them. *)
+let test_rebuilt_engines_keep_quorum_policy () =
+  let module World = Repro_harness.World in
+  let run ~amnesia =
+    let w = World.make ~quorum_policy:Quorum.Static_majority ~seed:3 ~n:5 () in
+    World.run w ~ms:1000.;
+    let victims = [ World.replica w 0; World.replica w 1 ] in
+    List.iter Replica.crash victims;
+    if amnesia then
+      List.iter (fun r -> ignore (Replica.corrupt_log r ~nth:0)) victims;
+    World.run w ~ms:500.;
+    List.iter Replica.recover victims;
+    World.run w ~ms:3000.;
+    if amnesia then
+      Alcotest.(check bool) "both came back by state transfer" true
+        (List.for_all
+           (fun r -> Replica.last_recovery r = Some Persist.V_amnesia)
+           victims);
+    Topology.partition (World.topology w) [ [ 0; 1; 2 ]; [ 3; 4 ] ];
+    World.run w ~ms:3000.;
+    Topology.partition (World.topology w) [ [ 0; 1 ]; [ 2 ]; [ 3; 4 ] ];
+    World.run w ~ms:3000.;
+    Alcotest.(check bool)
+      (Printf.sprintf "{0,1} hold no primary (amnesia: %b)" amnesia)
+      false
+      (List.exists Replica.in_primary victims)
+  in
+  run ~amnesia:false;
+  run ~amnesia:true
+
 let () =
   Alcotest.run "core"
     [
@@ -1425,6 +1459,8 @@ let () =
           Alcotest.test_case "crash and recover" `Quick test_crash_recover_rejoins;
           Alcotest.test_case "total crash" `Quick
             test_total_crash_blocks_until_full_exchange;
+          Alcotest.test_case "rebuilt engines keep quorum policy" `Quick
+            test_rebuilt_engines_keep_quorum_policy;
         ] );
       ( "semantics",
         [

@@ -57,28 +57,6 @@ let test_rng_shuffle_permutation () =
   let s = Rng.shuffle rng l in
   Alcotest.(check (list int)) "same multiset" l (List.sort Int.compare s)
 
-let test_heap_ordering () =
-  let h = Heap.create ~cmp:Int.compare in
-  List.iter (Heap.push h) [ 5; 1; 9; 3; 7; 2; 8; 0; 4; 6 ];
-  Alcotest.(check (list int)) "sorted drain" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
-    (Heap.to_sorted_list h);
-  Alcotest.(check int) "length preserved" 10 (Heap.length h);
-  Alcotest.(check (option int)) "peek min" (Some 0) (Heap.peek h)
-
-let test_heap_empty () =
-  let h = Heap.create ~cmp:Int.compare in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop h);
-  Alcotest.(check (option int)) "peek empty" None (Heap.peek h)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains any list sorted" ~count:200
-    QCheck.(list int)
-    (fun l ->
-      let h = Heap.create ~cmp:Int.compare in
-      List.iter (Heap.push h) l;
-      Heap.to_sorted_list h = List.sort Int.compare l)
-
 let test_keyed_heap_ordering () =
   let h = Heap.Keyed.create () in
   Alcotest.(check bool) "empty" true (Heap.Keyed.is_empty h);
@@ -411,9 +389,6 @@ let () =
         ] );
       ( "heap",
         [
-          Alcotest.test_case "ordering" `Quick test_heap_ordering;
-          Alcotest.test_case "empty" `Quick test_heap_empty;
-          QCheck_alcotest.to_alcotest prop_heap_sorts;
           Alcotest.test_case "keyed ordering" `Quick test_keyed_heap_ordering;
           Alcotest.test_case "keyed tie-break" `Quick test_keyed_heap_tiebreak;
           QCheck_alcotest.to_alcotest prop_keyed_heap_sorts;

@@ -462,32 +462,16 @@ let test_compact_allocates_per_frame () =
     true
     (many <= one && many < 20. *. 200.)
 
-let test_stable_cell_roundtrip () =
-  let engine, disk = make () in
-  let cell = Stable_cell.create ~disk ~init:0 in
-  Stable_cell.set_sync cell 42 ignore;
-  Engine.run engine;
-  Stable_cell.crash cell;
-  Alcotest.(check int) "synced value survives" 42 (Stable_cell.get cell)
-
-let test_stable_cell_crash_reverts () =
-  let engine, disk = make () in
-  let cell = Stable_cell.create ~disk ~init:1 in
-  Stable_cell.set_sync cell 2 ignore;
-  Engine.run engine;
-  Stable_cell.set cell 3; (* never synced *)
-  Stable_cell.crash cell;
-  Alcotest.(check int) "reverts to last durable" 2 (Stable_cell.get cell)
-
 let test_shared_disk_group_commit () =
-  (* A wlog and a cell sharing one disk must group-commit together. *)
+  (* Two logs sharing one disk must group-commit together. *)
   let engine, disk = make () in
   let log = Wlog.create ~engine ~disk () in
-  let cell = Stable_cell.create ~disk ~init:"x" in
+  let other = Wlog.create ~engine ~disk () in
   let completed = ref 0 in
   Wlog.append log [ 1 ];
   Wlog.sync log (fun () -> incr completed);
-  Stable_cell.set_sync cell "y" (fun () -> incr completed);
+  Wlog.append other [ 2 ];
+  Wlog.sync other (fun () -> incr completed);
   Engine.run engine;
   Alcotest.(check int) "both complete" 2 !completed;
   Alcotest.(check int) "single flush" 1 (Disk.flushes disk)
@@ -502,6 +486,8 @@ let () =
           Alcotest.test_case "delayed ack" `Quick test_delayed_ack_fast;
           Alcotest.test_case "flush jitter bounds" `Quick
             test_flush_jitter_within_bounds;
+          Alcotest.test_case "shared disk group commit" `Quick
+            test_shared_disk_group_commit;
         ] );
       ( "wlog",
         [
@@ -523,13 +509,6 @@ let () =
             test_wlog_torn_batch_frame_granular;
           Alcotest.test_case "seq survives compaction" `Quick
             test_wlog_seq_survives_compaction;
-        ] );
-      ( "stable-cell",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_stable_cell_roundtrip;
-          Alcotest.test_case "crash reverts" `Quick test_stable_cell_crash_reverts;
-          Alcotest.test_case "shared disk group commit" `Quick
-            test_shared_disk_group_commit;
         ] );
       ( "compaction",
         [
