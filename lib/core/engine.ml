@@ -194,9 +194,8 @@ let flush_marks t =
   | [] -> ()
   | acc ->
     t.green_accum <- [];
-    let batch = List.rev acc in
-    Persist.log_green_batch t.persist (List.map (fun a -> a.Action.id) batch);
-    t.cb.on_green batch
+    Persist.log_green_batch t.persist (List.rev_map (fun a -> a.Action.id) acc);
+    t.cb.on_green (List.rev acc)
   [@@analysis.hotpath "O(batch+queue)"]
 
 let begin_burst t = t.burst_depth <- t.burst_depth + 1
@@ -225,8 +224,11 @@ let note_green_count t server count =
 
 (* MarkRed.  Returns [true] when the action is newly accepted; gaps are
    buffered until the missing predecessors arrive (retransmissions from
-   different duty holders may interleave). *)
-let rec mark_red t (a : Action.t) =
+   different duty holders may interleave).  [green]: the caller greens
+   the action in the same step (RegPrim's MarkRed then MarkGreen), so
+   it gets its red cut, red log record, [on_red] and ongoing-queue pop
+   but never enters the red region it would leave at once. *)
+let rec mark_red ?(green = false) t (a : Action.t) =
   let creator = a.id.server in
   let cut = red_cut t creator in
   (* Never mint an action id below one already seen with our creator
@@ -238,7 +240,7 @@ let rec mark_red t (a : Action.t) =
   if a.id.index = cut + 1 then begin
     Hashtbl.replace t.red_cut creator (cut + 1);
     t.red_accum <- a :: t.red_accum;
-    Action_queue.add_red t.queue a;
+    if not green then Action_queue.add_red t.queue a;
     if Node_id.equal creator t.node then
       t.ongoing <-
         List.filter (fun o -> not (Action.Id.equal o.Action.id a.id)) t.ongoing;
@@ -287,12 +289,13 @@ and drain_pending_red t creator =
 (* MarkGreen, including the dynamic-reconfiguration handling of
    PERSISTENT_JOIN / PERSISTENT_LEAVE (CodeSegment 5.1). *)
 let mark_green t (a : Action.t) =
-  ignore (mark_red t a);
   (* Already green when at or below its creator's green cut — including
      an id greened below a snapshot join floor, which this queue never
      held: re-appending such a copy would fork the total order against
      replicas that remember the original position. *)
-  if not (Action_queue.is_green t.queue a.id) then begin
+  let green = not (Action_queue.is_green t.queue a.id) in
+  ignore (mark_red ~green t a);
+  if green then begin
     (* FIFO per creator makes green prefixes per creator contiguous; a
        green marking can therefore never jump over a missing red. *)
     if a.id.index > red_cut t a.id.server then

@@ -51,31 +51,38 @@ type 'p wire =
     (* please retransmit ordered messages [k_from..k_to] *)
   | Repair of { q_conf : Conf_id.t; q_entries : (int * 'p data) list }
 
-(* Data-plane state of one installed regular configuration. *)
+(* Data-plane state of one installed regular configuration.  Sequence
+   numbers are contiguous and the members are fixed for the view, so the
+   receive tables are windows indexed by sequence number and arrays
+   indexed by member (a member's rank in the view, ascending). *)
 type 'p conf_state = {
   cview : view;
   coord : Node_id.t;
-  member_list : Node_id.t list; (* [cview.members], ascending *)
+  index : int array; (* node id -> rank in [cview.members], -1 if none *)
+  me : int; (* this node's rank *)
   others : Node_id.t list; (* the members but this node: every multicast's destinations *)
+  era : int; (* [t.era] while this configuration is installed: guards its timers *)
   mutable next_lseq : int;
   own_pending : (int, 'p data * Time.t) Hashtbl.t;
     (* own messages not yet ordered: resent if the coordinator stays
        silent about them (loss recovery) *)
-  data_buf : (int, 'p data) Hashtbl.t; (* received, not yet ordered; by [msg_key] *)
-  pending_assignment : (int, int) Hashtbl.t; (* order before payload; by [msg_key] *)
-  store : (int, 'p data) Hashtbl.t; (* seq -> ordered message *)
-  mutable evicted_below : int;
+  data_buf : 'p data Window.t array; (* per member, by lseq: received, not yet ordered *)
+  pending_assignment : int Window.t array; (* per member, by lseq: order before payload *)
+  store : 'p data Window.t;
+    (* seq -> ordered message; its base is the highest evicted seq *)
   mutable have_upto : int; (* contiguous prefix present in [store] *)
   mutable delivered_upto : int; (* contiguous prefix delivered to the app *)
   mutable safe_upto : int; (* prefix acked by every member *)
   mutable last_acked : int; (* have_upto as of the last ack we multicast *)
-  acks : (Node_id.t, int) Hashtbl.t;
+  acks : int array; (* per member: highest cumulative ack *)
   mutable max_safe_seq : int; (* highest stored safe-service sequence *)
   (* sequencer-only: *)
   mutable next_seq : int;
   mutable pending_order : (Node_id.t * int) list; (* reversed *)
   mutable order_armed : bool;
   mutable ack_armed : bool;
+  mutable ack_timer : Engine.timer;
+  mutable order_timer : Engine.timer;
 }
 
 type gather_state = {
@@ -129,7 +136,7 @@ type 'p t = {
   mutable last_sent : Time.t;
   mutable last_probe : Time.t;
   mutable installed_count : int;
-  mutable periodic_started : bool;
+  mutable periodic : Engine.timer option; (* built by the first [join] *)
 }
 
 let node t = t.node
@@ -145,7 +152,7 @@ let is_installed t = match t.status with Installed -> true | _ -> false
 
 let store_stats t =
   match t.conf with
-  | Some cs -> Some (Hashtbl.length cs.store, cs.evicted_below)
+  | Some cs -> Some (Window.length cs.store, Window.base cs.store)
   | None -> None
 
 let next_counter t =
@@ -213,46 +220,22 @@ let broadcast_component t msg =
 (* ------------------------------------------------------------------ *)
 (* Data plane within an installed configuration.                       *)
 
-let new_conf_state t view =
-  let members = Node_id.Set.elements view.members in
-  {
-    cview = view;
-    coord = Node_id.Set.min_elt view.members;
-    member_list = members;
-    others = List.filter (fun n -> not (Node_id.equal n t.node)) members;
-    next_lseq = 0;
-    own_pending = Hashtbl.create 16;
-    data_buf = Hashtbl.create 64;
-    pending_assignment = Hashtbl.create 64;
-    store = Hashtbl.create 256;
-    evicted_below = 0;
-    have_upto = 0;
-    delivered_upto = 0;
-    safe_upto = 0;
-    last_acked = 0;
-    acks = Hashtbl.create 8;
-    max_safe_seq = 0;
-    next_seq = 0;
-    pending_order = [];
-    order_armed = false;
-    ack_armed = false;
-  }
-
 let i_am_coord t cs = Node_id.equal t.node cs.coord
+
+(* A member's rank in the view, -1 for a node outside it. *)
+let member_index cs node =
+  if node >= 0 && node < Array.length cs.index then cs.index.(node) else -1
 
 (* Receipt handling runs per received message: it looks tables up with
    [find] rather than [find_opt] and loops with top-level functions
    rather than closures, so that an ack allocates nothing here. *)
-let ack_of cs m = match Hashtbl.find cs.acks m with a -> a | exception Not_found -> 0
-
-let rec min_ack cs acc = function
-  | [] -> acc
-  | m :: rest -> min_ack cs (Int.min acc (ack_of cs m)) rest
-  (* One lookup per member of the view. *)
+let rec min_ack acks i acc =
+  if i < 0 then acc else min_ack acks (i - 1) (Int.min acc acks.(i))
+  (* One slot per member of the view. *)
   [@@analysis.cost "O(members); alloc O(1)"]
 
 let recompute_safe cs =
-  let min_ack = min_ack cs max_int cs.member_list in
+  let min_ack = min_ack cs.acks (Array.length cs.acks - 1) max_int in
   if min_ack > cs.safe_upto then cs.safe_upto <- min_ack
 
 (* Deliver every ready message: next in sequence, present, and either
@@ -261,7 +244,7 @@ let recompute_safe cs =
    messages at once, and the application applies them as one group. *)
 let rec deliver_ready t cs =
   let next = cs.delivered_upto + 1 in
-  match Hashtbl.find cs.store next with
+  match Window.find cs.store next with
   | exception Not_found -> ()
   | d ->
     let deliverable =
@@ -293,34 +276,27 @@ let try_deliver t cs =
 (* Messages below the safe line are held by every member (safe = everyone
    acked contiguous receipt), so they can never be needed for
    retransmission: evict them in chunks to bound memory. *)
-let evict t cs =
-  ignore t;
+let evict cs =
   let limit = min cs.safe_upto cs.delivered_upto in
-  if limit - cs.evicted_below > 4096 then begin
-    for s = cs.evicted_below + 1 to limit do
-      Hashtbl.remove cs.store s
-    done;
-    cs.evicted_below <- limit
-  end
-  (* The for-loop bound is dynamic but every evicted sequence number was
-     a stored message: amortized one removal per message ever stored. *)
-  [@@analysis.cost "O(queue); alloc O(1)"]
+  if limit - Window.base cs.store > 4096 then Window.slide cs.store limit
 
 let rec advance_have cs =
-  if Hashtbl.mem cs.store (cs.have_upto + 1) then begin
+  if Window.mem cs.store (cs.have_upto + 1) then begin
     cs.have_upto <- cs.have_upto + 1;
     advance_have cs
   end
   (* One store lookup per received message. *)
   [@@analysis.cost "O(queue); alloc O(1)"]
 
-let rec note_have_advanced t cs =
+let after ~delay t = Time.add (Engine.now t.engine) ~span:delay
+
+let note_have_advanced t cs =
   advance_have cs;
   (* Our own cumulative ack is visible locally at once. *)
-  Hashtbl.replace cs.acks t.node cs.have_upto;
+  cs.acks.(cs.me) <- cs.have_upto;
   recompute_safe cs;
   try_deliver t cs;
-  evict t cs;
+  evict cs;
   if not cs.ack_armed then begin
     cs.ack_armed <- true;
     (* Acknowledge promptly when our cumulative ack carries NEWS —
@@ -337,45 +313,42 @@ let rec note_have_advanced t cs =
         t.prm.ack_delay
       else Time.scale t.prm.ack_delay 25.
     in
-    let era = t.era in
-    ignore
-      (Engine.schedule t.engine ~delay (fun () ->
-           if era = t.era then begin
-             cs.ack_armed <- false;
-             cs.last_acked <- cs.have_upto;
-             multicast_view t cs (Ack { a_conf = cs.cview.id; a_upto = cs.have_upto });
-             (* Re-arm if safety progress is still pending. *)
-             if cs.max_safe_seq > cs.safe_upto then note_have_advanced t cs
-           end))
+    Engine.schedule_timer t.engine cs.ack_timer ~at:(after ~delay t)
   end
-  (* Self-recursive only through the re-armed ack timer (a later event,
-     not this activation). *)
-  [@@analysis.cost "O(members+queue); alloc O(members+queue)"]
 
-(* A sender's message in one configuration, as one immediate int, so that
-   looking it up allocates no tuple: [lseq] counts one sender's messages
-   in one configuration and stays far below 2^32. *)
-let msg_key ~sender ~lseq = (sender lsl 32) lor lseq
+(* The ack timer: multicast our cumulative ack, and re-arm while safety
+   progress is still pending. *)
+let ack_due t (cs : _ conf_state) =
+  if cs.era = t.era then begin
+    cs.ack_armed <- false;
+    cs.last_acked <- cs.have_upto;
+    multicast_view t cs (Ack { a_conf = cs.cview.id; a_upto = cs.have_upto });
+    if cs.max_safe_seq > cs.safe_upto then note_have_advanced t cs
+  end
+  [@@analysis.hotpath "O(batch+members+queue)"]
 
 let store_message t cs ~seq (d : 'p data) =
-  Hashtbl.replace cs.store seq d;
+  Window.replace cs.store seq d;
   (* An order assignment for one of our own messages confirms the
      sequencer received it: stop the resend clock. *)
   if Node_id.equal d.d_sender t.node then Hashtbl.remove cs.own_pending d.d_lseq;
   (match d.d_service with
   | Safe -> if seq > cs.max_safe_seq then cs.max_safe_seq <- seq
   | Agreed -> ());
-  let key = msg_key ~sender:d.d_sender ~lseq:d.d_lseq in
-  Hashtbl.remove cs.data_buf key;
-  Hashtbl.remove cs.pending_assignment key
+  let i = member_index cs d.d_sender in
+  if i >= 0 then begin
+    Window.remove cs.data_buf.(i) d.d_lseq;
+    Window.remove cs.pending_assignment.(i) d.d_lseq
+  end
 
 (* The total order puts [sender]'s message [lseq] at [seq]: store it if
    its payload is here, else hold the place until the payload arrives. *)
 let assign t cs ~seq ~sender ~lseq =
-  let key = msg_key ~sender ~lseq in
-  match Hashtbl.find cs.data_buf key with
-  | d -> store_message t cs ~seq d
-  | exception Not_found -> Hashtbl.replace cs.pending_assignment key seq
+  let i = member_index cs sender in
+  if i >= 0 then
+    match Window.find cs.data_buf.(i) lseq with
+    | d -> store_message t cs ~seq d
+    | exception Not_found -> Window.replace cs.pending_assignment.(i) lseq seq
 
 let flush_order_batch t cs =
   let entries = List.rev cs.pending_order in
@@ -393,41 +366,86 @@ let flush_order_batch t cs =
     note_have_advanced t cs
   end
 
+(* The order timer: the sequencer orders the batch received since it
+   was armed. *)
+let order_due t (cs : _ conf_state) =
+  if cs.era = t.era then begin
+    cs.order_armed <- false;
+    flush_order_batch t cs
+  end
+  [@@analysis.hotpath "O(batch+members+queue)"]
+
 let coord_enqueue_order t cs ~sender ~lseq =
   cs.pending_order <- (sender, lseq) :: cs.pending_order;
   if not cs.order_armed then begin
     cs.order_armed <- true;
-    let era = t.era in
-    ignore
-      (Engine.schedule t.engine ~delay:t.prm.order_delay (fun () ->
-           if era = t.era then begin
-             cs.order_armed <- false;
-             flush_order_batch t cs
-           end))
+    Engine.schedule_timer t.engine cs.order_timer
+      ~at:(after ~delay:t.prm.order_delay t)
   end
+
+(* Built as [t] enters [Installed]: [era] is that status's era, and the
+   two ordering timers are made once for the configuration's lifetime. *)
+let new_conf_state t view =
+  let members = Node_id.Set.elements view.members in
+  let n = List.length members in
+  let index = Array.make (Node_id.Set.max_elt view.members + 1) (-1) in
+  List.iteri (fun i m -> index.(m) <- i) members;
+  let unset = Engine.make_timer ignore in
+  let cs =
+    {
+      cview = view;
+      coord = Node_id.Set.min_elt view.members;
+      index;
+      me = index.(t.node);
+      others = List.filter (fun n -> not (Node_id.equal n t.node)) members;
+      era = t.era;
+      next_lseq = 0;
+      own_pending = Hashtbl.create 16;
+      data_buf = Array.init n (fun _ -> Window.create ());
+      pending_assignment = Array.init n (fun _ -> Window.create ());
+      store = Window.create ();
+      have_upto = 0;
+      delivered_upto = 0;
+      safe_upto = 0;
+      last_acked = 0;
+      acks = Array.make n 0;
+      max_safe_seq = 0;
+      next_seq = 0;
+      pending_order = [];
+      order_armed = false;
+      ack_armed = false;
+      ack_timer = unset;
+      order_timer = unset;
+    }
+  in
+  cs.ack_timer <- Engine.make_timer (fun () -> ack_due t cs);
+  cs.order_timer <- Engine.make_timer (fun () -> order_due t cs);
+  cs
 
 (* A data message for the current (or retained old) configuration. When
    installed, the coordinator assigns it a place in the total order; any
    member may instead be completing an assignment it already knows. *)
 let handle_data t cs ~installed (d : 'p data) =
-  let key = msg_key ~sender:d.d_sender ~lseq:d.d_lseq in
-  match Hashtbl.find cs.pending_assignment key with
-  | seq ->
-    store_message t cs ~seq d;
-    if installed then note_have_advanced t cs
-  | exception Not_found ->
-    if not (Hashtbl.mem cs.data_buf key) then begin
-      Hashtbl.replace cs.data_buf key d;
-      if installed && i_am_coord t cs then
-        coord_enqueue_order t cs ~sender:d.d_sender ~lseq:d.d_lseq
-    end
+  let i = member_index cs d.d_sender in
+  if i >= 0 then
+    match Window.find cs.pending_assignment.(i) d.d_lseq with
+    | seq ->
+      store_message t cs ~seq d;
+      if installed then note_have_advanced t cs
+    | exception Not_found ->
+      let buf = cs.data_buf.(i) in
+      if not (Window.mem buf d.d_lseq) then begin
+        Window.replace buf d.d_lseq d;
+        if installed && i_am_coord t cs then
+          coord_enqueue_order t cs ~sender:d.d_sender ~lseq:d.d_lseq
+      end
   [@@analysis.hotpath "O(batch+members+queue)"]
 
 let rec assign_entries t cs = function
   | [] -> ()
   | (seq, sender, lseq) :: rest ->
     if seq > cs.next_seq then cs.next_seq <- seq;
-    if not (Hashtbl.mem cs.store seq) then assign t cs ~seq ~sender ~lseq;
+    if not (Window.mem cs.store seq) then assign t cs ~seq ~sender ~lseq;
     assign_entries t cs rest
   (* One assignment per entry of the one Order message. *)
   [@@analysis.cost "O(batch); alloc O(batch)"]
@@ -438,11 +456,12 @@ let handle_order t cs ~installed o_entries =
   [@@analysis.hotpath "O(batch+members+queue)"]
 
 let handle_ack t cs ~from ~upto =
-  if upto > ack_of cs from then begin
-    Hashtbl.replace cs.acks from upto;
+  let i = member_index cs from in
+  if i >= 0 && upto > cs.acks.(i) then begin
+    cs.acks.(i) <- upto;
     recompute_safe cs;
     try_deliver t cs;
-    evict t cs
+    evict cs
   end
   [@@analysis.hotpath "O(members+queue)"]
 
@@ -553,13 +572,10 @@ and my_flush_record t =
   | None ->
     { fr_old_conf = None; fr_evicted = 0; fr_inventory = []; fr_delivered = 0 }
   | Some cs ->
-    let inv =
-      Hashtbl.fold (fun seq _ acc -> seq :: acc) cs.store []
-      |> List.sort Int.compare
-    in
+    let inv = List.rev (Window.fold (fun seq _ acc -> seq :: acc) cs.store []) in
     {
       fr_old_conf = Some cs.cview.id;
-      fr_evicted = cs.evicted_below;
+      fr_evicted = Window.base cs.store;
       fr_inventory = inv;
       fr_delivered = cs.delivered_upto;
     }
@@ -683,7 +699,7 @@ and check_flush t fs =
             && Node_id.equal (Node_id.Set.min_elt holders) t.node
           in
           let duties =
-            Hashtbl.fold
+            Window.fold
               (fun s d acc ->
                 if
                   s <= max_deliverable && needed_by_someone s
@@ -691,7 +707,7 @@ and check_flush t fs =
                 then (s, d) :: acc
                 else acc)
               cs.store []
-            |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+            |> List.rev
           in
           if duties <> [] then
             multicast_set t ~dsts:group
@@ -704,7 +720,7 @@ and check_flush t fs =
       | Some cs ->
         let rec holds s =
           s > fs.fl_union_max
-          || (Hashtbl.mem cs.store s && holds (s + 1))
+          || (Window.mem cs.store s && holds (s + 1))
         in
         holds (cs.delivered_upto + 1)
     in
@@ -740,8 +756,8 @@ and install t fs =
     t.on_event (Trans_conf { id = cs.cview.id; members = trans_members });
     let rec deliver_leftovers s =
       if s <= fs.fl_union_max then
-        match Hashtbl.find_opt cs.store s with
-        | Some d ->
+        match Window.find cs.store s with
+        | d ->
           cs.delivered_upto <- s;
           t.on_event
             (Deliver
@@ -753,7 +769,7 @@ and install t fs =
                  in_regular = false;
                });
           deliver_leftovers (s + 1)
-        | None -> () (* hole: nothing beyond is deliverable *)
+        | exception Not_found -> () (* hole: nothing beyond is deliverable *)
     in
     deliver_leftovers (cs.delivered_upto + 1)
   | None -> ());
@@ -761,9 +777,9 @@ and install t fs =
     (Printf.sprintf "install %s (%d members)" (Conf_id.to_string fs.fl_vid)
        (Node_id.Set.cardinal fs.fl_members));
   let new_view = { id = fs.fl_vid; members = fs.fl_members } in
+  set_status t Installed;
   let cs = new_conf_state t new_view in
   t.conf <- Some cs;
-  set_status t Installed;
   t.installed_count <- t.installed_count + 1;
   let now = Engine.now t.engine in
   Node_id.Set.iter (fun m -> Hashtbl.replace t.last_heard m now) new_view.members;
@@ -848,7 +864,7 @@ let handle_wire t ~src msg =
       | Flushing fs, Some cs when Conf_id.equal fs.fl_vid r_vid ->
         List.iter
           (fun (seq, d) ->
-            if not (Hashtbl.mem cs.store seq) then Hashtbl.replace cs.store seq d)
+            if not (Window.mem cs.store seq) then Window.replace cs.store seq d)
           r_entries;
         check_flush t fs
       | _ -> ())
@@ -869,9 +885,9 @@ let handle_wire t ~src msg =
         let entries =
           List.filter_map
             (fun seq ->
-              match Hashtbl.find_opt cs.store seq with
-              | Some d -> Some (seq, d)
-              | None -> None)
+              match Window.find cs.store seq with
+              | d -> Some (seq, d)
+              | exception Not_found -> None)
             (List.init (max 0 (k_to - k_from + 1)) (fun i -> k_from + i))
         in
         if entries <> [] then
@@ -882,7 +898,7 @@ let handle_wire t ~src msg =
       | Installed, Some cs when conf_matches cs q_conf ->
         List.iter
           (fun (seq, d) ->
-            if not (Hashtbl.mem cs.store seq) then store_message t cs ~seq d)
+            if not (Window.mem cs.store seq) then store_message t cs ~seq d)
           q_entries;
         note_have_advanced t cs
       | _ -> ()))
@@ -890,57 +906,64 @@ let handle_wire t ~src msg =
 (* ------------------------------------------------------------------ *)
 (* Periodic duties: heartbeats, failure detection, merge probing.      *)
 
-let rec periodic t =
-  ignore
-    (Engine.schedule t.engine ~delay:t.prm.fd_check_interval (fun () ->
-         (match (t.status, t.conf) with
-         | Installed, Some cs ->
-           let now = Engine.now t.engine in
-           (* Heartbeat if we have been silent. *)
-           if
-             Time.(Time.diff now (Time.min now t.last_sent)
-                   >= t.prm.heartbeat_interval)
-           then multicast_view t cs (Heartbeat { h_conf = cs.cview.id });
-           (* Suspect silent members. *)
-           let suspect =
-             Node_id.Set.exists
-               (fun m ->
-                 (not (Node_id.equal m t.node))
-                 &&
-                 match Hashtbl.find_opt t.last_heard m with
-                 | Some heard -> Time.(Time.diff now heard > t.prm.fd_timeout)
-                 | None -> true)
-               cs.cview.members
-           in
-           if suspect then start_gather t
-           else begin
-             (* Loss recovery: ask for ordered messages we lack, and
-                resend own messages the sequencer never ordered. *)
-             if cs.have_upto < cs.next_seq then begin
-               let upper = min cs.next_seq (cs.have_upto + 64) in
-               unicast t ~dst:cs.coord
-                 (Nack
-                    { k_conf = cs.cview.id; k_from = cs.have_upto + 1; k_to = upper })
-             end;
-             Hashtbl.iter
-               (fun lseq (d, sent_at) ->
-                 if Time.(Time.diff now (Time.min now sent_at) > t.prm.fd_timeout)
-                 then begin
-                   Hashtbl.replace cs.own_pending lseq (d, now);
-                   multicast_view t cs (Data d)
-                 end)
-               cs.own_pending
-           end;
-           if (not suspect) &&
-             i_am_coord t cs
-             && Time.(Time.diff now (Time.min now t.last_probe)
-                      >= t.prm.probe_interval)
-           then begin
-             t.last_probe <- now;
-             broadcast_component t (Probe { p_conf = cs.cview.id })
-           end
-         | _ -> ());
-         periodic t))
+let arm_periodic t =
+  match t.periodic with
+  | Some timer ->
+    Engine.schedule_timer t.engine timer ~at:(after ~delay:t.prm.fd_check_interval t)
+  | None -> ()
+
+(* One tick every [fd_check_interval], on a timer built by the first
+   [join]. *)
+let periodic t =
+  (match (t.status, t.conf) with
+  | Installed, Some cs ->
+    let now = Engine.now t.engine in
+    (* Heartbeat if we have been silent. *)
+    if
+      Time.(Time.diff now (Time.min now t.last_sent)
+            >= t.prm.heartbeat_interval)
+    then multicast_view t cs (Heartbeat { h_conf = cs.cview.id });
+    (* Suspect silent members. *)
+    let suspect =
+      Node_id.Set.exists
+        (fun m ->
+          (not (Node_id.equal m t.node))
+          &&
+          match Hashtbl.find_opt t.last_heard m with
+          | Some heard -> Time.(Time.diff now heard > t.prm.fd_timeout)
+          | None -> true)
+        cs.cview.members
+    in
+    if suspect then start_gather t
+    else begin
+      (* Loss recovery: ask for ordered messages we lack, and
+         resend own messages the sequencer never ordered. *)
+      if cs.have_upto < cs.next_seq then begin
+        let upper = min cs.next_seq (cs.have_upto + 64) in
+        unicast t ~dst:cs.coord
+          (Nack
+             { k_conf = cs.cview.id; k_from = cs.have_upto + 1; k_to = upper })
+      end;
+      Hashtbl.filter_map_inplace
+        (fun _ ((d, sent_at) as pending) ->
+          if Time.(Time.diff now (Time.min now sent_at) > t.prm.fd_timeout)
+          then begin
+            multicast_view t cs (Data d);
+            Some (d, now)
+          end
+          else Some pending)
+        cs.own_pending
+    end;
+    if (not suspect) &&
+      i_am_coord t cs
+      && Time.(Time.diff now (Time.min now t.last_probe)
+               >= t.prm.probe_interval)
+    then begin
+      t.last_probe <- now;
+      broadcast_component t (Probe { p_conf = cs.cview.id })
+    end
+  | _ -> ());
+  arm_periodic t
 
 let create ?(on_burst_start = fun () -> ()) ?(on_burst_end = fun () -> ())
     ~network ~params ~node ~on_event () =
@@ -965,7 +988,7 @@ let create ?(on_burst_start = fun () -> ()) ?(on_burst_end = fun () -> ())
       last_sent = Time.zero;
       last_probe = Time.zero;
       installed_count = 0;
-      periodic_started = false;
+      periodic = None;
     }
   in
   Network.register network node ~handler:(fun ~src msg -> handle_wire t ~src msg);
@@ -974,9 +997,9 @@ let create ?(on_burst_start = fun () -> ()) ?(on_burst_end = fun () -> ())
 let join t =
   match t.status with
   | Idle ->
-    if not t.periodic_started then begin
-      t.periodic_started <- true;
-      periodic t
+    if t.periodic = None then begin
+      t.periodic <- Some (Engine.make_timer (fun () -> periodic t));
+      arm_periodic t
     end;
     start_gather t
   | _ -> ()

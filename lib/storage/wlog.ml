@@ -52,16 +52,14 @@ let disk t = t.disk
    records ride inside.  The empty batch is a no-op (no frame, no
    write): it must not burn a sequence number that recovery would then
    see as a silent gap. *)
-let append t entries =
-  match entries with
-  | [] -> ()
-  | _ ->
+let append t records =
+  if Array.length records > 0 then begin
     let epoch = Disk.note_write t.disk in
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
-    let records = Array.of_list entries in
     t.record_count <- t.record_count + Array.length records;
     t.frames <- { records; epoch; seq; sum_ok = true; torn = false } :: t.frames
+  end
   [@@analysis.hotpath "O(batch)"]
 
 let sync t k = Disk.force t.disk k

@@ -57,11 +57,13 @@ type 'entry t
 val create : engine:Engine.t -> disk:Disk.t -> unit -> 'entry t
 val disk : 'entry t -> Disk.t
 
-val append : 'entry t -> 'entry list -> unit
+val append : 'entry t -> 'entry array -> unit
 (** Buffer all entries as {e one} frame, not yet durable: one sequence
     number, one checksum, one device write — so one covering [sync]
-    makes the whole list durable together, and a crash loses or keeps
-    it as a unit.  The empty list is a no-op (no frame is written). *)
+    makes the whole array durable together, and a crash loses or keeps
+    it as a unit.  The frame keeps the array itself: the caller must
+    not modify it afterwards.  The empty array is a no-op (no frame is
+    written). *)
 
 val sync : 'entry t -> (unit -> unit) -> unit
 (** Make all appended frames durable; callback on completion

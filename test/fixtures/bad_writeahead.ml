@@ -12,12 +12,12 @@ open Repro_storage
 type net = { send : size:int -> int -> unit }
 
 let announce_before_force (log : int Wlog.t) (wire : net) seq =
-  Wlog.append log [ seq ];
+  Wlog.append log [| seq |];
   wire.send ~size:8 seq;
   Wlog.sync log (fun () -> ())
 
 let announce_after_force (log : int Wlog.t) (wire : net) seq =
-  Wlog.append log [ seq ];
+  Wlog.append log [| seq |];
   Wlog.sync log (fun () -> wire.send ~size:8 seq)
 
 (* Frame-aware variant: one multi-record frame appended by
@@ -25,12 +25,12 @@ let announce_after_force (log : int Wlog.t) (wire : net) seq =
    its records may be announced — sending between the batched append
    and the force reopens the same crash window for the whole frame. *)
 let announce_batch_before_force (log : int Wlog.t) (wire : net) seqs =
-  Wlog.append log seqs;
+  Wlog.append log (Array.of_list seqs);
   List.iter (fun seq -> wire.send ~size:8 seq) seqs;
   Wlog.sync log (fun () -> ())
 
 let announce_batch_after_force (log : int Wlog.t) (wire : net) seqs =
-  Wlog.append log seqs;
+  Wlog.append log (Array.of_list seqs);
   Wlog.sync log (fun () -> List.iter (fun seq -> wire.send ~size:8 seq) seqs)
 
 (* Join: the append happens on one arm of the [if] only, and the send
@@ -38,6 +38,6 @@ let announce_batch_after_force (log : int Wlog.t) (wire : net) seqs =
    arms rejoin with OR (some path is pending), so the send is flagged;
    an AND join would let it through. *)
 let announce_after_branch (log : int Wlog.t) (wire : net) seq urgent =
-  if urgent then Wlog.append log [ seq ];
+  if urgent then Wlog.append log [| seq |];
   wire.send ~size:8 seq;
   Wlog.sync log (fun () -> ())

@@ -1434,6 +1434,94 @@ let test_rebuilt_engines_keep_quorum_policy () =
   run ~amnesia:false;
   run ~amnesia:true
 
+(* RegPrim marks a delivered action red and green in the same step: the
+   action keeps its red log record, in a frame before its green one,
+   but never enters the red region, whose order dirty reads and the
+   determinism fingerprint read.  A yellow mark in a transitional
+   primary still enters it.  A one-node group over the abstract EVS
+   model, with the transitional configuration fed by hand. *)
+let test_green_skips_red_region () =
+  let sim, persist = make_persist () in
+  let model =
+    Repro_gcs.Model.create ~nodes:[ 0 ]
+      ~pp_payload:(Format.asprintf "%a" Types.pp_payload)
+      ()
+  in
+  let callbacks =
+    {
+      Engine.on_green = ignore;
+      on_red = ignore;
+      on_transfer_request = (fun ~joiner:_ -> ());
+      on_self_leave = ignore;
+      on_resync = ignore;
+      send =
+        (fun ~service:_ ~size:_ payload ->
+          Repro_gcs.Model.send model ~from:0 payload);
+    }
+  in
+  let e =
+    Engine.create
+      ~quorum:{ Quorum.policy = Dynamic_linear; weights = Quorum.no_weights }
+      ~sim ~node:0 ~servers:(Node_id.Set.singleton 0) ~persist ~callbacks ()
+  in
+  let rec settle () =
+    ignore (Repro_sim.Engine.drain sim);
+    match Repro_gcs.Model.deliver model 0 with
+    | None -> ()
+    | Some ev ->
+      Engine.handle_event e ev;
+      settle ()
+  in
+  Repro_gcs.Model.reconfigure model ~components:[ Node_id.Set.singleton 0 ];
+  settle ();
+  Alcotest.(check bool) "in the regular primary" true
+    (Engine.state e = Types.Reg_prim);
+  let created = ref [] in
+  Engine.submit e ~kind:(Action.Update []) ~on_created:(fun id -> created := [ id ]) ();
+  (* The submission's own frame is forced before the action is sent. *)
+  ignore (Repro_sim.Engine.drain sim);
+  let ids actions = List.map (fun a -> a.Action.id) actions in
+  let red_before = (Engine.red_count e, ids (Engine.red_actions e)) in
+  let disk = Persist.disk persist in
+  let frames () = Repro_storage.Disk.write_epoch disk in
+  let frames_before = frames () and records_before = Persist.entries_logged persist in
+  settle ();
+  Alcotest.(check bool) "the action is green" true
+    (ids (Engine.green_actions e) = !created);
+  Alcotest.(check (pair int (list (of_pp Action.Id.pp))))
+    "the red region is untouched" red_before
+    (Engine.red_count e, ids (Engine.red_actions e));
+  Alcotest.(check (pair int int)) "one red frame and one green frame"
+    (frames_before + 2, records_before + 2)
+    (frames (), Persist.entries_logged persist);
+  (* Recovery greens an id only after its red record: the red frame came
+     first, with the same id. *)
+  let r = Persist.recover ~self:0 persist in
+  Alcotest.(check (list (of_pp Action.Id.pp))) "recovered green" !created
+    (ids r.Persist.r_green);
+  Alcotest.(check (list (of_pp Action.Id.pp))) "recovered red" []
+    (ids r.Persist.r_red);
+  Engine.handle_event e
+    (Repro_gcs.Endpoint.Trans_conf
+       { id = { Repro_gcs.Conf_id.coord = 0; counter = 1_000_000 };
+         members = Node_id.Set.singleton 0 });
+  Alcotest.(check bool) "in the transitional primary" true
+    (Engine.state e = Types.Trans_prim);
+  let yellow = Action.make ~server:1 ~index:1 (Action.Update []) in
+  Engine.handle_event e
+    (Repro_gcs.Endpoint.Deliver
+       {
+         sender = 1;
+         payload = Types.Action_batch [ yellow ];
+         conf = { Repro_gcs.Conf_id.coord = 0; counter = 1_000_000 };
+         seq = 2;
+         in_regular = false;
+       });
+  Alcotest.(check (list (of_pp Action.Id.pp))) "the yellow action is red"
+    [ yellow.Action.id ] (ids (Engine.red_actions e));
+  Alcotest.(check bool) "and yellow" true
+    (List.exists (Action.Id.equal yellow.Action.id) (Engine.yellow e).Types.y_set)
+
 let () =
   Alcotest.run "core"
     [
@@ -1532,5 +1620,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_green_cut_matches_id_set;
           Alcotest.test_case "stranded member resyncs by transfer" `Quick
             test_stranded_member_resyncs;
+          Alcotest.test_case "a green skips the red region" `Quick
+            test_green_skips_red_region;
         ] );
     ]

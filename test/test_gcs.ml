@@ -468,6 +468,77 @@ let test_throughput_smoke () =
     Alcotest.(check (list string)) "same order" d0 (delivered_payloads c n)
   done
 
+(* The sequence window against a Hashtbl model: every operation, keys
+   below the window included (a late retransmission of an evicted
+   sequence number, a resend of an already ordered message).  [slide]
+   drops the ring keys up to its bound, read off the window's base. *)
+type window_op =
+  | W_replace of int * int
+  | W_remove of int
+  | W_mem of int
+  | W_find of int
+  | W_slide of int
+
+let prop_window_matches_hashtbl =
+  let key = QCheck.Gen.int_range (-2) 70 in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map2 (fun k v -> W_replace (k, v)) key small_nat);
+          (3, map (fun k -> W_remove k) key);
+          (2, map (fun k -> W_mem k) key);
+          (2, map (fun k -> W_find k) key);
+          (1, map (fun k -> W_slide k) key);
+        ])
+  in
+  let print = function
+    | W_replace (k, v) -> Printf.sprintf "replace %d %d" k v
+    | W_remove k -> Printf.sprintf "remove %d" k
+    | W_mem k -> Printf.sprintf "mem %d" k
+    | W_find k -> Printf.sprintf "find %d" k
+    | W_slide k -> Printf.sprintf "slide %d" k
+  in
+  QCheck.Test.make ~name:"window agrees with a Hashtbl model" ~count:500
+    QCheck.(make ~print:Print.(list print) Gen.(list_size (int_range 1 200) op))
+    (fun ops ->
+      let w = Window.create () and model = Hashtbl.create 16 in
+      let find_model k = Hashtbl.find_opt model k in
+      let find_window k = match Window.find w k with v -> Some v | exception Not_found -> None in
+      let bindings () =
+        List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model [])
+      in
+      List.for_all
+        (fun op ->
+          let answer_ok =
+            match op with
+            | W_replace (k, v) ->
+              Window.replace w k v;
+              Hashtbl.replace model k v;
+              true
+            | W_remove k ->
+              Window.remove w k;
+              Hashtbl.remove model k;
+              (* A removal leaves the base just below the lowest key
+                 above it, so the ring spans only the live range. *)
+              let base = Window.base w in
+              Window.mem w (base + 1)
+              || not (Hashtbl.fold (fun k _ above -> above || k > base) model false)
+            | W_mem k -> Window.mem w k = Hashtbl.mem model k
+            | W_find k -> find_window k = find_model k
+            | W_slide n ->
+              let base = Window.base w in
+              Window.slide w n;
+              Hashtbl.filter_map_inplace
+                (fun k v -> if k > base && k <= n then None else Some v)
+                model;
+              Window.base w = max base n
+          in
+          answer_ok
+          && Window.length w = Hashtbl.length model
+          && List.rev (Window.fold (fun k v acc -> (k, v) :: acc) w []) = bindings ())
+        ops)
+
 let () =
   Alcotest.run "gcs"
     [
@@ -508,5 +579,6 @@ let () =
           Alcotest.test_case "queued sends flushed" `Quick
             test_queued_sends_flushed_on_install;
           QCheck_alcotest.to_alcotest prop_order_compatible;
+          QCheck_alcotest.to_alcotest prop_window_matches_hashtbl;
         ] );
     ]

@@ -94,8 +94,8 @@ let test_flush_jitter_within_bounds () =
 let test_wlog_append_recover () =
   let engine, disk = make () in
   let log = Wlog.create ~engine ~disk () in
-  Wlog.append log [ "a" ];
-  Wlog.append log [ "b" ];
+  Wlog.append log [| "a" |];
+  Wlog.append log [| "b" |];
   let synced = ref false in
   Wlog.sync log (fun () -> synced := true);
   Engine.run engine;
@@ -105,10 +105,10 @@ let test_wlog_append_recover () =
 let test_wlog_crash_loses_unsynced () =
   let engine, disk = make () in
   let log = Wlog.create ~engine ~disk () in
-  Wlog.append log [ "durable" ];
+  Wlog.append log [| "durable" |];
   Wlog.sync log ignore;
   Engine.run engine;
-  Wlog.append log [ "volatile" ];
+  Wlog.append log [| "volatile" |];
   Wlog.crash log;
   Alcotest.(check (list string)) "only durable survives" [ "durable" ] (entries log)
 
@@ -116,7 +116,7 @@ let test_wlog_crash_during_flush () =
   let engine, disk = make () in
   let log = Wlog.create ~engine ~disk () in
   let acked = ref false in
-  Wlog.append log [ "inflight" ];
+  Wlog.append log [| "inflight" |];
   Wlog.sync log (fun () -> acked := true);
   (* Crash at 5 ms: the 10 ms flush never completes. *)
   ignore (Engine.schedule engine ~delay:(Time.of_ms 5.) (fun () -> Wlog.crash log));
@@ -128,7 +128,7 @@ let test_wlog_delayed_mode_can_lose_acked () =
   let engine, disk = make ~config:delayed_nojitter () in
   let log = Wlog.create ~engine ~disk () in
   let acked = ref false in
-  Wlog.append log [ "risky" ];
+  Wlog.append log [| "risky" |];
   Wlog.sync log (fun () -> acked := true);
   (* Crash after the ack but before the background flush (100 ms). *)
   ignore (Engine.schedule engine ~delay:(Time.of_ms 10.) (fun () -> Wlog.crash log));
@@ -139,7 +139,7 @@ let test_wlog_delayed_mode_can_lose_acked () =
 let test_wlog_delayed_mode_survives_after_flush () =
   let engine, disk = make ~config:delayed_nojitter () in
   let log = Wlog.create ~engine ~disk () in
-  Wlog.append log [ "eventually-safe" ];
+  Wlog.append log [| "eventually-safe" |];
   Wlog.sync log ignore;
   (* Let the background flush run (100 ms interval + 10 ms flush). *)
   ignore (Engine.schedule engine ~delay:(Time.of_ms 300.) (fun () -> Wlog.crash log));
@@ -166,10 +166,10 @@ let faulty ?(torn = 0.) ?(corrupt = 0.) ?(read_error = 0.) ?(read_retries = 4) (
 let test_wlog_torn_tail_verdict () =
   let engine, disk = make ~config:(faulty ~torn:1.0 ()) () in
   let log = Wlog.create ~engine ~disk () in
-  Wlog.append log [ "a" ];
+  Wlog.append log [| "a" |];
   Wlog.sync log ignore;
   Engine.run engine;
-  Wlog.append log [ "b" ];
+  Wlog.append log [| "b" |];
   (* "b" is in flight; with certain torn-tail injection it survives the
      crash as a present-but-unverifiable record. *)
   Wlog.crash log;
@@ -185,9 +185,9 @@ let test_wlog_torn_tail_verdict () =
 let test_wlog_corrupt_interior () =
   let engine, disk = make () in
   let log = Wlog.create ~engine ~disk () in
-  Wlog.append log [ "a" ];
-  Wlog.append log [ "b" ];
-  Wlog.append log [ "c" ];
+  Wlog.append log [| "a" |];
+  Wlog.append log [| "b" |];
+  Wlog.append log [| "c" |];
   Wlog.sync log ignore;
   Engine.run engine;
   Alcotest.(check bool) "injection in range" true (Wlog.corrupt log ~nth:1);
@@ -202,8 +202,8 @@ let test_wlog_corrupt_interior () =
 let test_wlog_crash_corruption () =
   let engine, disk = make ~config:(faulty ~corrupt:1.0 ()) () in
   let log = Wlog.create ~engine ~disk () in
-  Wlog.append log [ "a" ];
-  Wlog.append log [ "b" ];
+  Wlog.append log [| "a" |];
+  Wlog.append log [| "b" |];
   Wlog.sync log ignore;
   Engine.run engine;
   Wlog.crash log;
@@ -220,8 +220,8 @@ let test_wlog_read_retry_exhaustion () =
     make ~config:(faulty ~read_error:1.0 ~read_retries:3 ()) ()
   in
   let log = Wlog.create ~engine ~disk () in
-  Wlog.append log [ "a" ];
-  Wlog.append log [ "b" ];
+  Wlog.append log [| "a" |];
+  Wlog.append log [| "b" |];
   Wlog.sync log ignore;
   Engine.run engine;
   let rv = Wlog.recover log in
@@ -236,7 +236,7 @@ let test_wlog_read_retry_exhaustion () =
 let test_wlog_batch_is_one_frame () =
   let engine, disk = make () in
   let log = Wlog.create ~engine ~disk () in
-  Wlog.append log [ "a"; "b"; "c" ];
+  Wlog.append log [| "a"; "b"; "c" |];
   let synced = ref false in
   Wlog.sync log (fun () -> synced := true);
   Engine.run engine;
@@ -245,7 +245,7 @@ let test_wlog_batch_is_one_frame () =
   Alcotest.(check int) "three records" 3 (Wlog.length log);
   (* A later unsynced batch is lost by a crash as a unit: no partial
      batch can survive, because the whole batch is one frame. *)
-  Wlog.append log [ "d"; "e" ];
+  Wlog.append log [| "d"; "e" |];
   Wlog.crash log;
   Alcotest.check verdict_t "clean" Wlog.Clean (verdict log);
   Alcotest.(check (list string))
@@ -255,10 +255,10 @@ let test_wlog_batch_is_one_frame () =
 let test_wlog_torn_batch_frame_granular () =
   let engine, disk = make ~config:(faulty ~torn:1.0 ()) () in
   let log = Wlog.create ~engine ~disk () in
-  Wlog.append log [ "a" ];
+  Wlog.append log [| "a" |];
   Wlog.sync log ignore;
   Engine.run engine;
-  Wlog.append log [ "b"; "c"; "d" ];
+  Wlog.append log [| "b"; "c"; "d" |];
   (* The batch is in flight; certain torn-tail injection leaves it
      behind damaged — as a unit, because the checksum covers the whole
      frame.  The verdict position is a frame index. *)
@@ -276,12 +276,12 @@ let test_wlog_torn_batch_frame_granular () =
 let test_wlog_seq_survives_compaction () =
   let engine, disk = make () in
   let log = Wlog.create ~engine ~disk () in
-  Wlog.append log [ "a" ];
-  Wlog.append log [ "b" ];
+  Wlog.append log [| "a" |];
+  Wlog.append log [| "b" |];
   Wlog.sync log ignore;
   Engine.run engine;
   Wlog.compact log ~keep:(fun e -> e = "b");
-  Wlog.append log [ "c" ];
+  Wlog.append log [| "c" |];
   Wlog.sync log ignore;
   Engine.run engine;
   (* Sequence numbers never restart, so the chain across a compaction
@@ -343,7 +343,7 @@ let compact_via_recover frames log =
 let build ?(config = forced_nojitter) frames =
   let engine, disk = make ~config () in
   let log = Wlog.create ~engine ~disk () in
-  List.iter (Wlog.append log) frames;
+  List.iter (fun f -> Wlog.append log (Array.of_list f)) frames;
   Wlog.sync log ignore;
   Engine.run engine;
   (disk, log)
@@ -390,10 +390,10 @@ let test_compact_leaves_damaged_log () =
   ignore (Wlog.corrupt corrupt ~nth:3);
   let engine, disk = make ~config:(faulty ~torn:1.0 ()) () in
   let torn = Wlog.create ~engine ~disk () in
-  List.iter (Wlog.append torn) frames;
+  List.iter (fun f -> Wlog.append torn (Array.of_list f)) frames;
   Wlog.sync torn ignore;
   Engine.run engine;
-  Wlog.append torn [ R 6 ];
+  Wlog.append torn [| R 6 |];
   Wlog.crash torn;
   List.iter
     (fun (name, log) ->
@@ -468,9 +468,9 @@ let test_shared_disk_group_commit () =
   let log = Wlog.create ~engine ~disk () in
   let other = Wlog.create ~engine ~disk () in
   let completed = ref 0 in
-  Wlog.append log [ 1 ];
+  Wlog.append log [| 1 |];
   Wlog.sync log (fun () -> incr completed);
-  Wlog.append other [ 2 ];
+  Wlog.append other [| 2 |];
   Wlog.sync other (fun () -> incr completed);
   Engine.run engine;
   Alcotest.(check int) "both complete" 2 !completed;
