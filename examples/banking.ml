@@ -1,5 +1,5 @@
-(* A small banking service on the replication engine, written against the
-   Session API: sequential per-client transactions, stored-procedure
+(* A small banking service on the replication engine, written against
+   client sessions: sequential per-client transactions, stored-procedure
    transfers, read-your-writes balance checks — while the cluster loses a
    replica and a partition mid-run.
 
@@ -21,17 +21,19 @@ let () =
   in
   World.run w ~ms:1000.;
 
-  (* Each teller is a session pinned to a different replica. *)
-  let teller n = Session.attach (World.replica w n) ~client:(100 + n) in
-  let alice_teller = teller 0
-  and bob_teller = teller 1
-  and audit_teller = teller 2 in
+  (* Each teller is a session; ids 1-3 start at replicas 0-2. *)
+  let teller id =
+    Client.create ~sim ~id ~replicas:(fun () -> World.replicas w) ()
+  in
+  let alice_teller = teller 1
+  and bob_teller = teller 2
+  and audit_teller = teller 3 in
 
   (* Open accounts. *)
-  Session.exec alice_teller
+  Client.exec alice_teller
     (Action.Update [ Op.Set ("acct:alice", Value.Int 1000) ])
     ~k:(fun _ -> say "alice's account opened with 1000");
-  Session.exec bob_teller
+  Client.exec bob_teller
     (Action.Update [ Op.Set ("acct:bob", Value.Int 200) ])
     ~k:(fun _ -> say "bob's account opened with 200");
   World.run w ~ms:300.;
@@ -40,7 +42,7 @@ let () =
      time at every replica, so an overdraft is refused identically
      everywhere. *)
   let transfer session ~from_acct ~to_acct ~amount =
-    Session.exec session
+    Client.exec session
       (Action.Active
          {
            proc = "transfer";
@@ -58,8 +60,9 @@ let () =
   transfer bob_teller ~from_acct:"acct:bob" ~to_acct:"acct:alice" ~amount:9999;
   World.run w ~ms:500.;
 
-  (* Read-your-writes: the audit session sees every committed transfer. *)
-  Session.read audit_teller [ "acct:alice"; "acct:bob" ] ~k:(fun balances ->
+  (* Read-your-writes: the audit session's read is ordered, so it sees
+     every committed transfer. *)
+  Client.read audit_teller [ "acct:alice"; "acct:bob" ] ~k:(fun balances ->
       say "audit: %s"
         (String.concat ", "
            (List.map

@@ -213,8 +213,6 @@ let of_snapshot s =
     s.s_clients;
   t
 
-let empty_snapshot ~window = { s_window = max 1 window; s_clients = [] }
-
 (* The convergence-relevant summary: (client, highest applied, acked)
    triples in client order.  Cached response bodies are a function of
    these plus the database, so equality of summaries across replicas is

@@ -67,7 +67,6 @@ type snapshot = { s_window : int; s_clients : client_state list }
 
 val snapshot : t -> snapshot
 val of_snapshot : snapshot -> t
-val empty_snapshot : window:int -> snapshot
 
 val summary : t -> (int * int * int) list
 (** [(client, highest applied seq, acked)] triples in client order —

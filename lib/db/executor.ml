@@ -65,9 +65,3 @@ let execute ?on_procedure ~procs db (action : Action.t) : Action.response =
     else Action.Aborted
   | Action.Join _ | Action.Leave _ -> Action.Committed []
   [@@analysis.cost "O(1); alloc O(1)"]
-
-let read_only (action : Action.t) =
-  match action.kind with
-  | Action.Query _ -> true
-  | Action.Update _ | Action.Read_write _ | Action.Active _
-  | Action.Interactive _ | Action.Join _ | Action.Leave _ -> false

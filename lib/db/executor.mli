@@ -29,7 +29,3 @@ val execute :
     validate their [expected] reads first and return [Aborted]
     (applying nothing) on mismatch — every replica aborts or none
     does. *)
-
-val read_only : Action.t -> bool
-(** Actions with no update part: these can be answered without being
-    ordered (paper §6, query optimisation). *)

@@ -5,9 +5,6 @@ type service = Agreed | Safe
 
 type view = { id : Conf_id.t; members : Node_id.Set.t }
 
-let pp_view ppf v =
-  Format.fprintf ppf "%a%a" Conf_id.pp v.id Node_id.pp_set v.members
-
 type 'p delivery = {
   sender : Node_id.t;
   payload : 'p;

@@ -37,8 +37,6 @@ type service =
 
 type view = { id : Conf_id.t; members : Node_id.Set.t }
 
-val pp_view : Format.formatter -> view -> unit
-
 type 'p delivery = {
   sender : Node_id.t;
   payload : 'p;

@@ -83,7 +83,6 @@ let member t n =
   | Some m -> m
   | None -> invalid_arg (Format.asprintf "Model: unknown node %a" Node_id.pp n)
 
-let is_live t n = (member t n).m_live
 let lost_sends t = t.lost
 let take_appended t =
   let l = List.rev t.appended in
@@ -152,19 +151,6 @@ let next_is_fresh t n =
   match peek_next t n with
   | N_deliver (c, _, _) -> c.cf_open
   | N_trans _ | N_reg _ | N_none -> false
-
-let peek_label t n =
-  match peek_next t n with
-  | N_none -> None
-  | N_trans v ->
-    Some (Format.asprintf "trans_conf(%a)" Node_id.pp_set v.Endpoint.members)
-  | N_reg c -> Some (Format.asprintf "reg_conf(%s)" (Conf_id.to_string c.cf_id))
-  | N_deliver (c, seq, in_regular) ->
-    let sender, payload = log_nth c seq in
-    Some
-      (Format.asprintf "%s#%d%s %a:%s" (Conf_id.to_string c.cf_id) seq
-         (if in_regular then "" else "~")
-         Node_id.pp sender (t.pp_payload payload))
 
 let deliver t n =
   let m = member t n in

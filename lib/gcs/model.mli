@@ -48,17 +48,12 @@ val next_is_fresh : 'p t -> Node_id.t -> bool
     transitional/regular configuration notices).  The model checker
     coalesces fallout into the transition that consumes it. *)
 
-val peek_label : 'p t -> Node_id.t -> string option
-(** A stable human-readable description of the node's next event. *)
-
 val crash : 'p t -> Node_id.t -> unit
 (** The node loses its queued events and goes silent; its delivery
     cursors remain, so closes still honour what it saw in_regular. *)
 
 val recover : 'p t -> Node_id.t -> unit
 (** The node rejoins, with no configuration until {!reconfigure}. *)
-
-val is_live : 'p t -> Node_id.t -> bool
 
 val reconfigure : 'p t -> components:Node_id.Set.t list -> unit
 (** Aligns configurations with the given connectivity components

@@ -61,6 +61,10 @@ type t = {
 
 let create ?(config = default_config) ~sim ~id ~replicas () =
   if id <= 0 then invalid_arg "Client.create: id must be positive";
+  (* Spread clients across replicas; a start past the end of the list
+     wraps, or the first attempt would wait out a whole deadline. *)
+  let n = List.length (replicas ()) in
+  let target = (id - 1) mod 64 in
   {
     sim;
     rng = Sim.Rng.split (Sim.Engine.rng sim);
@@ -71,7 +75,7 @@ let create ?(config = default_config) ~sim ~id ~replicas () =
     current = None;
     seq = 0;
     acked = 0;
-    target = (id - 1) mod 64;  (* spread clients across replicas *)
+    target = (if target < n then target else target mod max n 1);
     attempt = 0;
     epoch = 0;
     stopped = false;

@@ -3,9 +3,8 @@ open Repro_core
 
 (** A cluster-aware, failure-aware client session.
 
-    Unlike {!Repro_core.Session} (wired to one replica forever, the
-    paper's §2 client model), this session holds the whole cluster:
-    it detects a dead, partitioned or lagging target by a per-attempt
+    Unlike the paper's §2 client, wired to one replica forever, this
+    session holds the whole cluster: it detects a dead, partitioned or lagging target by a per-attempt
     deadline, fails over to the next live ready replica (round-robin),
     and retries with capped exponential backoff + full jitter drawn
     from the sim RNG — deterministic per seed.
@@ -19,8 +18,7 @@ open Repro_core
     it.  [Busy] (admission-control shedding) is honored by backing off
     on the same target without rotating.
 
-    FIFO with one outstanding request, like [Session] — which is also
-    what makes the dedup window's [seq <= highest] duplicate test
+    FIFO with one outstanding request — which is also what makes the dedup window's [seq <= highest] duplicate test
     sound. *)
 
 type t
@@ -42,7 +40,8 @@ val create :
   unit ->
   t
 (** [id] must be positive and unique per client (it keys the replicated
-    dedup state).  [replicas] is consulted at every attempt, so worlds
+    dedup state).  The session starts at replica [(id - 1) mod 64],
+    wrapped to the replicas present at creation.  [replicas] is consulted at every attempt, so worlds
     that add joiners are picked up live. *)
 
 val exec :

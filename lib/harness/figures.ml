@@ -304,19 +304,20 @@ let ablation_query_path ?(clients = 8) ?(read_fraction = 0.8)
     in
     let sim = World.sim w and replicas = World.replicas w in
     Sim.Engine.run ~until:(Time.of_sec 2.) sim;
-    let mix =
-      {
-        Workload.default_mix with
-        read_fraction;
-        optimized_reads = optimized;
-      }
+    let reads =
+      if optimized then Experiment.Local_reads read_fraction
+      else Experiment.Ordered_reads read_fraction
     in
-    let w = Workload.closed_loop ~sim ~mix ~clients ~replicas () in
+    let rng = Rng.split (Sim.Engine.rng sim) in
+    let loop =
+      Experiment.closed sim ~clients
+        ~issue:(Experiment.request ~sim ~rng ~reads replicas)
+    in
     Sim.Engine.run ~until:(Time.of_sec 3.) sim;
-    Workload.start_measuring w;
+    Experiment.measure loop;
     Sim.Engine.run ~until:(Time.add (Time.of_sec 3.) ~span:duration) sim;
-    ( Workload.throughput w ~over:duration,
-      Stats.Summary.mean (Workload.latencies_ms w) )
+    ( Experiment.throughput loop,
+      Stats.Summary.mean (Experiment.latencies_ms loop) )
   in
   let ordered_tput, ordered_lat = run false in
   let local_tput, local_lat = run true in
@@ -340,14 +341,13 @@ let partition_timeline ?(servers = 7) ?(clients = 7) ppf () =
   in
   let sim = World.sim w and topology = World.topology w in
   let timeline = Stats.Timeline.create ~bucket:(Time.of_ms 500.) in
-  let rec client node =
-    Replica.submit (World.replica w node) (Action.Update [])
-      ~on_response:(fun _ ->
-        Stats.Timeline.record timeline ~at:(Sim.Engine.now sim);
-        client node)
-  in
   Sim.Engine.run ~until:(Time.of_sec 2.) sim;
-  List.iteri (fun i _ -> client (i mod servers)) (List.init clients Fun.id);
+  ignore
+    (Experiment.closed sim ~clients ~issue:(fun i ~k ->
+         Replica.submit (World.replica w (i mod servers)) (Action.Update [])
+           ~on_response:(fun _ ->
+             Stats.Timeline.record timeline ~at:(Sim.Engine.now sim);
+             k true)));
   (* t=6s: partition into majority {0..3} / minority {4..6};
      t=12s: heal. *)
   let majority = [ 0; 1; 2; 3 ] and minority = [ 4; 5; 6 ] in

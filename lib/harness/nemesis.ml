@@ -154,14 +154,13 @@ let run ?(config = default_config) () =
           ~replicas:(fun () -> World.replicas w)
           ())
   in
-  let issuing = ref true in
-  let rec pump c =
-    if !issuing then
-      Client.exec c
-        (Action.Update [ Op.Add (Printf.sprintf "cc%d" (Client.id c), 1) ])
-        ~k:(fun _ -> pump c)
+  let load =
+    Experiment.closed (World.sim w) ~clients:cfg.clients ~issue:(fun i ~k ->
+        let c = List.nth sessions i in
+        Client.exec c
+          (Action.Update [ Op.Add (Printf.sprintf "cc%d" (Client.id c), 1) ])
+          ~k:(fun _ -> k true))
   in
-  List.iter pump sessions;
   (* Runtime footprint validation (paper §6): every executed stored
      procedure — on every replica, recovery replay included — has its
      actual key accesses checked against the declared footprint. *)
@@ -293,7 +292,7 @@ let run ?(config = default_config) () =
   (* --- heal, recover everyone, settle ----------------------------- *)
   (* Stop issuing new client requests; each session still drives its
      outstanding one (retries included) to completion during settle. *)
-  issuing := false;
+  Experiment.stop load;
   Topology.merge_all (World.topology w);
   List.iter (recover_and_tally tally) (down ());
   let all_ready () = List.for_all Replica.is_ready (World.replicas w) in

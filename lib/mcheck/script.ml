@@ -17,10 +17,6 @@ type transition =
   | T_partition of Node_id.t list list  (** install these components *)
   | T_merge  (** heal the network *)
 
-let is_fault = function
-  | T_crash _ | T_recover _ | T_partition _ | T_merge -> true
-  | T_deliver _ | T_submit _ -> false
-
 let is_deliver = function T_deliver _ -> true | _ -> false
 
 let equal (a : transition) (b : transition) = a = b

@@ -14,7 +14,6 @@ type transition =
   | T_partition of Node_id.t list list  (** install these components *)
   | T_merge  (** heal the network *)
 
-val is_fault : transition -> bool
 val is_deliver : transition -> bool
 val equal : transition -> transition -> bool
 val pp : Format.formatter -> transition -> unit

@@ -4,43 +4,20 @@ module Summary = struct
     mutable sorted : float array option; (* cache, invalidated on add *)
     mutable count : int;
     mutable sum : float;
-    mutable sumsq : float;
-    mutable min : float;
-    mutable max : float;
   }
 
-  let create () =
-    {
-      samples = [];
-      sorted = None;
-      count = 0;
-      sum = 0.;
-      sumsq = 0.;
-      min = infinity;
-      max = neg_infinity;
-    }
+  let create () = { samples = []; sorted = None; count = 0; sum = 0. }
 
   let add t x =
     t.samples <- x :: t.samples;
     t.sorted <- None;
     t.count <- t.count + 1;
-    t.sum <- t.sum +. x;
-    t.sumsq <- t.sumsq +. (x *. x);
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x
+    t.sum <- t.sum +. x
 
-  let count t = t.count
   let mean t = if t.count = 0 then nan else t.sum /. float_of_int t.count
 
-  let stddev t =
-    if t.count < 2 then 0.
-    else
-      let n = float_of_int t.count in
-      let var = (t.sumsq -. (t.sum *. t.sum /. n)) /. (n -. 1.) in
-      sqrt (Float.max var 0.)
-
-  let min t = t.min
-  let max t = t.max
+  let count_at_most t x =
+    List.fold_left (fun n s -> if s <= x then n + 1 else n) 0 t.samples
 
   let sorted t =
     match t.sorted with
@@ -62,12 +39,6 @@ module Summary = struct
       let frac = rank -. float_of_int lo in
       (a.(lo) *. (1. -. frac)) +. (a.(hi) *. frac)
     end
-
-  let pp ppf t =
-    if t.count = 0 then Format.fprintf ppf "(empty)"
-    else
-      Format.fprintf ppf "n=%d mean=%.3f p50=%.3f p99=%.3f min=%.3f max=%.3f"
-        t.count (mean t) (percentile t 50.) (percentile t 99.) t.min t.max
 end
 
 module Timeline = struct

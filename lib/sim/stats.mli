@@ -6,17 +6,15 @@ module Summary : sig
 
   val create : unit -> t
   val add : t -> float -> unit
-  val count : t -> int
   val mean : t -> float
-  val stddev : t -> float
-  val min : t -> float
-  val max : t -> float
+
+  val count_at_most : t -> float -> int
+  (** Samples no greater than the bound (e.g. completions within a
+      deadline). *)
 
   val percentile : t -> float -> float
   (** [percentile t p] with [p] in [0,100]; exact (retains samples).
       Returns [nan] on an empty summary. *)
-
-  val pp : Format.formatter -> t -> unit
 end
 
 (** Fixed-bucket histogram over time, for throughput timelines. *)

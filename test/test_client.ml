@@ -230,6 +230,27 @@ let test_duplicate_answered_from_cache () =
        (fun v -> Format.asprintf "%a" Consistency.pp_violation v)
        (Consistency.check_exactly_once ~ledgers (World.replicas w)))
 
+(* Sessions with ids past the replica count start on a replica that
+   exists: in a 3-replica world, sessions 4 and 5 wrap to replicas 0 and
+   1 and get their first answer without waiting out a deadline. *)
+let test_start_target_wraps () =
+  let w = World.make ~n:3 () in
+  World.run w ~ms:1000.;
+  List.iter
+    (fun id ->
+      let c =
+        Client.create ~sim:(World.sim w) ~id
+          ~replicas:(fun () -> World.replicas w)
+          ()
+      in
+      Client.exec c (Action.Update [ Op.Add ("x", 1) ]) ~k:(fun _ -> ());
+      World.run w ~ms:1000.;
+      Alcotest.(check int) (Printf.sprintf "session %d answered" id) 1
+        (Client.acked c);
+      Alcotest.(check int) (Printf.sprintf "session %d timeouts" id) 0
+        (Client.timeouts c))
+    [ 4; 5 ]
+
 let () =
   Alcotest.run "client"
     [
@@ -244,5 +265,10 @@ let () =
         [
           Alcotest.test_case "cache never exceeds the window" `Slow
             test_dedup_cache_bounded;
+        ] );
+      ( "start-target",
+        [
+          Alcotest.test_case "ids past the replica count wrap" `Quick
+            test_start_target_wraps;
         ] );
     ]

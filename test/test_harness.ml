@@ -77,7 +77,7 @@ let test_experiment_smoke () =
   List.iter
     (fun protocol ->
       let r = Experiment.run ~servers:3 ~duration ~clients:2 protocol in
-      let name = Experiment.protocol_name r.Experiment.r_protocol in
+      let name = Experiment.protocol_name protocol in
       Alcotest.(check bool)
         (name ^ " throughput positive")
         true
@@ -103,79 +103,39 @@ let test_experiment_engine_beats_2pc () =
   Alcotest.(check bool) "engine throughput higher" true
     (engine.Experiment.r_throughput > twopc.Experiment.r_throughput)
 
-let test_session_program_order () =
-  let w = World.make ~n:3 () in
-  World.run w ~ms:1000.;
-  let s = Session.attach (World.replica w 0) ~client:1 in
-  let log = ref [] in
-  (* Three writes and a read queued at once: they must execute in program
-     order and the read must see the last write (read-your-writes). *)
-  Session.exec s (Action.Update [ Op.Set ("x", Value.Int 1) ]) ~k:(fun _ ->
-      log := "w1" :: !log);
-  Session.exec s (Action.Update [ Op.Set ("x", Value.Int 2) ]) ~k:(fun _ ->
-      log := "w2" :: !log);
-  Session.exec s (Action.Update [ Op.Set ("x", Value.Int 3) ]) ~k:(fun _ ->
-      log := "w3" :: !log);
-  Session.read s [ "x" ] ~k:(fun r ->
-      match r with
-      | [ ("x", Some (Value.Int 3)) ] -> log := "read3" :: !log
-      | _ -> log := "read-wrong" :: !log);
-  Alcotest.(check int) "all queued" 4 (Session.outstanding s);
-  World.run w ~ms:1500.;
-  Alcotest.(check (list string)) "program order + read-your-writes"
-    [ "w1"; "w2"; "w3"; "read3" ]
-    (List.rev !log);
-  Alcotest.(check int) "completed" 4 (Session.completed s);
-  Alcotest.(check int) "drained" 0 (Session.outstanding s)
-
-let test_session_counts_aborts () =
-  let w = World.make ~n:3 () in
-  World.run w ~ms:1000.;
-  let s = Session.attach (World.replica w 1) ~client:2 in
-  Session.exec s (Action.Update [ Op.Set ("seat", Value.Text "free") ])
-    ~k:(fun _ -> ());
-  Session.exec s
-    (Action.Interactive
-       {
-         expected = [ ("seat", Some (Value.Text "busy")) ];
-         updates = [];
-       })
-    ~k:(fun _ -> ());
-  World.run w ~ms:1500.;
-  Alcotest.(check int) "one abort" 1 (Session.aborted s)
+(* A closed or Poisson loop of the harness's request mix over the
+   world's replicas, on its own split of the sim RNG. *)
+let request_loop ?(reads = Experiment.No_reads) w arrivals =
+  let sim = World.sim w in
+  let rng = Repro_sim.Rng.split (Repro_sim.Engine.rng sim) in
+  let issue = Experiment.request ~sim ~rng ~reads (World.replicas w) in
+  match arrivals with
+  | `Closed clients -> Experiment.closed sim ~clients ~issue
+  | `Poisson rate_per_sec -> Experiment.poisson sim ~rng ~rate_per_sec ~issue
 
 let test_workload_closed_loop_counts () =
   let w = World.make ~n:3 () in
   World.run w ~ms:1000.;
-  let sim = World.sim w in
-  let wl =
-    Workload.closed_loop ~sim ~mix:Workload.default_mix ~clients:3
-      ~replicas:(World.replicas w) ()
-  in
+  let wl = request_loop w (`Closed 3) in
   World.run w ~ms:500.;
-  Workload.start_measuring wl;
+  Experiment.measure wl;
   World.run w ~ms:2000.;
-  let over = Repro_sim.Time.of_sec 2. in
   Alcotest.(check bool) "throughput positive" true
-    (Workload.throughput wl ~over > 50.);
-  Workload.stop wl;
-  let at_stop = Workload.completed wl in
+    (Experiment.throughput wl > 50.);
+  Experiment.stop wl;
+  let at_stop = Experiment.completed wl in
   World.run w ~ms:500.;
   Alcotest.(check bool) "stop halts issuing" true
-    (Workload.completed wl - at_stop <= 3)
+    (Experiment.completed wl - at_stop <= 3)
 
 let test_workload_open_loop_rate () =
   let w = World.make ~n:3 () in
   World.run w ~ms:1000.;
-  let sim = World.sim w in
-  let wl =
-    Workload.open_loop ~sim ~mix:Workload.default_mix ~rate_per_sec:200.
-      ~replicas:(World.replicas w) ()
-  in
+  let wl = request_loop w (`Poisson 200.) in
   World.run w ~ms:500.;
-  Workload.start_measuring wl;
+  Experiment.measure wl;
   World.run w ~ms:4000.;
-  let rate = Workload.throughput wl ~over:(Repro_sim.Time.of_sec 4.) in
+  let rate = Experiment.throughput wl in
   Alcotest.(check bool)
     (Printf.sprintf "poisson near target (%.0f/s)" rate)
     true
@@ -184,15 +144,51 @@ let test_workload_open_loop_rate () =
 let test_workload_mixed_reads () =
   let w = World.make ~n:3 () in
   World.run w ~ms:1000.;
-  let sim = World.sim w in
-  let mix =
-    { Workload.default_mix with read_fraction = 0.5; optimized_reads = true }
-  in
-  let wl = Workload.closed_loop ~sim ~mix ~clients:4 ~replicas:(World.replicas w) () in
-  Workload.start_measuring wl;
+  let wl = request_loop ~reads:(Experiment.Local_reads 0.5) w (`Closed 4) in
+  Experiment.measure wl;
   World.run w ~ms:2000.;
   Alcotest.(check bool) "mixed workload progresses" true
-    (Workload.completed wl > 100)
+    (Experiment.completed wl > 100)
+
+(* A closed loop under shedding: admission {1; 4} on three replicas
+   answers most of twelve clients' submits [Busy].  A request dropped
+   after its retries must not stall its client — completions keep
+   rising in every 500 ms slice — and only answered requests count. *)
+let test_workload_closed_loop_sheds () =
+  let admission = { Replica.adm_max_inflight = 1; adm_max_red = 4 } in
+  let w = World.make ~admission ~n:3 () in
+  World.run w ~ms:1000.;
+  let sim = World.sim w in
+  let rng = Repro_sim.Rng.split (Repro_sim.Engine.rng sim) in
+  let request =
+    Experiment.request ~sim ~rng ~reads:Experiment.No_reads (World.replicas w)
+  in
+  let answered = ref 0 and dropped = ref 0 in
+  let wl =
+    Experiment.closed sim ~clients:12 ~issue:(fun i ~k ->
+        request i ~k:(fun ok ->
+            incr (if ok then answered else dropped);
+            k ok))
+  in
+  Experiment.measure wl;
+  for slice = 1 to 6 do
+    let before = Experiment.completed wl in
+    World.run w ~ms:500.;
+    Alcotest.(check bool)
+      (Printf.sprintf "completions rise in slice %d (%d -> %d)" slice before
+         (Experiment.completed wl))
+      true
+      (Experiment.completed wl > before)
+  done;
+  let shed =
+    List.fold_left (fun acc r -> acc + Replica.shed r) 0 (World.replicas w)
+  in
+  Alcotest.(check bool) (Printf.sprintf "requests shed (%d)" shed) true
+    (shed > 0);
+  Alcotest.(check bool) (Printf.sprintf "requests dropped (%d)" !dropped) true
+    (!dropped > 0);
+  Alcotest.(check int) "completed counts only answered requests" !answered
+    (Experiment.completed wl)
 
 let test_white_line_advances () =
   let w = World.make ~n:3 () in
@@ -224,22 +220,18 @@ let overload_point ?admission ~seed rate =
     World.make ~net_config:Network.lan_100mbit ~params:Repro_gcs.Params.default
       ~attach_cpu:true ?admission ~seed ~n:5 ()
   in
-  let wl =
-    Workload.open_loop ~deadline:(Repro_sim.Time.of_ms 1_000.) ~busy_retries:3
-      ~sim:(World.sim w) ~mix:Workload.default_mix ~rate_per_sec:rate
-      ~replicas:(World.replicas w) ()
-  in
+  let wl = request_loop w (`Poisson rate) in
   World.run w ~ms:500.;
-  Workload.start_measuring wl;
+  Experiment.measure wl;
   World.run w ~ms:2000.;
-  Workload.stop wl;
+  Experiment.stop wl;
   let cpu_queue =
     List.fold_left
       (fun acc r ->
         match Replica.cpu_stats r with Some (q, _) -> max acc q | None -> acc)
       0 (World.replicas w)
   in
-  (Workload.goodput wl ~over:(Repro_sim.Time.of_sec 2.), cpu_queue)
+  (Experiment.goodput wl ~within:(Repro_sim.Time.of_ms 1_000.), cpu_queue)
 
 let test_admission_plateau () =
   let admission = { Replica.adm_max_inflight = 8; adm_max_red = 64 } in
@@ -338,16 +330,13 @@ let () =
           Alcotest.test_case "smoke all protocols" `Slow test_experiment_smoke;
           Alcotest.test_case "engine beats 2pc" `Slow test_experiment_engine_beats_2pc;
         ] );
-      ( "sessions",
-        [
-          Alcotest.test_case "program order" `Quick test_session_program_order;
-          Alcotest.test_case "abort counting" `Quick test_session_counts_aborts;
-        ] );
       ( "workload",
         [
           Alcotest.test_case "closed loop" `Quick test_workload_closed_loop_counts;
           Alcotest.test_case "open loop rate" `Quick test_workload_open_loop_rate;
           Alcotest.test_case "mixed reads" `Quick test_workload_mixed_reads;
+          Alcotest.test_case "closed loop under shedding" `Quick
+            test_workload_closed_loop_sheds;
         ] );
       ( "observability",
         [ Alcotest.test_case "white line advances" `Quick test_white_line_advances ] );
