@@ -143,9 +143,8 @@ let submit c ~node ?(size = 200) ~on_response () =
       List.iter
         (fun dst -> send c ~src:node ~dst (Prepare { p_tx = tx; p_size = size }))
         dsts);
-    ignore
-      (Engine.schedule c.c_sim ~delay:c.c_vote_timeout (fun () ->
-           if ns.ns_up then decide c ns tx Aborted))
+    Engine.schedule c.c_sim ~delay:c.c_vote_timeout (fun () ->
+        if ns.ns_up then decide c ns tx Aborted)
   end
 
 let crash c node =

@@ -55,10 +55,9 @@ let observe t =
 let schedule_observe t =
   if not t.scheduled then begin
     t.scheduled <- true;
-    ignore
-      (Sim.Engine.schedule t.sim ~delay:Sim.Time.zero (fun () ->
-           t.scheduled <- false;
-           observe t))
+    Sim.Engine.schedule t.sim ~delay:Sim.Time.zero (fun () ->
+        t.scheduled <- false;
+        observe t)
   end
 
 let on_audit t ~node ev =

@@ -482,9 +482,8 @@ let rec send_paced t payloads =
     send_payload t ~service:Endpoint.Agreed payload;
     if rest <> [] then begin
       let era = t.era in
-      ignore
-        (Sim.Engine.schedule t.sim ~delay:retrans_pace (fun () ->
-             if era = t.era && not t.halted then send_paced t rest))
+      Sim.Engine.schedule t.sim ~delay:retrans_pace (fun () ->
+          if era = t.era && not t.halted then send_paced t rest)
     end
 
 let rec shift_to_exchange_states t =

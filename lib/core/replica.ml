@@ -67,7 +67,7 @@ let cluster_topology c = c.c_topology
 
 type role =
   | Static  (** member of the initial server set *)
-  | Joiner of { sponsors : Node_id.t list; retry : Sim.Time.t }
+  | Joiner of Node_id.t list  (** sponsors, asked in turn *)
 
 (* Admission control: shed a submission with [Action.Busy] — before it
    is created, logged or ordered — once this replica's backlog crosses
@@ -338,9 +338,8 @@ let do_transfer ?(from_chunk = 0) t ~joiner =
                tc_payload = (if last then Some payload else None);
              });
         if not last then
-          ignore
-            (Sim.Engine.schedule t.cluster.c_sim ~delay:(Sim.Time.of_ms 5.)
-               (fun () -> send_chunk (index + 1)))
+          Sim.Engine.schedule t.cluster.c_sim ~delay:(Sim.Time.of_ms 5.)
+            (fun () -> send_chunk (index + 1))
       end
     in
     send_chunk (max 0 from_chunk)
@@ -354,7 +353,11 @@ let on_transfer_request t ~joiner =
 (* ------------------------------------------------------------------ *)
 (* Rejoining by state transfer                                         *)
 
-let rec joiner_request_loop t sponsors_left all_sponsors retry =
+(* How long a joiner waits for a sponsor's snapshot before asking the
+   next sponsor. *)
+let transfer_retry = Sim.Time.of_ms 500.
+
+let rec joiner_request_loop t sponsors_left all_sponsors =
   if t.up && t.joiner_waiting && t.engine = None then begin
     let sponsor, rest =
       match sponsors_left with
@@ -366,9 +369,8 @@ let rec joiner_request_loop t sponsors_left all_sponsors retry =
     in
     Network.unicast t.cluster.c_transfer ~src:t.node_id ~dst:sponsor ~size:64
       (Treq { tr_joiner = t.node_id; tr_resume = t.incoming });
-    ignore
-      (Sim.Engine.schedule t.cluster.c_sim ~delay:retry (fun () ->
-           joiner_request_loop t rest all_sponsors retry))
+    Sim.Engine.schedule t.cluster.c_sim ~delay:transfer_retry (fun () ->
+        joiner_request_loop t rest all_sponsors)
   end
 
 (* Amnesiac recovery (the log's foundation is gone) and resync: discard
@@ -384,12 +386,10 @@ let amnesiac_rejoin t =
   Log.info (fun m -> m "n%d: rejoining by state transfer" t.node_id);
   t.incarnation <- t.incarnation + 1;
   t.incoming <- None;
-  let sponsors, retry =
+  let sponsors =
     match t.role with
-    | Joiner { sponsors; retry } -> (sponsors, retry)
-    | Static ->
-      ( Node_id.Set.elements (Node_id.Set.remove t.node_id t.servers),
-        Sim.Time.of_ms 500. )
+    | Joiner sponsors -> sponsors
+    | Static -> Node_id.Set.elements (Node_id.Set.remove t.node_id t.servers)
   in
   if sponsors = [] then
     (* Nobody to transfer from: a lone replica with a destroyed log is
@@ -397,7 +397,7 @@ let amnesiac_rejoin t =
     t.up <- false
   else begin
     t.joiner_waiting <- true;
-    joiner_request_loop t sponsors sponsors retry
+    joiner_request_loop t sponsors sponsors
   end
 
 (* Volatile state a crash or a resync loses. *)
@@ -440,9 +440,8 @@ let make_callbacks t =
            may be ahead of the database (applies run at burst end).
            Defer the capture one event so snapshot and green count are
            taken from the same consistent instant. *)
-        ignore
-          (Sim.Engine.schedule t.cluster.c_sim ~delay:Sim.Time.zero (fun () ->
-               on_transfer_request t ~joiner)));
+        Sim.Engine.schedule t.cluster.c_sim ~delay:Sim.Time.zero (fun () ->
+            on_transfer_request t ~joiner));
     on_self_leave =
       (fun () ->
         t.left <- true;
@@ -456,9 +455,8 @@ let make_callbacks t =
       (fun () ->
         match t.engine with
         | Some e ->
-          ignore
-            (Sim.Engine.schedule t.cluster.c_sim ~delay:Sim.Time.zero
-               (fun () -> resync t e))
+          Sim.Engine.schedule t.cluster.c_sim ~delay:Sim.Time.zero
+            (fun () -> resync t e)
         | None -> ());
   }
 
@@ -642,12 +640,9 @@ let create ?disk_config ?attach_cpu ?checkpoint_every ?weights ?quorum_policy
   t
 
 let create_joiner ?disk_config ?attach_cpu ?checkpoint_every ?quorum_policy
-    ?dedup_window ?admission ?(retry_interval = Sim.Time.of_ms 500.) ~cluster
-    ~node ~sponsors () =
+    ?dedup_window ?admission ~cluster ~node ~sponsors () =
   base ?disk_config ?attach_cpu ?checkpoint_every ?quorum_policy ?dedup_window
-    ?admission ~cluster ~node ~servers:Node_id.Set.empty
-    ~role:(Joiner { sponsors; retry = retry_interval })
-    ()
+    ?admission ~cluster ~node ~servers:Node_id.Set.empty ~role:(Joiner sponsors) ()
 
 let start t =
   if not t.started then begin
@@ -655,9 +650,9 @@ let start t =
     match t.role with
     | Static -> (
       match t.endpoint with Some ep -> Endpoint.join ep | None -> ())
-    | Joiner { sponsors; retry } ->
+    | Joiner sponsors ->
       t.joiner_waiting <- true;
-      joiner_request_loop t sponsors sponsors retry
+      joiner_request_loop t sponsors sponsors
   end
 
 (* ------------------------------------------------------------------ *)
@@ -802,9 +797,7 @@ let recover t =
       (* Transient read errors charged their backoff: the node comes
          back on the network only once the log has actually been read. *)
       if Sim.Time.to_us r.Persist.r_backoff > 0 then
-        ignore
-          (Sim.Engine.schedule t.cluster.c_sim ~delay:r.Persist.r_backoff
-             rejoin)
+        Sim.Engine.schedule t.cluster.c_sim ~delay:r.Persist.r_backoff rejoin
       else rejoin ()
     end
   end

@@ -68,7 +68,6 @@ val create_joiner :
   ?quorum_policy:Quorum.policy ->
   ?dedup_window:int ->
   ?admission:admission ->
-  ?retry_interval:Repro_sim.Time.t ->
   cluster:cluster ->
   node:Node_id.t ->
   sponsors:Node_id.t list ->

@@ -78,8 +78,8 @@ type 'p conf_state = {
   mutable pending_order : (Node_id.t * int) list; (* reversed *)
   mutable order_armed : bool;
   mutable ack_armed : bool;
-  mutable ack_timer : Engine.timer;
-  mutable order_timer : Engine.timer;
+  mutable ack_timer : unit -> unit;
+  mutable order_timer : unit -> unit;
 }
 
 type gather_state = {
@@ -133,7 +133,7 @@ type 'p t = {
   mutable last_sent : Time.t;
   mutable last_probe : Time.t;
   mutable installed_count : int;
-  mutable periodic : Engine.timer option; (* built by the first [join] *)
+  mutable periodic : (unit -> unit) option; (* built by the first [join] *)
 }
 
 let node t = t.node
@@ -285,8 +285,6 @@ let rec advance_have cs =
   (* One store lookup per received message. *)
   [@@analysis.cost "O(queue); alloc O(1)"]
 
-let after ~delay t = Time.add (Engine.now t.engine) ~span:delay
-
 let note_have_advanced t cs =
   advance_have cs;
   (* Our own cumulative ack is visible locally at once. *)
@@ -310,7 +308,7 @@ let note_have_advanced t cs =
         t.prm.ack_delay
       else Time.scale t.prm.ack_delay 25.
     in
-    Engine.schedule_timer t.engine cs.ack_timer ~at:(after ~delay t)
+    Engine.schedule t.engine ~delay cs.ack_timer
   end
 
 (* The ack timer: multicast our cumulative ack, and re-arm while safety
@@ -376,8 +374,7 @@ let coord_enqueue_order t cs ~sender ~lseq =
   cs.pending_order <- (sender, lseq) :: cs.pending_order;
   if not cs.order_armed then begin
     cs.order_armed <- true;
-    Engine.schedule_timer t.engine cs.order_timer
-      ~at:(after ~delay:t.prm.order_delay t)
+    Engine.schedule t.engine ~delay:t.prm.order_delay cs.order_timer
   end
 
 (* Built as [t] enters [Installed]: [era] is that status's era, and the
@@ -387,7 +384,6 @@ let new_conf_state t view =
   let n = List.length members in
   let index = Array.make (Node_id.Set.max_elt view.members + 1) (-1) in
   List.iteri (fun i m -> index.(m) <- i) members;
-  let unset = Engine.make_timer ignore in
   let cs =
     {
       cview = view;
@@ -411,12 +407,12 @@ let new_conf_state t view =
       pending_order = [];
       order_armed = false;
       ack_armed = false;
-      ack_timer = unset;
-      order_timer = unset;
+      ack_timer = ignore;
+      order_timer = ignore;
     }
   in
-  cs.ack_timer <- Engine.make_timer (fun () -> ack_due t cs);
-  cs.order_timer <- Engine.make_timer (fun () -> order_due t cs);
+  cs.ack_timer <- (fun () -> ack_due t cs);
+  cs.order_timer <- (fun () -> order_due t cs);
   cs
 
 (* A data message for the current (or retained old) configuration. When
@@ -510,9 +506,8 @@ let rec start_gather t =
 
 and arm_stability t gs =
   let era = t.era and token = gs.g_token in
-  ignore
-    (Engine.schedule t.engine ~delay:t.prm.gather_window (fun () ->
-         if era = t.era && token = gs.g_token then gather_stable t gs))
+  Engine.schedule t.engine ~delay:t.prm.gather_window (fun () ->
+      if era = t.era && token = gs.g_token then gather_stable t gs)
 
 and gather_stable t gs =
   match t.status with
@@ -530,13 +525,12 @@ and gather_stable t gs =
     else begin
       gs.g_waiting_proposal <- true;
       let era = t.era in
-      ignore
-        (Engine.schedule t.engine ~delay:t.prm.propose_timeout (fun () ->
-             if era = t.era then
-               match t.status with
-               | Gathering gs' when gs' == gs && gs.g_waiting_proposal ->
-                 restart_gather t
-               | _ -> ()))
+      Engine.schedule t.engine ~delay:t.prm.propose_timeout (fun () ->
+          if era = t.era then
+            match t.status with
+            | Gathering gs' when gs' == gs && gs.g_waiting_proposal ->
+              restart_gather t
+            | _ -> ())
     end
   | _ -> ()
 
@@ -608,18 +602,17 @@ and enter_flushing t ~vid ~members =
     stashed;
   (* Abandon on timeout: cascaded failures restart the gather. *)
   let era = t.era in
-  ignore
-    (Engine.schedule t.engine ~delay:t.prm.flush_timeout (fun () ->
-         if era = t.era then
-           match t.status with
-           | Flushing fs' when fs' == fs ->
-             dbg t
-               (Printf.sprintf "flush timeout vid=%s (records %d/%d)"
-                  (Conf_id.to_string fs.fl_vid)
-                  (Hashtbl.length fs.fl_records)
-                  (Node_id.Set.cardinal fs.fl_members));
-             restart_gather t
-           | _ -> ()));
+  Engine.schedule t.engine ~delay:t.prm.flush_timeout (fun () ->
+      if era = t.era then
+        match t.status with
+        | Flushing fs' when fs' == fs ->
+          dbg t
+            (Printf.sprintf "flush timeout vid=%s (records %d/%d)"
+               (Conf_id.to_string fs.fl_vid)
+               (Hashtbl.length fs.fl_records)
+               (Node_id.Set.cardinal fs.fl_members));
+          restart_gather t
+        | _ -> ());
   check_flush t fs
 
 and flush_records_complete fs =
@@ -905,11 +898,10 @@ let handle_wire t ~src msg =
 
 let arm_periodic t =
   match t.periodic with
-  | Some timer ->
-    Engine.schedule_timer t.engine timer ~at:(after ~delay:t.prm.fd_check_interval t)
+  | Some tick -> Engine.schedule t.engine ~delay:t.prm.fd_check_interval tick
   | None -> ()
 
-(* One tick every [fd_check_interval], on a timer built by the first
+(* One tick every [fd_check_interval], on a closure built by the first
    [join]. *)
 let periodic t =
   (match (t.status, t.conf) with
@@ -995,7 +987,7 @@ let join t =
   match t.status with
   | Idle ->
     if t.periodic = None then begin
-      t.periodic <- Some (Engine.make_timer (fun () -> periodic t));
+      t.periodic <- Some (fun () -> periodic t);
       arm_periodic t
     end;
     start_gather t

@@ -148,14 +148,13 @@ and attempt t =
       (* No usable target right now: burn the attempt, let the deadline
          below fire and rotate. *)
       ());
-    ignore
-      (Sim.Engine.schedule t.sim ~delay:t.cfg.request_timeout (fun () ->
-           if (not t.stopped) && t.epoch = epoch && t.acked < seq then begin
-             t.timeouts <- t.timeouts + 1;
-             t.failovers <- t.failovers + 1;
-             rotate_target t;
-             retry t
-           end))
+    Sim.Engine.schedule t.sim ~delay:t.cfg.request_timeout (fun () ->
+        if (not t.stopped) && t.epoch = epoch && t.acked < seq then begin
+          t.timeouts <- t.timeouts + 1;
+          t.failovers <- t.failovers + 1;
+          rotate_target t;
+          retry t
+        end)
 
 and on_response t ~seq ~epoch resp =
   if (not t.stopped) && t.acked < seq then
@@ -183,9 +182,8 @@ and on_response t ~seq ~epoch resp =
 and retry t =
   t.retries <- t.retries + 1;
   t.epoch <- t.epoch + 1 (* invalidate the pending deadline *);
-  ignore
-    (Sim.Engine.schedule t.sim ~delay:(backoff_delay t) (fun () ->
-         if not t.stopped then attempt t))
+  Sim.Engine.schedule t.sim ~delay:(backoff_delay t) (fun () ->
+      if not t.stopped then attempt t)
 
 let exec t ?(semantics = Action.Strict) ?(size = 200) kind ~k =
   Queue.add { op_semantics = semantics; op_size = size; op_kind = kind; op_k = k }

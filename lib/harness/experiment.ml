@@ -55,13 +55,12 @@ let poisson sim ~rng ~rate_per_sec ~issue =
   let rec arrival () =
     if not t.stopped then begin
       let gap = Rng.exponential rng ~mean:(1. /. rate_per_sec) in
-      ignore
-        (Sim.Engine.schedule sim ~delay:(Time.of_sec gap) (fun () ->
-             if not t.stopped then begin
-               incr arrivals;
-               issue_one t ~issue !arrivals ~k:ignore;
-               arrival ()
-             end))
+      Sim.Engine.schedule sim ~delay:(Time.of_sec gap) (fun () ->
+          if not t.stopped then begin
+            incr arrivals;
+            issue_one t ~issue !arrivals ~k:ignore;
+            arrival ()
+          end)
     end
   in
   arrival ();
@@ -109,7 +108,7 @@ let request ~sim ~rng ~reads replicas =
           | Action.Busy when attempt < busy_retries ->
             let cap = retry_backoff_ms *. (2. ** float_of_int attempt) in
             let delay = Time.of_ms (Float.max 0.001 (Rng.float rng cap)) in
-            ignore (Sim.Engine.schedule sim ~delay (fun () -> go (attempt + 1)))
+            Sim.Engine.schedule sim ~delay (fun () -> go (attempt + 1))
           | Action.Busy -> k false
           | Action.Committed _ | Action.Procedure_output _ | Action.Aborted ->
             k true)

@@ -351,12 +351,10 @@ let partition_timeline ?(servers = 7) ?(clients = 7) ppf () =
   (* t=6s: partition into majority {0..3} / minority {4..6};
      t=12s: heal. *)
   let majority = [ 0; 1; 2; 3 ] and minority = [ 4; 5; 6 ] in
-  ignore
-    (Sim.Engine.schedule_at sim ~at:(Time.of_sec 6.) (fun () ->
-         Topology.partition topology [ majority; minority ]));
-  ignore
-    (Sim.Engine.schedule_at sim ~at:(Time.of_sec 12.) (fun () ->
-         Topology.merge_all topology));
+  Sim.Engine.schedule_at sim ~at:(Time.of_sec 6.) (fun () ->
+      Topology.partition topology [ majority; minority ]);
+  Sim.Engine.schedule_at sim ~at:(Time.of_sec 12.) (fun () ->
+      Topology.merge_all topology);
   Sim.Engine.run ~until:(Time.of_sec 18.) sim;
   let rates = Stats.Timeline.rates timeline in
   Format.fprintf ppf

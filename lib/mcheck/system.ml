@@ -147,10 +147,6 @@ let create ?(policy = Quorum.Dynamic_linear) ~nodes:n () =
   let ids = List.init n (fun i -> i) in
   let servers = Node_id.Set.of_list ids in
   let sim = Sim.Engine.create () in
-  (* Residual same-instant ties inside a transition resolve to the first
-     scheduled event — the historical FIFO order — via the controlled
-     hook, so no hidden timing nondeterminism survives into states. *)
-  Sim.Engine.set_scheduler sim (Sim.Engine.Controlled (fun _ -> 0));
   let model = Model.create ~nodes:ids ~pp_payload:digest_payload () in
   let topo = Topology.create ~nodes:ids in
   let spec = Check.Spec.create () in

@@ -48,8 +48,8 @@ module Tbl = Hashtbl.Make (Node_id)
 type 'msg handler = src:Node_id.t -> 'msg -> unit
 
 (* Delivery allocates nothing per message.  What a message needs at each
-   stage lives in rings, and each stage's event is a timer made once and
-   scheduled again per message, so a delivery schedules exactly the
+   stage lives in rings, and each stage's event is a closure made once
+   and scheduled again per message, so a delivery schedules exactly the
    events, in the same order, that a closure per message would. *)
 type 'msg node = {
   id : Node_id.t;
@@ -66,7 +66,7 @@ and 'msg channel = {
   mutable horizon : int; (* arrival (µs) of the latest message; -1 before the first *)
   in_flight_size : int Ring.t;
   in_flight : 'msg Ring.t;
-  arrival : Engine.timer;
+  arrival : unit -> unit;
 }
 
 (* A node's attached CPU.  The resource runs jobs FIFO, so the k-th run
@@ -174,7 +174,7 @@ let channel t src dst =
         horizon = -1;
         in_flight_size = sizes;
         in_flight = msgs;
-        arrival = Engine.make_timer (fun () -> arrive t ~src:src.id ~dst ~sizes ~msgs);
+        arrival = (fun () -> arrive t ~src:src.id ~dst ~sizes ~msgs);
       }
     in
     Tbl.add src.channels dst.id ch;
@@ -200,7 +200,7 @@ let send_now t src dst ~size msg =
     ch.horizon <- arrival;
     Ring.push ch.in_flight_size size;
     Ring.push ch.in_flight msg;
-    Engine.schedule_timer t.engine ch.arrival ~at:(Time.of_us arrival)
+    Engine.schedule_at t.engine ~at:(Time.of_us arrival) ch.arrival
   end
   (* One channel-horizon update and one scheduled delivery per call. *)
   [@@analysis.cost "O(1); alloc O(1)"]

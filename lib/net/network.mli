@@ -14,7 +14,7 @@ open Repro_sim
     Once its queues have grown to their high-water marks, sending and
     delivering a message allocates nothing: the messages in flight on a
     channel and those waiting for a node's CPU are kept in rings, and
-    each stage fires a timer made once per channel or CPU. *)
+    each stage schedules a closure made once per channel or CPU. *)
 
 type config = {
   propagation : Time.t;  (** one-way propagation delay *)

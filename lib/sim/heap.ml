@@ -1,10 +1,9 @@
 (* A min-heap over two immediate-int keys (primary, tiebreak) with the
    payload alongside.  A heap compared through a [cmp] closure pays an
    indirect call per sift step, and for float or tuple keys a box per
-   comparison.  The sim event loop orders timers by (due-time in µs,
+   comparison.  The sim event loop orders events by (due-time in µs,
    sequence), both immediate ints, so this heap compares inline and its
-   pop returns the payload directly: zero allocation per event on the
-   Fifo fast path. *)
+   pop returns the payload directly: zero allocation per event. *)
 module Keyed = struct
   type 'a t = {
     mutable keys : int array; (* primary key *)
@@ -74,8 +73,6 @@ module Keyed = struct
     sift_up t (t.size - 1)
 
   let min_key t = if t.size = 0 then raise Empty else t.keys.(0)
-  let min_tie t = if t.size = 0 then raise Empty else t.tie.(0)
-  let peek t = if t.size = 0 then raise Empty else t.vals.(0)
 
   let pop t =
     if t.size = 0 then raise Empty;
@@ -91,10 +88,4 @@ module Keyed = struct
       sift_down t 0
     end;
     top
-
-  let clear t =
-    t.keys <- [||];
-    t.tie <- [||];
-    t.vals <- [||];
-    t.size <- 0
 end

@@ -16,14 +16,6 @@ module Keyed : sig
   val min_key : 'a t -> int
   (** Primary key of the smallest element; raises {!Empty}. *)
 
-  val min_tie : 'a t -> int
-  (** Tiebreak key of the smallest element; raises {!Empty}. *)
-
-  val peek : 'a t -> 'a
-  (** Smallest payload without removing it; raises {!Empty}. *)
-
   val pop : 'a t -> 'a
   (** Removes and returns the smallest payload; raises {!Empty}. *)
-
-  val clear : 'a t -> unit
 end

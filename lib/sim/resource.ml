@@ -1,5 +1,5 @@
 (* The waiting jobs are two rings pushed and popped together, and the
-   completion of the running job is one reusable timer: a job costs no
+   completion of the running job is one kept closure: a job costs no
    allocation beyond its callback. *)
 type t = {
   engine : Engine.t;
@@ -9,7 +9,7 @@ type t = {
   mutable running : bool;
   mutable busy : Time.t;
   mutable generation : int; (* bumped on reset to orphan the in-flight completion *)
-  mutable completion : Engine.timer;
+  mutable completion : unit -> unit;
   mutable on_reset : (unit -> unit) list;
 }
 
@@ -22,21 +22,20 @@ let start_next t =
     t.current <- Ring.pop t.jobs;
     t.running <- true;
     t.busy <- Time.add t.busy ~span:duration;
-    Engine.schedule_timer t.engine t.completion
-      ~at:(Time.add (Engine.now t.engine) ~span:duration)
+    Engine.schedule t.engine ~delay:duration t.completion
   end
 
-(* The completion timer of the current generation: a completion left in
-   the queue by [reset] still fires, and does nothing. *)
-let completion_timer t =
+(* The completion of the current generation: a completion left in the
+   queue by [reset] still fires, and does nothing. *)
+let completion t =
   let generation = t.generation in
-  Engine.make_timer (fun () ->
-      if generation = t.generation then begin
-        let k = t.current in
-        t.current <- idle;
-        k ();
-        start_next t
-      end)
+  fun () ->
+    if generation = t.generation then begin
+      let k = t.current in
+      t.current <- idle;
+      k ();
+      start_next t
+    end
 
 let create engine =
   let t =
@@ -48,11 +47,11 @@ let create engine =
       running = false;
       busy = Time.zero;
       generation = 0;
-      completion = Engine.make_timer idle;
+      completion = idle;
       on_reset = [];
     }
   in
-  t.completion <- completion_timer t;
+  t.completion <- completion t;
   t
 
 let submit t ~duration k =
@@ -71,5 +70,5 @@ let reset t =
   t.current <- idle;
   t.running <- false;
   t.generation <- t.generation + 1;
-  t.completion <- completion_timer t;
+  t.completion <- completion t;
   List.iter (fun f -> f ()) (List.rev t.on_reset)

@@ -43,8 +43,6 @@ let float t bound =
 (* [float t 1.0 < p], without boxing the drawn float for the caller. *)
 let chance t p = unit_float t < p
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let exponential t ~mean =
   if mean <= 0. then invalid_arg "Rng.exponential: mean must be positive";
   let u = float t 1.0 in

@@ -7,17 +7,11 @@
 
 type t
 
-val create : int64 -> t
-(** [create seed] makes a new stream from a 64-bit seed. *)
-
 val of_int : int -> t
-(** [of_int seed] is [create (Int64.of_int seed)]. *)
+(** [of_int seed] makes a new stream from an integer seed. *)
 
 val split : t -> t
 (** [split t] draws from [t] to seed an independent child stream. *)
-
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Requires [bound > 0]. *)
@@ -28,8 +22,6 @@ val float : t -> float -> float
 val chance : t -> float -> bool
 (** [chance t p] is [float t 1.0 < p]: it draws the same bits and gives
     the same answer, without allocating. *)
-
-val bool : t -> bool
 
 val exponential : t -> mean:float -> float
 (** [exponential t ~mean] draws from an exponential distribution. *)

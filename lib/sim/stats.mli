@@ -24,9 +24,6 @@ module Timeline : sig
   val create : bucket:Time.t -> t
   val record : t -> at:Time.t -> unit
 
-  val buckets : t -> (Time.t * int) list
-  (** Bucket start times with event counts, in time order. *)
-
   val rates : t -> (float * float) list
   (** (bucket start in seconds, events/second) pairs. *)
 end

@@ -17,14 +17,11 @@ let diff a b =
   if b > a then invalid_arg "Time.diff: negative result";
   a - b
 
-let compare = Int.compare
-let equal = Int.equal
 let ( <= ) (a : t) b = a <= b
 let ( < ) (a : t) b = a < b
 let ( >= ) (a : t) b = a >= b
 let ( > ) (a : t) b = a > b
 let min (a : t) b = Stdlib.min a b
-let max (a : t) b = Stdlib.max a b
 
 let scale t f =
   if Stdlib.( < ) f 0. then invalid_arg "Time.scale: negative factor";

@@ -30,15 +30,12 @@ val add : t -> span:t -> t
 val diff : t -> t -> t
 (** [diff a b] is [a - b]. Raises [Invalid_argument] if [b > a]. *)
 
-val compare : t -> t -> int
-val equal : t -> t -> bool
 val ( <= ) : t -> t -> bool
 val ( < ) : t -> t -> bool
 val ( >= ) : t -> t -> bool
 val ( > ) : t -> t -> bool
 
 val min : t -> t -> t
-val max : t -> t -> t
 
 val scale : t -> float -> t
 (** [scale t f] multiplies a span by a non-negative factor. *)

@@ -102,40 +102,36 @@ let flush_duration t =
 let rec start_flush t =
   t.flushing <- true;
   let generation = t.generation in
-  ignore
-    (Engine.schedule t.engine ~delay:gather_window (fun () ->
-         if generation = t.generation then begin
-           t.flushes <- t.flushes + 1;
-           let batch = List.rev t.waiters in
-           t.waiters <- [];
-           let epoch_at_start = t.write_epoch in
-           ignore
-             (Engine.schedule t.engine ~delay:(flush_duration t) (fun () ->
-                  if generation = t.generation then begin
-                    t.durable_epoch <- max t.durable_epoch epoch_at_start;
-                    List.iter (fun k -> k ()) batch;
-                    if t.waiters <> [] then start_flush t else t.flushing <- false
-                  end))
-         end))
+  Engine.schedule t.engine ~delay:gather_window (fun () ->
+      if generation = t.generation then begin
+        t.flushes <- t.flushes + 1;
+        let batch = List.rev t.waiters in
+        t.waiters <- [];
+        let epoch_at_start = t.write_epoch in
+        Engine.schedule t.engine ~delay:(flush_duration t) (fun () ->
+            if generation = t.generation then begin
+              t.durable_epoch <- max t.durable_epoch epoch_at_start;
+              List.iter (fun k -> k ()) batch;
+              if t.waiters <> [] then start_flush t else t.flushing <- false
+            end)
+      end)
 
 let rec background_flush t =
   let generation = t.generation in
-  ignore
-    (Engine.schedule t.engine ~delay:t.config.delayed_flush_interval (fun () ->
-         if generation = t.generation then begin
-           if not t.flushing then begin
-             t.flushing <- true;
-             t.flushes <- t.flushes + 1;
-             let epoch_at_start = t.write_epoch in
-             ignore
-               (Engine.schedule t.engine ~delay:(flush_duration t) (fun () ->
-                    if generation = t.generation then begin
-                      t.durable_epoch <- max t.durable_epoch epoch_at_start;
-                      t.flushing <- false
-                    end))
-           end;
-           background_flush t
-         end))
+  Engine.schedule t.engine ~delay:t.config.delayed_flush_interval (fun () ->
+      if generation = t.generation then begin
+        if not t.flushing then begin
+          t.flushing <- true;
+          t.flushes <- t.flushes + 1;
+          let epoch_at_start = t.write_epoch in
+          Engine.schedule t.engine ~delay:(flush_duration t) (fun () ->
+              if generation = t.generation then begin
+                t.durable_epoch <- max t.durable_epoch epoch_at_start;
+                t.flushing <- false
+              end)
+        end;
+        background_flush t
+      end)
 
 let force t k =
   match t.config.mode with
@@ -148,9 +144,8 @@ let force t k =
       background_flush t
     end;
     let generation = t.generation in
-    ignore
-      (Engine.schedule t.engine ~delay:t.config.delayed_ack_latency (fun () ->
-           if generation = t.generation then k ()))
+    Engine.schedule t.engine ~delay:t.config.delayed_ack_latency (fun () ->
+        if generation = t.generation then k ())
   (* Parks the continuation and arms at most one flush timer; the
      waiter list is drained once per physical flush, one entry per
      force call that joined the group commit. *)

@@ -56,12 +56,10 @@ let test_failover_fifo_read_your_writes () =
   step 1;
   (* Crash the session's target mid-stream, rejoin it later. *)
   let victim = World.replica w 0 in
-  ignore
-    (Sim.Engine.schedule (World.sim w) ~delay:(Sim.Time.of_ms 80.) (fun () ->
-         Replica.crash victim));
-  ignore
-    (Sim.Engine.schedule (World.sim w) ~delay:(Sim.Time.of_ms 2000.) (fun () ->
-         Replica.recover victim));
+  Sim.Engine.schedule (World.sim w) ~delay:(Sim.Time.of_ms 80.) (fun () ->
+      Replica.crash victim);
+  Sim.Engine.schedule (World.sim w) ~delay:(Sim.Time.of_ms 2000.) (fun () ->
+      Replica.recover victim);
   World.run w ~ms:30_000.;
   World.heal_and_settle w;
   (* Each step is two requests: the write and the read-back. *)
@@ -140,18 +138,14 @@ let test_dedup_cache_bounded () =
           pump 40)
         clients;
       (* Churn underneath the sessions: two targets crash and rejoin. *)
-      ignore
-        (Sim.Engine.schedule (World.sim w) ~delay:(Sim.Time.of_ms 150.)
-           (fun () -> Replica.crash (World.replica w 0)));
-      ignore
-        (Sim.Engine.schedule (World.sim w) ~delay:(Sim.Time.of_ms 400.)
-           (fun () -> Replica.crash (World.replica w 3)));
-      ignore
-        (Sim.Engine.schedule (World.sim w) ~delay:(Sim.Time.of_ms 1500.)
-           (fun () -> Replica.recover (World.replica w 0)));
-      ignore
-        (Sim.Engine.schedule (World.sim w) ~delay:(Sim.Time.of_ms 1800.)
-           (fun () -> Replica.recover (World.replica w 3)));
+      Sim.Engine.schedule (World.sim w) ~delay:(Sim.Time.of_ms 150.)
+        (fun () -> Replica.crash (World.replica w 0));
+      Sim.Engine.schedule (World.sim w) ~delay:(Sim.Time.of_ms 400.)
+        (fun () -> Replica.crash (World.replica w 3));
+      Sim.Engine.schedule (World.sim w) ~delay:(Sim.Time.of_ms 1500.)
+        (fun () -> Replica.recover (World.replica w 0));
+      Sim.Engine.schedule (World.sim w) ~delay:(Sim.Time.of_ms 1800.)
+        (fun () -> Replica.recover (World.replica w 3));
       for _slice = 1 to 100 do
         World.run w ~ms:100.;
         List.iter
@@ -200,12 +194,10 @@ let test_duplicate_answered_from_cache () =
   (* Crash the target with requests in flight: the timed-out attempts
      are re-sent elsewhere while the total order may already carry the
      original — the duplicate must be answered, not re-applied. *)
-  ignore
-    (Sim.Engine.schedule (World.sim w) ~delay:(Sim.Time.of_ms 100.) (fun () ->
-         Replica.crash (World.replica w 0)));
-  ignore
-    (Sim.Engine.schedule (World.sim w) ~delay:(Sim.Time.of_ms 2000.) (fun () ->
-         Replica.recover (World.replica w 0)));
+  Sim.Engine.schedule (World.sim w) ~delay:(Sim.Time.of_ms 100.) (fun () ->
+      Replica.crash (World.replica w 0));
+  Sim.Engine.schedule (World.sim w) ~delay:(Sim.Time.of_ms 2000.) (fun () ->
+      Replica.recover (World.replica w 0));
   World.run w ~ms:20_000.;
   World.heal_and_settle w;
   let dupes =

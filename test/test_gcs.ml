@@ -365,8 +365,7 @@ let test_causality_preserved () =
             Endpoint.send (ep c 1) ~service:Safe ~size:60 ("pong-" ^ k)
           end)
       log1.deliveries;
-    ignore
-      (Engine.schedule c.engine ~delay:(Time.of_us 200) (fun () -> react ()))
+    Engine.schedule c.engine ~delay:(Time.of_us 200) (fun () -> react ())
   in
   react ();
   for k = 0 to 9 do

@@ -122,8 +122,11 @@ let test_explore_clean_small () =
   let o = Explore.run ~nodes:3 ~depth:6 ~faults:1 ~submits:1 () in
   Alcotest.(check bool) "no violations" true (o.Explore.found = None);
   Alcotest.(check bool) "exhaustive" true o.Explore.complete;
-  Alcotest.(check bool) "explored something" true
-    (o.Explore.stats.Explore.st_states > 10)
+  (* Pinned: the simulator's FIFO tie-break decides every same-instant
+     order inside a transition, so a change to the event order moves
+     these counts. *)
+  Alcotest.(check int) "states expanded" 1098 o.Explore.stats.Explore.st_states;
+  Alcotest.(check int) "distinct states" 936 o.Explore.stats.Explore.st_distinct
 
 let test_explore_reductions_prune () =
   let o = Explore.run ~nodes:3 ~depth:8 ~faults:2 ~submits:0 () in

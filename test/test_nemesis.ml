@@ -142,10 +142,8 @@ let test_ongoing_reproposed_after_restart () =
     ~on_response:(fun _ -> ());
   (* The ongoing record's forced write completes at +1.01 ms; crash
      right after it, before the multicast copy comes back. *)
-  ignore
-    (Sim.Engine.schedule (World.sim w)
-       ~delay:(Sim.Time.of_us 1_050)
-       (fun () -> Replica.crash victim));
+  Sim.Engine.schedule (World.sim w) ~delay:(Sim.Time.of_us 1_050) (fun () ->
+      Replica.crash victim);
   World.run w ~ms:10.;
   Replica.recover victim;
   Alcotest.(check bool) "action restored to the ongoing queue" true

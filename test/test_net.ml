@@ -65,9 +65,8 @@ let test_in_flight_cut_drops () =
   let rx = collect network 1 in
   Network.unicast network ~src:0 ~dst:1 ~size:10 "x";
   (* Cut the link before the message lands. *)
-  ignore
-    (Engine.schedule engine ~delay:(Time.of_us 10) (fun () ->
-         Topology.partition topology [ [ 0 ]; [ 1 ] ]));
+  Engine.schedule engine ~delay:(Time.of_us 10) (fun () ->
+      Topology.partition topology [ [ 0 ]; [ 1 ] ]);
   Engine.run engine;
   Alcotest.(check int) "in-flight message lost" 0 (List.length !rx)
 
@@ -138,13 +137,12 @@ let test_cpu_reset_drops_waiting () =
   List.iter (fun (n, cpu) -> Network.attach_cpu network n cpu) cpus;
   let rx = collect network 1 in
   List.iter (fun m -> Network.unicast network ~src:0 ~dst:1 ~size:0 m) [ "a"; "b"; "c" ];
-  ignore
-    (Engine.schedule engine ~delay:(Time.of_us 150) (fun () ->
-         Resource.reset (List.assoc 1 cpus);
-         (* and a send still waiting for the sender's CPU *)
-         Network.unicast network ~src:0 ~dst:1 ~size:0 "lost";
-         Resource.reset (List.assoc 0 cpus);
-         Network.unicast network ~src:0 ~dst:1 ~size:0 "d"));
+  Engine.schedule engine ~delay:(Time.of_us 150) (fun () ->
+      Resource.reset (List.assoc 1 cpus);
+      (* and a send still waiting for the sender's CPU *)
+      Network.unicast network ~src:0 ~dst:1 ~size:0 "lost";
+      Resource.reset (List.assoc 0 cpus);
+      Network.unicast network ~src:0 ~dst:1 ~size:0 "d");
   Engine.run engine;
   Alcotest.(check (list (pair int string)))
     "only what the CPU finished before the reset, and what came after"

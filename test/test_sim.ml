@@ -65,7 +65,6 @@ let test_keyed_heap_ordering () =
     [ 5; 1; 9; 3; 7; 2; 8; 0; 4; 6 ];
   Alcotest.(check int) "length" 10 (Heap.Keyed.length h);
   Alcotest.(check int) "min key" 0 (Heap.Keyed.min_key h);
-  Alcotest.(check int) "peek payload" 0 (Heap.Keyed.peek h);
   let drained = List.init 10 (fun _ -> Heap.Keyed.pop h) in
   Alcotest.(check (list int)) "sorted by key"
     [ 0; 10; 20; 30; 40; 50; 60; 70; 80; 90 ]
@@ -134,9 +133,9 @@ let test_engine_event_order () =
   let engine = Engine.create () in
   let order = ref [] in
   let record tag () = order := tag :: !order in
-  ignore (Engine.schedule engine ~delay:(Time.of_us 30) (record "c"));
-  ignore (Engine.schedule engine ~delay:(Time.of_us 10) (record "a"));
-  ignore (Engine.schedule engine ~delay:(Time.of_us 20) (record "b"));
+  Engine.schedule engine ~delay:(Time.of_us 30) (record "c");
+  Engine.schedule engine ~delay:(Time.of_us 10) (record "a");
+  Engine.schedule engine ~delay:(Time.of_us 20) (record "b");
   Engine.run engine;
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] (List.rev !order);
   Alcotest.(check int) "clock at last event" 30 (Time.to_us (Engine.now engine))
@@ -145,27 +144,16 @@ let test_engine_fifo_tiebreak () =
   let engine = Engine.create () in
   let order = ref [] in
   for i = 1 to 5 do
-    ignore
-      (Engine.schedule engine ~delay:(Time.of_us 10) (fun () ->
-           order := i :: !order))
+    Engine.schedule engine ~delay:(Time.of_us 10) (fun () -> order := i :: !order)
   done;
   Engine.run engine;
   Alcotest.(check (list int)) "fifo at same time" [ 1; 2; 3; 4; 5 ] (List.rev !order)
 
-let test_engine_cancel () =
-  let engine = Engine.create () in
-  let fired = ref false in
-  let timer = Engine.schedule engine ~delay:(Time.of_us 10) (fun () -> fired := true) in
-  Engine.cancel timer;
-  Engine.run engine;
-  Alcotest.(check bool) "cancelled timer silent" false !fired;
-  Alcotest.(check bool) "not active" false (Engine.is_active timer)
-
 let test_engine_until () =
   let engine = Engine.create () in
   let fired = ref 0 in
-  ignore (Engine.schedule engine ~delay:(Time.of_ms 1.) (fun () -> incr fired));
-  ignore (Engine.schedule engine ~delay:(Time.of_ms 5.) (fun () -> incr fired));
+  Engine.schedule engine ~delay:(Time.of_ms 1.) (fun () -> incr fired);
+  Engine.schedule engine ~delay:(Time.of_ms 5.) (fun () -> incr fired);
   Engine.run ~until:(Time.of_ms 2.) engine;
   Alcotest.(check int) "only first fired" 1 !fired;
   Alcotest.(check int) "clock at limit" 2_000 (Time.to_us (Engine.now engine));
@@ -175,99 +163,51 @@ let test_engine_until () =
 let test_engine_nested_schedule () =
   let engine = Engine.create () in
   let log = ref [] in
-  ignore
-    (Engine.schedule engine ~delay:(Time.of_us 10) (fun () ->
-         log := "outer" :: !log;
-         ignore
-           (Engine.schedule engine ~delay:(Time.of_us 5) (fun () ->
-                log := "inner" :: !log))));
+  Engine.schedule engine ~delay:(Time.of_us 10) (fun () ->
+      log := "outer" :: !log;
+      Engine.schedule engine ~delay:(Time.of_us 5) (fun () -> log := "inner" :: !log));
   Engine.run engine;
   Alcotest.(check (list string)) "nested runs" [ "outer"; "inner" ] (List.rev !log);
   Alcotest.(check int) "clock" 15 (Time.to_us (Engine.now engine))
-
-let test_engine_controlled_scheduler () =
-  let engine = Engine.create () in
-  let seen = ref [] in
-  Engine.set_scheduler engine
-    (Engine.Controlled
-       (fun choices ->
-         seen := List.map (fun c -> c.Engine.c_label) choices :: !seen;
-         List.length choices - 1));
-  let order = ref [] in
-  let record tag () = order := tag :: !order in
-  ignore (Engine.schedule ~label:"a" engine ~delay:(Time.of_us 10) (record "a"));
-  ignore (Engine.schedule ~label:"b" engine ~delay:(Time.of_us 10) (record "b"));
-  ignore (Engine.schedule ~label:"c" engine ~delay:(Time.of_us 10) (record "c"));
-  ignore (Engine.schedule ~label:"d" engine ~delay:(Time.of_us 20) (record "d"));
-  Engine.run engine;
-  Alcotest.(check (list string))
-    "callback picked last-first among the same-time batch" [ "c"; "b"; "a"; "d" ]
-    (List.rev !order);
-  Alcotest.(check (list (list string)))
-    "callback saw shrinking label lists; singletons bypass it"
-    [ [ "a"; "b"; "c" ]; [ "a"; "b" ] ]
-    (List.rev !seen)
-
-let test_engine_controlled_out_of_range () =
-  let engine = Engine.create () in
-  Engine.set_scheduler engine (Engine.Controlled (fun _ -> 99));
-  let order = ref [] in
-  let record tag () = order := tag :: !order in
-  ignore (Engine.schedule engine ~delay:(Time.of_us 10) (record "a"));
-  ignore (Engine.schedule engine ~delay:(Time.of_us 10) (record "b"));
-  Engine.run engine;
-  Alcotest.(check (list string))
-    "out-of-range choice falls back to scheduling order" [ "a"; "b" ]
-    (List.rev !order)
 
 let test_engine_reusable_timer () =
   let engine = Engine.create () in
   let order = ref [] in
   let record tag () = order := (tag, Time.to_us (Engine.now engine)) :: !order in
-  let timer = Engine.make_timer (record "r") in
-  Engine.schedule_timer engine timer ~at:(Time.of_us 30);
-  ignore (Engine.schedule engine ~delay:(Time.of_us 10) (record "a"));
-  Engine.schedule_timer engine timer ~at:(Time.of_us 10);
-  ignore (Engine.schedule engine ~delay:(Time.of_us 10) (record "b"));
+  let timer = record "r" in
+  Engine.schedule_at engine ~at:(Time.of_us 30) timer;
+  Engine.schedule engine ~delay:(Time.of_us 10) (record "a");
+  Engine.schedule_at engine ~at:(Time.of_us 10) timer;
+  Engine.schedule engine ~delay:(Time.of_us 10) (record "b");
   Engine.run engine;
   Alcotest.(check (list (pair string int)))
     "each pending instance fires once, in scheduling order at its time"
     [ ("a", 10); ("r", 10); ("b", 10); ("r", 30) ]
     (List.rev !order);
   Alcotest.(check int) "events executed" 4 (Engine.events_executed engine);
-  Engine.schedule_timer engine timer ~at:(Time.of_us 40);
-  Engine.schedule_timer engine timer ~at:(Time.of_us 50);
-  Engine.cancel timer;
-  Engine.run engine;
-  Alcotest.(check int) "cancel drops every pending instance" 4 (List.length !order);
   Alcotest.check_raises "the past is refused"
     (Invalid_argument "Engine.schedule_at: time in the past") (fun () ->
-      Engine.schedule_timer engine timer ~at:(Time.of_us 1))
+      Engine.schedule_at engine ~at:(Time.of_us 1) timer)
 
-let test_engine_controlled_reusable () =
+let test_engine_drain () =
   let engine = Engine.create () in
-  Engine.set_scheduler engine (Engine.Controlled (fun choices -> List.length choices - 1));
-  let order = ref [] in
-  let r = Engine.make_timer (fun () -> order := "r" :: !order) in
-  Engine.schedule_timer engine r ~at:(Time.of_us 10);
-  ignore
-    (Engine.schedule ~label:"a" engine ~delay:(Time.of_us 10) (fun () -> order := "a" :: !order));
-  Engine.schedule_timer engine r ~at:(Time.of_us 20);
-  Engine.run engine;
-  Alcotest.(check (list string)) "a controlled pick keeps each instance's place"
-    [ "a"; "r"; "r" ] (List.rev !order);
-  Alcotest.(check int) "clock at the last instance" 20 (Time.to_us (Engine.now engine))
-
-let test_engine_stop () =
+  let rec tick () = Engine.schedule engine ~delay:(Time.of_us 10) tick in
+  tick ();
+  Alcotest.check_raises "a self-rescheduling closure never quiesces"
+    (Invalid_argument "Engine.drain: event queue did not quiesce within max_steps")
+    (fun () -> ignore (Engine.drain ~max_steps:100 engine));
   let engine = Engine.create () in
   let fired = ref 0 in
-  ignore
-    (Engine.schedule engine ~delay:(Time.of_us 1) (fun () ->
-         incr fired;
-         Engine.stop engine));
-  ignore (Engine.schedule engine ~delay:(Time.of_us 2) (fun () -> incr fired));
-  Engine.run engine;
-  Alcotest.(check int) "stopped after first" 1 !fired
+  let rec chain n () =
+    incr fired;
+    if n > 0 then Engine.schedule engine ~delay:Time.zero (chain (n - 1))
+  in
+  Engine.schedule engine ~delay:(Time.of_us 5) (chain 3);
+  Engine.schedule engine ~delay:(Time.of_us 1) (fun () -> incr fired);
+  Alcotest.(check int) "returns the events executed" 5 (Engine.drain engine);
+  Alcotest.(check int) "every event ran" 5 !fired;
+  Alcotest.(check int) "queue empty" 0 (Engine.pending engine);
+  Alcotest.(check int) "an empty queue drains nothing" 0 (Engine.drain engine)
 
 let test_resource_serialises () =
   let engine = Engine.create () in
@@ -362,8 +302,7 @@ let prop_engine_executes_all =
       let engine = Engine.create () in
       let count = ref 0 in
       List.iter
-        (fun d ->
-          ignore (Engine.schedule engine ~delay:(Time.of_us d) (fun () -> incr count)))
+        (fun d -> Engine.schedule engine ~delay:(Time.of_us d) (fun () -> incr count))
         delays;
       Engine.run engine;
       !count = List.length delays)
@@ -400,18 +339,11 @@ let () =
         [
           Alcotest.test_case "event order" `Quick test_engine_event_order;
           Alcotest.test_case "fifo tie-break" `Quick test_engine_fifo_tiebreak;
-          Alcotest.test_case "cancel" `Quick test_engine_cancel;
           Alcotest.test_case "run until" `Quick test_engine_until;
           Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule;
-          Alcotest.test_case "stop" `Quick test_engine_stop;
-          Alcotest.test_case "controlled scheduler" `Quick
-            test_engine_controlled_scheduler;
-          Alcotest.test_case "controlled out-of-range" `Quick
-            test_engine_controlled_out_of_range;
           QCheck_alcotest.to_alcotest prop_engine_executes_all;
           Alcotest.test_case "reusable timer" `Quick test_engine_reusable_timer;
-          Alcotest.test_case "controlled reusable timer" `Quick
-            test_engine_controlled_reusable;
+          Alcotest.test_case "drain" `Quick test_engine_drain;
         ] );
       ( "distributions",
         [ QCheck_alcotest.to_alcotest prop_exponential_mean ] );

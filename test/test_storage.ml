@@ -35,12 +35,11 @@ let test_group_commit_batches () =
   (* First force starts a flush; the next ten arrive while it is in
      flight and must share the *second* flush. *)
   Disk.force disk (fun () -> completions := ("first", Engine.now engine) :: !completions);
-  ignore
-    (Engine.schedule engine ~delay:(Time.of_ms 1.) (fun () ->
-         for i = 1 to 10 do
-           Disk.force disk (fun () ->
-               completions := (Printf.sprintf "b%d" i, Engine.now engine) :: !completions)
-         done));
+  Engine.schedule engine ~delay:(Time.of_ms 1.) (fun () ->
+      for i = 1 to 10 do
+        Disk.force disk (fun () ->
+            completions := (Printf.sprintf "b%d" i, Engine.now engine) :: !completions)
+      done);
   Engine.run engine;
   Alcotest.(check int) "two flushes total" 2 (Disk.flushes disk);
   let batch_times =
@@ -119,7 +118,7 @@ let test_wlog_crash_during_flush () =
   Wlog.append log [| "inflight" |];
   Wlog.sync log (fun () -> acked := true);
   (* Crash at 5 ms: the 10 ms flush never completes. *)
-  ignore (Engine.schedule engine ~delay:(Time.of_ms 5.) (fun () -> Wlog.crash log));
+  Engine.schedule engine ~delay:(Time.of_ms 5.) (fun () -> Wlog.crash log);
   Engine.run engine;
   Alcotest.(check bool) "ack never fired" false !acked;
   Alcotest.(check (list string)) "entry lost" [] (entries log)
@@ -131,7 +130,7 @@ let test_wlog_delayed_mode_can_lose_acked () =
   Wlog.append log [| "risky" |];
   Wlog.sync log (fun () -> acked := true);
   (* Crash after the ack but before the background flush (100 ms). *)
-  ignore (Engine.schedule engine ~delay:(Time.of_ms 10.) (fun () -> Wlog.crash log));
+  Engine.schedule engine ~delay:(Time.of_ms 10.) (fun () -> Wlog.crash log);
   Engine.run ~until:(Time.of_ms 20.) engine;
   Alcotest.(check bool) "acked fast" true !acked;
   Alcotest.(check (list string)) "acked write lost on crash" [] (entries log)
@@ -142,7 +141,7 @@ let test_wlog_delayed_mode_survives_after_flush () =
   Wlog.append log [| "eventually-safe" |];
   Wlog.sync log ignore;
   (* Let the background flush run (100 ms interval + 10 ms flush). *)
-  ignore (Engine.schedule engine ~delay:(Time.of_ms 300.) (fun () -> Wlog.crash log));
+  Engine.schedule engine ~delay:(Time.of_ms 300.) (fun () -> Wlog.crash log);
   Engine.run ~until:(Time.of_ms 400.) engine;
   Alcotest.(check (list string))
     "entry survives after background flush" [ "eventually-safe" ]
