@@ -1,13 +1,27 @@
 (** The deterministic in-memory database each replica maintains.
 
-    A string-keyed value store backed by a persistent map, so snapshots
-    are O(1) and support cheap dirty copies and state transfer.
-    Timestamps for [Set_if_newer] are stored alongside values. *)
+    A string-keyed value store: one mutable hash table per version tree,
+    with versions kept by rerooting (Baker's trick).  Timestamps for
+    [Set_if_newer] are stored alongside values.  Costs, for [n] keys:
+
+    - [get], [timestamp], [apply] and [size] on a live handle: O(1)
+      expected per key or op;
+    - [snapshot] and [copy] on a live handle: O(1) — they capture its
+      version, and its next writes record each key's old binding once;
+    - reading a version other than the tree's current one (a snapshot,
+      a copy that wrote, or the handle after either): O(undo entries on
+      the path between them);
+    - [of_snapshot] and [restore]: O(n) — the handle gets its own copy
+      of the table;
+    - [digest], [bindings] and [snapshot_size]: as a read, plus O(n).
+
+    A retained snapshot keeps at most one old binding per key per later
+    capture. *)
 
 type t
 
 type snapshot
-(** An immutable copy of the full database state. *)
+(** An immutable version of the full database state. *)
 
 val create : unit -> t
 val get : t -> string -> Value.t option

@@ -449,13 +449,34 @@ let test_joiner_crash_recovers_inherited_state () =
   run_sim w ~ms:3000.;
   Alcotest.(check bool) "joined" true (Replica.is_ready joiner);
   (* The joiner's database came by snapshot, not by actions: a crash must
-     not lose the inherited prefix. *)
+     not lose the inherited prefix.  Its only checkpoint is that
+     snapshot, a version of the sponsor's store, and the sponsor keeps
+     writing after the transfer and while the joiner is down. *)
+  let sponsor = rep w 1 in
+  let sponsor_writes lo hi =
+    for i = lo to hi do
+      set_kv' sponsor (Printf.sprintf "k%d" i) i
+    done
+  in
+  sponsor_writes 11 20;
+  run_sim w ~ms:500.;
   Replica.crash joiner;
+  sponsor_writes 21 30;
   run_sim w ~ms:800.;
+  let sponsor_digest = Database.digest (Replica.database sponsor) in
   Replica.recover joiner;
+  (* Recovery read the old version; the sponsor's reads are unaffected. *)
+  Alcotest.(check int) "sponsor digest unchanged by the recovery" sponsor_digest
+    (Database.digest (Replica.database sponsor));
+  Alcotest.(check bool) "sponsor reads its latest write" true
+    (Database.get (Replica.database sponsor) "k30" = Some (Value.Int 30));
+  sponsor_writes 31 35;
   run_sim w ~ms:2500.;
   Alcotest.(check bool) "re-joined" true (Replica.is_ready joiner);
-  check_db_equal "inherited state survived the crash" (rep w 0) joiner
+  check_db_equal "inherited state survived the crash" (rep w 0) joiner;
+  check_db_equal "sponsor kept its writes" (rep w 0) sponsor;
+  Alcotest.(check bool) "all 35 keys present" true
+    (Database.size (Replica.database joiner) = 35)
 
 let test_gc_respects_laggards () =
   (* White-action GC must never discard bodies a detached replica still

@@ -300,6 +300,227 @@ let test_bindings_sorted () =
   Alcotest.(check (list string)) "key order" [ "a"; "b"; "c" ]
     (List.map fst (Database.bindings db))
 
+(* The persistent-map store [Database] replaced, kept as the oracle for
+   the version tree: every snapshot is the map value itself. *)
+module Model = struct
+  module Smap = Map.Make (String)
+
+  type cell = { value : Value.t; ts : int }
+  type t = { mutable map : cell Smap.t; mutable version : int }
+
+  let apply_op map = function
+    | Op.Set (k, v) ->
+      let ts = match Smap.find_opt k map with Some c -> c.ts | None -> 0 in
+      Smap.add k { value = v; ts } map
+    | Op.Add (k, n) -> (
+      match Smap.find_opt k map with
+      | Some { ts; _ } when ts > 0 -> map
+      | Some { value = Value.Int v; ts } ->
+        Smap.add k { value = Value.Int (v + n); ts } map
+      | Some { value = Value.Text _; ts } ->
+        Smap.add k { value = Value.Int n; ts } map
+      | None -> Smap.add k { value = Value.Int n; ts = 0 } map)
+    | Op.Remove k -> Smap.remove k map
+    | Op.Set_if_newer (k, v, ts) ->
+      let stored = Smap.find_opt k map in
+      let stored_ts = match stored with Some c -> c.ts | None -> 0 in
+      if ts > stored_ts then Smap.add k { value = v; ts } map
+      else if ts = stored_ts && ts > 0 then
+        match stored with
+        | Some c when Value.compare v c.value > 0 ->
+          Smap.add k { value = v; ts } map
+        | _ -> map
+      else map
+
+  let apply t ops =
+    t.map <- List.fold_left apply_op t.map ops;
+    t.version <- t.version + 1
+
+  let digest map =
+    Smap.fold (fun k c acc -> acc + Hashtbl.hash (k, c.value, c.ts)) map 0
+
+  let bindings map = Smap.bindings map |> List.map (fun (k, c) -> (k, c.value))
+end
+
+type cmd =
+  | Apply of int * Op.t list
+  | Snapshot of int
+  | Copy of int * int  (* source handle, destination slot *)
+  | Of_snapshot of int * int  (* snapshot, destination slot *)
+  | Restore of int * int  (* handle, snapshot *)
+  | Get of int * string
+  | Digest of int
+  | Bindings of int
+  | Read_snapshot of int
+
+let pp_cmd ppf = function
+  | Apply (h, ops) ->
+    Format.fprintf ppf "apply h%d [%a]" h
+      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ") Op.pp)
+      ops
+  | Snapshot h -> Format.fprintf ppf "snapshot h%d" h
+  | Copy (h, d) -> Format.fprintf ppf "h%d := copy h%d" d h
+  | Of_snapshot (s, d) -> Format.fprintf ppf "h%d := of_snapshot s%d" d s
+  | Restore (h, s) -> Format.fprintf ppf "restore h%d s%d" h s
+  | Get (h, k) -> Format.fprintf ppf "get h%d %s" h k
+  | Digest h -> Format.fprintf ppf "digest h%d" h
+  | Bindings h -> Format.fprintf ppf "bindings h%d" h
+  | Read_snapshot s -> Format.fprintf ppf "read s%d" s
+
+let gen_cmds =
+  let open QCheck.Gen in
+  let key = map (Printf.sprintf "k%d") (int_bound 4) in
+  let op =
+    frequency
+      [
+        (3, map2 (fun k n -> Op.Set (k, Value.Int n)) key (int_bound 9));
+        (2, map2 (fun k n -> Op.Add (k, n)) key (int_range (-5) 5));
+        (1, map (fun k -> Op.Remove k) key);
+        ( 1,
+          map3
+            (fun k n ts -> Op.Set_if_newer (k, Value.Int n, ts))
+            key (int_bound 9) (int_range 1 4) );
+      ]
+  in
+  let handle = int_bound 2 and snap = int_bound 7 in
+  list_size (int_range 1 40)
+    (frequency
+       [
+         (6, map2 (fun h ops -> Apply (h, ops)) handle (list_size (int_bound 3) op));
+         (3, map (fun h -> Snapshot h) handle);
+         (2, map2 (fun h d -> Copy (h, d)) handle handle);
+         (1, map2 (fun s d -> Of_snapshot (s, d)) snap handle);
+         (1, map2 (fun h s -> Restore (h, s)) handle snap);
+         (2, map2 (fun h k -> Get (h, k)) handle key);
+         (1, map (fun h -> Digest h) handle);
+         (1, map (fun h -> Bindings h) handle);
+         (2, map (fun s -> Read_snapshot s) snap);
+       ])
+
+(* Random programs over three handles that share or split version trees
+   through [copy], [of_snapshot] and [restore]; every read — of a live
+   handle or of an old snapshot, after writes through the other handles
+   of its tree forced reroots — must agree with the map oracle. *)
+let prop_versions_match_map_model =
+  let print cmds =
+    Format.asprintf "@[<v>%a@]" (Format.pp_print_list pp_cmd) cmds
+  in
+  QCheck.Test.make ~name:"version tree matches the persistent-map model"
+    ~count:1000 (QCheck.make ~print gen_cmds) (fun cmds ->
+      let handles =
+        Array.init 3 (fun _ ->
+            (Database.create (), { Model.map = Model.Smap.empty; version = 0 }))
+      in
+      let snaps = ref [||] in
+      let nth_snap s =
+        let n = Array.length !snaps in
+        if n = 0 then None else Some !snaps.(s mod n)
+      in
+      let same_bindings db map = Database.bindings db = Model.bindings map in
+      let step = function
+        | Apply (h, ops) ->
+          let db, m = handles.(h) in
+          Database.apply db ops;
+          Model.apply m ops;
+          true
+        | Snapshot h ->
+          let db, m = handles.(h) in
+          snaps := Array.append !snaps [| (Database.snapshot db, m.map, m.version) |];
+          true
+        | Copy (h, d) ->
+          let db, m = handles.(h) in
+          handles.(d) <- (Database.copy db, { m with map = m.map });
+          true
+        | Of_snapshot (s, d) -> (
+          match nth_snap s with
+          | None -> true
+          | Some (snap, map, version) ->
+            handles.(d) <- (Database.of_snapshot snap, { Model.map; version });
+            true)
+        | Restore (h, s) -> (
+          match nth_snap s with
+          | None -> true
+          | Some (snap, map, version) ->
+            let db, m = handles.(h) in
+            Database.restore db snap;
+            m.map <- map;
+            m.version <- version;
+            true)
+        | Get (h, k) ->
+          let db, m = handles.(h) in
+          Database.get db k
+          = Option.map (fun c -> c.Model.value) (Model.Smap.find_opt k m.map)
+          && Database.timestamp db k
+             = (match Model.Smap.find_opt k m.map with Some c -> c.ts | None -> 0)
+        | Digest h ->
+          let db, m = handles.(h) in
+          Database.digest db = Model.digest m.map
+          && Database.size db = Model.Smap.cardinal m.map
+          && Database.version db = m.version
+        | Bindings h ->
+          let db, m = handles.(h) in
+          same_bindings db m.map
+        | Read_snapshot s -> (
+          match nth_snap s with
+          | None -> true
+          | Some (snap, map, version) ->
+            let db = Database.of_snapshot snap in
+            same_bindings db map && Database.version db = version)
+      in
+      List.for_all step cmds
+      && Array.for_all (fun (db, m) -> same_bindings db m.Model.map) handles
+      && Array.for_all
+           (fun (snap, map, _) -> same_bindings (Database.of_snapshot snap) map)
+           !snaps)
+
+(* The reroot round trip spelled out: write through a copy, then
+   through the original, then read a snapshot taken before both. *)
+let test_reroot_round_trip () =
+  let db = Database.create () in
+  Database.apply db [ Op.Set ("a", Value.Int 1); Op.Set ("b", Value.Int 1) ];
+  let old = Database.snapshot db in
+  Database.apply db [ Op.Set ("a", Value.Int 2) ];
+  let c = Database.copy db in
+  Database.apply c [ Op.Set ("b", Value.Int 3); Op.Remove "a" ];
+  Database.apply db [ Op.Add ("b", 10) ];
+  let get db k = Database.get db k in
+  Alcotest.(check (list (pair string value)))
+    "old snapshot" [ ("a", Value.Int 1); ("b", Value.Int 1) ]
+    (Database.bindings (Database.of_snapshot old));
+  Alcotest.(check (option value)) "copy keeps its remove" None (get c "a");
+  Alcotest.(check (option value)) "copy keeps its set" (Some (Value.Int 3)) (get c "b");
+  Alcotest.(check (option value)) "original a" (Some (Value.Int 2)) (get db "a");
+  Alcotest.(check (option value)) "original b" (Some (Value.Int 11)) (get db "b");
+  Database.restore c old;
+  Database.apply c [ Op.Set ("a", Value.Int 7) ];
+  Alcotest.(check (option value)) "restored copy writes its own table"
+    (Some (Value.Int 2)) (get db "a")
+
+(* A held snapshot pins the undo sets between it and the live version.
+   A capture records at most one entry per key, so with 16 keys the
+   snapshot held across 50,000 writes and 25 further captures stays
+   linear in keys + captures (about 5,500 words); one entry per write
+   would pin all 50,000 writes (about 650,000 words). *)
+let test_retained_snapshot_bounded () =
+  let keys = 16 and writes = 50_000 and every = 2_000 in
+  let key i = Printf.sprintf "k%d" (i mod keys) in
+  let db = Database.create () in
+  Database.apply db (List.init keys (fun i -> Op.Set (key i, Value.Int 0)));
+  let held = Database.snapshot db in
+  for i = 1 to writes do
+    Database.apply db [ Op.Set (key i, Value.Int i) ];
+    if i mod every = 0 then ignore (Database.snapshot db)
+  done;
+  let captures = writes / every in
+  let words = Obj.reachable_words (Obj.repr held) in
+  if words > 200 * (keys + captures) then
+    Alcotest.failf "held snapshot reaches %d words (bound %d)" words
+      (200 * (keys + captures));
+  Alcotest.(check bool) "held snapshot still reads its version" true
+    (List.for_all
+       (fun (_, v) -> Value.equal v (Value.Int 0))
+       (Database.bindings (Database.of_snapshot held)))
+
 let prop_value_compare_total_order =
   QCheck.Test.make ~name:"value comparison is antisymmetric" ~count:200
     QCheck.(pair (pair bool small_int) (pair bool small_int))
@@ -333,6 +554,10 @@ let () =
         [
           Alcotest.test_case "snapshot/restore" `Quick test_snapshot_restore;
           Alcotest.test_case "digest" `Quick test_digest_equality;
+          Alcotest.test_case "reroot round trip" `Quick test_reroot_round_trip;
+          Alcotest.test_case "retained snapshot is bounded" `Quick
+            test_retained_snapshot_bounded;
+          QCheck_alcotest.to_alcotest prop_versions_match_map_model;
         ] );
       ( "executor",
         [
