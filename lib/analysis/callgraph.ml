@@ -207,7 +207,31 @@ let prim_names t ~caller_unit p =
    dropped.  Shared by every pass that matches names, so no detector
    has a private — and therefore divergent — alias story. *)
 let canonical t ~caller_unit p =
-  Cmt_load.normalize (String.concat "." (dealiased_parts t ~caller_unit p))
+  let name = Cmt_load.normalize (String.concat "." (dealiased_parts t ~caller_unit p)) in
+  (* A module alias another unit exports is substituted too:
+     [Node_id.Tbl.fold], where node_id.ml binds
+     [module Tbl = Hashtbl.Make (...)], spells "Hashtbl.Make.fold", as a
+     local alias would.  The exporting unit is looked up by its short
+     name, in the caller's library first (lib/sim and lib/core both
+     have an [Engine]).  One step: an exported alias is a functor
+     application or a stdlib module, not another project alias. *)
+  match String.split_on_char '.' name with
+  | unit :: m :: (_ :: _ as rest) -> (
+    let in_lib u = lib_of_unit u.Cmt_load.u_name = lib_of_unit caller_unit in
+    let named u = Cmt_load.strip_mangle u.Cmt_load.u_name = unit in
+    let exporters =
+      List.filter (fun u -> named u && in_lib u) t.units
+      @ List.filter (fun u -> named u && not (in_lib u)) t.units
+    in
+    let alias u =
+      match Hashtbl.find_opt t.aliases u.Cmt_load.u_name with
+      | Some al -> List.assoc_opt m al
+      | None -> None
+    in
+    match List.find_map alias exporters with
+    | Some target -> Cmt_load.normalize (String.concat "." (target :: rest))
+    | None -> name)
+  | _ -> name
 
 (* --- the shared solver ------------------------------------------------- *)
 

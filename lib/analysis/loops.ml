@@ -159,9 +159,9 @@ let classify_names names =
 (* Per canonical callee name: the position of the scanned collection
    among the positional arguments, and whether the primitive allocates
    a result proportional to it.  [scan_target] also recognizes the
-   functorized spellings ("Node_id.Set.fold", "Hashtbl.Make.iter")
-   through their last components, which is how [Callgraph.canonical]
-   spells them. *)
+   functorized spellings ("Set.Make.fold" for [Node_id.Set.fold],
+   "Hashtbl.Make.iter" for [Node_id.Tbl.iter]) through their last
+   components, which is how [Callgraph.canonical] spells them. *)
 
 type scan = { sc_arg : int; sc_allocs : bool }
 
@@ -262,8 +262,8 @@ let scan_target canonical =
   | [ op; "Seq" ] -> seq_scans op
   | [ op; "String" ] -> string_scans op
   | [ op; "Hashtbl" ] | op :: "Make" :: "Hashtbl" :: _ -> hashtbl_scans op
-  | op :: "Set" :: _ -> set_scans op
-  | op :: "Map" :: _ -> map_scans op
+  | op :: "Set" :: _ | op :: "Make" :: "Set" :: _ -> set_scans op
+  | op :: "Map" :: _ | op :: "Make" :: "Map" :: _ -> map_scans op
   | _ -> None
 
 (* Constant-size allocation builders that are not otherwise scans. *)

@@ -11,7 +11,7 @@ type t = {
          the authoritative membership index *)
   mutable red_count : int; (* live entries in [red] *)
   mutable red_dead : int; (* tombstoned entries still in [red] *)
-  cut : (Node_id.t, int) Hashtbl.t;
+  cut : int Node_id.Tbl.t;
       (* per creator: index of its last green action.  Greens are FIFO
          per creator, so an id is green iff its index is at or below
          its creator's cut — no per-id index is needed. *)
@@ -28,7 +28,7 @@ let create () =
     red = [];
     red_count = 0;
     red_dead = 0;
-    cut = Hashtbl.create 16;
+    cut = Node_id.Tbl.create 16;
     bodies = Action.Id.Tbl.create 256;
     red_set = Action.Id.Tbl.create 256;
   }
@@ -61,14 +61,14 @@ let set_join_floor t ~count ~line ~cut =
   t.floor <- count;
   t.green_count <- count;
   t.floor_line <- line;
-  Node_id.Map.iter (fun s c -> Hashtbl.replace t.cut s c) cut
+  Node_id.Map.iter (fun s c -> Node_id.Tbl.replace t.cut s c) cut
 
 (* No option box: asked once per delivered action. *)
 let green_cut t s =
-  match Hashtbl.find t.cut s with c -> c | exception Not_found -> 0
+  match Node_id.Tbl.find t.cut s with c -> c | exception Not_found -> 0
 
 let green_cut_map t =
-  Hashtbl.fold (fun s c acc -> Node_id.Map.add s c acc) t.cut Node_id.Map.empty
+  Node_id.Tbl.fold (fun s c acc -> Node_id.Map.add s c acc) t.cut Node_id.Map.empty
 
 let is_green t (id : Action.Id.t) = id.index <= green_cut t id.server
 
@@ -131,7 +131,7 @@ let append_green t a =
   grow t a;
   t.green.(t.green_count - t.floor) <- a;
   t.green_count <- t.green_count + 1;
-  Hashtbl.replace t.cut a.Action.id.server a.Action.id.index;
+  Node_id.Tbl.replace t.cut a.Action.id.server a.Action.id.index;
   Action.Id.Tbl.replace t.bodies a.Action.id a;
   t.green_count
 

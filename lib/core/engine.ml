@@ -62,10 +62,10 @@ type t = {
   mutable state : engine_state;
   mutable halted : bool;
   queue : Action_queue.t;
-  red_cut : (Node_id.t, int) Hashtbl.t;
-  green_counts : (Node_id.t, int) Hashtbl.t;
+  red_cut : int Node_id.Tbl.t;
+  green_counts : int Node_id.Tbl.t;
       (* per known server: a green count it is known to hold durably *)
-  pending_red : (Node_id.t, (int, Action.t) Hashtbl.t) Hashtbl.t;
+  pending_red : (int, Action.t) Hashtbl.t Node_id.Tbl.t;
   mutable pending_green : (int * Action.t) list;
   mutable ongoing : Action.t list; (* own undelivered actions, oldest first *)
   mutable action_index : int;
@@ -107,12 +107,12 @@ let green_line t = Action_queue.green_line t.queue
 let ongoing_actions t = t.ongoing
 let attempt t = t.attempt
 let action_index t = t.action_index
-let red_cut t s = match Hashtbl.find_opt t.red_cut s with Some c -> c | None -> 0
+let red_cut t s = match Node_id.Tbl.find_opt t.red_cut s with Some c -> c | None -> 0
 
 let green_cut_map t = Action_queue.green_cut_map t.queue
 
 let red_cut_map t =
-  Hashtbl.fold (fun s c acc -> Node_id.Map.add s c acc) t.red_cut
+  Node_id.Tbl.fold (fun s c acc -> Node_id.Map.add s c acc) t.red_cut
     Node_id.Map.empty
 let known_servers t = t.known_servers
 let prim_component t = t.prim
@@ -130,7 +130,7 @@ let in_primary t =
 let white_line t =
   Node_id.Set.fold
     (fun s acc ->
-      let c = match Hashtbl.find_opt t.green_counts s with Some c -> c | None -> 0 in
+      let c = match Node_id.Tbl.find_opt t.green_counts s with Some c -> c | None -> 0 in
       min acc c)
     t.known_servers (Action_queue.green_count t.queue)
 
@@ -210,7 +210,7 @@ let end_burst t =
 (* ------------------------------------------------------------------ *)
 (* Marking (paper CodeSegments A.14 and 5.1)                           *)
 
-let note_own_green t pos = Hashtbl.replace t.green_counts t.node pos
+let note_own_green t pos = Node_id.Tbl.replace t.green_counts t.node pos
 
 (* OR-1.1: a green action tells us its creator's green count when it was
    created — durable there, since the action was sent only after the
@@ -218,9 +218,9 @@ let note_own_green t pos = Hashtbl.replace t.green_counts t.node pos
    us with its own traffic, and the white line advances in steady state
    instead of only at view changes. *)
 let note_green_count t server count =
-  match Hashtbl.find t.green_counts server with
-  | c -> if count > c then Hashtbl.replace t.green_counts server count
-  | exception Not_found -> Hashtbl.replace t.green_counts server count
+  match Node_id.Tbl.find t.green_counts server with
+  | c -> if count > c then Node_id.Tbl.replace t.green_counts server count
+  | exception Not_found -> Node_id.Tbl.replace t.green_counts server count
 
 (* MarkRed.  Returns [true] when the action is newly accepted; gaps are
    buffered until the missing predecessors arrive (retransmissions from
@@ -238,7 +238,7 @@ let rec mark_red ?(green = false) t (a : Action.t) =
   if Node_id.equal creator t.node && a.id.index > t.action_index then
     t.action_index <- a.id.index;
   if a.id.index = cut + 1 then begin
-    Hashtbl.replace t.red_cut creator (cut + 1);
+    Node_id.Tbl.replace t.red_cut creator (cut + 1);
     t.red_accum <- a :: t.red_accum;
     if not green then Action_queue.add_red t.queue a;
     if Node_id.equal creator t.node then
@@ -260,11 +260,11 @@ let rec mark_red ?(green = false) t (a : Action.t) =
   end
   else begin
     let tbl =
-      match Hashtbl.find_opt t.pending_red creator with
+      match Node_id.Tbl.find_opt t.pending_red creator with
       | Some tbl -> tbl
       | None ->
         let tbl = Hashtbl.create 8 in
-        Hashtbl.replace t.pending_red creator tbl;
+        Node_id.Tbl.replace t.pending_red creator tbl;
         tbl
     in
     Hashtbl.replace tbl a.id.index a;
@@ -276,7 +276,7 @@ let rec mark_red ?(green = false) t (a : Action.t) =
   [@@analysis.cost "O(queue); alloc O(queue)"]
 
 and drain_pending_red t creator =
-  match Hashtbl.find_opt t.pending_red creator with
+  match Node_id.Tbl.find_opt t.pending_red creator with
   | None -> ()
   | Some tbl -> (
     let next = red_cut t creator + 1 in
@@ -306,7 +306,7 @@ let mark_green t (a : Action.t) =
     (match a.kind with
     | Action.Join joiner when not (Node_id.Set.mem joiner t.known_servers) ->
       t.known_servers <- Node_id.Set.add joiner t.known_servers;
-      Hashtbl.replace t.green_counts joiner pos;
+      Node_id.Tbl.replace t.green_counts joiner pos;
       log_meta t;
       if Node_id.equal a.id.server t.node then
         t.cb.on_transfer_request ~joiner
@@ -445,9 +445,7 @@ let my_state_msg t conf_id =
   {
     sm_server = t.node;
     sm_conf = conf_id;
-    sm_red_cut =
-      Hashtbl.fold (fun s c acc -> Node_id.Map.add s c acc) t.red_cut
-        Node_id.Map.empty;
+    sm_red_cut = red_cut_map t;
     sm_green_count = Action_queue.green_count t.queue;
     sm_green_line = Action_queue.green_line t.queue;
     sm_green_floor = Action_queue.green_floor t.queue;
@@ -681,7 +679,7 @@ and on_cpc t server conf_id ~in_regular =
            members share this green line (A.9). *)
         let my_count = Action_queue.green_count t.queue in
         Node_id.Set.iter
-          (fun s -> Hashtbl.replace t.green_counts s my_count)
+          (fun s -> Node_id.Tbl.replace t.green_counts s my_count)
           view.Endpoint.members;
         install t;
         set_state t Reg_prim;
@@ -840,9 +838,9 @@ let make_blank ~quorum ~sim ~node ~servers ~persist ~callbacks () =
     state = Non_prim;
     halted = false;
     queue = Action_queue.create ();
-    red_cut = Hashtbl.create 16;
-    green_counts = Hashtbl.create 16;
-    pending_red = Hashtbl.create 16;
+    red_cut = Node_id.Tbl.create 16;
+    green_counts = Node_id.Tbl.create 16;
+    pending_red = Node_id.Tbl.create 16;
     pending_green = [];
     ongoing = [];
     action_index = 0;
@@ -898,9 +896,9 @@ let create_from_snapshot ~quorum ?(action_floor = 0) ~sim ~node ~servers
   done;
   Action_queue.set_join_floor t.queue ~count:green_count ~line:green_line
     ~cut:red_cut;
-  Node_id.Map.iter (fun s c -> Hashtbl.replace t.red_cut s c) red_cut;
+  Node_id.Map.iter (fun s c -> Node_id.Tbl.replace t.red_cut s c) red_cut;
   t.prim <- prim;
-  Hashtbl.replace t.green_counts node green_count;
+  Node_id.Tbl.replace t.green_counts node green_count;
   (* The transferred state is this replica's first checkpoint: crash
      recovery restores it from disk rather than replaying actions it
      never held. *)
@@ -935,7 +933,7 @@ let recover ~quorum ?recovered ~sim ~node ~servers ~persist ~callbacks () =
   | Some c ->
     Action_queue.set_join_floor t.queue ~count:c.Persist.c_green_count
       ~line:c.Persist.c_green_line ~cut:c.Persist.c_green_cut;
-    Hashtbl.replace t.green_counts node c.Persist.c_green_count
+    Node_id.Tbl.replace t.green_counts node c.Persist.c_green_count
   | None -> ());
   (* Rebuild the queue without firing application callbacks: the caller
      replays the returned green prefix into its database itself. *)
@@ -944,7 +942,7 @@ let recover ~quorum ?recovered ~sim ~node ~servers ~persist ~callbacks () =
       note_own_green t (Action_queue.append_green t.queue a))
     r.Persist.r_green;
   List.iter (fun a -> Action_queue.add_red t.queue a) r.Persist.r_red;
-  Node_id.Map.iter (fun s c -> Hashtbl.replace t.red_cut s c) r.Persist.r_red_cut;
+  Node_id.Map.iter (fun s c -> Node_id.Tbl.replace t.red_cut s c) r.Persist.r_red_cut;
   t.action_index <- r.Persist.r_action_index;
   (* A.13: re-inject own undelivered actions as red AND keep them on
      the ongoing queue, so [resend_ongoing] re-proposes them after the

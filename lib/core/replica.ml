@@ -98,7 +98,7 @@ type t = {
   mutable dirty_cache : (int * int * Database.t) option;
       (* (db version, red count) -> cached dirty copy *)
   cpu : Sim.Resource.t option;
-  pending : (Action.Id.t, Action.response -> unit) Hashtbl.t;
+  pending : (Action.response -> unit) Action.Id.Tbl.t;
   transfer_sessions : (Node_id.t, unit) Hashtbl.t;
   mutable up : bool;
   mutable started : bool;
@@ -202,7 +202,7 @@ let checkpoint_now t =
       (Database.snapshot t.db)
 
 let flush_query_waiters t =
-  if Hashtbl.length t.pending = 0 && t.query_waiters <> [] then begin
+  if Action.Id.Tbl.length t.pending = 0 && t.query_waiters <> [] then begin
     let waiters = List.rev t.query_waiters in
     t.query_waiters <- [];
     List.iter (fun k -> k ()) waiters
@@ -245,9 +245,9 @@ let apply_green_batch t (actions : Action.t list) =
     (fun (a : Action.t) ->
       let response = execute_green t a in
       if Node_id.equal a.Action.id.server t.node_id then
-        match Hashtbl.find_opt t.pending a.Action.id with
+        match Action.Id.Tbl.find_opt t.pending a.Action.id with
         | Some k ->
-          Hashtbl.remove t.pending a.Action.id;
+          Action.Id.Tbl.remove t.pending a.Action.id;
           k response
         | None -> ())
     actions;
@@ -269,9 +269,9 @@ let apply_red t (a : Action.t) =
     a.Action.semantics = Action.Commutative
     && Node_id.equal a.Action.id.server t.node_id
   then
-    match Hashtbl.find_opt t.pending a.Action.id with
+    match Action.Id.Tbl.find_opt t.pending a.Action.id with
     | Some k ->
-      Hashtbl.remove t.pending a.Action.id;
+      Action.Id.Tbl.remove t.pending a.Action.id;
       (* A retried copy of an already-green request must not observe a
          double-application even through the early red answer. *)
       if Dedup.is_applied t.dedup ~client:a.Action.client ~seq:a.Action.req_seq
@@ -402,7 +402,7 @@ let amnesiac_rejoin t =
 
 (* Volatile state a crash or a resync loses. *)
 let drop_volatile t =
-  Hashtbl.reset t.pending;
+  Action.Id.Tbl.reset t.pending;
   t.query_waiters <- [];
   Hashtbl.reset t.transfer_sessions;
   t.db <- Database.create ();
@@ -590,7 +590,7 @@ let base ?(disk_config = Disk.default_forced) ?(attach_cpu = true)
       procs = Procedure.builtins ();
       dirty_cache = None;
       cpu;
-      pending = Hashtbl.create 32;
+      pending = Action.Id.Tbl.create 32;
       transfer_sessions = Hashtbl.create 4;
       quorum = { policy = quorum_policy; weights };
       checkpoint_every;
@@ -662,7 +662,7 @@ let overloaded t =
   match t.admission with
   | None -> false
   | Some adm ->
-    Hashtbl.length t.pending >= adm.adm_max_inflight
+    Action.Id.Tbl.length t.pending >= adm.adm_max_inflight
     ||
     (match t.engine with
     | Some e -> Engine.red_count e >= adm.adm_max_red
@@ -684,7 +684,7 @@ let submit t ?(client = 1) ?(semantics = Action.Strict) ?(size = 200)
     else begin
       t.actions_submitted <- t.actions_submitted + 1;
       Engine.submit e ~client ~semantics ~size ~req_seq ~req_ack ~kind
-        ~on_created:(fun id -> Hashtbl.replace t.pending id on_response)
+        ~on_created:(fun id -> Action.Id.Tbl.replace t.pending id on_response)
         ()
     end
 
@@ -696,7 +696,7 @@ let weak_query t keys = Database.read t.db keys
    consistency), skipping the multicast and the forced write. *)
 let local_query t keys ~on_response =
   let answer () = on_response (Database.read t.db keys) in
-  if Hashtbl.length t.pending = 0 then answer ()
+  if Action.Id.Tbl.length t.pending = 0 then answer ()
   else t.query_waiters <- answer :: t.query_waiters
 
 let dirty_db t =

@@ -129,7 +129,7 @@ type 'p t = {
                              interrupt a flush or an installed view *)
   gather_rounds : (Node_id.t, int) Hashtbl.t; (* highest round seen *)
   mutable era : int; (* bumped on every status change; guards timers *)
-  last_heard : (Node_id.t, Time.t) Hashtbl.t;
+  last_heard : Time.t Node_id.Tbl.t;
   mutable last_sent : Time.t;
   mutable last_probe : Time.t;
   mutable installed_count : int;
@@ -772,7 +772,7 @@ and install t fs =
   t.conf <- Some cs;
   t.installed_count <- t.installed_count + 1;
   let now = Engine.now t.engine in
-  Node_id.Set.iter (fun m -> Hashtbl.replace t.last_heard m now) new_view.members;
+  Node_id.Set.iter (fun m -> Node_id.Tbl.replace t.last_heard m now) new_view.members;
   t.on_event (Reg_conf new_view);
   t.on_burst_end ();
   drain_outbox t cs
@@ -786,7 +786,7 @@ let handle_wire t ~src msg =
   match t.status with
   | Down -> ()
   | status -> (
-    Hashtbl.replace t.last_heard src (Engine.now t.engine);
+    Node_id.Tbl.replace t.last_heard src (Engine.now t.engine);
     match msg with
     | Data d -> (
       match t.conf with
@@ -918,7 +918,7 @@ let periodic t =
         (fun m ->
           (not (Node_id.equal m t.node))
           &&
-          match Hashtbl.find_opt t.last_heard m with
+          match Node_id.Tbl.find_opt t.last_heard m with
           | Some heard -> Time.(Time.diff now heard > t.prm.fd_timeout)
           | None -> true)
         cs.cview.members
@@ -973,7 +973,7 @@ let create ?(on_burst_start = fun () -> ()) ?(on_burst_end = fun () -> ())
       my_round = 0;
       gather_rounds = Hashtbl.create 16;
       era = 0;
-      last_heard = Hashtbl.create 16;
+      last_heard = Node_id.Tbl.create 16;
       last_sent = Time.zero;
       last_probe = Time.zero;
       installed_count = 0;
@@ -998,7 +998,7 @@ let crash t =
   t.conf <- None;
   t.outbox <- [];
   t.early_flushes <- [];
-  Hashtbl.reset t.last_heard;
+  Node_id.Tbl.reset t.last_heard;
   Network.set_up t.net t.node false
 
 let recover t =

@@ -43,7 +43,7 @@ let wan_default =
     recv_cpu_per_kb = Time.of_us 500;
   }
 
-module Tbl = Hashtbl.Make (Node_id)
+module Tbl = Node_id.Tbl
 
 type 'msg handler = src:Node_id.t -> 'msg -> unit
 

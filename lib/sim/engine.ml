@@ -6,7 +6,7 @@
 type t = {
   mutable clock : Time.t;
   mutable seq : int;
-  queue : (unit -> unit) Heap.Keyed.t;
+  queue : (unit -> unit) Heap.t;
   root_rng : Rng.t;
   mutable executed : int;
 }
@@ -15,7 +15,7 @@ let create ?(seed = 1) () =
   {
     clock = Time.zero;
     seq = 0;
-    queue = Heap.Keyed.create ();
+    queue = Heap.create ();
     root_rng = Rng.of_int seed;
     executed = 0;
   }
@@ -23,20 +23,20 @@ let create ?(seed = 1) () =
 let now t = t.clock
 let rng t = t.root_rng
 let events_executed t = t.executed
-let pending t = Heap.Keyed.length t.queue
+let pending t = Heap.length t.queue
 
 let schedule_at t ~at action =
   if Time.(at < t.clock) then invalid_arg "Engine.schedule_at: time in the past";
-  Heap.Keyed.push t.queue ~key:(Time.to_us at) ~tie:t.seq action;
+  Heap.push t.queue ~key:(Time.to_us at) ~tie:t.seq action;
   t.seq <- t.seq + 1
 
 let schedule t ~delay action = schedule_at t ~at:(Time.add t.clock ~span:delay) action
 
 let step t =
-  if Heap.Keyed.is_empty t.queue then false
+  if Heap.is_empty t.queue then false
   else begin
-    t.clock <- Time.of_us (Heap.Keyed.min_key t.queue);
-    let action = Heap.Keyed.pop t.queue in
+    t.clock <- Time.of_us (Heap.min_key t.queue);
+    let action = Heap.pop t.queue in
     t.executed <- t.executed + 1;
     action ();
     true
@@ -45,7 +45,7 @@ let step t =
 
 let run ?until t =
   let limit = match until with Some limit -> Time.to_us limit | None -> max_int in
-  while (not (Heap.Keyed.is_empty t.queue)) && Heap.Keyed.min_key t.queue <= limit do
+  while (not (Heap.is_empty t.queue)) && Heap.min_key t.queue <= limit do
     ignore (step t)
   done;
   match until with
@@ -62,6 +62,6 @@ let drain ?(max_steps = 1_000_000) t =
   while !steps < max_steps && step t do
     incr steps
   done;
-  if not (Heap.Keyed.is_empty t.queue) then
+  if not (Heap.is_empty t.queue) then
     invalid_arg "Engine.drain: event queue did not quiesce within max_steps";
   !steps

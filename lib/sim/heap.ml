@@ -1,91 +1,130 @@
-(* A min-heap over two immediate-int keys (primary, tiebreak) with the
-   payload alongside.  A heap compared through a [cmp] closure pays an
-   indirect call per sift step, and for float or tuple keys a box per
-   comparison.  The sim event loop orders events by (due-time in µs,
-   sequence), both immediate ints, so this heap compares inline and its
-   pop returns the payload directly: zero allocation per event. *)
-module Keyed = struct
-  type 'a t = {
-    mutable keys : int array; (* primary key *)
-    mutable tie : int array; (* tiebreak key *)
-    mutable vals : 'a array;
-    mutable size : int;
-  }
+(* A min-heap over two immediate-int keys (primary, tiebreak).  The sim
+   event loop orders events by (due-time in µs, sequence), both
+   immediate ints, so the heap compares inline and its pop returns the
+   payload directly: zero allocation per event.
 
-  exception Empty
+   Sifting moves one hole: an entry in flight is held in locals and
+   each level writes only the entry it passes, never a swap.  Entries
+   are int triples (key, tie, slot) in three int arrays, and the
+   payload sits still in a slot table, so a sift writes no pointer and
+   pays no write barrier (moving the payload with the hole costs a
+   [caml_modify] per level).  [slots] is a permutation of
+   [0 .. capacity - 1]: positions below [size] hold the live entries'
+   slots, positions from [size] on hold the free ones, so a push takes
+   the slot at [size] and a pop leaves the root's slot there. *)
+type 'a t = {
+  mutable keys : int array; (* by heap position: primary key *)
+  mutable ties : int array; (* by heap position: tiebreak key *)
+  mutable slots : int array; (* by heap position: payload slot *)
+  mutable vals : 'a array; (* by slot; a free slot holds the filler *)
+  mutable size : int;
+  mutable filler : 'a array; (* [| the first payload ever pushed |] *)
+}
 
-  let create () = { keys = [||]; tie = [||]; vals = [||]; size = 0 }
-  let length t = t.size
-  let is_empty t = t.size = 0
+exception Empty
 
-  let less t i j =
-    t.keys.(i) < t.keys.(j)
-    || (t.keys.(i) = t.keys.(j) && t.tie.(i) < t.tie.(j))
+let create () =
+  { keys = [||]; ties = [||]; slots = [||]; vals = [||]; size = 0; filler = [||] }
 
-  let swap t i j =
-    let k = t.keys.(i) and s = t.tie.(i) and v = t.vals.(i) in
-    t.keys.(i) <- t.keys.(j);
-    t.tie.(i) <- t.tie.(j);
-    t.vals.(i) <- t.vals.(j);
-    t.keys.(j) <- k;
-    t.tie.(j) <- s;
-    t.vals.(j) <- v
+let length t = t.size
+let is_empty t = t.size = 0
 
-  let grow t v =
-    let cap = Array.length t.keys in
-    if t.size = cap then begin
-      let ncap = if cap = 0 then 16 else cap * 2 in
-      let nkeys = Array.make ncap 0 and ntie = Array.make ncap 0 in
-      let nvals = Array.make ncap v in
-      Array.blit t.keys 0 nkeys 0 t.size;
-      Array.blit t.tie 0 ntie 0 t.size;
-      Array.blit t.vals 0 nvals 0 t.size;
-      t.keys <- nkeys;
-      t.tie <- ntie;
-      t.vals <- nvals
+(* Double the capacity.  Free slots hold the filler, so a popped
+   payload is never kept reachable by the slot table. *)
+let grow t v =
+  if Array.length t.filler = 0 then t.filler <- [| v |];
+  let cap = Array.length t.keys in
+  let ncap = if cap = 0 then 16 else 2 * cap in
+  let keys = Array.make ncap 0 and ties = Array.make ncap 0 in
+  let slots = Array.init ncap Fun.id and vals = Array.make ncap t.filler.(0) in
+  Array.blit t.keys 0 keys 0 cap;
+  Array.blit t.ties 0 ties 0 cap;
+  Array.blit t.slots 0 slots 0 cap;
+  Array.blit t.vals 0 vals 0 cap;
+  t.keys <- keys;
+  t.ties <- ties;
+  t.slots <- slots;
+  t.vals <- vals
+  (* Amortized: the capacity doubles, so each entry is copied O(1)
+     times over the pushes that fill it. *)
+  [@@analysis.cost "O(1); alloc O(1)"]
+
+(* Moves the hole at [i] towards the root past every parent above
+   (key, tie) and returns where the entry belongs.  The sifts take the
+   arrays as arguments, so their [int] annotations are what keeps each
+   comparison an inline int compare rather than a call to the
+   polymorphic one. *)
+let sift_up (keys : int array) (ties : int array) (slots : int array) ~(key : int)
+    ~(tie : int) i =
+  let i = ref i and moving = ref true in
+  while !moving && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let pk = keys.(p) in
+    if key < pk || (key = pk && tie < ties.(p)) then begin
+      keys.(!i) <- pk;
+      ties.(!i) <- ties.(p);
+      slots.(!i) <- slots.(p);
+      i := p
     end
+    else moving := false
+  done;
+  !i
+  (* One level per iteration: the depth is log2 of the queue. *)
+  [@@analysis.cost "O(queue); alloc O(1)"]
 
-  let rec sift_up t i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if less t i parent then begin
-        swap t i parent;
-        sift_up t parent
+(* Moves the hole at the root down past every smaller child among the
+   first [n] positions and returns where (key, tie) belongs. *)
+let sift_down (keys : int array) (ties : int array) (slots : int array) ~(key : int)
+    ~(tie : int) n =
+  let i = ref 0 and moving = ref true in
+  while !moving do
+    let l = (2 * !i) + 1 in
+    if l >= n then moving := false
+    else begin
+      let r = l + 1 in
+      let c =
+        if r < n && (keys.(r) < keys.(l) || (keys.(r) = keys.(l) && ties.(r) < ties.(l)))
+        then r
+        else l
+      in
+      let ck = keys.(c) in
+      if ck < key || (ck = key && ties.(c) < tie) then begin
+        keys.(!i) <- ck;
+        ties.(!i) <- ties.(c);
+        slots.(!i) <- slots.(c);
+        i := c
       end
+      else moving := false
     end
+  done;
+  !i
+  (* One level per iteration: the depth is log2 of the queue. *)
+  [@@analysis.cost "O(queue); alloc O(1)"]
 
-  let rec sift_down t i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < t.size && less t l !smallest then smallest := l;
-    if r < t.size && less t r !smallest then smallest := r;
-    if !smallest <> i then begin
-      swap t i !smallest;
-      sift_down t !smallest
-    end
+let push t ~key ~tie v =
+  if t.size = Array.length t.keys then grow t v;
+  let n = t.size in
+  let slot = t.slots.(n) in
+  t.vals.(slot) <- v;
+  let i = sift_up t.keys t.ties t.slots ~key ~tie n in
+  t.keys.(i) <- key;
+  t.ties.(i) <- tie;
+  t.slots.(i) <- slot;
+  t.size <- n + 1
 
-  let push t ~key ~tie v =
-    grow t v;
-    t.keys.(t.size) <- key;
-    t.tie.(t.size) <- tie;
-    t.vals.(t.size) <- v;
-    t.size <- t.size + 1;
-    sift_up t (t.size - 1)
+let min_key t = if t.size = 0 then raise Empty else t.keys.(0)
 
-  let min_key t = if t.size = 0 then raise Empty else t.keys.(0)
-
-  let pop t =
-    if t.size = 0 then raise Empty;
-    let top = t.vals.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.keys.(0) <- t.keys.(t.size);
-      t.tie.(0) <- t.tie.(t.size);
-      t.vals.(0) <- t.vals.(t.size);
-      (* overwrite the freed slot with a live duplicate so the popped
-         payload is not retained by the backing array *)
-      t.vals.(t.size) <- t.vals.(0);
-      sift_down t 0
-    end;
-    top
-end
+let pop t =
+  if t.size = 0 then raise Empty;
+  let top = t.slots.(0) in
+  let v = t.vals.(top) in
+  t.vals.(top) <- t.filler.(0);
+  let n = t.size - 1 in
+  t.size <- n;
+  let key = t.keys.(n) and tie = t.ties.(n) and slot = t.slots.(n) in
+  let i = sift_down t.keys t.ties t.slots ~key ~tie n in
+  t.keys.(i) <- key;
+  t.ties.(i) <- tie;
+  t.slots.(i) <- slot;
+  t.slots.(n) <- top;
+  v

@@ -1,21 +1,23 @@
 (** A min-heap ordered by two immediate-int keys (primary, tiebreak),
-    payload alongside: comparisons are inline int compares (no closure
-    call, no boxing) and [pop] returns the payload directly (no option
-    cell), so the simulation event loop allocates nothing per event on
-    its fast path. *)
-module Keyed : sig
-  type 'a t
+    the simulator's event queue.  Comparisons are inline int compares
+    (no closure call, no boxing) and [pop] returns the payload directly
+    (no option cell), so the event loop allocates nothing per event.
+    Sifting moves one hole through three int arrays (key, tiebreak,
+    payload slot) while the payload stays in its slot, so a level costs
+    three int writes and no write barrier; [push] and [pop] are
+    O(log n).  Free slots hold the first payload ever pushed, so no
+    other popped payload stays reachable from the heap. *)
+type 'a t
 
-  exception Empty
+exception Empty
 
-  val create : unit -> 'a t
-  val length : 'a t -> int
-  val is_empty : 'a t -> bool
-  val push : 'a t -> key:int -> tie:int -> 'a -> unit
+val create : unit -> 'a t
+val length : 'a t -> int
+val is_empty : 'a t -> bool
+val push : 'a t -> key:int -> tie:int -> 'a -> unit
 
-  val min_key : 'a t -> int
-  (** Primary key of the smallest element; raises {!Empty}. *)
+val min_key : 'a t -> int
+(** Primary key of the smallest element; raises {!Empty}. *)
 
-  val pop : 'a t -> 'a
-  (** Removes and returns the smallest payload; raises {!Empty}. *)
-end
+val pop : 'a t -> 'a
+(** Removes and returns the smallest payload; raises {!Empty}. *)

@@ -36,3 +36,12 @@ let guarded_dispatch (roster : Repro_net.Node_id.t list) = function
     m.body
   | _ -> ""
 [@@analysis.hotpath "O(1)"]
+
+(* The membership scan again, as a fold over a node-keyed table whose
+   module another unit exports ([Node_id_tbl.Tbl] is [Hashtbl.Make],
+   as lib/net's [Node_id.Tbl] is): the walk is O(members) however the
+   table is spelled.  The fixtures sit in the database rules' scope, so
+   the same spelling also trips no-unordered-iteration-in-db. *)
+let table_scan (heard : int Node_id_tbl.Tbl.t) =
+  Node_id_tbl.Tbl.fold (fun _ c acc -> max c acc) heard 0
+[@@analysis.hotpath "O(1)"]

@@ -538,6 +538,30 @@ let test_action_id_order () =
   Alcotest.(check bool) "equal" true
     (equal { server = 3; index = 4 } { server = 3; index = 4 })
 
+(* [Action.Id.hash] feeds every action-keyed table on the delivery
+   path.  Two shapes that occur: runs of consecutive indices from many
+   creators (bodies, red ids), and a knowledge-exchange yellow set whose
+   creator and index rise together (the 200-member exchange rig).  No
+   bucket may hold more than a handful of either; a creator term that
+   is a small multiplier of a raw node id stacked the diagonal set 100
+   deep. *)
+let test_action_id_hash_spreads () =
+  let worst ids =
+    let t = Action.Id.Tbl.create 64 in
+    List.iter (fun id -> Action.Id.Tbl.replace t id ()) ids;
+    (Action.Id.Tbl.stats t).Hashtbl.max_bucket_length
+  in
+  let runs =
+    List.concat
+      (List.init 200 (fun server ->
+           List.init 64 (fun i -> { Action.Id.server; index = 5_000 + i })))
+  in
+  let diagonal =
+    List.init 202 (fun i -> { Action.Id.server = i mod 200; index = 1_000 + i })
+  in
+  Alcotest.(check bool) "runs of indices spread" true (worst runs <= 8);
+  Alcotest.(check bool) "diagonal yellow set spreads" true (worst diagonal <= 8)
+
 let () =
   Alcotest.run "db"
     [
@@ -569,7 +593,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_executor_deterministic;
         ] );
       ( "actions",
-        [ Alcotest.test_case "id ordering" `Quick test_action_id_order ] );
+        [
+          Alcotest.test_case "id ordering" `Quick test_action_id_order;
+          Alcotest.test_case "id hash spreads" `Quick test_action_id_hash_spreads;
+        ] );
       ( "more",
         [
           Alcotest.test_case "cas procedure" `Quick test_procedure_cas;

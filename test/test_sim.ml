@@ -58,44 +58,96 @@ let test_rng_shuffle_permutation () =
   Alcotest.(check (list int)) "same multiset" l (List.sort Int.compare s)
 
 let test_keyed_heap_ordering () =
-  let h = Heap.Keyed.create () in
-  Alcotest.(check bool) "empty" true (Heap.Keyed.is_empty h);
+  let h = Heap.create () in
+  Alcotest.(check bool) "empty" true (Heap.is_empty h);
   List.iteri
-    (fun i k -> Heap.Keyed.push h ~key:k ~tie:i (k * 10))
+    (fun i k -> Heap.push h ~key:k ~tie:i (k * 10))
     [ 5; 1; 9; 3; 7; 2; 8; 0; 4; 6 ];
-  Alcotest.(check int) "length" 10 (Heap.Keyed.length h);
-  Alcotest.(check int) "min key" 0 (Heap.Keyed.min_key h);
-  let drained = List.init 10 (fun _ -> Heap.Keyed.pop h) in
+  Alcotest.(check int) "length" 10 (Heap.length h);
+  Alcotest.(check int) "min key" 0 (Heap.min_key h);
+  let drained = List.init 10 (fun _ -> Heap.pop h) in
   Alcotest.(check (list int)) "sorted by key"
     [ 0; 10; 20; 30; 40; 50; 60; 70; 80; 90 ]
     drained;
-  Alcotest.(check bool) "drained empty" true (Heap.Keyed.is_empty h);
+  Alcotest.(check bool) "drained empty" true (Heap.is_empty h);
   Alcotest.(check bool) "pop empty raises" true
-    (match Heap.Keyed.pop h with
-    | exception Heap.Keyed.Empty -> true
+    (match Heap.pop h with
+    | exception Heap.Empty -> true
     | _ -> false)
 
 let test_keyed_heap_tiebreak () =
   (* Equal primary keys drain in tiebreak order — the FIFO guarantee the
      event queue relies on for same-instant timers. *)
-  let h = Heap.Keyed.create () in
-  List.iter (fun t -> Heap.Keyed.push h ~key:7 ~tie:t t) [ 3; 1; 4; 0; 2 ];
-  Heap.Keyed.push h ~key:2 ~tie:99 99;
-  Alcotest.(check int) "lower key first" 99 (Heap.Keyed.pop h);
+  let h = Heap.create () in
+  List.iter (fun t -> Heap.push h ~key:7 ~tie:t t) [ 3; 1; 4; 0; 2 ];
+  Heap.push h ~key:2 ~tie:99 99;
+  Alcotest.(check int) "lower key first" 99 (Heap.pop h);
   Alcotest.(check (list int)) "ties in push order" [ 0; 1; 2; 3; 4 ]
-    (List.init 5 (fun _ -> Heap.Keyed.pop h))
+    (List.init 5 (fun _ -> Heap.pop h))
 
 let prop_keyed_heap_sorts =
   QCheck.Test.make ~name:"keyed heap drains any list sorted" ~count:200
     QCheck.(list small_int)
     (fun l ->
-      let h = Heap.Keyed.create () in
-      List.iteri (fun i k -> Heap.Keyed.push h ~key:k ~tie:i k) l;
+      let h = Heap.create () in
+      List.iteri (fun i k -> Heap.push h ~key:k ~tie:i k) l;
       let rec drain acc =
-        if Heap.Keyed.is_empty h then List.rev acc
-        else drain (Heap.Keyed.pop h :: acc)
+        if Heap.is_empty h then List.rev acc
+        else drain (Heap.pop h :: acc)
       in
       drain [] = List.sort Int.compare l)
+
+(* The heap against a model, over interleaved pushes and pops: keys
+   repeat (the tiebreak is the push count, unique as the engine's
+   scheduling sequence is), and up to 300 operations cross several
+   doublings of the 16-entry start.  The model pops the first entry of
+   a stable sort by (key, tie). *)
+let prop_keyed_heap_model =
+  let op = QCheck.Gen.(frequency [ (3, map Option.some (int_bound 12)); (1, return None) ]) in
+  QCheck.Test.make ~name:"keyed heap matches a sorted model" ~count:300
+    QCheck.(make ~print:Print.(list (option int)) Gen.(list_size (0 -- 300) op))
+    (fun ops ->
+      let h = Heap.create () in
+      let model = ref [] and pushed = ref 0 in
+      let by_key (k1, t1) (k2, t2) = if k1 <> k2 then Int.compare k1 k2 else Int.compare t1 t2 in
+      List.for_all
+        (function
+          | Some key ->
+            Heap.push h ~key ~tie:!pushed !pushed;
+            model := !model @ [ (key, !pushed) ];
+            incr pushed;
+            Heap.length h = List.length !model
+          | None -> (
+            match List.stable_sort by_key !model with
+            | [] -> Heap.is_empty h
+            | (key, tie) :: rest ->
+              model := rest;
+              Heap.min_key h = key && Heap.pop h = tie))
+        ops)
+
+(* Pushes one payload into a heap and pops it again, keeping no
+   reference to it here; [w] watches it. *)
+let[@inline never] push_and_pop_watched h w ~key ~tie =
+  let big = Bytes.create (1 lsl 20) in
+  Weak.set w 0 (Some big);
+  Heap.push h ~key ~tie big;
+  ignore (Sys.opaque_identity (Heap.pop h))
+
+let test_keyed_heap_frees_popped () =
+  (* The 17th push doubles the 16-entry start: the payload pushed at a
+     growth must not stay behind in the new free slots once popped. *)
+  let h = Heap.create () in
+  for i = 1 to 16 do
+    Heap.push h ~key:(100 + i) ~tie:i (Bytes.create 8)
+  done;
+  let w = Weak.create 1 in
+  push_and_pop_watched h w ~key:0 ~tie:17;
+  Gc.full_major ();
+  Alcotest.(check bool) "payload pushed at a growth is freed" false (Weak.check w 0);
+  push_and_pop_watched h w ~key:0 ~tie:18;
+  Gc.full_major ();
+  Alcotest.(check bool) "payload popped from the root is freed" false (Weak.check w 0);
+  Alcotest.(check int) "the others stay" 16 (Heap.length h)
 
 (* The ring against [Queue], over any interleaving of pushes and
    pops: growth and wrap-around must keep FIFO order. *)
@@ -307,6 +359,53 @@ let prop_engine_executes_all =
       Engine.run engine;
       !count = List.length delays)
 
+(* A seeded schedule against a model: events at random delays from 0
+   (so many share a due time), some scheduling more from inside their
+   own run, and one kept closure pending several times at once.  Every
+   executed event must be the first entry of a stable sort by (due
+   time, scheduling order) of the instances pending, and [pending] must
+   count them. *)
+let prop_engine_schedule_model =
+  QCheck.Test.make ~name:"engine follows a sorted model" ~count:100 QCheck.small_nat
+    (fun seed ->
+      let engine = Engine.create ~seed () in
+      let rng = Rng.of_int seed in
+      let model = ref [] and scheduled = ref 0 and ok = ref true in
+      let by_due (d1, s1, _) (d2, s2, _) =
+        if d1 <> d2 then Int.compare d1 d2 else Int.compare s1 s2
+      in
+      let check tag =
+        match List.stable_sort by_due !model with
+        | (due, _, expected) :: rest ->
+          model := rest;
+          if expected <> tag || due <> Time.to_us (Engine.now engine)
+             || Engine.pending engine <> List.length rest
+          then ok := false
+        | [] -> ok := false
+      in
+      (* [kept] is tagged -1; every other event is tagged with its
+         scheduling number. *)
+      let rec kept () = check (-1)
+      and schedule tag f =
+        let delay = [| 0; 0; 5; 10; 10; 40 |].(Rng.int rng 6) in
+        Engine.schedule engine ~delay:(Time.of_us delay) f;
+        model := !model @ [ (Time.to_us (Engine.now engine) + delay, !scheduled, tag) ];
+        incr scheduled
+      and spawn depth = schedule !scheduled (event !scheduled depth)
+      and event tag depth () =
+        check tag;
+        if depth < 4 then
+          for _ = 1 to Rng.int rng 4 do
+            if Rng.int rng 4 = 0 then schedule (-1) kept else spawn (depth + 1)
+          done
+      in
+      for _ = 1 to 10 do
+        spawn 0;
+        schedule (-1) kept
+      done;
+      Engine.run engine;
+      !ok && !model = [] && Engine.pending engine = 0)
+
 let () =
   Alcotest.run "sim"
     [
@@ -329,6 +428,8 @@ let () =
           Alcotest.test_case "keyed ordering" `Quick test_keyed_heap_ordering;
           Alcotest.test_case "keyed tie-break" `Quick test_keyed_heap_tiebreak;
           QCheck_alcotest.to_alcotest prop_keyed_heap_sorts;
+          QCheck_alcotest.to_alcotest prop_keyed_heap_model;
+          Alcotest.test_case "popped payload is freed" `Quick test_keyed_heap_frees_popped;
         ] );
       ( "ring",
         [
@@ -344,6 +445,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_engine_executes_all;
           Alcotest.test_case "reusable timer" `Quick test_engine_reusable_timer;
           Alcotest.test_case "drain" `Quick test_engine_drain;
+          QCheck_alcotest.to_alcotest prop_engine_schedule_model;
         ] );
       ( "distributions",
         [ QCheck_alcotest.to_alcotest prop_exponential_mean ] );
