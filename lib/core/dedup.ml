@@ -36,13 +36,13 @@ type entry = {
 
 type t = {
   d_window : int;
-  d_tbl : (int, entry) Hashtbl.t;
+  d_tbl : entry Types.Int_tbl.t; (* by client id *)
 }
 
 type verdict = Fresh | Duplicate of Action.response option
 
 let create ~window () =
-  { d_window = max 1 window; d_tbl = Hashtbl.create 16 }
+  { d_window = max 1 window; d_tbl = Types.Int_tbl.create 16 }
 
 let window t = t.d_window
 
@@ -63,14 +63,14 @@ let cached e seq =
 let check t ~client ~seq =
   if seq <= 0 then Fresh
   else
-    match Hashtbl.find t.d_tbl client with
+    match Types.Int_tbl.find t.d_tbl client with
     | exception Not_found -> Fresh
     | e -> if seq <= e.e_hi then Duplicate (cached e seq) else Fresh
 
 let is_applied t ~client ~seq =
   seq > 0
   &&
-  match Hashtbl.find t.d_tbl client with
+  match Types.Int_tbl.find t.d_tbl client with
   | exception Not_found -> false
   | e -> seq <= e.e_hi
 
@@ -118,7 +118,7 @@ let push t e seq response =
 
 let observe_ack t ~client ~ack =
   if ack > 0 then
-    match Hashtbl.find t.d_tbl client with
+    match Types.Int_tbl.find t.d_tbl client with
     | exception Not_found -> ()
     | e ->
       if ack > e.e_ack then begin
@@ -137,13 +137,13 @@ let new_entry t client =
       e_len = 0;
     }
   in
-  Hashtbl.replace t.d_tbl client e;
+  Types.Int_tbl.replace t.d_tbl client e;
   e
 
 let record t ~client ~seq ~ack response =
   if seq > 0 then begin
     let e =
-      match Hashtbl.find t.d_tbl client with
+      match Types.Int_tbl.find t.d_tbl client with
       | e -> e
       | exception Not_found -> new_entry t client
     in
@@ -156,8 +156,8 @@ let record t ~client ~seq ~ack response =
     if seq > e.e_ack then push t e seq response
   end
 
-let clients t = Hashtbl.length t.d_tbl
-let max_cached t = Hashtbl.fold (fun _ e acc -> max acc e.e_len) t.d_tbl 0
+let clients t = Types.Int_tbl.length t.d_tbl
+let max_cached t = Types.Int_tbl.fold (fun _ e acc -> max acc e.e_len) t.d_tbl 0
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots: pure data, deterministically ordered so two replicas at
@@ -174,7 +174,7 @@ type snapshot = { s_window : int; s_clients : client_state list }
 
 let snapshot t =
   let cs =
-    Hashtbl.fold
+    Types.Int_tbl.fold
       (fun c e acc ->
         let cache =
           List.init e.e_len (fun i ->

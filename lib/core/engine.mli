@@ -16,10 +16,11 @@ open Repro_db
     Component round guarded by the [vulnerable] record. *)
 
 type callbacks = {
-  on_green : Action.t list -> unit;
+  on_green : Action.t array -> unit;
       (** a delivery burst's actions reached their places in the global
           order, in green order: apply them as one group-committed
-          batch.  Invoked once per burst (the batch is never empty). *)
+          batch.  Invoked once per burst (the batch is never empty); the
+          array is the callee's. *)
   on_red : Action.t -> unit;
       (** the action was accepted locally (dirty knowledge) *)
   on_transfer_request : joiner:Node_id.t -> unit;
@@ -150,6 +151,27 @@ val handle_event : t -> Types.payload Endpoint.event -> unit
     call is (at least) one delivery burst: red/green marks made while
     processing it are group-committed at its end — one multi-record log
     frame per colour and one [on_green] application batch. *)
+
+val handle_delivery :
+  t ->
+  sender:Node_id.t ->
+  conf:Conf_id.t ->
+  seq:int ->
+  in_regular:bool ->
+  Types.payload ->
+  unit
+(** [handle_delivery t ~sender ~conf ~seq ~in_regular p] is
+    [handle_event t (Deliver {sender; payload = p; conf; seq; in_regular})]
+    without building the event, unless an input sink is attached
+    ({!set_audit}), which receives it as before — the engine's entry
+    for {!Endpoint.create}'s [on_deliver]. *)
+
+val handle_conf : t -> Types.payload Endpoint.event -> unit
+(** {!handle_event} for a configuration change ([Trans_conf] or
+    [Reg_conf]); raises [Invalid_argument] on a [Deliver].  Unlike a
+    delivery, a configuration change never multicasts before its log
+    force: the endpoint's [on_event] feeds this entry while deliveries
+    take {!handle_delivery}. *)
 
 val begin_burst : t -> unit
 val end_burst : t -> unit

@@ -12,6 +12,16 @@ open Repro_net
 open Repro_gcs
 open Repro_db
 
+(** Tables keyed by plain ints (client ids, action indexes), hashed by
+    the key itself: a lookup makes no call into the polymorphic hash or
+    compare. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (k : int) = k land max_int
+end)
+
 (** The engine state machine (paper Figure 4). *)
 type engine_state =
   | Reg_prim  (** primary component, regular configuration *)

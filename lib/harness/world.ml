@@ -8,6 +8,7 @@ type t = {
   w_cluster : Replica.cluster;
   w_replicas : (Node_id.t, Replica.t) Hashtbl.t;
   mutable w_nodes : Node_id.t list;
+  mutable w_list : Replica.t list; (* the replicas of [w_nodes], in order *)
   w_joiner : node:Node_id.t -> sponsors:Node_id.t list -> Replica.t;
       (* built with the settings every initial replica got *)
   mutable w_proc_guard : Repro_check.Procguard.t option;
@@ -49,6 +50,7 @@ let make ?(net_config = default_net) ?(params = Repro_gcs.Params.fast)
     w_cluster = cluster;
     w_replicas = replicas;
     w_nodes = nodes;
+    w_list = List.map (Hashtbl.find replicas) nodes;
     w_joiner = joiner;
     w_proc_guard = None;
   }
@@ -56,8 +58,7 @@ let make ?(net_config = default_net) ?(params = Repro_gcs.Params.fast)
 let sim t = Replica.cluster_sim t.w_cluster
 let topology t = Replica.cluster_topology t.w_cluster
 
-let replicas t =
-  List.filter_map (fun n -> Hashtbl.find_opt t.w_replicas n) t.w_nodes
+let replicas t = t.w_list
 
 let replica t node = Hashtbl.find t.w_replicas node
 let nodes t = t.w_nodes
@@ -67,6 +68,7 @@ let add_joiner t ~node ~sponsors =
   let r = t.w_joiner ~node ~sponsors in
   Hashtbl.replace t.w_replicas node r;
   t.w_nodes <- t.w_nodes @ [ node ];
+  t.w_list <- List.map (Hashtbl.find t.w_replicas) t.w_nodes;
   (match t.w_proc_guard with
   | Some g -> Repro_check.Procguard.attach g r
   | None -> ());
