@@ -179,7 +179,7 @@ let contrib ~ctx ~elem (w, a) =
   (cw, ca)
 
 let scan t (fn : Callgraph.fn) =
-  let caller_unit = fn.f_unit.Cmt_load.u_name in
+  let caller_unit = fn.f_scope in
   let work = ref 0 and alloc = ref 0 in
   let wwit = ref [] and awit = ref [] in
   let witness wit bit loc desc =
@@ -211,8 +211,10 @@ let scan t (fn : Callgraph.fn) =
            (Loops.to_string w))
         cw;
       add_alloc loc
-        (Printf.sprintf "calls %s (alloc %s)" (pretty g.Callgraph.f_key)
-           (Loops.to_string (a land lnot Loops.alloc_const)))
+        (Printf.sprintf "calls %s (alloc %s)%s" (pretty g.Callgraph.f_key)
+           (Loops.to_string (a land lnot Loops.alloc_const))
+           (if ctx = 0 then ""
+            else Printf.sprintf " inside an %s loop" (Loops.to_string ctx)))
         ca
     end
   in

@@ -88,7 +88,7 @@ let visitor t : Walk.visitor =
   | None -> ()
   | Some (fn : Callgraph.fn) -> (
     let add = add t fn.f_key in
-    let caller_unit = fn.f_unit.u_name in
+    let caller_unit = fn.f_scope in
     match e.exp_desc with
     | Typedtree.Texp_ident (p, _, _) -> (
       let names = Callgraph.prim_names t.graph ~caller_unit p in
@@ -148,7 +148,7 @@ let callee t ~caller_unit (f : Typedtree.expression) =
 let scan_unguarded t (fn : Callgraph.fn) =
   let direct = ref false in
   let rs = ref [] in
-  let caller_unit = fn.f_unit.Cmt_load.u_name in
+  let caller_unit = fn.f_scope in
   let transfer go guarded () (e : Typedtree.expression) =
     match e.exp_desc with
     | Typedtree.Texp_ident (p, _, _) ->

@@ -117,7 +117,7 @@ let classify (graph : Callgraph.t) (fn : Callgraph.fn) =
         | Some p ->
           let name =
             Callgraph.canonical graph
-              ~caller_unit:fn.Callgraph.f_unit.Cmt_load.u_name p
+              ~caller_unit:fn.Callgraph.f_scope p
           in
           if List.mem name stateful_creators || is_functor_creator name then
             Some name

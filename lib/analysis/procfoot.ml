@@ -124,7 +124,7 @@ let rec helper_of ctx (fn : Callgraph.fn) =
   | Some None -> empty_helper (* recursion: bottom out *)
   | None ->
     Hashtbl.replace ctx.helpers fn.Callgraph.f_key None;
-    let caller_unit = fn.Callgraph.f_unit.Cmt_load.u_name in
+    let caller_unit = fn.Callgraph.f_scope in
     (* Peel curried parameters: each single-var function layer binds
        the next Param index. *)
     let rec peel i env (e : Typedtree.expression) =
@@ -504,7 +504,7 @@ let analyze (eff : Effects.t) sites =
     | None -> blind
     | Some fn ->
       let reads, writes, commutative =
-        analyze_body ctx ~caller_unit:fn.Callgraph.f_unit.Cmt_load.u_name
+        analyze_body ctx ~caller_unit:fn.Callgraph.f_scope
           fn.Callgraph.f_expr
       in
       {

@@ -108,7 +108,7 @@ let target_of_args args =
   List.find_map (fun (_, arg) -> Option.bind arg constr_of) args
 
 let walk_fn ctx (fn : Callgraph.fn) s0 =
-  let caller_unit = fn.Callgraph.f_unit.Cmt_load.u_name in
+  let caller_unit = fn.Callgraph.f_scope in
   let graph = ctx.eff.Effects.graph in
   let transition s target loc =
     SSet.iter (fun from_ -> ctx.emit <- (from_, target, loc) :: ctx.emit) s;

@@ -50,22 +50,31 @@ let visit (graph : Callgraph.t) (visitors : visitor list) =
         Tast_iterator.default_iterator.expr it e
       in
       let it = { Tast_iterator.default_iterator with expr } in
-      List.iter
-        (fun (item : Typedtree.structure_item) ->
-          match item.str_desc with
-          | Typedtree.Tstr_value (_, vbs) ->
-            List.iter
-              (fun (vb : Typedtree.value_binding) ->
-                (* a shadowed re-binding is not the table entry *)
-                current :=
-                  List.find_opt
-                    (fun (fn : Callgraph.fn) -> fn.f_expr == vb.vb_expr)
-                    fns;
-                it.value_binding it vb)
-              vbs;
-            current := None
-          | _ -> it.structure_item it item)
-        u.u_str.str_items)
+      (* Bindings of nested module structures are table functions too
+         (Callgraph keys them by module path). *)
+      let rec items (str : Typedtree.structure) =
+        List.iter
+          (fun (item : Typedtree.structure_item) ->
+            match item.str_desc with
+            | Typedtree.Tstr_value (_, vbs) ->
+              List.iter
+                (fun (vb : Typedtree.value_binding) ->
+                  (* a shadowed re-binding is not the table entry *)
+                  current :=
+                    List.find_opt
+                      (fun (fn : Callgraph.fn) -> fn.f_expr == vb.vb_expr)
+                      fns;
+                  it.value_binding it vb)
+                vbs;
+              current := None
+            | Typedtree.Tstr_module { mb_expr; _ } -> (
+              match Callgraph.nested_structure mb_expr with
+              | Some str -> items str
+              | None -> it.structure_item it item)
+            | _ -> it.structure_item it item)
+          str.str_items
+      in
+      items u.u_str)
     graph.units
 
 (* --- the path-sensitive fold ------------------------------------------ *)

@@ -25,7 +25,7 @@
 let rule = "write-ahead-ordering"
 
 let check_fn (eff : Effects.t) (fn : Callgraph.fn) (sink : Diag.sink) =
-  let caller_unit = fn.Callgraph.f_unit.Cmt_load.u_name in
+  let caller_unit = fn.Callgraph.f_scope in
   let transfer go () pending (e : Typedtree.expression) =
     match e.exp_desc with
     | Typedtree.Texp_apply (f, args) ->

@@ -31,6 +31,9 @@ val make :
 val sim : t -> Repro_sim.Engine.t
 val topology : t -> Topology.t
 val replicas : t -> Replica.t list
+(** Every replica, in node order, joiners last: a list the world keeps
+    (and {!add_joiner} rebuilds), so a call allocates nothing. *)
+
 val replica : t -> Node_id.t -> Replica.t
 val nodes : t -> Node_id.t list
 

@@ -1455,13 +1455,9 @@ let test_rebuilt_engines_keep_quorum_policy () =
   run ~amnesia:false;
   run ~amnesia:true
 
-(* RegPrim marks a delivered action red and green in the same step: the
-   action keeps its red log record, in a frame before its green one,
-   but never enters the red region, whose order dirty reads and the
-   determinism fingerprint read.  A yellow mark in a transitional
-   primary still enters it.  A one-node group over the abstract EVS
-   model, with the transitional configuration fed by hand. *)
-let test_green_skips_red_region () =
+(* A one-node engine over the abstract EVS model, settled into the
+   regular primary: every frame, batch and delivery is observable. *)
+let reg_prim_engine ?(on_green = ignore) () =
   let sim, persist = make_persist () in
   let model =
     Repro_gcs.Model.create ~nodes:[ 0 ]
@@ -1470,7 +1466,7 @@ let test_green_skips_red_region () =
   in
   let callbacks =
     {
-      Engine.on_green = ignore;
+      Engine.on_green;
       on_red = ignore;
       on_transfer_request = (fun ~joiner:_ -> ());
       on_self_leave = ignore;
@@ -1497,6 +1493,16 @@ let test_green_skips_red_region () =
   settle ();
   Alcotest.(check bool) "in the regular primary" true
     (Engine.state e = Types.Reg_prim);
+  (sim, persist, e, settle)
+
+(* RegPrim marks a delivered action red and green in the same step: the
+   action keeps its red log record, in a frame before its green one,
+   but never enters the red region, whose order dirty reads and the
+   determinism fingerprint read.  A yellow mark in a transitional
+   primary still enters it.  A one-node group over the abstract EVS
+   model, with the transitional configuration fed by hand. *)
+let test_green_skips_red_region () =
+  let sim, persist, e, settle = reg_prim_engine () in
   let created = ref [] in
   Engine.submit e ~kind:(Action.Update []) ~on_created:(fun id -> created := [ id ]) ();
   (* The submission's own frame is forced before the action is sent. *)
@@ -1542,6 +1548,114 @@ let test_green_skips_red_region () =
     [ yellow.Action.id ] (ids (Engine.red_actions e));
   Alcotest.(check bool) "and yellow" true
     (List.exists (Action.Id.equal yellow.Action.id) (Engine.yellow e).Types.y_set)
+
+(* The delivery entry builds no event, unless an input sink is attached
+   (the [Check.Spec] feed): the sink then sees every delivery as the
+   [Deliver] the endpoint's fields make, the payload itself included. *)
+let test_input_sink_sees_deliveries () =
+  let _, _, e, _ = reg_prim_engine () in
+  let seen = ref [] in
+  Engine.set_audit e ignore ~input:(fun ev -> seen := ev :: !seen);
+  let conf = { Repro_gcs.Conf_id.coord = 0; counter = 7 } in
+  let payload =
+    Types.Action_batch [ Action.make ~server:2 ~index:1 (Action.Update []) ]
+  in
+  Engine.handle_delivery e ~sender:2 ~conf ~seq:41 ~in_regular:true payload;
+  (match !seen with
+  | [ Repro_gcs.Endpoint.Deliver d ] ->
+    Alcotest.(check int) "sender" 2 d.sender;
+    Alcotest.(check bool) "conf" true (Repro_gcs.Conf_id.equal conf d.conf);
+    Alcotest.(check int) "seq" 41 d.seq;
+    Alcotest.(check bool) "in_regular" true d.in_regular;
+    Alcotest.(check bool) "the payload itself" true (d.payload == payload)
+  | evs -> Alcotest.failf "%d input events, expected one Deliver" (List.length evs));
+  Alcotest.(check int) "the action was handled" 1 (Engine.red_cut e 2)
+
+(* Across a replicated run, every replica's sink sees each ordered
+   message once, at the same (conf, seq), from the same sender, with the
+   same payload value: the endpoint's delivery fields reach the feed
+   unchanged. *)
+let test_replica_sinks_agree () =
+  let w = make_world 3 in
+  let feeds = Hashtbl.create 3 in
+  List.iter
+    (fun r ->
+      let feed = ref [] in
+      Hashtbl.replace feeds (Replica.node r) feed;
+      Replica.set_audit r ignore ~input:(function
+        | Repro_gcs.Endpoint.Deliver d when d.in_regular ->
+          feed := (d.conf, d.seq, d.sender, d.payload) :: !feed
+        | _ -> ()))
+    (all_replicas w);
+  start_all w;
+  run_sim w ~ms:1_000.;
+  for i = 1 to 20 do
+    set_kv' (rep w (i mod 3)) "k" i
+  done;
+  run_sim w ~ms:1_000.;
+  let feed n = List.rev !(Hashtbl.find feeds n) in
+  let key (c, s, _, _) = (c, s) in
+  let find n k = List.find_opt (fun d -> key d = k) (feed n) in
+  Alcotest.(check bool) "messages delivered" true (List.length (feed 0) >= 20);
+  List.iter
+    (fun n ->
+      let keys = List.map key (feed n) in
+      Alcotest.(check int) "each (conf, seq) once" (List.length keys)
+        (List.length (List.sort_uniq compare keys));
+      List.iter
+        (fun ((_, _, sender, payload) as d) ->
+          List.iter
+            (fun m ->
+              match find m (key d) with
+              | Some (_, _, sender', payload') ->
+                Alcotest.(check int) "same sender" sender sender';
+                Alcotest.(check bool) "same payload" true (payload == payload')
+              | None -> ())
+            [ 0; 1; 2 ])
+        (feed n))
+    [ 0; 1; 2 ]
+
+(* Steady-state delivery at one engine: a burst of actions, each marked
+   red and green, logged in one red and one green frame and applied as
+   one batch.  What is left per action is its log records, its slot in
+   the burst's frames and apply batch, and its entry in the action
+   table; no event record, list cell or option box. *)
+let test_delivery_burst_words () =
+  let applied = ref 0 in
+  let _, _, e, _ =
+    reg_prim_engine ~on_green:(fun a -> applied := !applied + Array.length a) ()
+  in
+  let conf = { Repro_gcs.Conf_id.coord = 0; counter = 7 } in
+  let total = 4_096 and burst = 32 in
+  let payloads =
+    Array.init (total + 1) (fun i ->
+        Types.Action_batch [ Action.make ~server:1 ~index:i (Action.Update []) ])
+  in
+  let deliver_burst first =
+    Engine.begin_burst e;
+    for i = first to first + burst - 1 do
+      Engine.handle_delivery e ~sender:1 ~conf ~seq:i ~in_regular:true payloads.(i)
+    done;
+    Engine.end_burst e
+  in
+  (* Warm-up: the tables and mark buffers grow to their working size. *)
+  let warm = total / 2 in
+  let rec run first stop =
+    if first + burst - 1 <= stop then begin
+      deliver_burst first;
+      run (first + burst) stop
+    end
+  in
+  run 1 warm;
+  let before = Gc.minor_words () in
+  run (warm + 1) total;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every action applied" total !applied;
+  let per_action = words /. float_of_int (total - warm) in
+  Printf.printf "words per delivered action: %.2f\n" per_action;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per delivered action (at most 14)" per_action)
+    true (per_action <= 14.)
 
 let () =
   Alcotest.run "core"
@@ -1641,6 +1755,12 @@ let () =
           QCheck_alcotest.to_alcotest prop_green_cut_matches_id_set;
           Alcotest.test_case "stranded member resyncs by transfer" `Quick
             test_stranded_member_resyncs;
+          Alcotest.test_case "input sink sees deliveries" `Quick
+            test_input_sink_sees_deliveries;
+          Alcotest.test_case "replica input sinks agree" `Quick
+            test_replica_sinks_agree;
+          Alcotest.test_case "delivery burst words per action" `Quick
+            test_delivery_burst_words;
           Alcotest.test_case "a green skips the red region" `Quick
             test_green_skips_red_region;
         ] );

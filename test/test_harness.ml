@@ -18,6 +18,22 @@ let test_world_basics () =
   Alcotest.(check int) "one green action" 1
     (Engine.green_count (Replica.engine (World.replica w 1)))
 
+(* The world keeps its replica list: the same list on every call, with
+   a joiner appended, in node order, once [add_joiner] has added it. *)
+let test_world_replicas_include_joiner () =
+  let w = World.make ~n:3 () in
+  World.run w ~ms:1000.;
+  Alcotest.(check bool) "the same list on every call" true
+    (World.replicas w == World.replicas w);
+  let joiner = World.add_joiner w ~node:7 ~sponsors:[ 0 ] in
+  Alcotest.(check (list int)) "nodes in order, joiner last" [ 0; 1; 2; 7 ]
+    (List.map Replica.node (World.replicas w));
+  Alcotest.(check bool) "the joiner itself" true
+    (List.exists (fun r -> r == joiner) (World.replicas w));
+  World.run w ~ms:3000.;
+  Alcotest.(check bool) "the joiner is ready" true (Replica.is_ready joiner);
+  Alcotest.(check int) "four replicas" 4 (List.length (World.replicas w))
+
 let test_world_heal_and_settle () =
   let w = World.make ~n:4 () in
   World.run w ~ms:1000.;
@@ -314,6 +330,8 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_world_basics;
           Alcotest.test_case "heal and settle" `Quick test_world_heal_and_settle;
+          Alcotest.test_case "replicas include a joiner" `Quick
+            test_world_replicas_include_joiner;
         ] );
       ( "checker",
         [
