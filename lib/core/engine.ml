@@ -72,7 +72,10 @@ type t = {
       (* per known server: a green count it is known to hold durably *)
   pending_red : Action.t Int_tbl.t Node_id.Tbl.t; (* per creator, by index *)
   mutable pending_green : (int * Action.t) list;
-  mutable ongoing : Action.t list; (* own undelivered actions, oldest first *)
+  (* own undelivered actions: [ongoing_front] oldest first, then
+     [ongoing_back] newest first *)
+  mutable ongoing_front : Action.t list;
+  mutable ongoing_back : Action.t list;
   mutable action_index : int;
   red_marks : marks; (* the burst's red marks, in mark order *)
   green_marks : marks;
@@ -109,7 +112,7 @@ let green_actions t = Action_queue.greens_from t.queue 0
 let red_actions t = Action_queue.red_actions t.queue
 let red_count t = Action_queue.red_count t.queue
 let green_line t = Action_queue.green_line t.queue
-let ongoing_actions t = t.ongoing
+let ongoing_actions t = t.ongoing_front @ List.rev t.ongoing_back
 let attempt t = t.attempt
 let action_index t = t.action_index
 (* [find] with [Not_found], not [find_opt]: a cut is read on every
@@ -231,6 +234,34 @@ let end_burst t =
   end
 
 (* ------------------------------------------------------------------ *)
+(* The ongoing queue (paper A.13): own actions not yet delivered back   *)
+
+(* A two-list FIFO: appends cons onto [ongoing_back], and removals pop
+   [ongoing_front], refilled by one reversal of the back once it runs
+   dry — so each entry is copied at most once on its way through. *)
+let push_ongoing t a = t.ongoing_back <- a :: t.ongoing_back
+
+let set_ongoing t actions =
+  t.ongoing_front <- actions;
+  t.ongoing_back <- []
+
+(* Per-creator FIFO delivers own actions in creation order, so the
+   delivered one is normally the oldest entry.  Only a duplicate that
+   overtakes older entries after a recovery (a resent copy of an entry
+   that is not at the head) falls back to filtering the whole queue. *)
+let remove_ongoing t (a : Action.t) =
+  (match t.ongoing_front with
+  | [] -> set_ongoing t (List.rev t.ongoing_back)
+  | _ :: _ -> ());
+  match t.ongoing_front with
+  | o :: rest when Action.Id.equal o.Action.id a.id -> t.ongoing_front <- rest
+  | [] -> ()
+  | _ :: _ ->
+    let keep (o : Action.t) = not (Action.Id.equal o.id a.id) in
+    t.ongoing_front <- List.filter keep t.ongoing_front;
+    t.ongoing_back <- List.filter keep t.ongoing_back
+
+(* ------------------------------------------------------------------ *)
 (* Marking (paper CodeSegments A.14 and 5.1)                           *)
 
 let note_own_green t pos = Node_id.Tbl.replace t.green_counts t.node pos
@@ -264,9 +295,7 @@ let rec mark_red ?(green = false) t (a : Action.t) =
     Node_id.Tbl.replace t.red_cut creator (cut + 1);
     push_mark t.red_marks a;
     if not green then Action_queue.add_red t.queue a;
-    if Node_id.equal creator t.node then
-      t.ongoing <-
-        List.filter (fun o -> not (Action.Id.equal o.Action.id a.id)) t.ongoing;
+    if Node_id.equal creator t.node then remove_ongoing t a;
     t.cb.on_red a;
     drain_pending_red t creator;
     true
@@ -276,9 +305,7 @@ let rec mark_red ?(green = false) t (a : Action.t) =
        are already red (A.13) yet stay on the ongoing queue for
        resending; the delivery of a resent copy is the signal that it
        is ordered and the queue entry can go. *)
-    if Node_id.equal creator t.node then
-      t.ongoing <-
-        List.filter (fun o -> not (Action.Id.equal o.Action.id a.id)) t.ongoing;
+    if Node_id.equal creator t.node then remove_ongoing t a;
     false
   end
   else begin
@@ -295,8 +322,11 @@ let rec mark_red ?(green = false) t (a : Action.t) =
   end
   (* Mutually recursive with [drain_pending_red]: each drained action is
      removed from its pending table, so the pair does one queue-bounded
-     sweep per contiguous run — the analysis sees only the recursion. *)
-  [@@analysis.cost "O(queue); alloc O(queue)"]
+     sweep per contiguous run — the analysis sees only the recursion.
+     Allocation is constant: [remove_ongoing] pops the head, and its
+     whole-queue filter runs only for an out-of-order duplicate after a
+     recovery. *)
+  [@@analysis.cost "O(queue); alloc O(1)"]
 
 and drain_pending_red t creator =
   match Node_id.Tbl.find t.pending_red creator with
@@ -398,16 +428,24 @@ let install t =
 (* ------------------------------------------------------------------ *)
 (* Client requests (paper A.1/A.2 Client_req, A.8)                     *)
 
+(* The record is built here rather than by [Action.make]: passing its
+   optional arguments would box each one on every submission. *)
 let create_action t r =
   t.action_index <- t.action_index + 1;
   let a =
-    Action.make ~client:r.bq_client ~semantics:r.bq_semantics
-      ~green_count:(Action_queue.green_count t.queue)
-      ~size:r.bq_size ~req_seq:r.bq_req_seq ~req_ack:r.bq_req_ack
-      ~server:t.node ~index:t.action_index r.bq_kind
+    {
+      Action.id = { Action.Id.server = t.node; index = t.action_index };
+      client = r.bq_client;
+      kind = r.bq_kind;
+      semantics = r.bq_semantics;
+      green_count = Action_queue.green_count t.queue;
+      size = r.bq_size;
+      req_seq = r.bq_req_seq;
+      req_ack = r.bq_req_ack;
+    }
   in
-  t.ongoing <- t.ongoing @ [ a ];
-  r.bq_on_created a.Action.id;
+  push_ongoing t a;
+  r.bq_on_created a.id;
   a
 
 let send_actions t actions =
@@ -425,9 +463,11 @@ let submit_batch t requests =
   t.stats.s_batched_submissions <-
     t.stats.s_batched_submissions + List.length actions;
   sync_then t (fun () -> send_actions t actions)
+  (* Per request: one action record, one ongoing-queue cons and one log
+     record; only the force and the multicast scan anything else. *)
+  [@@analysis.hotpath "O(batch+members+queue)"]
 
-let submit t ?(client = 0) ?(semantics = Action.Strict) ?(size = 200)
-    ?(req_seq = 0) ?(req_ack = 0) ~kind ~on_created () =
+let submit t ~client ~semantics ~size ~req_seq ~req_ack ~kind ~on_created =
   if not t.halted then begin
     let r =
       {
@@ -453,8 +493,9 @@ let submit t ?(client = 0) ?(semantics = Action.Strict) ?(size = 200)
    their log records are durable by now; duplicate deliveries are shed
    by the red-cut check in MarkRed. *)
 let resend_ongoing t =
-  t.stats.s_actions_resent <- t.stats.s_actions_resent + List.length t.ongoing;
-  send_actions t t.ongoing
+  let actions = ongoing_actions t in
+  t.stats.s_actions_resent <- t.stats.s_actions_resent + List.length actions;
+  send_actions t actions
 
 let handle_buffered t =
   let requests = List.rev t.buffered in
@@ -877,7 +918,8 @@ let make_blank ~quorum ~sim ~node ~servers ~persist ~callbacks () =
     green_counts = Node_id.Tbl.create 16;
     pending_red = Node_id.Tbl.create 16;
     pending_green = [];
-    ongoing = [];
+    ongoing_front = [];
+    ongoing_back = [];
     action_index = 0;
     red_marks = { m_buf = [||]; m_len = 0 };
     green_marks = { m_buf = [||]; m_len = 0 };
@@ -927,7 +969,7 @@ let create_from_snapshot ~quorum ?(action_floor = 0) ~sim ~node ~servers
       Action.make ~client:0 ~size:32 ~server:node ~index (Action.Update [])
     in
     Persist.log_ongoing_batch t.persist [ filler ];
-    t.ongoing <- t.ongoing @ [ filler ]
+    push_ongoing t filler
   done;
   Action_queue.set_join_floor t.queue ~count:green_count ~line:green_line
     ~cut:red_cut;
@@ -985,7 +1027,7 @@ let recover ~quorum ?recovered ~sim ~node ~servers ~persist ~callbacks () =
      are newly accepted, so the queue is restored afterwards; the
      duplicate delivery of a resent copy drains it.) *)
   List.iter (fun a -> ignore (mark_red t a)) r.Persist.r_ongoing;
-  t.ongoing <- r.Persist.r_ongoing;
+  set_ongoing t r.Persist.r_ongoing;
   (* The re-injected reds accumulated as marks; recovery runs outside
      any delivery burst, so flush their log frame here.  (No greens can
      accumulate: the queue above was rebuilt without [mark_green].) *)

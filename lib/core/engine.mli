@@ -184,14 +184,13 @@ val end_burst : t -> unit
 
 val submit :
   t ->
-  ?client:int ->
-  ?semantics:Action.semantics ->
-  ?size:int ->
-  ?req_seq:int ->
-  ?req_ack:int ->
+  client:int ->
+  semantics:Action.semantics ->
+  size:int ->
+  req_seq:int ->
+  req_ack:int ->
   kind:Action.kind ->
   on_created:(Action.Id.t -> unit) ->
-  unit ->
   unit
 (** A client request: creates the action now when in [Reg_prim] or
     [Non_prim] (write to the ongoing queue, forced sync, then multicast
@@ -200,7 +199,9 @@ val submit :
     together as one batch when it resolves; [on_created] reports the
     assigned id.
     [req_seq]/[req_ack] stamp the durable per-client request id for
-    exactly-once retries (see {!Action.t}); both default to 0. *)
+    exactly-once retries (see {!Action.t}); 0 for requests without one.
+    Every label is required: this runs once per client operation, and an
+    optional argument would box each value it is passed. *)
 
 (* --- Observation --------------------------------------------------- *)
 

@@ -48,6 +48,7 @@ let rec fill_list records entry i = function
   | x :: rest ->
     records.(i) <- entry x;
     fill_list records entry (i + 1) rest
+  [@@analysis.cost "O(batch); alloc O(batch)"]
 
 (* The same for a batch given as a list, with no intermediate array. *)
 let append_list t entry = function
@@ -56,6 +57,9 @@ let append_list t entry = function
     let records = Array.make (List.length xs) (entry x) in
     fill_list records entry 1 rest;
     Wlog.append t.log records
+  (* The frame is as long as the list: one pass counts it, one fills
+     it. *)
+  [@@analysis.cost "O(batch); alloc O(batch)"]
 
 let log_ongoing_batch t actions = append_list t (fun a -> E_ongoing a) actions
 let log_red_batch t actions = append_list t (fun a -> E_red a) actions

@@ -524,9 +524,9 @@ let on_transfer_msg t ~src msg =
              The engine submits immediately in [Reg_prim]/[Non_prim] and
              buffers the request itself in every other state. *)
           Hashtbl.replace t.transfer_sessions tr_joiner ();
-          Engine.submit e ~kind:(Action.Join tr_joiner)
+          Engine.submit e ~client:0 ~semantics:Action.Strict ~size:200
+            ~req_seq:0 ~req_ack:0 ~kind:(Action.Join tr_joiner)
             ~on_created:(fun _ -> ())
-            ()
         end)
     | Tchunk { tc_version; tc_index; tc_total; tc_payload } ->
       if t.engine = None && t.joiner_waiting then begin
@@ -702,7 +702,6 @@ let submit t ?(client = 1) ?(semantics = Action.Strict) ?(size = 200)
       t.actions_submitted <- t.actions_submitted + 1;
       Engine.submit e ~client ~semantics ~size ~req_seq ~req_ack ~kind
         ~on_created:(fun id -> Action.Id.Tbl.replace t.pending id on_response)
-        ()
     end
 
 let weak_query t keys = Database.read t.db keys
@@ -748,7 +747,9 @@ let dirty_query t keys = Database.read (dirty_db t) keys
 let leave t =
   match t.engine with
   | None -> ()
-  | Some e -> Engine.submit e ~kind:(Action.Leave t.node_id) ~on_created:(fun _ -> ()) ()
+  | Some e ->
+    Engine.submit e ~client:0 ~semantics:Action.Strict ~size:200 ~req_seq:0
+      ~req_ack:0 ~kind:(Action.Leave t.node_id) ~on_created:(fun _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Failure injection                                                   *)

@@ -22,7 +22,7 @@ type undo = Nil | Undo of string * cell option * undo
 type node = { mutable data : data }
 
 and data =
-  | Live of (string, cell) Hashtbl.t  (* the root: the table is this version *)
+  | Live of cell Str_tbl.t  (* the root: the table is this version *)
   | Diff of { mutable undo : undo; next : node }
       (* this version is [next]'s with [undo] replayed *)
 
@@ -34,7 +34,7 @@ type t = {
       (* the last capture of this handle: while [node] is the root,
          [parent] is a [Diff] into [node] that holds the old binding of
          every key written since *)
-  recorded : (string, unit) Hashtbl.t;  (* the keys in [parent]'s undo *)
+  recorded : unit Str_tbl.t;  (* the keys in [parent]'s undo *)
   mutable version : int;
   mutable trace : (string -> unit) option;
       (* key-read observer, installed by the executor around a stored
@@ -47,8 +47,8 @@ let rec revert tbl undo inv =
   match undo with
   | Nil -> inv
   | Undo (k, old, rest) ->
-    let inv = Undo (k, Hashtbl.find_opt tbl k, inv) in
-    (match old with Some c -> Hashtbl.replace tbl k c | None -> Hashtbl.remove tbl k);
+    let inv = Undo (k, Str_tbl.find_opt tbl k, inv) in
+    (match old with Some c -> Str_tbl.replace tbl k c | None -> Str_tbl.remove tbl k);
     revert tbl rest inv
 
 (* Makes [n] the root of its tree and returns the table. *)
@@ -71,33 +71,37 @@ let table t =
   match t.node.data with Live tbl -> tbl | Diff _ -> reroot t.node
 
 let make node ~parent ~version =
-  { node; parent; recorded = Hashtbl.create 16; version; trace = None }
+  { node; parent; recorded = Str_tbl.create 16; version; trace = None }
 
 let create () =
-  make { data = Live (Hashtbl.create 16) } ~parent:None ~version:0
+  make { data = Live (Str_tbl.create 16) } ~parent:None ~version:0
 
 let set_trace t f = t.trace <- f
 
+(* Lookups on the read and apply paths use [find] with [Not_found]:
+   [find_opt] would allocate an option box per key. *)
 let get t k =
   (match t.trace with Some f -> f k | None -> ());
-  match Hashtbl.find_opt (table t) k with Some c -> Some c.value | None -> None
+  match Str_tbl.find (table t) k with
+  | c -> Some c.value
+  | exception Not_found -> None
 
 let timestamp t k =
   (match t.trace with Some f -> f k | None -> ());
-  match Hashtbl.find_opt (table t) k with Some c -> c.ts | None -> 0
+  match Str_tbl.find (table t) k with c -> c.ts | exception Not_found -> 0
 
 (* The first write of a key since the last capture saves its old
    binding in the captured node; [t.node] is the root here. *)
 let record t tbl k =
   match t.parent with
-  | Some { data = Diff d } when not (Hashtbl.mem t.recorded k) ->
-    Hashtbl.replace t.recorded k ();
-    d.undo <- Undo (k, Hashtbl.find_opt tbl k, d.undo)
+  | Some { data = Diff d } when not (Str_tbl.mem t.recorded k) ->
+    Str_tbl.replace t.recorded k ();
+    d.undo <- Undo (k, Str_tbl.find_opt tbl k, d.undo)
   | Some _ | None -> ()
 
 let bind t tbl k c =
   record t tbl k;
-  Hashtbl.replace tbl k c
+  Str_tbl.replace tbl k c
 
 (* Key-class separation (paper §6, and the pairwise law Op.commutes
    promises): a key written through [Set_if_newer] carries ts > 0 and is
@@ -108,26 +112,23 @@ let bind t tbl k c =
    commutative ops converges to the same state. *)
 let apply_op t tbl = function
   | Op.Set (k, v) ->
-    let ts = match Hashtbl.find_opt tbl k with Some c -> c.ts | None -> 0 in
+    let ts = match Str_tbl.find tbl k with c -> c.ts | exception Not_found -> 0 in
     bind t tbl k { value = v; ts }
   | Op.Add (k, n) -> (
-    match Hashtbl.find_opt tbl k with
-    | Some { ts; _ } when ts > 0 -> () (* register key: counter op dropped *)
-    | Some { value = Value.Int v; ts } ->
-      bind t tbl k { value = Value.Int (v + n); ts }
-    | Some { value = Value.Text _; ts } -> bind t tbl k { value = Value.Int n; ts }
-    | None -> bind t tbl k { value = Value.Int n; ts = 0 })
+    match Str_tbl.find tbl k with
+    | { ts; _ } when ts > 0 -> () (* register key: counter op dropped *)
+    | { value = Value.Int v; ts } -> bind t tbl k { value = Value.Int (v + n); ts }
+    | { value = Value.Text _; ts } -> bind t tbl k { value = Value.Int n; ts }
+    | exception Not_found -> bind t tbl k { value = Value.Int n; ts = 0 })
   | Op.Remove k ->
     record t tbl k;
-    Hashtbl.remove tbl k
-  | Op.Set_if_newer (k, v, ts) ->
-    let stored = Hashtbl.find_opt tbl k in
-    let stored_ts = match stored with Some c -> c.ts | None -> 0 in
-    if ts > stored_ts then bind t tbl k { value = v; ts }
-    else if ts = stored_ts && ts > 0 then
-      match stored with
-      | Some c when Value.compare v c.value > 0 -> bind t tbl k { value = v; ts }
-      | _ -> ()
+    Str_tbl.remove tbl k
+  | Op.Set_if_newer (k, v, ts) -> (
+    match Str_tbl.find tbl k with
+    | c ->
+      if ts > c.ts || (ts = c.ts && ts > 0 && Value.compare v c.value > 0) then
+        bind t tbl k { value = v; ts }
+    | exception Not_found -> if ts > 0 then bind t tbl k { value = v; ts })
 
 let rec apply_ops t tbl = function
   | [] -> ()
@@ -140,13 +141,13 @@ let apply t ops =
   t.version <- t.version + 1
 
 let read t keys = List.map (fun k -> (k, get t k)) keys
-let size t = Hashtbl.length (table t)
+let size t = Str_tbl.length (table t)
 let version t = t.version
 
 (* Commutative sums over a per-binding hash: the table's iteration
    order cannot reach the result. *)
 let sum f tbl =
-  Hashtbl.fold (fun k c acc -> acc + f k c) tbl 0 (* repcheck: allow *)
+  Str_tbl.fold (fun k c acc -> acc + f k c) tbl 0 (* repcheck: allow *)
 
 let digest t = sum (fun k c -> Hashtbl.hash (k, c.value, c.ts)) (table t)
 
@@ -156,7 +157,7 @@ let digest t = sum (fun k c -> Hashtbl.hash (k, c.value, c.ts)) (table t)
    again. *)
 let capture t =
   match t.parent with
-  | Some p when Hashtbl.length t.recorded = 0 -> p
+  | Some p when Str_tbl.length t.recorded = 0 -> p
   | Some _ | None ->
     let tbl = table t in
     let frozen = t.node in
@@ -164,7 +165,7 @@ let capture t =
     frozen.data <- Diff { undo = Nil; next = live };
     t.node <- live;
     t.parent <- Some frozen;
-    Hashtbl.reset t.recorded;
+    Str_tbl.reset t.recorded;
     frozen
 
 let snapshot t = { s_node = capture t; s_version = t.version }
@@ -178,12 +179,12 @@ let copy t =
 (* A handle restored from a version gets a table of its own: two
    long-lived handles sharing one would undo each other's writes on
    every access. *)
-let detached s = { data = Live (Hashtbl.copy (reroot s.s_node)) }
+let detached s = { data = Live (Str_tbl.copy (reroot s.s_node)) }
 
 let restore t s =
   t.node <- detached s;
   t.parent <- None;
-  Hashtbl.reset t.recorded;
+  Str_tbl.reset t.recorded;
   t.version <- s.s_version
 
 let of_snapshot s = make (detached s) ~parent:None ~version:s.s_version
@@ -199,7 +200,7 @@ let snapshot_size s =
       (reroot s.s_node)
 
 let bindings t =
-  Hashtbl.fold (fun k c acc -> (k, c.value) :: acc) (table t) [] (* repcheck: allow *)
+  Str_tbl.fold (fun k c acc -> (k, c.value) :: acc) (table t) [] (* repcheck: allow *)
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let pp ppf t =

@@ -15,26 +15,26 @@ type entry = { body : body; declared : footprint option }
    used to live here was the ambient-state analysis's first real
    finding — two engines in one process observed each other's
    [register] calls; a fixture pins that pre-fix finding.) *)
-type registry = (string, entry) Hashtbl.t
+type registry = entry Str_tbl.t
 
-let create () : registry = Hashtbl.create 16
+let create () : registry = Str_tbl.create 16
 
 let register ?footprint (reg : registry) name body =
-  Hashtbl.replace reg name { body; declared = footprint }
+  Str_tbl.replace reg name { body; declared = footprint }
 
 let find (reg : registry) name =
-  match Hashtbl.find_opt reg name with
-  | Some e -> Some e.body
-  | None -> None
+  match Str_tbl.find reg name with
+  | e -> Some e.body
+  | exception Not_found -> None
 
 let declared_footprint (reg : registry) name =
-  match Hashtbl.find_opt reg name with
-  | Some e -> e.declared
-  | None -> None
+  match Str_tbl.find reg name with
+  | e -> e.declared
+  | exception Not_found -> None
 
 let known (reg : registry) =
   (* repcheck: allow — result is sorted, iteration order irrelevant *)
-  List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) reg [])
+  List.sort String.compare (Str_tbl.fold (fun k _ acc -> k :: acc) reg [])
 
 let value_to_key = function
   | Value.Text s -> s

@@ -948,9 +948,9 @@ let periodic t =
         (fun m ->
           (not (Node_id.equal m t.node))
           &&
-          match Node_id.Tbl.find_opt t.last_heard m with
-          | Some heard -> Time.(Time.diff now heard > t.prm.fd_timeout)
-          | None -> true)
+          match Node_id.Tbl.find t.last_heard m with
+          | heard -> Time.(Time.diff now heard > t.prm.fd_timeout)
+          | exception Not_found -> true)
         cs.cview.members
     in
     if suspect then start_gather t

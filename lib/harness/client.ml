@@ -52,38 +52,18 @@ type t = {
   mutable attempt : int;  (* attempts made for the current seq *)
   mutable epoch : int;  (* invalidates stale deadlines/Busy handlers *)
   mutable stopped : bool;
+  (* The live attempt's deadline and the [epoch] and [seq] it guards. *)
+  mutable deadline : Sim.Time.t;
+  mutable deadline_epoch : int;
+  mutable deadline_seq : int;
+  mutable timer_armed : bool;  (* [timer] is pending in the sim *)
+  timer : unit -> unit;
   (* counters *)
   mutable retries : int;
   mutable failovers : int;
   mutable busy : int;
   mutable timeouts : int;
 }
-
-let create ?(config = default_config) ~sim ~id ~replicas () =
-  if id <= 0 then invalid_arg "Client.create: id must be positive";
-  (* Spread clients across replicas; a start past the end of the list
-     wraps, or the first attempt would wait out a whole deadline. *)
-  let n = List.length (replicas ()) in
-  let target = (id - 1) mod 64 in
-  {
-    sim;
-    rng = Sim.Rng.split (Sim.Engine.rng sim);
-    id;
-    replicas;
-    cfg = config;
-    queue = Queue.create ();
-    current = None;
-    seq = 0;
-    acked = 0;
-    target = (if target < n then target else target mod max n 1);
-    attempt = 0;
-    epoch = 0;
-    stopped = false;
-    retries = 0;
-    failovers = 0;
-    busy = 0;
-    timeouts = 0;
-  }
 
 let id t = t.id
 let issued t = t.seq
@@ -122,7 +102,30 @@ let rotate_target t =
     t.target <- (t.target + find 1) mod n
   end
 
-let rec dispatch t =
+(* A session has one deadline timer, pending at most once: each attempt
+   records its deadline and arms the timer only when it is idle.  A
+   timer that fires before the live deadline (it was armed by an earlier
+   attempt) re-arms itself to it, and one that finds no live attempt
+   stays idle — so a timeout fires exactly [request_timeout] after its
+   attempt, and the event queue holds one deadline per session instead
+   of one per attempt. *)
+let arm_timer t =
+  t.timer_armed <- true;
+  Sim.Engine.schedule_at t.sim ~at:t.deadline t.timer
+
+let rec on_timer t =
+  t.timer_armed <- false;
+  if (not t.stopped) && t.epoch = t.deadline_epoch && t.acked < t.deadline_seq
+  then
+    if Sim.Time.(t.deadline > Sim.Engine.now t.sim) then arm_timer t
+    else begin
+      t.timeouts <- t.timeouts + 1;
+      t.failovers <- t.failovers + 1;
+      rotate_target t;
+      retry t
+    end
+
+and dispatch t =
   if (not t.stopped) && t.current = None then
     match Queue.take_opt t.queue with
     | None -> ()
@@ -139,22 +142,20 @@ and attempt t =
     t.attempt <- t.attempt + 1;
     t.epoch <- t.epoch + 1;
     let epoch = t.epoch and seq = t.seq in
-    (match List.nth_opt (t.replicas ()) t.target with
-    | Some r when Replica.is_up r && Replica.is_ready r ->
+    (* [List.nth], not [nth_opt]: no option box per attempt. *)
+    (match List.nth (t.replicas ()) t.target with
+    | r when Replica.is_up r && Replica.is_ready r ->
       Replica.submit r ~client:t.id ~semantics:op.op_semantics
         ~size:op.op_size ~req_seq:seq ~req_ack:t.acked op.op_kind
         ~on_response:(fun resp -> on_response t ~seq ~epoch resp)
-    | Some _ | None ->
+    | _ | (exception Failure _) ->
       (* No usable target right now: burn the attempt, let the deadline
          below fire and rotate. *)
       ());
-    Sim.Engine.schedule t.sim ~delay:t.cfg.request_timeout (fun () ->
-        if (not t.stopped) && t.epoch = epoch && t.acked < seq then begin
-          t.timeouts <- t.timeouts + 1;
-          t.failovers <- t.failovers + 1;
-          rotate_target t;
-          retry t
-        end)
+    t.deadline <- Sim.Time.add (Sim.Engine.now t.sim) ~span:t.cfg.request_timeout;
+    t.deadline_epoch <- epoch;
+    t.deadline_seq <- seq;
+    if not t.timer_armed then arm_timer t
 
 and on_response t ~seq ~epoch resp =
   if (not t.stopped) && t.acked < seq then
@@ -184,6 +185,43 @@ and retry t =
   t.epoch <- t.epoch + 1 (* invalidate the pending deadline *);
   Sim.Engine.schedule t.sim ~delay:(backoff_delay t) (fun () ->
       if not t.stopped then attempt t)
+
+let create ?(config = default_config) ~sim ~id ~replicas () =
+  if id <= 0 then invalid_arg "Client.create: id must be positive";
+  (* Spread clients across replicas; a start past the end of the list
+     wraps, or the first attempt would wait out a whole deadline. *)
+  let n = List.length (replicas ()) in
+  let target = (id - 1) mod 64 in
+  let target = if target < n then target else target mod max n 1 in
+  let rng = Sim.Rng.split (Sim.Engine.rng sim) in
+  let queue = Queue.create () in
+  let rec t =
+    {
+      sim;
+      rng;
+      id;
+      replicas;
+      cfg = config;
+      queue;
+      current = None;
+      seq = 0;
+      acked = 0;
+      target;
+      attempt = 0;
+      epoch = 0;
+      stopped = false;
+      deadline = Sim.Time.zero;
+      deadline_epoch = 0;
+      deadline_seq = 0;
+      timer_armed = false;
+      timer = (fun () -> on_timer t);
+      retries = 0;
+      failovers = 0;
+      busy = 0;
+      timeouts = 0;
+    }
+  in
+  t
 
 let exec t ?(semantics = Action.Strict) ?(size = 200) kind ~k =
   Queue.add { op_semantics = semantics; op_size = size; op_kind = kind; op_k = k }

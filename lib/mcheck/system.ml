@@ -299,10 +299,10 @@ let apply t tr =
     let nd = t.nodes.(n) in
     match nd.engine with
     | Some e when submittable e ->
-      Engine.submit e ~client:1
+      Engine.submit e ~client:1 ~semantics:Action.Strict ~size:200 ~req_seq:0
+        ~req_ack:0
         ~kind:(Action.Update [ Op.Add ("mc", 1) ])
-        ~on_created:(fun _ -> ())
-        ();
+        ~on_created:(fun _ -> ());
       drain t;
       finish ()
     | Some _ | None -> inapplicable)

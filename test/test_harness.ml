@@ -323,6 +323,73 @@ let test_live_memory_flat () =
     true
     (float_of_int peak_2t <= 1.1 *. float_of_int peak_t)
 
+(* A closed loop through client sessions keeps one deadline pending per
+   session, not one per attempt: on a knee-sized world (14 replicas, 14
+   sessions, delayed writes) the event queue stays small over a virtual
+   second.  With a deadline event left behind by every attempt it
+   peaked at 1,554. *)
+let test_one_deadline_per_session () =
+  let n = 14 in
+  let w =
+    World.make ~net_config:Network.lan_gigabit ~params:Repro_gcs.Params.default
+      ~disk_config:Repro_storage.Disk.default_delayed ~attach_cpu:true ~seed:1
+      ~n ()
+  in
+  let sim = World.sim w in
+  World.run w ~ms:2000.;
+  let completed = ref 0 in
+  List.iter
+    (fun id ->
+      let c = Client.create ~sim ~id ~replicas:(fun () -> World.replicas w) () in
+      let rec loop () =
+        Client.exec c (Action.Update []) ~k:(fun _ ->
+            incr completed;
+            loop ())
+      in
+      loop ())
+    (List.init n (fun i -> i + 1));
+  let peak = ref 0 in
+  for _ = 1 to 200 do
+    World.run w ~ms:5.;
+    peak := max !peak (Repro_sim.Engine.pending sim)
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "the loops ran (%d completions)" !completed)
+    true (!completed > 1_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "pending events peak at %d (< 400)" !peak)
+    true (!peak < 400)
+
+(* A session whose target crashes right after the submit times out
+   exactly [request_timeout] after that attempt, even though its timer
+   was armed by the previous request's earlier deadline, and then fails
+   over once. *)
+let test_timeout_exact_after_crash () =
+  let w = World.make ~n:3 () in
+  let sim = World.sim w in
+  World.run w ~ms:1000.;
+  let timeout = Client.default_config.Client.request_timeout in
+  let c = Client.create ~sim ~id:1 ~replicas:(fun () -> World.replicas w) () in
+  let answered = ref 0 in
+  let exec () = Client.exec c (Action.Update []) ~k:(fun _ -> incr answered) in
+  exec ();
+  World.run w ~ms:50.;
+  Alcotest.(check int) "the first request answered" 1 !answered;
+  let attempt_at = Repro_sim.Engine.now sim in
+  exec ();
+  Replica.crash (World.replica w 0);
+  let deadline = Repro_sim.Time.add attempt_at ~span:timeout in
+  Repro_sim.Engine.run sim
+    ~until:(Repro_sim.Time.diff deadline (Repro_sim.Time.of_us 1));
+  Alcotest.(check int) "no timeout 1 us before the deadline" 0
+    (Client.timeouts c);
+  Repro_sim.Engine.run sim ~until:deadline;
+  Alcotest.(check int) "timed out at the deadline" 1 (Client.timeouts c);
+  World.run w ~ms:500.;
+  Alcotest.(check int) "the second request answered" 2 !answered;
+  Alcotest.(check (pair int int)) "one timeout, one failover" (1, 1)
+    (Client.timeouts c, Client.failovers c)
+
 let () =
   Alcotest.run "harness"
     [
@@ -355,6 +422,10 @@ let () =
           Alcotest.test_case "mixed reads" `Quick test_workload_mixed_reads;
           Alcotest.test_case "closed loop under shedding" `Quick
             test_workload_closed_loop_sheds;
+          Alcotest.test_case "one deadline per session" `Quick
+            test_one_deadline_per_session;
+          Alcotest.test_case "timeout exact after a crash" `Quick
+            test_timeout_exact_after_crash;
         ] );
       ( "observability",
         [ Alcotest.test_case "white line advances" `Quick test_white_line_advances ] );
