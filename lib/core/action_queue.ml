@@ -7,7 +7,7 @@ type t = {
   mutable floor : int; (* positions <= floor have no body *)
   mutable floor_line : Action.Id.t option;
   mutable red : Action.t list;
-      (* newest first; may hold lazily-deleted entries — [red_set] is
+      (* newest first; may hold lazily-deleted entries — [bodies] is
          the authoritative membership index *)
   mutable red_count : int; (* live entries in [red] *)
   mutable red_dead : int; (* tombstoned entries still in [red] *)
@@ -15,8 +15,9 @@ type t = {
       (* per creator: index of its last green action.  Greens are FIFO
          per creator, so an id is green iff its index is at or below
          its creator's cut — no per-id index is needed. *)
-  bodies : Action.t Action.Id.Tbl.t; (* every body we hold *)
-  red_set : unit Action.Id.Tbl.t; (* live red ids *)
+  bodies : Action.t Action.Id.Tbl.t;
+      (* live red ids.  A green body lives only in [green], which both
+         lookups of a body by id skip. *)
 }
 
 let create () =
@@ -30,7 +31,6 @@ let create () =
     red_dead = 0;
     cut = Node_id.Tbl.create 16;
     bodies = Action.Id.Tbl.create 256;
-    red_set = Action.Id.Tbl.create 256;
   }
 
 let green_count t = t.green_count
@@ -80,9 +80,6 @@ let discard_below t n =
     let stored = t.green_count - t.floor in
     (* The last discarded body becomes the floor line. *)
     let last = t.green.(dropped - 1) in
-    for i = 0 to dropped - 1 do
-      Action.Id.Tbl.remove t.bodies t.green.(i).Action.id
-    done;
     let remaining = stored - dropped in
     let ng = if remaining = 0 then [||] else Array.make remaining last in
     Array.blit t.green dropped ng 0 remaining;
@@ -113,13 +110,13 @@ let grow t a =
    tombstones outnumber live entries (so each sweep's O(n) is paid for
    by the n removals that preceded it). *)
 let remove_red t id =
-  if Action.Id.Tbl.mem t.red_set id then begin
-    Action.Id.Tbl.remove t.red_set id;
+  if Action.Id.Tbl.mem t.bodies id then begin
+    Action.Id.Tbl.remove t.bodies id;
     t.red_count <- t.red_count - 1;
     t.red_dead <- t.red_dead + 1;
     if t.red_dead > t.red_count + 64 then begin
       t.red <-
-        List.filter (fun a -> Action.Id.Tbl.mem t.red_set a.Action.id) t.red;
+        List.filter (fun a -> Action.Id.Tbl.mem t.bodies a.Action.id) t.red;
       t.red_dead <- 0
     end
   end
@@ -132,20 +129,18 @@ let append_green t a =
   t.green.(t.green_count - t.floor) <- a;
   t.green_count <- t.green_count + 1;
   Node_id.Tbl.replace t.cut a.Action.id.server a.Action.id.index;
-  Action.Id.Tbl.replace t.bodies a.Action.id a;
   t.green_count
 
 let add_red t a =
-  if not (Action.Id.Tbl.mem t.bodies a.Action.id) then begin
+  if not (is_green t a.Action.id || Action.Id.Tbl.mem t.bodies a.Action.id)
+  then begin
     t.red <- a :: t.red;
     t.red_count <- t.red_count + 1;
-    Action.Id.Tbl.replace t.red_set a.Action.id ();
     Action.Id.Tbl.replace t.bodies a.Action.id a
   end
 
 let red_actions t =
   List.rev
-    (List.filter (fun a -> Action.Id.Tbl.mem t.red_set a.Action.id) t.red)
+    (List.filter (fun a -> Action.Id.Tbl.mem t.bodies a.Action.id) t.red)
 let red_count t = t.red_count
 let find t id = Action.Id.Tbl.find_opt t.bodies id
-let mem t id = Action.Id.Tbl.mem t.bodies id

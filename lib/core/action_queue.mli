@@ -64,6 +64,5 @@ val red_actions : t -> Action.t list
 
 val red_count : t -> int
 val find : t -> Action.Id.t -> Action.t option
-(** Any action this queue holds a body for, red or green. *)
-
-val mem : t -> Action.Id.t -> bool
+(** The body of a red action; [None] for a green one (its body is
+    reached by position, {!nth_green}) and for an unknown one. *)

@@ -214,12 +214,15 @@ let push_mark m a =
    (it is synchronous within one simulation event). *)
 let flush_marks t =
   let reds = t.red_marks and greens = t.green_marks in
-  Persist.log_red_marks t.persist reds.m_buf reds.m_len;
-  reds.m_len <- 0;
+  if reds.m_len > 0 then begin
+    Persist.log_red_marks t.persist (Array.sub reds.m_buf 0 reds.m_len);
+    reds.m_len <- 0
+  end;
   if greens.m_len > 0 then begin
+    (* One copy serves the log frame and the application alike. *)
     let batch = Array.sub greens.m_buf 0 greens.m_len in
-    Persist.log_green_marks t.persist greens.m_buf greens.m_len;
     greens.m_len <- 0;
+    Persist.log_green_marks t.persist batch;
     t.cb.on_green batch
   end
   [@@analysis.hotpath "O(batch+queue)"]
@@ -398,10 +401,9 @@ let install t =
   if t.yellow.y_valid then
     List.iter
       (fun id ->
-        if not (Action_queue.is_green t.queue id) then
-          match Action_queue.find t.queue id with
-          | Some a -> mark_green t a (* OR-1.2 *)
-          | None -> ())
+        match Action_queue.find t.queue id with
+        | Some a -> mark_green t a (* OR-1.2; greens have no body here *)
+        | None -> ())
       t.yellow.y_set;
   set_yellow t invalid_yellow;
   t.prim <-
@@ -622,15 +624,10 @@ and check_all_states t =
             (fun (creator, low, high) ->
               List.filter_map
                 (fun index ->
-                  match
-                    Action_queue.find t.queue
-                      { Action.Id.server = creator; index }
-                  with
-                  | Some a
-                    when not (Action_queue.is_green t.queue a.Action.id) ->
-                    Some a
-                  | Some _ | None -> None
-                    (* green bodies travel via the green plan *))
+                  (* Red bodies only: green bodies travel via the green
+                     plan. *)
+                  Action_queue.find t.queue
+                    { Action.Id.server = creator; index })
                 (List.init (high - low) (fun i -> low + 1 + i)))
             duties
         in

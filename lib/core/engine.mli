@@ -20,7 +20,8 @@ type callbacks = {
       (** a delivery burst's actions reached their places in the global
           order, in green order: apply them as one group-committed
           batch.  Invoked once per burst (the batch is never empty); the
-          array is the callee's. *)
+          array is the burst's green log frame itself, so the callee
+          reads it and must not modify it. *)
   on_red : Action.t -> unit;
       (** the action was accepted locally (dirty knowledge) *)
   on_transfer_request : joiner:Node_id.t -> unit;

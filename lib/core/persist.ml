@@ -11,69 +11,51 @@ type checkpoint = {
   c_dedup : Dedup.snapshot;
 }
 
-type entry =
-  | E_ongoing of Action.t
-  | E_red of Action.t
-  | E_green of Action.Id.t
-  | E_meta of Types.meta
-  | E_checkpoint of checkpoint
+type frame =
+  | Ongoing of Action.t array
+  | Red of Action.t array
+  | Green of Action.t array
+  | Meta of Types.meta
+  | Checkpoint of checkpoint
 
-type t = { log : entry Wlog.t; disk : Disk.t }
+let records = function
+  | Ongoing actions | Red actions | Green actions -> Array.length actions
+  | Meta _ | Checkpoint _ -> 1
 
-let create ~engine ~disk () = { log = Wlog.create ~engine ~disk (); disk }
+type t = { log : frame Wlog.t; disk : Disk.t }
+
+let create ~engine ~disk () =
+  { log = Wlog.create ~engine ~disk ~records (); disk }
+
 let disk t = t.disk
-let log_meta t m = Wlog.append t.log [| E_meta m |]
-
-let rec fill records entry xs i =
-  if i < Array.length records then begin
-    records.(i) <- entry xs.(i);
-    fill records entry xs (i + 1)
-  end
-  (* One step per record of the frame. *)
-  [@@analysis.cost "O(batch); alloc O(batch)"]
+let log_meta t m = Wlog.append t.log (Meta m)
 
 (* One Wlog frame per call — one device write, one checksum, and
-   downstream one covering force for the whole batch — with a record
-   per element of [xs.(0 .. n - 1)], its array filled in one pass.  No
-   frame for an empty batch. *)
-let append_frame t entry xs n =
-  if n > 0 then begin
-    let records = Array.make n (entry xs.(0)) in
-    fill records entry xs 1;
-    Wlog.append t.log records
-  end
+   downstream one covering force for the whole batch.  [Wlog.append]
+   writes no frame for an empty batch. *)
+let log_ongoing_batch t actions =
+  Wlog.append t.log (Ongoing (Array.of_list actions))
 
-let rec fill_list records entry i = function
-  | [] -> ()
-  | x :: rest ->
-    records.(i) <- entry x;
-    fill_list records entry (i + 1) rest
-  [@@analysis.cost "O(batch); alloc O(batch)"]
+let log_red_batch t actions = Wlog.append t.log (Red (Array.of_list actions))
 
-(* The same for a batch given as a list, with no intermediate array. *)
-let append_list t entry = function
-  | [] -> ()
-  | x :: rest as xs ->
-    let records = Array.make (List.length xs) (entry x) in
-    fill_list records entry 1 rest;
-    Wlog.append t.log records
-  (* The frame is as long as the list: one pass counts it, one fills
-     it. *)
-  [@@analysis.cost "O(batch); alloc O(batch)"]
+(* A green mark needs only the id; callers that hold nothing more log a
+   bodiless stand-in per id, which no reader of a green frame looks
+   past. *)
+let log_green_batch t ids =
+  let stand_in (id : Action.Id.t) =
+    Action.make ~server:id.server ~index:id.index (Action.Update [])
+  in
+  Wlog.append t.log (Green (Array.of_list (List.map stand_in ids)))
 
-let log_ongoing_batch t actions = append_list t (fun a -> E_ongoing a) actions
-let log_red_batch t actions = append_list t (fun a -> E_red a) actions
-let log_green_batch t ids = append_list t (fun id -> E_green id) ids
-let log_red_marks t marks n = append_frame t (fun a -> E_red a) marks n
-
-let log_green_marks t marks n =
-  append_frame t (fun (a : Action.t) -> E_green a.id) marks n
-
-let log_checkpoint t c = Wlog.append t.log [| E_checkpoint c |]
+let log_red_marks t actions = Wlog.append t.log (Red actions)
+let log_green_marks t actions = Wlog.append t.log (Green actions)
+let log_checkpoint t c = Wlog.append t.log (Checkpoint c)
+let find_newest t f = Wlog.find_newest t.log f
 let sync t k = Wlog.sync t.log k
 let crash t = Wlog.crash t.log
 let reset t = Wlog.reset t.log
 let entries_logged t = Wlog.length t.log
+let frames_logged t = Wlog.frame_count t.log
 
 type verdict =
   | V_clean
@@ -104,8 +86,8 @@ type recovered = {
 let cut_of map server =
   match Node_id.Map.find server map with c -> c | exception Not_found -> 0
 
-(* Replay a verified entry list into engine state. *)
-let parse ~self entries =
+(* Replay a verified frame list into engine state. *)
+let parse ~self frames =
   let bodies = Action.Id.Tbl.create 256 in
   let greened = Action.Id.Tbl.create 256 in
   let meta = ref None in
@@ -115,36 +97,39 @@ let parse ~self entries =
   let ongoing_rev = ref [] in
   let red_cut = ref Node_id.Map.empty in
   let action_index = ref 0 in
-  let note_cut (id : Action.Id.t) =
-    if id.index > cut_of !red_cut id.server then
-      red_cut := Node_id.Map.add id.server id.index !red_cut;
+  let note_own (id : Action.Id.t) =
     if Node_id.equal id.server self && id.index > !action_index then
       action_index := id.index
   in
+  let ongoing (a : Action.t) =
+    ongoing_rev := a :: !ongoing_rev;
+    note_own a.id
+  in
+  let red (a : Action.t) =
+    Action.Id.Tbl.replace bodies a.id a;
+    red_order_rev := a.id :: !red_order_rev;
+    if a.id.index > cut_of !red_cut a.id.server then
+      red_cut := Node_id.Map.add a.id.server a.id.index !red_cut;
+    note_own a.id
+  in
+  let green (mark : Action.t) =
+    let id = mark.id in
+    match Action.Id.Tbl.find_opt bodies id with
+    | Some a ->
+      if not (Action.Id.Tbl.mem greened id) then begin
+        Action.Id.Tbl.replace greened id ();
+        green_rev := a :: !green_rev
+      end
+    | None -> () (* body lost with the unflushed tail: treated as unknown *)
+  in
   List.iter
-    (fun entry ->
-      match entry with
-      | E_ongoing a ->
-        ongoing_rev := a :: !ongoing_rev;
-        if
-          Node_id.equal a.Action.id.server self
-          && a.Action.id.index > !action_index
-        then
-          action_index := a.Action.id.index
-      | E_red a ->
-        Action.Id.Tbl.replace bodies a.Action.id a;
-        red_order_rev := a.Action.id :: !red_order_rev;
-        note_cut a.Action.id
-      | E_green id -> (
-        match Action.Id.Tbl.find_opt bodies id with
-        | Some a ->
-          if not (Action.Id.Tbl.mem greened id) then begin
-            Action.Id.Tbl.replace greened id ();
-            green_rev := a :: !green_rev
-          end
-        | None -> () (* body lost with the unflushed tail: treated as unknown *))
-      | E_meta m -> meta := Some m
-      | E_checkpoint c ->
+    (fun frame ->
+      match frame with
+      | Ongoing actions -> Array.iter ongoing actions
+      | Red actions -> Array.iter red actions
+      | Green actions -> Array.iter green actions
+      | Meta m -> meta := Some m
+      | Checkpoint c ->
         (* The checkpoint summarises everything before it: the green
            prefix lives in its snapshot, red actions it covers are green
            inside it.  Its green cut also bounds the indexes our own
@@ -163,7 +148,7 @@ let parse ~self entries =
             !red_order_rev;
         red_cut :=
           Node_id.Map.union (fun _ a b -> Some (max a b)) c.c_green_cut !red_cut)
-    entries;
+    frames;
   let r_red =
     List.rev !red_order_rev
     |> List.filter_map (fun id ->
@@ -182,38 +167,39 @@ let parse ~self entries =
     !red_cut,
     !action_index )
 
-let is_checkpoint = function E_checkpoint _ -> true | _ -> false
-let checkpoints entries = List.length (List.filter is_checkpoint entries)
+let is_checkpoint = function Checkpoint _ -> true | _ -> false
+let checkpoints frames = List.length (List.filter is_checkpoint frames)
 
-(* The highest own action index mentioned anywhere in [entries] —
+(* The highest own action index mentioned anywhere in [frames] —
    including records beyond the damage point.  Adopting it prevents a
    salvaged or amnesiac replica from re-minting an action id its
    previous life already used (ids must be unique forever: a duplicate
    would collide with copies still floating at peers). *)
-let max_own_index ~self entries =
+let max_own_index ~self frames =
+  let own acc (a : Action.t) =
+    if Node_id.equal a.id.server self then max acc a.id.index else acc
+  in
   List.fold_left
-    (fun acc entry ->
-      let own (id : Action.Id.t) =
-        if Node_id.equal id.server self then max acc id.index else acc
-      in
-      match entry with
-      | E_ongoing a | E_red a -> own a.Action.id
-      | E_green id -> own id
-      | E_meta _ | E_checkpoint _ -> acc)
-    0 entries
+    (fun acc frame ->
+      match frame with
+      | Ongoing actions | Red actions | Green actions ->
+        Array.fold_left own acc actions
+      | Meta _ | Checkpoint _ -> acc)
+    0 frames
 
-(* Own-creator action bodies found among [entries] (readable records,
+(* Own-creator action bodies found among [frames] (readable records,
    possibly beyond the damage point), indexed by action index. *)
-let own_bodies ~self entries =
+let own_bodies ~self frames =
   let tbl = Hashtbl.create 8 in
+  let note (a : Action.t) =
+    if Node_id.equal a.id.server self then Hashtbl.replace tbl a.id.index a
+  in
   List.iter
-    (fun entry ->
-      match entry with
-      | E_ongoing a | E_red a ->
-        if Node_id.equal a.Action.id.server self then
-          Hashtbl.replace tbl a.Action.id.index a
-      | E_green _ | E_meta _ | E_checkpoint _ -> ())
-    entries;
+    (fun frame ->
+      match frame with
+      | Ongoing actions | Red actions -> Array.iter note actions
+      | Green _ | Meta _ | Checkpoint _ -> ())
+    frames;
   tbl
 
 (* Salvage drops records that were durable — and the engine forces the
@@ -242,25 +228,25 @@ let refill_own ~self ~readable ~own_cut ~floor =
   in
   build (own_cut + 1) []
 
-(* The newest meta record among [entries] (checkpoints carry one too).
+(* The newest meta record among [frames] (checkpoints carry one too).
    Under-claiming green/red knowledge is safe — peers retransmit — but
    under-claiming the vulnerable record is not: a server that forgot it
    joined an installation attempt could let a non-quorum install.  So
    salvage adopts the newest *readable* meta even past the damage. *)
-let newest_meta entries =
+let newest_meta frames =
   List.fold_left
-    (fun acc entry ->
-      match entry with
-      | E_meta m -> Some m
-      | E_checkpoint c -> Some c.c_meta
-      | E_ongoing _ | E_red _ | E_green _ -> acc)
-    None entries
+    (fun acc frame ->
+      match frame with
+      | Meta m -> Some m
+      | Checkpoint c -> Some c.c_meta
+      | Ongoing _ | Red _ | Green _ -> acc)
+    None frames
 
 let recover ~self t =
   let rv = Wlog.recover t.log in
-  let finish ~verdict ~meta_override ~action_floor entries =
+  let finish ~verdict ~meta_override ~action_floor frames =
     let meta, green, checkpoint, red, ongoing, red_cut, action_index =
-      parse ~self entries
+      parse ~self frames
     in
     {
       r_meta = (match meta_override with Some _ as m -> m | None -> meta);
@@ -344,8 +330,29 @@ let recover ~self t =
 
 let corrupt_nth t nth = Wlog.corrupt t.log ~nth
 
+(* The actions of [actions] that pass [p], in order: [actions] itself
+   when every one does. *)
+let filter_actions p actions =
+  let kept = Array.fold_left (fun n a -> if p a then n + 1 else n) 0 actions in
+  if kept = Array.length actions then actions
+  else if kept = 0 then [||]
+  else begin
+    let out = Array.make kept actions.(0) in
+    let j = ref 0 in
+    Array.iter
+      (fun a ->
+        if p a then begin
+          out.(!j) <- a;
+          incr j
+        end)
+      actions;
+    out
+  end
+  (* Two passes over one frame's records. *)
+  [@@analysis.cost "O(batch); alloc O(batch)"]
+
 (* Compaction: keep the newest checkpoint and whatever it does not
-   cover — later entries, red actions above its green cuts, and own
+   cover — later records, red actions above its green cuts, and own
    ongoing actions.  Mirrors switching to a fresh log segment whose head
    is the checkpoint. *)
 let compact t =
@@ -355,23 +362,31 @@ let compact t =
      read errors exactly as a recovery would. *)
   if Wlog.clean t.log then
     match
-      Wlog.find_newest t.log (function E_checkpoint c -> Some c | _ -> None)
+      find_newest t (function Checkpoint c -> Some c | _ -> None)
     with
     | None -> ()
     | Some c ->
-      let covered (id : Action.Id.t) =
-        id.index <= cut_of c.c_green_cut id.server
+      let uncovered (a : Action.t) =
+        a.id.index > cut_of c.c_green_cut a.id.server
+      in
+      (* Most frames before the checkpoint are dropped whole: that
+         case allocates nothing. *)
+      let keep_uncovered frame actions rebuild =
+        let kept = filter_actions uncovered actions in
+        if kept == actions then Some frame
+        else if Array.length kept = 0 then None
+        else Some (rebuild kept)
       in
       let after_checkpoint = ref false in
-      let keep entry =
-        if !after_checkpoint then true
+      let keep frame =
+        if !after_checkpoint then Some frame
         else
-          match entry with
-          | E_checkpoint c' when c' == c ->
+          match frame with
+          | Checkpoint c' when c' == c ->
             after_checkpoint := true;
-            true
-          | E_checkpoint _ | E_meta _ | E_green _ -> false
-          | E_red a -> not (covered a.Action.id)
-          | E_ongoing a -> not (covered a.Action.id)
+            Some frame
+          | Checkpoint _ | Meta _ | Green _ -> None
+          | Red actions -> keep_uncovered frame actions (fun a -> Red a)
+          | Ongoing actions -> keep_uncovered frame actions (fun a -> Ongoing a)
       in
       Wlog.compact t.log ~keep

@@ -36,11 +36,12 @@ val log_green_batch : t -> Action.Id.t list -> unit
 (** One frame for a delivery burst's red (resp. green) marks (group
     commit: marks are appended without forcing). *)
 
-val log_red_marks : t -> Action.t array -> int -> unit
-val log_green_marks : t -> Action.t array -> int -> unit
-(** The same frames, filled in one pass from the first [n] actions of
-    a mark buffer: a red record per action, or a green record per
-    action's id. *)
+val log_red_marks : t -> Action.t array -> unit
+val log_green_marks : t -> Action.t array -> unit
+(** The same frames, holding the given array itself: a red record per
+    action, or a green record per action's id.  The caller must not
+    modify the array afterwards; the engine hands the same green array
+    to [on_green].  An empty array writes nothing. *)
 
 (** A durable summary of everything up to a green position: the database
     snapshot at that point, the green line, and the per-creator green
@@ -60,6 +61,23 @@ type checkpoint = {
 }
 
 val log_checkpoint : t -> checkpoint -> unit
+
+(** The log's frame kinds.  A frame is one device write, one checksum
+    and one sequence number.  The action frames hold the array they
+    were logged from, a record per action, with no box per record; the
+    meta and checkpoint frames hold one record each. *)
+type frame =
+  | Ongoing of Action.t array
+  | Red of Action.t array
+  | Green of Action.t array
+      (** read for the actions' ids only: a green mark names an action
+          whose body an earlier red frame holds *)
+  | Meta of Types.meta
+  | Checkpoint of checkpoint
+
+val find_newest : t -> (frame -> 'a option) -> 'a option
+(** The first [Some] of [f] over the frames, newest first.  Reads no
+    disk. *)
 
 val compact : t -> unit
 (** Drops log entries superseded by the latest checkpoint: everything
@@ -131,3 +149,7 @@ val corrupt_nth : t -> int -> bool
     driver.  [false] when out of range. *)
 
 val entries_logged : t -> int
+(** Records currently in the log (durable or not). *)
+
+val frames_logged : t -> int
+(** Frames currently in the log; at most [entries_logged]. *)

@@ -685,8 +685,8 @@ let overloaded t =
     | Some e -> Engine.red_count e >= adm.adm_max_red
     | None -> false)
 
-let submit t ?(client = 1) ?(semantics = Action.Strict) ?(size = 200)
-    ?(req_seq = 0) ?(req_ack = 0) kind ~on_response =
+let submit_request t ~client ~semantics ~size ~req_seq ~req_ack kind
+    ~on_response =
   match t.engine with
   | None -> ()
   | Some e ->
@@ -703,6 +703,10 @@ let submit t ?(client = 1) ?(semantics = Action.Strict) ?(size = 200)
       Engine.submit e ~client ~semantics ~size ~req_seq ~req_ack ~kind
         ~on_created:(fun id -> Action.Id.Tbl.replace t.pending id on_response)
     end
+
+let submit t ?(client = 1) ?(semantics = Action.Strict) ?(size = 200)
+    ?(req_seq = 0) ?(req_ack = 0) kind ~on_response =
+  submit_request t ~client ~semantics ~size ~req_seq ~req_ack kind ~on_response
 
 let weak_query t keys = Database.read t.db keys
 

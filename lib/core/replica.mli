@@ -138,6 +138,19 @@ val submit :
     crossed, [on_response] fires synchronously with [Action.Busy] and
     nothing enters the order. *)
 
+val submit_request :
+  t ->
+  client:int ->
+  semantics:Action.semantics ->
+  size:int ->
+  req_seq:int ->
+  req_ack:int ->
+  Action.kind ->
+  on_response:(Action.response -> unit) ->
+  unit
+(** {!submit} with every label required: no [Some] box per argument
+    (the client sessions' path). *)
+
 val weak_query : t -> string list -> (string * Value.t option) list
 (** Immediate answer from the consistent-but-possibly-stale green state. *)
 

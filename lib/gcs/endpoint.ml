@@ -77,7 +77,10 @@ type 'p conf_state = {
   mutable max_safe_seq : int; (* highest stored safe-service sequence *)
   (* sequencer-only: *)
   mutable next_seq : int;
-  mutable pending_order : (Node_id.t * int) list; (* reversed *)
+  order_senders : Node_id.t Ring.t;
+  order_lseqs : int Ring.t;
+      (* the messages received since the last Order, oldest first: the
+         i-th sender's message [lseq] is the i-th lseq *)
   mutable order_armed : bool;
   mutable ack_armed : bool;
   mutable ack_timer : unit -> unit;
@@ -348,18 +351,24 @@ let assign t cs ~seq ~sender ~lseq =
     | d -> store_message t cs ~seq d
     | exception Not_found -> Window.replace cs.pending_assignment.(i) lseq seq
 
+(* Numbers the received messages in arrival order and assigns each,
+   building the Order's entries front to back in the same pass. *)
+let[@tail_mod_cons] rec number_pending t cs =
+  if Ring.is_empty cs.order_senders then []
+  else begin
+    let sender = Ring.pop cs.order_senders in
+    let lseq = Ring.pop cs.order_lseqs in
+    cs.next_seq <- cs.next_seq + 1;
+    let seq = cs.next_seq in
+    assign t cs ~seq ~sender ~lseq;
+    (seq, sender, lseq) :: number_pending t cs
+  end
+  (* One step per received message; one entry each. *)
+  [@@analysis.cost "O(batch); alloc O(batch)"]
+
 let flush_order_batch t cs =
-  let entries = List.rev cs.pending_order in
-  cs.pending_order <- [];
-  if entries <> [] then begin
-    let numbered =
-      List.map
-        (fun (sender, lseq) ->
-          cs.next_seq <- cs.next_seq + 1;
-          (cs.next_seq, sender, lseq))
-        entries
-    in
-    List.iter (fun (seq, sender, lseq) -> assign t cs ~seq ~sender ~lseq) numbered;
+  if not (Ring.is_empty cs.order_senders) then begin
+    let numbered = number_pending t cs in
     multicast_view t cs (Order { o_conf = cs.cview.id; o_entries = numbered });
     note_have_advanced t cs
   end
@@ -374,7 +383,8 @@ let order_due t (cs : _ conf_state) =
   [@@analysis.hotpath "O(batch+members+queue)"]
 
 let coord_enqueue_order t cs ~sender ~lseq =
-  cs.pending_order <- (sender, lseq) :: cs.pending_order;
+  Ring.push cs.order_senders sender;
+  Ring.push cs.order_lseqs lseq;
   if not cs.order_armed then begin
     cs.order_armed <- true;
     Engine.schedule t.engine ~delay:t.prm.order_delay cs.order_timer
@@ -409,7 +419,8 @@ let new_conf_state t view =
       acks = Array.make n 0;
       max_safe_seq = 0;
       next_seq = 0;
-      pending_order = [];
+      order_senders = Ring.create ();
+      order_lseqs = Ring.create ();
       order_armed = false;
       ack_armed = false;
       ack_timer = ignore;

@@ -145,7 +145,7 @@ and attempt t =
     (* [List.nth], not [nth_opt]: no option box per attempt. *)
     (match List.nth (t.replicas ()) t.target with
     | r when Replica.is_up r && Replica.is_ready r ->
-      Replica.submit r ~client:t.id ~semantics:op.op_semantics
+      Replica.submit_request r ~client:t.id ~semantics:op.op_semantics
         ~size:op.op_size ~req_seq:seq ~req_ack:t.acked op.op_kind
         ~on_response:(fun resp -> on_response t ~seq ~epoch resp)
     | _ | (exception Failure _) ->

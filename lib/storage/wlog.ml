@@ -1,17 +1,20 @@
 open Repro_sim
 
-(* Frame framing: entries are grouped into *frames* — the unit of
+(* Frame framing: records are grouped into *frames* — the unit of
    logging, checksumming and crash damage.  A frame carries one
    monotonic sequence number and one checksum covering all of its
    records; a frame of one record is exactly the old per-record
-   framing.  The simulation does not store real bytes, so the checksum
-   is modelled by [sum_ok] — whether the stored checksum would still
-   verify against the frame body — flipped by the disk's fault model
-   (torn in-flight writes, crash-time corruption) or by explicit
-   injection.  Damage is all-or-nothing at frame granularity: a failing
-   frame checksum says nothing about which record inside went bad. *)
-type 'entry frame = {
-  records : 'entry array; (* append order within the frame *)
+   framing.  The log never looks inside a frame's body: the caller's
+   [records] function says how many records it holds, and its type
+   says what kind of frame it is.  The simulation does not store real
+   bytes, so the checksum is modelled by [sum_ok] — whether the stored
+   checksum would still verify against the frame body — flipped by the
+   disk's fault model (torn in-flight writes, crash-time corruption) or
+   by explicit injection.  Damage is all-or-nothing at frame
+   granularity: a failing frame checksum says nothing about which
+   record inside went bad. *)
+type 'body frame = {
+  body : 'body;
   epoch : int;
   seq : int;
   mutable sum_ok : bool;
@@ -28,39 +31,44 @@ let pp_verdict ppf = function
   | Torn_tail i -> Format.fprintf ppf "torn-tail@%d" i
   | Corrupt_interior i -> Format.fprintf ppf "corrupt-interior@%d" i
 
-type 'entry recovery = {
+type 'body recovery = {
   rv_verdict : verdict;
-  rv_trusted : 'entry list;
-  rv_readable : 'entry list;
+  rv_trusted : 'body list;
+  rv_readable : 'body list;
   rv_read_retries : int;
   rv_backoff : Time.t;
 }
 
-type 'entry t = {
+type 'body t = {
   disk : Disk.t;
-  mutable frames : 'entry frame list; (* newest first *)
+  records : 'body -> int;
+  mutable frames : 'body frame list; (* newest first *)
   mutable next_seq : int; (* never reset: survives compaction and reset *)
   mutable record_count : int; (* sum of frame sizes: O(1) [length] *)
 }
 
-let create ~engine:_ ~disk () =
-  { disk; frames = []; next_seq = 0; record_count = 0 }
+let create ~engine:_ ~disk ~records () =
+  { disk; records; frames = []; next_seq = 0; record_count = 0 }
 
 let disk t = t.disk
 
+let count_records t =
+  List.fold_left (fun n f -> n + t.records f.body) 0 t.frames
+
 (* One frame, one device write, one sequence number — however many
-   records ride inside.  The empty batch is a no-op (no frame, no
+   records ride inside.  An empty frame is a no-op (no frame, no
    write): it must not burn a sequence number that recovery would then
    see as a silent gap. *)
-let append t records =
-  if Array.length records > 0 then begin
+let append t body =
+  let n = t.records body in
+  if n > 0 then begin
     let epoch = Disk.note_write t.disk in
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
-    t.record_count <- t.record_count + Array.length records;
-    t.frames <- { records; epoch; seq; sum_ok = true; torn = false } :: t.frames
+    t.record_count <- t.record_count + n;
+    t.frames <- { body; epoch; seq; sum_ok = true; torn = false } :: t.frames
   end
-  [@@analysis.hotpath "O(batch)"]
+  [@@analysis.hotpath "O(1)"]
 
 let sync t k = Disk.force t.disk k
 
@@ -88,8 +96,7 @@ let crash t =
     (fun f -> if Disk.draw_corrupt t.disk then f.sum_ok <- false)
     (List.rev survivors);
   t.frames <- torn_survivor @ survivors;
-  t.record_count <-
-    List.fold_left (fun n f -> n + Array.length f.records) 0 t.frames
+  t.record_count <- count_records t
 
 (* One framed read: transient errors are retried with exponential
    backoff up to the disk's budget; a frame still unreadable after that
@@ -128,9 +135,9 @@ let recover t =
       if (not readable) || f.seq <= !prev_seq then damaged := i :: !damaged
       else prev_seq := f.seq)
     frames;
-  let readable_entries =
-    List.concat_map
-      (fun (f, readable) -> if readable then Array.to_list f.records else [])
+  let readable_bodies =
+    List.filter_map
+      (fun (f, readable) -> if readable then Some f.body else None)
       frames
   in
   let verdict =
@@ -151,15 +158,15 @@ let recover t =
   in
   let trusted =
     match verdict with
-    | Clean -> List.concat_map (fun (f, _) -> Array.to_list f.records) frames
+    | Clean -> List.map (fun (f, _) -> f.body) frames
     | Torn_tail first | Corrupt_interior first ->
       List.filteri (fun i _ -> i < first) frames
-      |> List.concat_map (fun (f, _) -> Array.to_list f.records)
+      |> List.map (fun (f, _) -> f.body)
   in
   {
     rv_verdict = verdict;
     rv_trusted = trusted;
-    rv_readable = readable_entries;
+    rv_readable = readable_bodies;
     rv_read_retries = !retries;
     rv_backoff = !backoff;
   }
@@ -170,8 +177,7 @@ let frame_count t = List.length t.frames
 let truncate_damaged t ~from =
   t.frames <-
     List.rev (List.filteri (fun i _ -> i < from) (List.rev t.frames));
-  t.record_count <-
-    List.fold_left (fun n f -> n + Array.length f.records) 0 t.frames
+  t.record_count <- count_records t
 
 let reset t =
   t.frames <- [];
@@ -183,7 +189,7 @@ let corrupt t ~nth =
   let rec find base = function
     | [] -> false
     | f :: rest ->
-      let n = Array.length f.records in
+      let n = t.records f.body in
       if nth < base + n then begin
         f.sum_ok <- false;
         true
@@ -211,59 +217,29 @@ let clean t =
   [@@analysis.cost "O(log); alloc O(1)"]
 
 let find_newest t f =
-  let rec in_frame records i =
-    if i < 0 then None
-    else
-      match f records.(i) with
-      | Some _ as r -> r
-      | None -> in_frame records (i - 1)
-  in
   let rec go = function
     | [] -> None
     | fr :: older -> (
-      match in_frame fr.records (Array.length fr.records - 1) with
-      | Some _ as r -> r
-      | None -> go older)
+      match f fr.body with Some _ as r -> r | None -> go older)
   in
   go t.frames
   [@@analysis.cost "O(log); alloc O(1)"]
 
 let compact t ~keep =
   (* [keep] may be stateful and expects append order (oldest first), so
-     it is asked exactly once per record; [marks] holds its verdicts
-     for the frame at hand.  Frames are preserved as units — dropping
-     individual records keeps the frame's header (seq, epoch) so the
-     sequence chain that recovery verifies stays intact; a frame that
-     keeps every record is reused as is, and fully-emptied frames are
-     dropped. *)
-  let marks = ref Bytes.empty in
+     it is asked exactly once per frame.  Frames are preserved as units
+     — a frame that loses records keeps its header (seq, epoch) so the
+     sequence chain that recovery verifies stays intact; a frame kept
+     whole (its body returned as is) is reused, and frames left with no
+     record are dropped. *)
   let keep_frame acc f =
-    let records = f.records in
-    let n = Array.length records in
-    if Bytes.length !marks < n then marks := Bytes.create (max n 64);
-    let kept = ref 0 in
-    for i = 0 to n - 1 do
-      let k = keep records.(i) in
-      Bytes.set !marks i (if k then '1' else '0');
-      if k then incr kept
-    done;
-    if !kept = n then f :: acc
-    else if !kept = 0 then acc
-    else begin
-      let out = Array.make !kept records.(0) in
-      let j = ref 0 in
-      for i = 0 to n - 1 do
-        if Bytes.get !marks i = '1' then begin
-          out.(!j) <- records.(i);
-          incr j
-        end
-      done;
-      { f with records = out } :: acc
-    end
+    match keep f.body with
+    | Some body when body == f.body -> f :: acc
+    | Some body when t.records body > 0 -> { f with body } :: acc
+    | Some _ | None -> acc
   in
   t.frames <- List.fold_left keep_frame [] (List.rev t.frames);
-  t.record_count <-
-    List.fold_left (fun n f -> n + Array.length f.records) 0 t.frames
-  (* Walks every record once; allocates per frame (the list spines and
-     the arrays of partly kept frames), never per record. *)
+  t.record_count <- count_records t
+  (* Asks [keep] once per frame; allocates per frame (the list spines
+     and the headers of partly kept frames). *)
   [@@analysis.cost "O(log); alloc O(log)"]

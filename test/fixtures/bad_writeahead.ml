@@ -11,12 +11,12 @@ open Repro_storage
 
 type net = { send : size:int -> int -> unit }
 
-let announce_before_force (log : int Wlog.t) (wire : net) seq =
+let announce_before_force (log : int array Wlog.t) (wire : net) seq =
   Wlog.append log [| seq |];
   wire.send ~size:8 seq;
   Wlog.sync log (fun () -> ())
 
-let announce_after_force (log : int Wlog.t) (wire : net) seq =
+let announce_after_force (log : int array Wlog.t) (wire : net) seq =
   Wlog.append log [| seq |];
   Wlog.sync log (fun () -> wire.send ~size:8 seq)
 
@@ -24,12 +24,12 @@ let announce_after_force (log : int Wlog.t) (wire : net) seq =
    [Wlog.append] needs exactly one covering force before any of
    its records may be announced — sending between the batched append
    and the force reopens the same crash window for the whole frame. *)
-let announce_batch_before_force (log : int Wlog.t) (wire : net) seqs =
+let announce_batch_before_force (log : int array Wlog.t) (wire : net) seqs =
   Wlog.append log (Array.of_list seqs);
   List.iter (fun seq -> wire.send ~size:8 seq) seqs;
   Wlog.sync log (fun () -> ())
 
-let announce_batch_after_force (log : int Wlog.t) (wire : net) seqs =
+let announce_batch_after_force (log : int array Wlog.t) (wire : net) seqs =
   Wlog.append log (Array.of_list seqs);
   Wlog.sync log (fun () -> List.iter (fun seq -> wire.send ~size:8 seq) seqs)
 
@@ -37,7 +37,7 @@ let announce_batch_after_force (log : int Wlog.t) (wire : net) seqs =
    after it is reached with the record un-forced along that arm.  The
    arms rejoin with OR (some path is pending), so the send is flagged;
    an AND join would let it through. *)
-let announce_after_branch (log : int Wlog.t) (wire : net) seq urgent =
+let announce_after_branch (log : int array Wlog.t) (wire : net) seq urgent =
   if urgent then Wlog.append log [| seq |];
   wire.send ~size:8 seq;
   Wlog.sync log (fun () -> ())

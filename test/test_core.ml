@@ -1093,6 +1093,452 @@ let test_action_queue_floor () =
   Alcotest.(check int) "nth above floor ok" 1
     (Action_queue.nth_green q 11).Action.id.Action.Id.index
 
+(* --- the replica log against its boxed-record model ------------------ *)
+
+(* The replica log as it was before frames carried their kind: a boxed
+   record per logged action or mark ([E_red], [E_green], ...) in frames
+   that are record arrays, compacted record by record.  Kept as the
+   reference model for [Persist]: on the same operations over equally
+   seeded disks both logs must hold the same records in the same
+   frames, draw the same faults and recover the same state. *)
+module Model = struct
+  open Repro_storage
+
+  type entry =
+    | E_ongoing of Action.t
+    | E_red of Action.t
+    | E_green of Action.Id.t
+    | E_meta of Types.meta
+    | E_checkpoint of Persist.checkpoint
+
+  type t = entry array Wlog.t
+
+  let create ~engine ~disk : t =
+    Wlog.create ~engine ~disk ~records:Array.length ()
+
+  let append (t : t) entry xs = Wlog.append t (Array.of_list (List.map entry xs))
+  let log_ongoing t = append t (fun a -> E_ongoing a)
+  let log_red t = append t (fun a -> E_red a)
+  let log_green t = append t (fun id -> E_green id)
+  let log_meta (t : t) m = Wlog.append t [| E_meta m |]
+  let log_checkpoint (t : t) c = Wlog.append t [| E_checkpoint c |]
+
+  let cut_of map server =
+    Option.value ~default:0 (Node_id.Map.find_opt server map)
+
+  let parse ~self entries =
+    let bodies = Action.Id.Tbl.create 16 and greened = Action.Id.Tbl.create 16 in
+    let meta = ref None and checkpoint = ref None in
+    let green_rev = ref [] and red_order_rev = ref [] and ongoing_rev = ref [] in
+    let red_cut = ref Node_id.Map.empty and action_index = ref 0 in
+    let note_own (id : Action.Id.t) =
+      if Node_id.equal id.server self && id.index > !action_index then
+        action_index := id.index
+    in
+    List.iter
+      (function
+        | E_ongoing a ->
+          ongoing_rev := a :: !ongoing_rev;
+          note_own a.Action.id
+        | E_red a ->
+          let id = a.Action.id in
+          Action.Id.Tbl.replace bodies id a;
+          red_order_rev := id :: !red_order_rev;
+          if id.index > cut_of !red_cut id.server then
+            red_cut := Node_id.Map.add id.server id.index !red_cut;
+          note_own id
+        | E_green id -> (
+          match Action.Id.Tbl.find_opt bodies id with
+          | Some a when not (Action.Id.Tbl.mem greened id) ->
+            Action.Id.Tbl.replace greened id ();
+            green_rev := a :: !green_rev
+          | Some _ | None -> ())
+        | E_meta m -> meta := Some m
+        | E_checkpoint c ->
+          checkpoint := Some c;
+          meta := Some c.Persist.c_meta;
+          let cut = c.Persist.c_green_cut in
+          action_index := max !action_index (cut_of cut self);
+          green_rev := [];
+          Action.Id.Tbl.reset greened;
+          red_order_rev :=
+            List.filter
+              (fun (id : Action.Id.t) -> id.index > cut_of cut id.server)
+              !red_order_rev;
+          red_cut := Node_id.Map.union (fun _ a b -> Some (max a b)) cut !red_cut)
+      entries;
+    let red =
+      List.rev !red_order_rev
+      |> List.filter_map (fun id ->
+             if Action.Id.Tbl.mem greened id then None
+             else Action.Id.Tbl.find_opt bodies id)
+    in
+    let ongoing =
+      List.rev !ongoing_rev
+      |> List.filter (fun a -> a.Action.id.index > cut_of !red_cut self)
+    in
+    (!meta, List.rev !green_rev, !checkpoint, red, ongoing, !red_cut, !action_index)
+
+  let checkpoints entries =
+    List.length (List.filter (function E_checkpoint _ -> true | _ -> false) entries)
+
+  let max_own_index ~self entries =
+    List.fold_left
+      (fun acc entry ->
+        let own (id : Action.Id.t) =
+          if Node_id.equal id.server self then max acc id.index else acc
+        in
+        match entry with
+        | E_ongoing a | E_red a -> own a.Action.id
+        | E_green id -> own id
+        | E_meta _ | E_checkpoint _ -> acc)
+      0 entries
+
+  let newest_meta entries =
+    List.fold_left
+      (fun acc -> function
+        | E_meta m -> Some m
+        | E_checkpoint c -> Some c.Persist.c_meta
+        | E_ongoing _ | E_red _ | E_green _ -> acc)
+      None entries
+
+  let refill_own ~self ~readable ~own_cut ~floor =
+    let bodies = Hashtbl.create 8 in
+    List.iter
+      (function
+        | (E_ongoing a | E_red a) when Node_id.equal a.Action.id.server self ->
+          Hashtbl.replace bodies a.Action.id.index a
+        | _ -> ())
+      readable;
+    List.init (max 0 (floor - own_cut)) (fun i ->
+        let idx = own_cut + 1 + i in
+        match Hashtbl.find_opt bodies idx with
+        | Some a -> a
+        | None ->
+          Action.make ~client:0 ~size:32 ~server:self ~index:idx
+            (Action.Update []))
+
+  let recover ~self (t : t) : Persist.recovered =
+    let rv = Wlog.recover t in
+    let records frames = List.concat_map Array.to_list frames in
+    let trusted = records rv.Wlog.rv_trusted
+    and readable = records rv.Wlog.rv_readable in
+    let finish verdict ~meta_override ~action_floor =
+      let meta, green, checkpoint, red, ongoing, red_cut, action_index =
+        parse ~self trusted
+      in
+      {
+        Persist.r_meta = (match meta_override with Some _ -> meta_override | None -> meta);
+        r_green = green;
+        r_checkpoint = checkpoint;
+        r_red = red;
+        r_ongoing = ongoing;
+        r_red_cut = red_cut;
+        r_action_index = max action_index action_floor;
+        r_verdict = verdict;
+        r_read_retries = rv.Wlog.rv_read_retries;
+        r_backoff = rv.Wlog.rv_backoff;
+      }
+    in
+    let truncate i =
+      let before = Wlog.length t in
+      Wlog.truncate_damaged t ~from:i;
+      before - Wlog.length t
+    in
+    match rv.Wlog.rv_verdict with
+    | Wlog.Clean -> finish Persist.V_clean ~meta_override:None ~action_floor:0
+    | Wlog.Torn_tail i ->
+      let dropped = truncate i in
+      finish (Persist.V_torn_tail dropped) ~meta_override:None ~action_floor:0
+    | Wlog.Corrupt_interior i when i = 0 || checkpoints readable > checkpoints trusted ->
+      let action_floor = max_own_index ~self readable in
+      Wlog.reset t;
+      {
+        Persist.r_meta = None;
+        r_green = [];
+        r_checkpoint = None;
+        r_red = [];
+        r_ongoing = [];
+        r_red_cut = Node_id.Map.empty;
+        r_action_index = action_floor;
+        r_verdict = Persist.V_amnesia;
+        r_read_retries = rv.Wlog.rv_read_retries;
+        r_backoff = rv.Wlog.rv_backoff;
+      }
+    | Wlog.Corrupt_interior i ->
+      let dropped = truncate i in
+      let r =
+        finish (Persist.V_salvaged dropped) ~meta_override:(newest_meta readable)
+          ~action_floor:(max_own_index ~self readable)
+      in
+      let own_cut =
+        List.fold_left
+          (fun acc (a : Action.t) -> max acc a.id.index)
+          (cut_of r.Persist.r_red_cut self) r.Persist.r_ongoing
+      in
+      {
+        r with
+        Persist.r_ongoing =
+          r.Persist.r_ongoing
+          @ refill_own ~self ~readable ~own_cut ~floor:r.Persist.r_action_index;
+      }
+
+  let compact (t : t) =
+    if Wlog.clean t then
+      match
+        Wlog.find_newest t (fun frame ->
+            Array.fold_left
+              (fun acc -> function E_checkpoint c -> Some c | _ -> acc)
+              None frame)
+      with
+      | None -> ()
+      | Some c ->
+        let covered (id : Action.Id.t) =
+          id.index <= cut_of c.Persist.c_green_cut id.server
+        in
+        let after = ref false in
+        let keep = function
+          | _ when !after -> true
+          | E_checkpoint c' when c' == c ->
+            after := true;
+            true
+          | E_checkpoint _ | E_meta _ | E_green _ -> false
+          | E_red a | E_ongoing a -> not (covered a.Action.id)
+        in
+        Wlog.compact t ~keep:(fun frame ->
+            let kept = Array.map keep frame in
+            if Array.for_all Fun.id kept then Some frame
+            else
+              Some
+                (Array.of_list
+                   (List.filteri (fun i _ -> kept.(i)) (Array.to_list frame))))
+end
+
+type persist_op =
+  | P_ongoing of int
+  | P_red of int * int * bool  (** creator, count, from a mark array *)
+  | P_green of int * bool  (** how many of the oldest ungreened reds *)
+  | P_meta
+  | P_checkpoint
+  | P_sync
+  | P_crash
+  | P_corrupt of int
+  | P_compact
+  | P_recover
+
+let gen_persist_ops =
+  let open QCheck.Gen in
+  list_size (int_range 1 60)
+    (frequency
+       [
+         (3, map (fun n -> P_ongoing n) (int_range 1 3));
+         (6, map3 (fun c n m -> P_red (c, n, m)) (int_bound 2) (int_range 1 4) bool);
+         (5, map2 (fun n m -> P_green (n, m)) (int_range 1 4) bool);
+         (1, return P_meta);
+         (2, return P_checkpoint);
+         (4, return P_sync);
+         (2, return P_crash);
+         (1, map (fun n -> P_corrupt n) (int_bound 30));
+         (2, return P_compact);
+         (2, return P_recover);
+       ])
+
+let pp_persist_op = function
+  | P_ongoing n -> Printf.sprintf "ongoing %d" n
+  | P_red (c, n, m) -> Printf.sprintf "red c%d x%d%s" c n (if m then " marks" else "")
+  | P_green (n, m) -> Printf.sprintf "green x%d%s" n (if m then " marks" else "")
+  | P_meta -> "meta"
+  | P_checkpoint -> "checkpoint"
+  | P_sync -> "sync"
+  | P_crash -> "crash"
+  | P_corrupt n -> Printf.sprintf "corrupt %d" n
+  | P_compact -> "compact"
+  | P_recover -> "recover"
+
+let prop_persist_matches_model =
+  let faults =
+    {
+      Repro_storage.Disk.no_faults with
+      torn_tail_on_crash = 0.5;
+      corrupt_on_crash = 0.1;
+      read_error = 0.05;
+      read_retries = 3;
+    }
+  in
+  let config =
+    { Repro_storage.Disk.default_forced with sync_latency = Time.of_ms 1.; faults }
+  in
+  let disk_on sim = Repro_storage.Disk.create ~engine:sim ~config () in
+  let recovered_equal (a : Persist.recovered) (b : Persist.recovered) =
+    let ids l = List.map (fun (x : Action.t) -> x.id) l in
+    a.r_verdict = b.r_verdict
+    && a.r_meta = b.r_meta
+    && ids a.r_green = ids b.r_green
+    && (match (a.r_checkpoint, b.r_checkpoint) with
+       | Some x, Some y -> x == y
+       | None, None -> true
+       | _ -> false)
+    && a.r_red = b.r_red && a.r_ongoing = b.r_ongoing
+    && Node_id.Map.equal Int.equal a.r_red_cut b.r_red_cut
+    && a.r_action_index = b.r_action_index
+    && a.r_read_retries = b.r_read_retries
+    && Time.to_us a.r_backoff = Time.to_us b.r_backoff
+  in
+  QCheck.Test.make ~name:"persist matches the boxed-record model" ~count:300
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map pp_persist_op ops))
+       gen_persist_ops)
+    (fun ops ->
+      let sim = Repro_sim.Engine.create ~seed:11 () in
+      let msim = Repro_sim.Engine.create ~seed:11 () in
+      let p = Persist.create ~engine:sim ~disk:(disk_on sim) () in
+      let m = Model.create ~engine:msim ~disk:(disk_on msim) in
+      let next = Array.make 3 0 and ungreened = Queue.create () in
+      let green_cut = ref Node_id.Map.empty and greens = ref 0 in
+      let checkpoints = ref 0 in
+      let meta k =
+        {
+          Types.m_prim = Types.initial_prim ~servers:(Node_id.Set.singleton 0);
+          m_vulnerable = Types.invalid_vulnerable;
+          m_attempt = k;
+          m_yellow = Types.invalid_yellow;
+          m_servers = Node_id.Set.singleton 0;
+        }
+      in
+      let snapshot = Database.snapshot (Database.create ()) in
+      let dedup = Dedup.snapshot (Dedup.create ~window:4 ()) in
+      let fresh creator n =
+        List.init n (fun _ ->
+            next.(creator) <- next.(creator) + 1;
+            Action.make ~server:creator ~index:next.(creator) (Action.Update []))
+      in
+      let step ok op =
+        ok
+        &&
+        match op with
+        | P_ongoing n ->
+          let actions = fresh 0 n in
+          Persist.log_ongoing_batch p actions;
+          Model.log_ongoing m actions;
+          true
+        | P_red (c, n, marks) ->
+          let actions = fresh c n in
+          List.iter (fun a -> Queue.push a ungreened) actions;
+          if marks then Persist.log_red_marks p (Array.of_list actions)
+          else Persist.log_red_batch p actions;
+          Model.log_red m actions;
+          true
+        | P_green (n, marks) ->
+          let actions =
+            List.filter_map (fun _ -> Queue.take_opt ungreened) (List.init n Fun.id)
+          in
+          List.iter
+            (fun (a : Action.t) ->
+              incr greens;
+              green_cut := Node_id.Map.add a.id.server a.id.index !green_cut)
+            actions;
+          let ids = List.map (fun (a : Action.t) -> a.id) actions in
+          if marks then Persist.log_green_marks p (Array.of_list actions)
+          else Persist.log_green_batch p ids;
+          Model.log_green m ids;
+          true
+        | P_meta ->
+          let mt = meta !greens in
+          Persist.log_meta p mt;
+          Model.log_meta m mt;
+          true
+        | P_checkpoint ->
+          incr checkpoints;
+          let c =
+            {
+              Persist.c_snapshot = snapshot;
+              c_green_count = !greens;
+              c_green_line = None;
+              c_green_cut = !green_cut;
+              c_meta = meta !checkpoints;
+              c_dedup = dedup;
+            }
+          in
+          Persist.log_checkpoint p c;
+          Model.log_checkpoint m c;
+          true
+        | P_sync ->
+          Persist.sync p ignore;
+          Repro_storage.Wlog.sync m ignore;
+          Repro_sim.Engine.run sim;
+          Repro_sim.Engine.run msim;
+          true
+        | P_crash ->
+          Persist.crash p;
+          Repro_storage.Wlog.crash m;
+          true
+        | P_corrupt n -> Persist.corrupt_nth p n = Repro_storage.Wlog.corrupt m ~nth:n
+        | P_compact ->
+          Persist.compact p;
+          Model.compact m;
+          true
+        | P_recover ->
+          recovered_equal (Persist.recover ~self:0 p) (Model.recover ~self:0 m)
+      in
+      let same_shape () =
+        Persist.entries_logged p = Repro_storage.Wlog.length m
+        && Persist.frames_logged p = Repro_storage.Wlog.frame_count m
+      in
+      List.fold_left (fun ok op -> step ok op && same_shape ()) true (ops @ [ P_recover ]))
+
+(* [find] looks up red bodies only: a body leaves the table as its
+   action turns green (the green prefix keeps it, by position), and a
+   green action cannot come back as red, before or after its body is
+   discarded. *)
+let test_action_queue_find_red_only () =
+  let q = Action_queue.create () in
+  let a i = Action.make ~server:0 ~index:i (Action.Update []) in
+  let found () =
+    List.map
+      (fun i -> Option.is_some (Action_queue.find q { Action.Id.server = 0; index = i }))
+      [ 1; 2; 3; 4; 5; 6 ]
+  in
+  for i = 1 to 6 do
+    Action_queue.add_red q (a i)
+  done;
+  for i = 1 to 4 do
+    ignore (Action_queue.append_green q (a i))
+  done;
+  Alcotest.(check (list bool)) "reds found, greens not"
+    [ false; false; false; false; true; true ] (found ());
+  Action_queue.add_red q (a 3);
+  Alcotest.(check int) "a green is not re-added as red" 2
+    (Action_queue.red_count q);
+  Alcotest.(check int) "discarded below 3" 3 (Action_queue.discard_below q 3);
+  Action_queue.add_red q (a 2);
+  Alcotest.(check int) "nor a discarded one" 2 (Action_queue.red_count q);
+  ignore (Action_queue.append_green q (a 5));
+  Alcotest.(check (list bool)) "after the discard"
+    [ false; false; false; false; false; true ] (found ());
+  Alcotest.(check int) "a green body is still there by position" 4
+    (Action_queue.nth_green q 4).Action.id.Action.Id.index
+
+(* The queue keeps a green action once, in the green prefix: over
+   10,000 greens its own words grow by the prefix's array slot alone
+   (at most two words a green while the array doubles), not by a table
+   entry per green as well. *)
+let test_action_queue_green_retention () =
+  let n = 10_000 in
+  let actions =
+    Array.init n (fun i ->
+        Action.make ~server:(i mod 4) ~index:((i / 4) + 1) (Action.Update []))
+  in
+  let q = Action_queue.create () in
+  let own () =
+    Obj.reachable_words (Obj.repr (q, actions))
+    - Obj.reachable_words (Obj.repr actions)
+  in
+  let before = own () in
+  Array.iter (fun a -> ignore (Action_queue.append_green q a)) actions;
+  let per_green = float_of_int (own () - before) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per green" per_green)
+    true (per_green <= 2.5)
+
 (* --- the dedup window ----------------------------------------------- *)
 
 (* The sorted-list implementation the per-client ring replaced, kept
@@ -1557,6 +2003,29 @@ let test_green_skips_red_region () =
   Alcotest.(check bool) "and yellow" true
     (List.exists (Action.Id.equal yellow.Action.id) (Engine.yellow e).Types.y_set)
 
+
+(* One copy of a burst's greens serves both consumers: the green log
+   frame holds the very array [on_green] applies. *)
+let test_green_frame_is_applied_batch () =
+  let applied = ref [] in
+  let sim, persist, e, settle =
+    reg_prim_engine ~on_green:(fun batch -> applied := batch :: !applied) ()
+  in
+  Engine.submit e ~client:0 ~semantics:Action.Strict ~size:200 ~req_seq:0
+    ~req_ack:0 ~kind:(Action.Update []) ~on_created:ignore;
+  ignore (Repro_sim.Engine.drain sim);
+  settle ();
+  let frame =
+    Persist.find_newest persist (function
+      | Persist.Green actions -> Some actions
+      | _ -> None)
+  in
+  match (frame, !applied) with
+  | Some frame, batch :: _ ->
+    Alcotest.(check int) "one green" 1 (Array.length batch);
+    Alcotest.(check bool) "the frame is the applied array" true (frame == batch)
+  | _ -> Alcotest.fail "no green frame or no applied batch"
+
 (* The delivery entry builds no event, unless an input sink is attached
    (the [Check.Spec] feed): the sink then sees every delivery as the
    [Deliver] the endpoint's fields make, the payload itself included. *)
@@ -1625,9 +2094,10 @@ let test_replica_sinks_agree () =
 
 (* Steady-state delivery at one engine: a burst of actions, each marked
    red and green, logged in one red and one green frame and applied as
-   one batch.  What is left per action is its log records, its slot in
-   the burst's frames and apply batch, and its entry in the action
-   table; no event record, list cell or option box. *)
+   one batch.  What is left per action is its slot in the burst's red
+   frame and in its green frame, which is also the apply batch; no box
+   per logged mark, body-table entry, event record, list cell or option
+   box.  A box per mark alone would add 4 words. *)
 let test_delivery_burst_words () =
   let applied = ref 0 in
   let _, _, e, _ =
@@ -1662,8 +2132,8 @@ let test_delivery_burst_words () =
   let per_action = words /. float_of_int (total - warm) in
   Printf.printf "words per delivered action: %.2f\n" per_action;
   Alcotest.(check bool)
-    (Printf.sprintf "%.2f words per delivered action (at most 14)" per_action)
-    true (per_action <= 14.)
+    (Printf.sprintf "%.2f words per delivered action (at most 4)" per_action)
+    true (per_action <= 4.)
 
 (* The ongoing queue against a plain-list model, oldest first: own
    actions join it when submitted and leave it when delivered back —
@@ -1870,6 +2340,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_knowledge_red_duties_cover;
           Alcotest.test_case "a submission is one frame and one batch" `Quick
             test_submission_is_one_frame_one_batch;
+          Alcotest.test_case "action queue finds red bodies only" `Quick
+            test_action_queue_find_red_only;
+          Alcotest.test_case "action queue keeps a green once" `Quick
+            test_action_queue_green_retention;
+          QCheck_alcotest.to_alcotest prop_persist_matches_model;
         ] );
       ( "dedup",
         [
@@ -1894,6 +2369,8 @@ let () =
             test_delivery_burst_words;
           Alcotest.test_case "a green skips the red region" `Quick
             test_green_skips_red_region;
+          Alcotest.test_case "the green frame is the applied batch" `Quick
+            test_green_frame_is_applied_batch;
         ] );
       ( "ongoing",
         [

@@ -14,8 +14,11 @@ let make ?(config = forced_nojitter) () =
   let disk = Disk.create ~engine ~config () in
   (engine, disk)
 
+(* These logs' frames are plain record arrays. *)
+let records frames = List.concat_map Array.to_list frames
+
 (* The verified prefix, as the old verdict-less recover returned it. *)
-let entries log = (Wlog.recover log).Wlog.rv_trusted
+let entries log = records (Wlog.recover log).Wlog.rv_trusted
 let verdict log = (Wlog.recover log).Wlog.rv_verdict
 
 let verdict_t : Wlog.verdict Alcotest.testable =
@@ -92,7 +95,7 @@ let test_flush_jitter_within_bounds () =
 
 let test_wlog_append_recover () =
   let engine, disk = make () in
-  let log = Wlog.create ~engine ~disk () in
+  let log = Wlog.create ~engine ~disk ~records:Array.length () in
   Wlog.append log [| "a" |];
   Wlog.append log [| "b" |];
   let synced = ref false in
@@ -103,7 +106,7 @@ let test_wlog_append_recover () =
 
 let test_wlog_crash_loses_unsynced () =
   let engine, disk = make () in
-  let log = Wlog.create ~engine ~disk () in
+  let log = Wlog.create ~engine ~disk ~records:Array.length () in
   Wlog.append log [| "durable" |];
   Wlog.sync log ignore;
   Engine.run engine;
@@ -113,7 +116,7 @@ let test_wlog_crash_loses_unsynced () =
 
 let test_wlog_crash_during_flush () =
   let engine, disk = make () in
-  let log = Wlog.create ~engine ~disk () in
+  let log = Wlog.create ~engine ~disk ~records:Array.length () in
   let acked = ref false in
   Wlog.append log [| "inflight" |];
   Wlog.sync log (fun () -> acked := true);
@@ -125,7 +128,7 @@ let test_wlog_crash_during_flush () =
 
 let test_wlog_delayed_mode_can_lose_acked () =
   let engine, disk = make ~config:delayed_nojitter () in
-  let log = Wlog.create ~engine ~disk () in
+  let log = Wlog.create ~engine ~disk ~records:Array.length () in
   let acked = ref false in
   Wlog.append log [| "risky" |];
   Wlog.sync log (fun () -> acked := true);
@@ -137,7 +140,7 @@ let test_wlog_delayed_mode_can_lose_acked () =
 
 let test_wlog_delayed_mode_survives_after_flush () =
   let engine, disk = make ~config:delayed_nojitter () in
-  let log = Wlog.create ~engine ~disk () in
+  let log = Wlog.create ~engine ~disk ~records:Array.length () in
   Wlog.append log [| "eventually-safe" |];
   Wlog.sync log ignore;
   (* Let the background flush run (100 ms interval + 10 ms flush). *)
@@ -164,7 +167,7 @@ let faulty ?(torn = 0.) ?(corrupt = 0.) ?(read_error = 0.) ?(read_retries = 4) (
 
 let test_wlog_torn_tail_verdict () =
   let engine, disk = make ~config:(faulty ~torn:1.0 ()) () in
-  let log = Wlog.create ~engine ~disk () in
+  let log = Wlog.create ~engine ~disk ~records:Array.length () in
   Wlog.append log [| "a" |];
   Wlog.sync log ignore;
   Engine.run engine;
@@ -174,8 +177,10 @@ let test_wlog_torn_tail_verdict () =
   Wlog.crash log;
   let rv = Wlog.recover log in
   Alcotest.check verdict_t "torn tail at 1" (Wlog.Torn_tail 1) rv.Wlog.rv_verdict;
-  Alcotest.(check (list string)) "trusted prefix" [ "a" ] rv.Wlog.rv_trusted;
-  Alcotest.(check (list string)) "readable = trusted" [ "a" ] rv.Wlog.rv_readable;
+  Alcotest.(check (list string)) "trusted prefix" [ "a" ]
+    (records rv.Wlog.rv_trusted);
+  Alcotest.(check (list string)) "readable = trusted" [ "a" ]
+    (records rv.Wlog.rv_readable);
   (* Truncating the damage restores a clean log. *)
   Wlog.truncate_damaged log ~from:1;
   Alcotest.check verdict_t "clean after truncate" Wlog.Clean (verdict log);
@@ -183,7 +188,7 @@ let test_wlog_torn_tail_verdict () =
 
 let test_wlog_corrupt_interior () =
   let engine, disk = make () in
-  let log = Wlog.create ~engine ~disk () in
+  let log = Wlog.create ~engine ~disk ~records:Array.length () in
   Wlog.append log [| "a" |];
   Wlog.append log [| "b" |];
   Wlog.append log [| "c" |];
@@ -193,14 +198,15 @@ let test_wlog_corrupt_interior () =
   let rv = Wlog.recover log in
   Alcotest.check verdict_t "interior damage at 1" (Wlog.Corrupt_interior 1)
     rv.Wlog.rv_verdict;
-  Alcotest.(check (list string)) "trusted stops at damage" [ "a" ] rv.Wlog.rv_trusted;
+  Alcotest.(check (list string)) "trusted stops at damage" [ "a" ]
+    (records rv.Wlog.rv_trusted);
   Alcotest.(check (list string))
-    "readable skips the bad record" [ "a"; "c" ] rv.Wlog.rv_readable;
+    "readable skips the bad record" [ "a"; "c" ] (records rv.Wlog.rv_readable);
   Alcotest.(check bool) "out of range" false (Wlog.corrupt log ~nth:7)
 
 let test_wlog_crash_corruption () =
   let engine, disk = make ~config:(faulty ~corrupt:1.0 ()) () in
-  let log = Wlog.create ~engine ~disk () in
+  let log = Wlog.create ~engine ~disk ~records:Array.length () in
   Wlog.append log [| "a" |];
   Wlog.append log [| "b" |];
   Wlog.sync log ignore;
@@ -211,14 +217,15 @@ let test_wlog_crash_corruption () =
   let rv = Wlog.recover log in
   Alcotest.check verdict_t "head corruption" (Wlog.Corrupt_interior 0)
     rv.Wlog.rv_verdict;
-  Alcotest.(check (list string)) "nothing trusted" [] rv.Wlog.rv_trusted;
-  Alcotest.(check (list string)) "nothing readable" [] rv.Wlog.rv_readable
+  Alcotest.(check (list string)) "nothing trusted" [] (records rv.Wlog.rv_trusted);
+  Alcotest.(check (list string)) "nothing readable" []
+    (records rv.Wlog.rv_readable)
 
 let test_wlog_read_retry_exhaustion () =
   let engine, disk =
     make ~config:(faulty ~read_error:1.0 ~read_retries:3 ()) ()
   in
-  let log = Wlog.create ~engine ~disk () in
+  let log = Wlog.create ~engine ~disk ~records:Array.length () in
   Wlog.append log [| "a" |];
   Wlog.append log [| "b" |];
   Wlog.sync log ignore;
@@ -234,7 +241,7 @@ let test_wlog_read_retry_exhaustion () =
 
 let test_wlog_batch_is_one_frame () =
   let engine, disk = make () in
-  let log = Wlog.create ~engine ~disk () in
+  let log = Wlog.create ~engine ~disk ~records:Array.length () in
   Wlog.append log [| "a"; "b"; "c" |];
   let synced = ref false in
   Wlog.sync log (fun () -> synced := true);
@@ -253,7 +260,7 @@ let test_wlog_batch_is_one_frame () =
 
 let test_wlog_torn_batch_frame_granular () =
   let engine, disk = make ~config:(faulty ~torn:1.0 ()) () in
-  let log = Wlog.create ~engine ~disk () in
+  let log = Wlog.create ~engine ~disk ~records:Array.length () in
   Wlog.append log [| "a" |];
   Wlog.sync log ignore;
   Engine.run engine;
@@ -264,22 +271,53 @@ let test_wlog_torn_batch_frame_granular () =
   Wlog.crash log;
   let rv = Wlog.recover log in
   Alcotest.check verdict_t "torn at frame 1" (Wlog.Torn_tail 1) rv.Wlog.rv_verdict;
-  Alcotest.(check (list string)) "trusted prefix" [ "a" ] rv.Wlog.rv_trusted;
+  Alcotest.(check (list string)) "trusted prefix" [ "a" ]
+    (records rv.Wlog.rv_trusted);
   Alcotest.(check (list string)) "no partial batch readable" [ "a" ]
-    rv.Wlog.rv_readable;
+    (records rv.Wlog.rv_readable);
   Wlog.truncate_damaged log ~from:1;
   Alcotest.check verdict_t "clean after frame truncate" Wlog.Clean (verdict log);
   Alcotest.(check int) "one record left" 1 (Wlog.length log);
   Alcotest.(check int) "one frame left" 1 (Wlog.frame_count log)
 
+(* [Wlog.compact]'s per-frame [keep] for a log of record arrays, from a
+   per-record predicate asked once per record in append order (so it
+   may carry state).  A frame that keeps every record comes back as is;
+   the verdicts sit in one reused buffer, so nothing is allocated per
+   record. *)
+let keep_records keep =
+  let marks = ref Bytes.empty in
+  fun frame ->
+    let n = Array.length frame in
+    if Bytes.length !marks < n then marks := Bytes.create (max n 64);
+    let kept = ref 0 in
+    for i = 0 to n - 1 do
+      let k = keep frame.(i) in
+      Bytes.set !marks i (if k then '1' else '0');
+      if k then incr kept
+    done;
+    if !kept = n then Some frame
+    else if !kept = 0 then None
+    else begin
+      let out = Array.make !kept frame.(0) in
+      let j = ref 0 in
+      for i = 0 to n - 1 do
+        if Bytes.get !marks i = '1' then begin
+          out.(!j) <- frame.(i);
+          incr j
+        end
+      done;
+      Some out
+    end
+
 let test_wlog_seq_survives_compaction () =
   let engine, disk = make () in
-  let log = Wlog.create ~engine ~disk () in
+  let log = Wlog.create ~engine ~disk ~records:Array.length () in
   Wlog.append log [| "a" |];
   Wlog.append log [| "b" |];
   Wlog.sync log ignore;
   Engine.run engine;
-  Wlog.compact log ~keep:(fun e -> e = "b");
+  Wlog.compact log ~keep:(keep_records (fun e -> e = "b"));
   Wlog.append log [| "c" |];
   Wlog.sync log ignore;
   Engine.run engine;
@@ -298,6 +336,14 @@ type entry = Ck of { id : int; cut : int } | R of int
 
 let newest_ck = function Ck { id; cut } -> Some (id, cut) | R _ -> None
 
+(* [newest_ck] over one frame, newest record first. *)
+let newest_ck_in frame =
+  let rec go i =
+    if i < 0 then None
+    else match newest_ck frame.(i) with Some _ as c -> c | None -> go (i - 1)
+  in
+  go (Array.length frame - 1)
+
 let keep_from (id, cut) =
   let after = ref false in
   fun e ->
@@ -314,8 +360,8 @@ let keep_from (id, cut) =
    checkpoint search and the frame-reusing filter. *)
 let compact_list_free log =
   if Wlog.clean log then
-    match Wlog.find_newest log newest_ck with
-    | Some c -> Wlog.compact log ~keep:(keep_from c)
+    match Wlog.find_newest log newest_ck_in with
+    | Some c -> Wlog.compact log ~keep:(keep_records (keep_from c))
     | None -> ()
 
 (* The path it replaces, as a reference: recover the whole log into
@@ -324,7 +370,7 @@ let compact_via_recover frames log =
   let rv = Wlog.recover log in
   let entries =
     match rv.Wlog.rv_verdict with
-    | Wlog.Clean -> rv.Wlog.rv_trusted
+    | Wlog.Clean -> records rv.Wlog.rv_trusted
     | Wlog.Torn_tail _ | Wlog.Corrupt_interior _ -> []
   in
   match
@@ -341,7 +387,7 @@ let compact_via_recover frames log =
 
 let build ?(config = forced_nojitter) frames =
   let engine, disk = make ~config () in
-  let log = Wlog.create ~engine ~disk () in
+  let log = Wlog.create ~engine ~disk ~records:Array.length () in
   List.iter (fun f -> Wlog.append log (Array.of_list f)) frames;
   Wlog.sync log ignore;
   Engine.run engine;
@@ -388,7 +434,7 @@ let test_compact_leaves_damaged_log () =
   let _, corrupt = build frames in
   ignore (Wlog.corrupt corrupt ~nth:3);
   let engine, disk = make ~config:(faulty ~torn:1.0 ()) () in
-  let torn = Wlog.create ~engine ~disk () in
+  let torn = Wlog.create ~engine ~disk ~records:Array.length () in
   List.iter (fun f -> Wlog.append torn (Array.of_list f)) frames;
   Wlog.sync torn ignore;
   Engine.run engine;
@@ -464,8 +510,8 @@ let test_compact_allocates_per_frame () =
 let test_shared_disk_group_commit () =
   (* Two logs sharing one disk must group-commit together. *)
   let engine, disk = make () in
-  let log = Wlog.create ~engine ~disk () in
-  let other = Wlog.create ~engine ~disk () in
+  let log = Wlog.create ~engine ~disk ~records:Array.length () in
+  let other = Wlog.create ~engine ~disk ~records:Array.length () in
   let completed = ref 0 in
   Wlog.append log [| 1 |];
   Wlog.sync log (fun () -> incr completed);
