@@ -80,12 +80,15 @@ type t = {
   red_marks : marks; (* the burst's red marks, in mark order *)
   green_marks : marks;
   mutable burst_depth : int; (* delivery-burst nesting, 0 = flushed *)
-  yellow_ids : unit Action.Id.Tbl.t; (* membership index over yellow.y_set *)
+  yellow_ids : unit Action.Id.Tbl.t; (* membership index over [yellow_rev] *)
   mutable known_servers : Node_id.Set.t;
   mutable prim : prim_component;
   mutable vulnerable : vulnerable;
   mutable attempt : int;
-  mutable yellow : yellow;
+  (* the yellow record, its set kept newest first so that marking an
+     action yellow is a cons; [yellow] puts it in delivery order *)
+  mutable yellow_valid : bool;
+  mutable yellow_rev : Action.Id.t list;
   (* per-configuration state *)
   mutable conf : Endpoint.view option;
   mutable states : state_msg Node_id.Map.t;
@@ -128,7 +131,7 @@ let red_cut_map t =
 let known_servers t = t.known_servers
 let prim_component t = t.prim
 let vulnerable t = t.vulnerable
-let yellow t = t.yellow
+let yellow t = { y_valid = t.yellow_valid; y_set = List.rev t.yellow_rev }
 
 let in_primary t =
   (not t.halted)
@@ -162,7 +165,7 @@ let meta_of t =
     m_prim = t.prim;
     m_vulnerable = t.vulnerable;
     m_attempt = t.attempt;
-    m_yellow = t.yellow;
+    m_yellow = yellow t;
     m_servers = t.known_servers;
   }
 
@@ -184,7 +187,8 @@ let send_payload t ~service p =
    index (used on the per-delivery hot path of transitional
    configurations) in step. *)
 let set_yellow t y =
-  t.yellow <- y;
+  t.yellow_valid <- y.y_valid;
+  t.yellow_rev <- List.rev y.y_set;
   Action.Id.Tbl.reset t.yellow_ids;
   List.iter (fun id -> Action.Id.Tbl.replace t.yellow_ids id ()) y.y_set
 
@@ -385,7 +389,7 @@ let mark_yellow t (a : Action.t) =
     (not (Action_queue.is_green t.queue a.id))
     && not (Action.Id.Tbl.mem t.yellow_ids a.id)
   then begin
-    t.yellow <- { t.yellow with y_set = t.yellow.y_set @ [ a.id ] };
+    t.yellow_rev <- a.id :: t.yellow_rev;
     Action.Id.Tbl.replace t.yellow_ids a.id ()
   end
 
@@ -398,13 +402,13 @@ let install t =
       m "n%d: installing primary %d (attempt %d, %d members)" t.node
         (t.prim.prim_index + 1) t.attempt
         (Node_id.Set.cardinal t.vulnerable.v_set));
-  if t.yellow.y_valid then
+  if t.yellow_valid then
     List.iter
       (fun id ->
         match Action_queue.find t.queue id with
         | Some a -> mark_green t a (* OR-1.2; greens have no body here *)
         | None -> ())
-      t.yellow.y_set;
+      (List.rev t.yellow_rev);
   set_yellow t invalid_yellow;
   t.prim <-
     {
@@ -518,7 +522,7 @@ let my_state_msg t conf_id =
     sm_attempt = t.attempt;
     sm_prim = t.prim;
     sm_vulnerable = t.vulnerable;
-    sm_yellow = t.yellow;
+    sm_yellow = yellow t;
   }
 
 let is_quorum t knowledge members =
@@ -843,7 +847,7 @@ let on_reg_conf t view =
     (* A.3: the installed primary's epoch ended; yellow knowledge becomes
        transferable, the installation attempt is durably resolved. *)
     t.vulnerable <- invalid_vulnerable;
-    t.yellow <- { t.yellow with y_valid = true }
+    t.yellow_valid <- true
   | No_state ->
     (* Nobody can have installed: every server lacked some CPC (A.11). *)
     t.vulnerable <- invalid_vulnerable
@@ -926,7 +930,8 @@ let make_blank ~quorum ~sim ~node ~servers ~persist ~callbacks () =
     prim = initial_prim ~servers;
     vulnerable = invalid_vulnerable;
     attempt = 0;
-    yellow = invalid_yellow;
+    yellow_valid = false;
+    yellow_rev = [];
     conf = None;
     states = Node_id.Map.empty;
     knowledge = None;

@@ -1,24 +1,36 @@
 type t = {
   mutable group_of : int Node_id.Map.t; (* node -> component label *)
+  mutable labels : int array; (* [group_of] by node id; -1 for no node *)
   mutable next_label : int;
   mutable epoch : int;
 }
 
-let create ~nodes =
-  let group_of =
-    List.fold_left (fun m n -> Node_id.Map.add n 0 m) Node_id.Map.empty nodes
+(* The network asks for two labels per message it sends and per message
+   it delivers, so [label] reads an array that mirrors [group_of],
+   indexed by the id's own int ([Node_id.hash]) and rebuilt on every
+   connectivity change. *)
+let set_groups t group_of =
+  t.group_of <- group_of;
+  let size =
+    Node_id.Map.fold (fun n _ size -> Int.max size (Node_id.hash n + 1)) group_of 0
   in
-  { group_of; next_label = 1; epoch = 0 }
+  let labels = Array.make size (-1) in
+  Node_id.Map.iter
+    (fun n g -> if Node_id.hash n >= 0 then labels.(Node_id.hash n) <- g)
+    group_of;
+  t.labels <- labels
+
+let create ~nodes =
+  let t = { group_of = Node_id.Map.empty; labels = [||]; next_label = 1; epoch = 0 } in
+  set_groups t (List.fold_left (fun m n -> Node_id.Map.add n 0 m) Node_id.Map.empty nodes);
+  t
 
 let nodes t = List.map fst (Node_id.Map.bindings t.group_of)
 
-(* [find], not [find_opt]: the network asks per delivered message, and
-   the option would be an allocation each time. *)
 let label t n =
-  match Node_id.Map.find n t.group_of with
-  | g -> g
-  | exception Not_found ->
-    invalid_arg (Format.asprintf "Topology: unknown node %a" Node_id.pp n)
+  let i = Node_id.hash n in
+  if i >= 0 && i < Array.length t.labels && t.labels.(i) >= 0 then t.labels.(i)
+  else invalid_arg (Format.asprintf "Topology: unknown node %a" Node_id.pp n)
 
 let connected t a b = Node_id.equal a b || label t a = label t b
 
@@ -58,20 +70,23 @@ let partition t groups =
   (* Split any unlisted node away from listed ones: unlisted nodes keep
      their current label only relative to other unlisted nodes; relabel
      listed groups with fresh labels. *)
-  List.iter
-    (fun group ->
-      let l = fresh_label t in
-      List.iter
-        (fun n ->
-          ignore (label t n);
-          t.group_of <- Node_id.Map.add n l t.group_of)
-        group)
-    groups;
+  let group_of =
+    List.fold_left
+      (fun m group ->
+        let l = fresh_label t in
+        List.fold_left
+          (fun m n ->
+            ignore (label t n);
+            Node_id.Map.add n l m)
+          m group)
+      t.group_of groups
+  in
+  set_groups t group_of;
   t.epoch <- t.epoch + 1
 
 let merge_all t =
   let l = fresh_label t in
-  t.group_of <- Node_id.Map.map (fun _ -> l) t.group_of;
+  set_groups t (Node_id.Map.map (fun _ -> l) t.group_of);
   t.epoch <- t.epoch + 1
 
 let merge t witnesses =
@@ -80,8 +95,8 @@ let merge t witnesses =
   | first :: _ ->
     let labels = List.map (label t) witnesses in
     let target = label t first in
-    t.group_of <-
-      Node_id.Map.map (fun g -> if List.mem g labels then target else g) t.group_of;
+    set_groups t
+      (Node_id.Map.map (fun g -> if List.mem g labels then target else g) t.group_of);
     t.epoch <- t.epoch + 1
 
 let add_node t n =
@@ -98,12 +113,12 @@ let add_node t n =
       in
       label t (Node_id.Set.min_elt largest)
   in
-  t.group_of <- Node_id.Map.add n target t.group_of;
+  set_groups t (Node_id.Map.add n target t.group_of);
   t.epoch <- t.epoch + 1
 
 let isolate t n =
   ignore (label t n);
-  t.group_of <- Node_id.Map.add n (fresh_label t) t.group_of;
+  set_groups t (Node_id.Map.add n (fresh_label t) t.group_of);
   t.epoch <- t.epoch + 1
 
 let epoch t = t.epoch

@@ -16,7 +16,8 @@ val nodes : t -> Node_id.t list
 
 val connected : t -> Node_id.t -> Node_id.t -> bool
 (** Whether two nodes are currently in the same component.  A node is
-    always connected to itself. *)
+    always connected to itself.  Two array reads: the network asks per
+    message sent and per message delivered. *)
 
 val component_of : t -> Node_id.t -> Node_id.Set.t
 (** The set of nodes in the same component as the argument. *)

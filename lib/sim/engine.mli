@@ -8,7 +8,15 @@
     closure and passes it to {!schedule_at} each time, so it schedules
     without allocating; the same closure may be pending several times at
     once, each instance firing once at its own due time and in its own
-    scheduling order. *)
+    scheduling order.
+
+    The queue is a timing wheel of 1 µs slots for events due within
+    1,024 µs of the last event fired, each slot a FIFO, so scheduling
+    and stepping are O(1) there; an event due later waits in a
+    {!Heap} of far events and moves into its slot as the clock comes
+    within range.  Scheduling and stepping allocate nothing once the
+    queue has grown to its high-water mark, and a fired closure is not
+    kept. *)
 
 type t
 

@@ -16,27 +16,25 @@ type 'a t = {
   mutable keys : int array; (* by heap position: primary key *)
   mutable ties : int array; (* by heap position: tiebreak key *)
   mutable slots : int array; (* by heap position: payload slot *)
-  mutable vals : 'a array; (* by slot; a free slot holds the filler *)
+  mutable vals : 'a array; (* by slot; a free slot holds [filler] *)
   mutable size : int;
-  mutable filler : 'a array; (* [| the first payload ever pushed |] *)
+  filler : 'a;
 }
 
 exception Empty
 
-let create () =
-  { keys = [||]; ties = [||]; slots = [||]; vals = [||]; size = 0; filler = [||] }
+let create ~filler = { keys = [||]; ties = [||]; slots = [||]; vals = [||]; size = 0; filler }
 
 let length t = t.size
 let is_empty t = t.size = 0
 
 (* Double the capacity.  Free slots hold the filler, so a popped
    payload is never kept reachable by the slot table. *)
-let grow t v =
-  if Array.length t.filler = 0 then t.filler <- [| v |];
+let grow t =
   let cap = Array.length t.keys in
   let ncap = if cap = 0 then 16 else 2 * cap in
   let keys = Array.make ncap 0 and ties = Array.make ncap 0 in
-  let slots = Array.init ncap Fun.id and vals = Array.make ncap t.filler.(0) in
+  let slots = Array.init ncap Fun.id and vals = Array.make ncap t.filler in
   Array.blit t.keys 0 keys 0 cap;
   Array.blit t.ties 0 ties 0 cap;
   Array.blit t.slots 0 slots 0 cap;
@@ -102,7 +100,7 @@ let sift_down (keys : int array) (ties : int array) (slots : int array) ~(key : 
   [@@analysis.cost "O(queue); alloc O(1)"]
 
 let push t ~key ~tie v =
-  if t.size = Array.length t.keys then grow t v;
+  if t.size = Array.length t.keys then grow t;
   let n = t.size in
   let slot = t.slots.(n) in
   t.vals.(slot) <- v;
@@ -118,7 +116,7 @@ let pop t =
   if t.size = 0 then raise Empty;
   let top = t.slots.(0) in
   let v = t.vals.(top) in
-  t.vals.(top) <- t.filler.(0);
+  t.vals.(top) <- t.filler;
   let n = t.size - 1 in
   t.size <- n;
   let key = t.keys.(n) and tie = t.ties.(n) and slot = t.slots.(n) in

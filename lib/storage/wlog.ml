@@ -114,59 +114,52 @@ let rec read_attempt t ~retries ~backoff n delay =
 let read_record t ~retries ~backoff =
   read_attempt t ~retries ~backoff 0 (Disk.faults t.disk).Disk.read_backoff
 
+type 'body read = { r_body : 'body; r_seq : int; r_ok : bool; r_torn : bool }
+
+(* Verify the chain oldest-first: a frame is damaged when its checksum
+   fails, it is unreadable, or its sequence number does not advance
+   the chain (reordered or duplicated frame).  All verdict positions
+   are frame indices — damage is only detectable per frame.  The first
+   damaged frame ends the trusted prefix, and the tail after it is
+   torn only if no intact frame follows it. *)
+let judge reads =
+  let first = ref (-1) and first_torn = ref false and tail_damaged = ref true in
+  let prev_seq = ref min_int and trusted = ref [] and readable = ref [] in
+  List.iteri
+    (fun i r ->
+      if r.r_ok then readable := r.r_body :: !readable;
+      if r.r_ok && r.r_seq > !prev_seq then begin
+        prev_seq := r.r_seq;
+        if !first < 0 then trusted := r.r_body :: !trusted else tail_damaged := false
+      end
+      else if !first < 0 then begin
+        first := i;
+        first_torn := r.r_torn
+      end)
+    reads;
+  let verdict =
+    if !first < 0 then Clean
+    else if !first_torn && !tail_damaged then Torn_tail !first
+    else Corrupt_interior !first
+  in
+  (verdict, List.rev !trusted, List.rev !readable)
+
 let recover t =
   let retries = ref 0 in
   let backoff = ref Time.zero in
-  let frames =
+  (* Read newest first (the disk's draw order), listed oldest first. *)
+  let reads =
     List.rev_map
       (fun f ->
-        let readable = f.sum_ok && read_record t ~retries ~backoff in
-        (f, readable))
+        let r_ok = f.sum_ok && read_record t ~retries ~backoff in
+        { r_body = f.body; r_seq = f.seq; r_ok; r_torn = f.torn })
       t.frames
   in
-  (* Verify the chain oldest-first: a frame is damaged when its checksum
-     fails, it is unreadable, or its sequence number does not advance
-     the chain (reordered or duplicated frame).  All verdict positions
-     are frame indices — damage is only detectable per frame. *)
-  let damaged = ref [] in
-  let prev_seq = ref min_int in
-  List.iteri
-    (fun i (f, readable) ->
-      if (not readable) || f.seq <= !prev_seq then damaged := i :: !damaged
-      else prev_seq := f.seq)
-    frames;
-  let readable_bodies =
-    List.filter_map
-      (fun (f, readable) -> if readable then Some f.body else None)
-      frames
-  in
-  let verdict =
-    match List.rev !damaged with
-    | [] -> Clean
-    | first :: _ ->
-      let all_after_damaged =
-        List.for_all (fun (i, _) -> i < first || List.mem i !damaged)
-          (List.mapi (fun i r -> (i, r)) frames)
-      in
-      let first_is_torn =
-        match List.nth_opt frames first with
-        | Some (f, _) -> f.torn
-        | None -> false
-      in
-      if first_is_torn && all_after_damaged then Torn_tail first
-      else Corrupt_interior first
-  in
-  let trusted =
-    match verdict with
-    | Clean -> List.map (fun (f, _) -> f.body) frames
-    | Torn_tail first | Corrupt_interior first ->
-      List.filteri (fun i _ -> i < first) frames
-      |> List.map (fun (f, _) -> f.body)
-  in
+  let verdict, trusted, readable = judge reads in
   {
     rv_verdict = verdict;
     rv_trusted = trusted;
-    rv_readable = readable_bodies;
+    rv_readable = readable;
     rv_read_retries = !retries;
     rv_backoff = !backoff;
   }

@@ -97,6 +97,20 @@ val recover : 'body t -> 'body recovery
     [no-wlog-recover-outside-persist] keeps every recovery on the
     verdict-aware path. *)
 
+type 'body read = {
+  r_body : 'body;
+  r_seq : int;  (** the frame's sequence number *)
+  r_ok : bool;  (** its checksum verifies and it was read without error *)
+  r_torn : bool;  (** it was the in-flight frame of a crash *)
+}
+(** One frame as {!recover} read it. *)
+
+val judge : 'body read list -> verdict * 'body list * 'body list
+(** [recover]'s decision over the frames as read, oldest first: the
+    verdict, the trusted bodies and the readable bodies, in one pass.
+    A frame is damaged when it is not [r_ok] or its sequence number
+    does not exceed the last intact frame's. *)
+
 val truncate_damaged : 'body t -> from:int -> unit
 (** Physically truncate the log at frame position [from] (0-based,
     append order): frames [from..] are dropped.  Used after a

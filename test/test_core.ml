@@ -2003,6 +2003,50 @@ let test_green_skips_red_region () =
   Alcotest.(check bool) "and yellow" true
     (List.exists (Action.Id.equal yellow.Action.id) (Engine.yellow e).Types.y_set)
 
+(* Marking an action yellow costs the same whether it is the first or
+   the 256th of its transitional configuration: the yellow set is not
+   copied per action.  The medians of the first and last 32 deliveries'
+   words must agree (a copied set adds three words per action already
+   yellow), and the set must read back in delivery order. *)
+let test_yellow_words_flat () =
+  let _sim, _persist, e, _settle = reg_prim_engine () in
+  let conf = { Repro_gcs.Conf_id.coord = 0; counter = 1_000_000 } in
+  Engine.handle_event e
+    (Repro_gcs.Endpoint.Trans_conf { id = conf; members = Node_id.Set.singleton 0 });
+  let n = 256 in
+  let events =
+    Array.init n (fun i ->
+        Repro_gcs.Endpoint.Deliver
+          {
+            sender = 1;
+            payload =
+              Types.Action_batch [ Action.make ~server:1 ~index:(i + 1) (Action.Update []) ];
+            conf;
+            seq = i + 1;
+            in_regular = false;
+          })
+  in
+  let words =
+    Array.map
+      (fun ev ->
+        let before = Gc.minor_words () in
+        Engine.handle_event e ev;
+        Gc.minor_words () -. before)
+      events
+  in
+  let median a =
+    let a = Array.copy a in
+    Array.sort Float.compare a;
+    a.(Array.length a / 2)
+  in
+  let first = median (Array.sub words 0 32) and last = median (Array.sub words (n - 32) 32) in
+  if last > first +. 2. then
+    Alcotest.failf "yellow words grow with the set: %.0f for the first 32, %.0f for the last 32"
+      first last;
+  Alcotest.(check (list int)) "the yellow set in delivery order"
+    (List.init n (fun i -> i + 1))
+    (List.map (fun id -> id.Action.Id.index) (Engine.yellow e).Types.y_set)
+
 
 (* One copy of a burst's greens serves both consumers: the green log
    frame holds the very array [on_green] applies. *)
@@ -2369,6 +2413,8 @@ let () =
             test_delivery_burst_words;
           Alcotest.test_case "a green skips the red region" `Quick
             test_green_skips_red_region;
+          Alcotest.test_case "yellow words flat in the yellow set" `Quick
+            test_yellow_words_flat;
           Alcotest.test_case "the green frame is the applied batch" `Quick
             test_green_frame_is_applied_batch;
         ] );

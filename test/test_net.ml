@@ -201,6 +201,81 @@ let test_topology_epoch () =
   Topology.partition topology [ [ 0 ]; [ 1 ] ];
   Alcotest.(check bool) "epoch bumped" true (Topology.epoch topology > e0)
 
+(* [connected] reads the label array, [components] the map it mirrors:
+   they must agree after any sequence of partitions, merges, isolations
+   and additions, and an id never added stays unknown. *)
+let prop_label_array_mirrors_map =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 3,
+            map
+              (fun gs -> `Partition gs)
+              (list_size (int_range 1 4) (list_size (int_range 1 4) (int_bound 20))) );
+          (2, map (fun ws -> `Merge ws) (list_size (int_range 0 3) (int_bound 20)));
+          (1, return `Merge_all);
+          (2, map (fun n -> `Isolate n) (int_bound 20));
+          (2, map (fun n -> `Add n) (int_bound 20));
+        ])
+  in
+  QCheck.Test.make ~name:"label array mirrors the component map" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 30) op))
+    (fun ops ->
+      let topology = Topology.create ~nodes:[ 0; 2; 5 ] in
+      let present = ref [ 0; 2; 5 ] in
+      let known n = List.mem n !present in
+      let agree () =
+        let comps = Topology.components topology in
+        List.for_all
+          (fun a ->
+            List.for_all
+              (fun b ->
+                Topology.connected topology a b
+                = List.exists (fun c -> Node_id.Set.mem a c && Node_id.Set.mem b c) comps)
+              !present)
+          !present
+        && List.for_all
+             (fun n ->
+               known n
+               || match Topology.connected topology n 0 with
+                  | _ -> false
+                  | exception Invalid_argument _ -> true)
+             (List.init 22 Fun.id)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Partition groups ->
+            (* Distinct known nodes only: a repeat is refused. *)
+            let seen = ref [] in
+            let groups =
+              List.filter_map
+                (fun g ->
+                  match
+                    List.filter
+                      (fun n ->
+                        let fresh = known n && not (List.mem n !seen) in
+                        if fresh then seen := n :: !seen;
+                        fresh)
+                      g
+                  with
+                  | [] -> None
+                  | g -> Some g)
+                groups
+            in
+            Topology.partition topology groups
+          | `Merge ws -> Topology.merge topology (List.filter known ws)
+          | `Merge_all -> Topology.merge_all topology
+          | `Isolate n -> if known n then Topology.isolate topology n
+          | `Add n ->
+            if not (known n) then begin
+              Topology.add_node topology n;
+              present := n :: !present
+            end);
+          agree ())
+        ops)
+
 let prop_channel_fifo =
   QCheck.Test.make ~name:"per-channel delivery preserves send order" ~count:50
     QCheck.(list_of_size Gen.(int_range 2 30) (int_range 0 20_000))
@@ -257,6 +332,7 @@ let () =
           Alcotest.test_case "components" `Quick test_topology_components;
           Alcotest.test_case "add and isolate" `Quick test_topology_add_isolate;
           Alcotest.test_case "epoch" `Quick test_topology_epoch;
+          QCheck_alcotest.to_alcotest prop_label_array_mirrors_map;
           QCheck_alcotest.to_alcotest prop_partition_is_equivalence;
         ] );
       ( "fifo",

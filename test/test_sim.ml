@@ -58,7 +58,7 @@ let test_rng_shuffle_permutation () =
   Alcotest.(check (list int)) "same multiset" l (List.sort Int.compare s)
 
 let test_keyed_heap_ordering () =
-  let h = Heap.create () in
+  let h = Heap.create ~filler:0 in
   Alcotest.(check bool) "empty" true (Heap.is_empty h);
   List.iteri
     (fun i k -> Heap.push h ~key:k ~tie:i (k * 10))
@@ -78,7 +78,7 @@ let test_keyed_heap_ordering () =
 let test_keyed_heap_tiebreak () =
   (* Equal primary keys drain in tiebreak order — the FIFO guarantee the
      event queue relies on for same-instant timers. *)
-  let h = Heap.create () in
+  let h = Heap.create ~filler:0 in
   List.iter (fun t -> Heap.push h ~key:7 ~tie:t t) [ 3; 1; 4; 0; 2 ];
   Heap.push h ~key:2 ~tie:99 99;
   Alcotest.(check int) "lower key first" 99 (Heap.pop h);
@@ -89,7 +89,7 @@ let prop_keyed_heap_sorts =
   QCheck.Test.make ~name:"keyed heap drains any list sorted" ~count:200
     QCheck.(list small_int)
     (fun l ->
-      let h = Heap.create () in
+      let h = Heap.create ~filler:0 in
       List.iteri (fun i k -> Heap.push h ~key:k ~tie:i k) l;
       let rec drain acc =
         if Heap.is_empty h then List.rev acc
@@ -107,7 +107,7 @@ let prop_keyed_heap_model =
   QCheck.Test.make ~name:"keyed heap matches a sorted model" ~count:300
     QCheck.(make ~print:Print.(list (option int)) Gen.(list_size (0 -- 300) op))
     (fun ops ->
-      let h = Heap.create () in
+      let h = Heap.create ~filler:0 in
       let model = ref [] and pushed = ref 0 in
       let by_key (k1, t1) (k2, t2) = if k1 <> k2 then Int.compare k1 k2 else Int.compare t1 t2 in
       List.for_all
@@ -136,7 +136,7 @@ let[@inline never] push_and_pop_watched h w ~key ~tie =
 let test_keyed_heap_frees_popped () =
   (* The 17th push doubles the 16-entry start: the payload pushed at a
      growth must not stay behind in the new free slots once popped. *)
-  let h = Heap.create () in
+  let h = Heap.create ~filler:Bytes.empty in
   for i = 1 to 16 do
     Heap.push h ~key:(100 + i) ~tie:i (Bytes.create 8)
   done;
@@ -359,18 +359,27 @@ let prop_engine_executes_all =
       Engine.run engine;
       !count = List.length delays)
 
-(* A seeded schedule against a model: events at random delays from 0
-   (so many share a due time), some scheduling more from inside their
-   own run, and one kept closure pending several times at once.  Every
-   executed event must be the first entry of a stable sort by (due
-   time, scheduling order) of the instances pending, and [pending] must
-   count them. *)
+(* The engine's near events sit in a 1024 µs timing wheel; later ones
+   wait in a heap until the wheel reaches them. *)
+let wheel = 1024
+
+(* A seeded schedule against a model: events at random due times, some
+   scheduling more from inside their own run, and one kept closure
+   pending several times at once.  Due times range from the clock
+   itself (so many share a µs) to three wheel spans ahead, and every
+   fourth falls on a 256 µs grid, where far events that move into the
+   wheel meet direct schedules to the same µs.  The schedule runs to
+   random limits, and after each one more events are scheduled between
+   the clock and the next event.  Every executed event must be the
+   first entry of a stable sort by (due time, scheduling order) of the
+   instances pending, and [pending] must count them. *)
 let prop_engine_schedule_model =
   QCheck.Test.make ~name:"engine follows a sorted model" ~count:100 QCheck.small_nat
     (fun seed ->
       let engine = Engine.create ~seed () in
       let rng = Rng.of_int seed in
       let model = ref [] and scheduled = ref 0 and ok = ref true in
+      let now () = Time.to_us (Engine.now engine) in
       let by_due (d1, s1, _) (d2, s2, _) =
         if d1 <> d2 then Int.compare d1 d2 else Int.compare s1 s2
       in
@@ -378,33 +387,102 @@ let prop_engine_schedule_model =
         match List.stable_sort by_due !model with
         | (due, _, expected) :: rest ->
           model := rest;
-          if expected <> tag || due <> Time.to_us (Engine.now engine)
-             || Engine.pending engine <> List.length rest
+          if expected <> tag || due <> now () || Engine.pending engine <> List.length rest
           then ok := false
         | [] -> ok := false
+      in
+      let schedule_at due f =
+        Engine.schedule_at engine ~at:(Time.of_us due) f;
+        incr scheduled
+      in
+      let due () =
+        match Rng.int rng 4 with
+        | 0 -> now () + [| 0; 0; 5; 10; 10; 40 |].(Rng.int rng 6)
+        | 1 -> now () + Rng.int rng ((3 * wheel) + 1)
+        | 2 -> now () + [| wheel - 1; wheel; wheel + 1; 2 * wheel |].(Rng.int rng 4)
+        | _ -> ((now () / 256) + 1 + Rng.int rng 12) * 256
       in
       (* [kept] is tagged -1; every other event is tagged with its
          scheduling number. *)
       let rec kept () = check (-1)
-      and schedule tag f =
-        let delay = [| 0; 0; 5; 10; 10; 40 |].(Rng.int rng 6) in
-        Engine.schedule engine ~delay:(Time.of_us delay) f;
-        model := !model @ [ (Time.to_us (Engine.now engine) + delay, !scheduled, tag) ];
-        incr scheduled
-      and spawn depth = schedule !scheduled (event !scheduled depth)
+      and schedule tag at f =
+        model := !model @ [ (at, !scheduled, tag) ];
+        schedule_at at f
+      and spawn depth at = schedule !scheduled at (event !scheduled depth)
       and event tag depth () =
         check tag;
         if depth < 4 then
           for _ = 1 to Rng.int rng 4 do
-            if Rng.int rng 4 = 0 then schedule (-1) kept else spawn (depth + 1)
+            if Rng.int rng 4 = 0 then schedule (-1) (due ()) kept else spawn (depth + 1) (due ())
           done
       in
       for _ = 1 to 10 do
-        spawn 0;
-        schedule (-1) kept
+        spawn 0 (due ());
+        schedule (-1) (due ()) kept
+      done;
+      let rounds = ref 0 in
+      while !model <> [] && !rounds < 100 do
+        incr rounds;
+        let limit = now () + Rng.int rng (3 * wheel) in
+        Engine.run ~until:(Time.of_us limit) engine;
+        if now () <> limit then ok := false;
+        match List.stable_sort by_due !model with
+        | (next, _, _) :: _ ->
+          for _ = 1 to Rng.int rng 3 do
+            spawn 4 (now () + Rng.int rng (next - now () + 1))
+          done
+        | [] -> ()
       done;
       Engine.run engine;
       !ok && !model = [] && Engine.pending engine = 0)
+
+(* Once the wheel's entries and the far heap have grown, a step
+   allocates nothing, near or far. *)
+let test_engine_step_allocates_nothing () =
+  let engine = Engine.create () in
+  let rec near () = Engine.schedule engine ~delay:(Time.of_us 7) near
+  and far () = Engine.schedule engine ~delay:(Time.of_us (5 * wheel)) far in
+  for _ = 1 to 50 do
+    near ();
+    far ()
+  done;
+  let steps n =
+    for _ = 1 to n do
+      ignore (Engine.step engine)
+    done
+  in
+  steps 10_000;
+  let before = Gc.minor_words () in
+  steps 10_000;
+  let allocated = Gc.minor_words () -. before in
+  Alcotest.(check int) "every instance still pending" 100 (Engine.pending engine);
+  Alcotest.(check (float 0.)) "words allocated" 0. allocated
+
+(* Schedules a fresh closure that holds a watched block, near or far,
+   keeping no reference to either here. *)
+let[@inline never] schedule_watched engine w ~delay =
+  let big = Bytes.create (1 lsl 20) in
+  Weak.set w 0 (Some big);
+  Engine.schedule engine ~delay:(Time.of_us delay) (fun () ->
+      ignore (Sys.opaque_identity (Bytes.length big)))
+
+(* A fired closure is dropped by the queue: neither the wheel's entry
+   nor the far heap's slot keeps it (or what it holds) alive. *)
+let test_engine_fired_closure_freed () =
+  let engine = Engine.create () in
+  let rec tick () = Engine.schedule engine ~delay:(Time.of_us 3) tick in
+  tick ();
+  List.iter
+    (fun delay ->
+      let w = Weak.create 1 in
+      schedule_watched engine w ~delay;
+      Engine.run ~until:(Time.add (Engine.now engine) ~span:(Time.of_us (delay + 10))) engine;
+      Gc.full_major ();
+      Alcotest.(check bool)
+        (Printf.sprintf "closure fired after %d us is freed" delay)
+        false (Weak.check w 0))
+    [ 5; 3 * wheel ];
+  Alcotest.(check int) "the ticker stays" 1 (Engine.pending engine)
 
 let () =
   Alcotest.run "sim"
@@ -445,6 +523,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_engine_executes_all;
           Alcotest.test_case "reusable timer" `Quick test_engine_reusable_timer;
           Alcotest.test_case "drain" `Quick test_engine_drain;
+          Alcotest.test_case "a step allocates nothing" `Quick
+            test_engine_step_allocates_nothing;
+          Alcotest.test_case "a fired closure is not kept" `Quick
+            test_engine_fired_closure_freed;
           QCheck_alcotest.to_alcotest prop_engine_schedule_model;
         ] );
       ( "distributions",

@@ -425,6 +425,69 @@ let prop_compact_matches_recover_path =
       && Wlog.length log = List.length (List.concat expected)
       && verdict log = Wlog.Clean)
 
+(* The model is the earlier recovery decision, which listed the damaged
+   positions and then checked every frame against that list. *)
+let judge_model (frames : int Wlog.read list) =
+  let damaged = ref [] in
+  let prev_seq = ref min_int in
+  List.iteri
+    (fun i (f : int Wlog.read) ->
+      if (not f.r_ok) || f.r_seq <= !prev_seq then damaged := i :: !damaged
+      else prev_seq := f.r_seq)
+    frames;
+  let readable =
+    List.filter_map (fun (f : int Wlog.read) -> if f.r_ok then Some f.r_body else None) frames
+  in
+  let verdict =
+    match List.rev !damaged with
+    | [] -> Wlog.Clean
+    | first :: _ ->
+      let all_after_damaged =
+        List.for_all
+          (fun (i, _) -> i < first || List.mem i !damaged)
+          (List.mapi (fun i r -> (i, r)) frames)
+      in
+      let first_is_torn =
+        match List.nth_opt frames first with Some f -> f.r_torn | None -> false
+      in
+      if first_is_torn && all_after_damaged then Wlog.Torn_tail first
+      else Wlog.Corrupt_interior first
+  in
+  let trusted =
+    match verdict with
+    | Wlog.Clean -> List.map (fun (f : int Wlog.read) -> f.r_body) frames
+    | Wlog.Torn_tail first | Wlog.Corrupt_interior first ->
+      List.filteri (fun i _ -> i < first) frames
+      |> List.map (fun (f : int Wlog.read) -> f.r_body)
+  in
+  (verdict, trusted, readable)
+
+(* Damaged logs as recovery reads them: mostly advancing sequence
+   numbers with some repeats and regressions, some frames failing their
+   checksum or read, some torn. *)
+let gen_reads =
+  let open QCheck.Gen in
+  let frame =
+    quad
+      (frequency [ (6, int_range 1 3); (1, int_range (-2) 0) ])
+      (frequency [ (4, return true); (1, return false) ])
+      (frequency [ (4, return false); (1, return true) ])
+      nat
+  in
+  map
+    (fun frames ->
+      let seq = ref 0 in
+      List.map
+        (fun (step, r_ok, r_torn, r_body) ->
+          seq := !seq + step;
+          { Wlog.r_body; r_seq = !seq; r_ok; r_torn })
+        frames)
+    (list_size (int_range 0 20) frame)
+
+let prop_judge_matches_model =
+  QCheck.Test.make ~name:"recovery decides like the list model" ~count:1000
+    (QCheck.make gen_reads) (fun reads -> Wlog.judge reads = judge_model reads)
+
 let test_compact_leaves_damaged_log () =
   let frames =
     [ [ R 1; R 2 ]; [ Ck { id = 1; cut = 2 } ]; [ R 3 ]; [ R 4; R 5 ] ]
@@ -554,6 +617,7 @@ let () =
             test_wlog_torn_batch_frame_granular;
           Alcotest.test_case "seq survives compaction" `Quick
             test_wlog_seq_survives_compaction;
+          QCheck_alcotest.to_alcotest prop_judge_matches_model;
         ] );
       ( "compaction",
         [
