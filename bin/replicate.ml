@@ -161,15 +161,14 @@ let mc_policy mutate =
 
 let mc_policy_name mutate = if mutate then "mutated-weak-majority" else "dynamic-linear"
 
-let mcheck nodes depth faults submits mutate no_cache max_states expect
-    script_out =
+let mcheck nodes depth faults submits mutate max_states expect script_out =
   let open Repro_mcheck in
   Format.fprintf ppf
     "mcheck: %d nodes, depth %d, %d faults, %d submissions, %s quorum@." nodes
     depth faults submits (mc_policy_name mutate);
   let outcome =
-    Explore.run ~policy:(mc_policy mutate) ~use_cache:(not no_cache)
-      ~max_states ~nodes ~depth ~faults ~submits ()
+    Explore.run ~policy:(mc_policy mutate) ~max_states ~nodes ~depth ~faults
+      ~submits ()
   in
   Format.fprintf ppf "%a@." Explore.pp_stats outcome.Explore.stats;
   if not outcome.Explore.complete then
@@ -244,11 +243,6 @@ let mcheck_cmd =
             "Run the seeded quorum mutation (majority weakened to >= half, \
              no tie-breaker): the checker must find it.")
   in
-  let no_cache_t =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ] ~doc:"Disable the state-fingerprint cache.")
-  in
   let max_states_t =
     Arg.(
       value & opt int 5_000_000
@@ -278,7 +272,7 @@ let mcheck_cmd =
           catalogue and the abstract-specification refinement oracle.")
     Term.(
       const mcheck $ nodes_t $ depth_t $ faults_t $ submits_t $ mutate_t
-      $ no_cache_t $ max_states_t $ expect_t $ script_out_t)
+      $ max_states_t $ expect_t $ script_out_t)
 
 let mcheck_replay file nodes mutate =
   let open Repro_mcheck in

@@ -4,7 +4,7 @@ open Repro_storage
 module Sim = Repro_sim
 
 type payload =
-  | Act of { act_origin : Node_id.t; act_seq : int; act_size : int }
+  | Act of { act_origin : Node_id.t; act_seq : int }
   | Ack of { ack_from : Node_id.t; ack_durable : int }
       (* cumulative: this replica has forced all deliveries up to index *)
 
@@ -38,6 +38,9 @@ let committed c = c.c_committed
 
 let ack_size = 32
 
+(* Every client action is 200 bytes, as in the paper's measurements. *)
+let action_size = 200
+
 let multicast_ack c ns =
   match ns.ns_endpoint with
   | Some ep when Endpoint.is_installed ep ->
@@ -64,7 +67,7 @@ let advance_commits c ns =
     while ns.ns_committed < min covered ns.ns_delivered do
       ns.ns_committed <- ns.ns_committed + 1;
       match Hashtbl.find_opt ns.ns_log ns.ns_committed with
-      | Some (Act { act_origin; act_seq; _ }) when Node_id.equal act_origin ns.ns_id
+      | Some (Act { act_origin; act_seq }) when Node_id.equal act_origin ns.ns_id
         -> (
         c.c_committed <- c.c_committed + 1;
         match Hashtbl.find_opt ns.ns_pending act_seq with
@@ -171,13 +174,13 @@ let start c =
       match ns.ns_endpoint with Some ep -> Endpoint.join ep | None -> ())
     c.c_nodes
 
-let submit c ~node ?(size = 200) ~on_response () =
+let submit c ~node ~on_response () =
   let ns = Hashtbl.find c.c_states node in
   match ns.ns_endpoint with
   | Some ep ->
     c.c_seq <- c.c_seq + 1;
     let s = c.c_seq in
     Hashtbl.replace ns.ns_pending s on_response;
-    Endpoint.send ep ~service:Endpoint.Agreed ~size
-      (Act { act_origin = node; act_seq = s; act_size = size })
+    Endpoint.send ep ~service:Endpoint.Agreed ~size:action_size
+      (Act { act_origin = node; act_seq = s })
   | None -> ()

@@ -42,7 +42,6 @@ val start : cluster -> unit
 val submit :
   cluster ->
   node:Node_id.t ->
-  ?size:int ->
   on_response:(unit -> unit) ->
   unit ->
   unit

@@ -5,7 +5,7 @@ open Repro_storage
 type txn_id = { tx_coord : Node_id.t; tx_seq : int }
 
 type wire =
-  | Prepare of { p_tx : txn_id; p_size : int }
+  | Prepare of { p_tx : txn_id }
   | Vote_yes of { v_tx : txn_id }
   | Commit of { c_tx : txn_id }
   | Abort of { a_tx : txn_id }
@@ -31,7 +31,6 @@ type cluster = {
   c_net : wire Network.t;
   c_nodes : Node_id.t list;
   c_states : (Node_id.t, node_state) Hashtbl.t;
-  c_vote_timeout : Time.t;
   mutable c_seq : int;
   mutable c_committed : int;
   mutable c_aborted : int;
@@ -42,8 +41,14 @@ let topology c = c.c_topology
 let committed c = c.c_committed
 let aborted c = c.c_aborted
 
+(* Every client action is 200 bytes, as in the paper's measurements; a
+   coordinator that has not collected every vote after two seconds
+   aborts. *)
+let action_size = 200
+let vote_timeout = Time.of_sec 2.
+
 let wire_size = function
-  | Prepare { p_size; _ } -> p_size + 48
+  | Prepare _ -> action_size + 48
   | Vote_yes _ | Commit _ | Abort _ -> 48
 
 let peers c node = List.filter (fun n -> not (Node_id.equal n node)) c.c_nodes
@@ -71,7 +76,7 @@ let decide c ns tx outcome =
 let handle c ns ~src msg =
   if ns.ns_up then
     match msg with
-    | Prepare { p_tx; _ } ->
+    | Prepare { p_tx } ->
       (* Participant: force the prepare record, then vote. *)
       Disk.force ns.ns_disk (fun () ->
           if ns.ns_up then send c ~src:ns.ns_id ~dst:src (Vote_yes { v_tx = p_tx }))
@@ -89,8 +94,8 @@ let handle c ns ~src msg =
     | Abort _ -> ()
 
 let make_cluster ?(net_config = Network.lan_100mbit)
-    ?(disk_config = Disk.default_forced) ?(vote_timeout = Time.of_sec 2.)
-    ?(attach_cpu = true) ?(seed = 31) ~nodes () =
+    ?(disk_config = Disk.default_forced) ?(attach_cpu = true) ?(seed = 31)
+    ~nodes () =
   let c_sim = Engine.create ~seed () in
   let c_topology = Topology.create ~nodes in
   let c_net = Network.create ~engine:c_sim ~topology:c_topology ~config:net_config () in
@@ -101,7 +106,6 @@ let make_cluster ?(net_config = Network.lan_100mbit)
       c_net;
       c_nodes = nodes;
       c_states = Hashtbl.create (List.length nodes);
-      c_vote_timeout = vote_timeout;
       c_seq = 0;
       c_committed = 0;
       c_aborted = 0;
@@ -126,7 +130,7 @@ let make_cluster ?(net_config = Network.lan_100mbit)
     nodes;
   c
 
-let submit c ~node ?(size = 200) ~on_response () =
+let submit c ~node ~on_response () =
   let ns = state c node in
   if not ns.ns_up then on_response Aborted
   else begin
@@ -141,9 +145,9 @@ let submit c ~node ?(size = 200) ~on_response () =
     | [] -> Disk.force ns.ns_disk (fun () -> decide c ns tx Committed)
     | dsts ->
       List.iter
-        (fun dst -> send c ~src:node ~dst (Prepare { p_tx = tx; p_size = size }))
+        (fun dst -> send c ~src:node ~dst (Prepare { p_tx = tx }))
         dsts);
-    Engine.schedule c.c_sim ~delay:c.c_vote_timeout (fun () ->
+    Engine.schedule c.c_sim ~delay:vote_timeout (fun () ->
         if ns.ns_up then decide c ns tx Aborted)
   end
 

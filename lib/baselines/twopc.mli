@@ -23,7 +23,6 @@ type cluster
 val make_cluster :
   ?net_config:Network.config ->
   ?disk_config:Disk.config ->
-  ?vote_timeout:Time.t ->
   ?attach_cpu:bool ->
   ?seed:int ->
   nodes:Node_id.t list ->
@@ -38,7 +37,6 @@ type outcome = Committed | Aborted
 val submit :
   cluster ->
   node:Node_id.t ->
-  ?size:int ->
   on_response:(outcome -> unit) ->
   unit ->
   unit

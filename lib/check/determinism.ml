@@ -10,39 +10,19 @@ open Repro_core
    mismatching lines point straight at the first diverging replica. *)
 
 let fingerprint_replica r =
-  let node = Replica.node r in
-  let line fmt = Format.asprintf ("n%a " ^^ fmt) Node_id.pp node in
+  let line fmt = Format.asprintf ("%a " ^^ fmt) Node_id.pp (Replica.node r) in
   if not (Replica.is_up r) then [ line "down" ]
-  else if not (Replica.is_ready r) then [ line "not-ready" ]
-  else begin
-    let e = Replica.engine r in
-    let ids l =
-      String.concat ","
-        (List.map (fun id -> Format.asprintf "%a" Action.Id.pp id) l)
-    in
-    let action_ids l = ids (List.map (fun a -> a.Action.id) l) in
-    let greens = Engine.green_actions e in
-    [
-      line "state %a" Types.pp_engine_state (Engine.state e);
-      line "green count=%d floor=%d [%s]" (Engine.green_count e)
-        (Engine.green_count e - List.length greens)
-        (action_ids greens);
-      line "red [%s]" (action_ids (Engine.red_actions e));
-      line "red-cut %s"
-        (String.concat ","
-           (List.map
-              (fun (n, c) -> Format.asprintf "%a:%d" Node_id.pp n c)
-              (Node_id.Map.bindings (Engine.red_cut_map e))));
-      line "white %d" (Engine.white_line e);
-      line "prim %d/%d %a" (Engine.prim_component e).Types.prim_index
-        (Engine.prim_component e).Types.prim_attempt Node_id.pp_set
-        (Engine.prim_component e).Types.prim_servers;
-      line "db digest=%d version=%d"
-        (Database.digest (Replica.database r))
-        (Database.version (Replica.database r));
-      line "applied %d" (Replica.greens_applied r);
-    ]
-  end
+  else
+    match Snapshot.of_replica r with
+    | None -> [ line "not-ready" ]
+    | Some snap ->
+      Snapshot.facts snap
+      @ [
+          line "db digest=%d version=%d"
+            (Database.digest (Replica.database r))
+            (Database.version (Replica.database r));
+          line "applied %d" (Replica.greens_applied r);
+        ]
 
 let fingerprint ?sim replicas =
   let sorted =

@@ -10,10 +10,10 @@ open Repro_core
     and names the first diverging fact. *)
 
 val fingerprint : ?sim:Repro_sim.Engine.t -> Replica.t list -> string list
-(** A canonical line-per-fact encoding of the replicas' protocol state
-    (engine state, green order and floor, red set and cut, white line,
-    primary component, database digest), sorted by node id.  [sim]
-    prepends the virtual clock. *)
+(** A canonical line-per-fact encoding of the replicas, sorted by node
+    id: {!Snapshot.facts} of each ready replica, then its database
+    digest and version and its applied count; a down or not-ready
+    replica is one line.  [sim] prepends the virtual clock. *)
 
 val diff : string list -> string list -> string list
 (** Line-by-line comparison of two fingerprints; empty means equal. *)

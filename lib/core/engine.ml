@@ -951,7 +951,7 @@ let create ~quorum ~sim ~node ~servers ~persist ~callbacks () =
 
 let stats t = t.stats
 
-let create_from_snapshot ~quorum ?(action_floor = 0) ~sim ~node ~servers
+let create_from_snapshot ~quorum ~action_floor ~sim ~node ~servers
     ~snapshot ~green_count ~green_line ~red_cut ~prim ~dedup ~persist
     ~callbacks () =
   let t = make_blank ~quorum ~sim ~node ~servers ~persist ~callbacks () in
@@ -967,9 +967,7 @@ let create_from_snapshot ~quorum ?(action_floor = 0) ~sim ~node ~servers
   in
   t.action_index <- max action_floor own_cut;
   for index = own_cut + 1 to action_floor do
-    let filler =
-      Action.make ~client:0 ~size:32 ~server:node ~index (Action.Update [])
-    in
+    let filler = Persist.filler ~server:node ~index in
     Persist.log_ongoing_batch t.persist [ filler ];
     push_ongoing t filler
   done;

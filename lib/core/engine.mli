@@ -93,7 +93,7 @@ val create :
 
 val create_from_snapshot :
   quorum:Quorum.rule ->
-  ?action_floor:int ->
+  action_floor:int ->
   sim:Repro_sim.Engine.t ->
   node:Node_id.t ->
   servers:Node_id.Set.t ->

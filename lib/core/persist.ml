@@ -187,6 +187,9 @@ let max_own_index ~self frames =
       | Meta _ | Checkpoint _ -> acc)
     0 frames
 
+let filler ~server ~index =
+  Action.make ~client:0 ~size:32 ~server ~index (Action.Update [])
+
 (* Own-creator action bodies found among [frames] (readable records,
    possibly beyond the damage point), indexed by action index. *)
 let own_bodies ~self frames =
@@ -220,9 +223,7 @@ let refill_own ~self ~readable ~own_cut ~floor =
       let a =
         match Hashtbl.find_opt bodies idx with
         | Some a -> a
-        | None ->
-          Action.make ~client:0 ~size:32 ~server:self ~index:idx
-            (Action.Update [])
+        | None -> filler ~server:self ~index:idx
       in
       build (idx + 1) (a :: acc)
   in

@@ -31,6 +31,12 @@ val log_ongoing_batch : t -> Action.t list -> unit
     batch as a unit (frame-granular torn tail).  The empty batch writes
     nothing. *)
 
+val filler : server:Node_id.t -> index:int -> Action.t
+(** The no-op action (client 0, 32 bytes, an empty update) re-proposed
+    for an own index whose body is lost: per-creator delivery is
+    gap-free, so peers can pass the index only once some action holds
+    it.  Salvage recovery and an amnesiac rejoiner both mint it. *)
+
 val log_red_batch : t -> Action.t list -> unit
 val log_green_batch : t -> Action.Id.t list -> unit
 (** One frame for a delivery burst's red (resp. green) marks (group

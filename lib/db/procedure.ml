@@ -60,17 +60,6 @@ let pattern_matches args pat key =
 
 let covers args pats key = List.exists (fun p -> pattern_matches args p key) pats
 
-let rec pp_pattern ppf = function
-  | Kconst s -> Format.fprintf ppf "%S" s
-  | Kparam i -> Format.fprintf ppf "param %d" i
-  | Kconcat parts ->
-    Format.fprintf ppf "concat(%a)"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-         pp_pattern)
-      parts
-  | Kany -> Format.fprintf ppf "*"
-
 let int_of = function Value.Int n -> n | Value.Text _ -> 0
 
 let transfer db = function

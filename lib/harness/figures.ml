@@ -47,8 +47,9 @@ let tabulate ppf ~title ~x_label named_series =
   in
   print_table ppf ~title ~x_label ~columns:(List.map fst named_series) rows
 
-let figure_5a ?(clients = default_clients) ?(servers = 14)
-    ?(duration = Time.of_sec 8.) ppf () =
+let figure_5a ?(clients = default_clients) ?(duration = Time.of_sec 8.)
+    ppf () =
+  let servers = 14 in
   let named =
     sweep
       ~protocols:
@@ -71,8 +72,9 @@ let figure_5a ?(clients = default_clients) ?(servers = 14)
      2PC ~250 actions/s on their 2001 testbed).@.";
   named
 
-let figure_5b ?(clients = default_clients) ?(servers = 14)
-    ?(duration = Time.of_sec 8.) ppf () =
+let figure_5b ?(clients = default_clients) ?(duration = Time.of_sec 8.)
+    ppf () =
+  let servers = 14 in
   let named =
     sweep
       ~protocols:
@@ -94,8 +96,9 @@ let figure_5b ?(clients = default_clients) ?(servers = 14)
      paper); forced writes track Figure 5(a)'s engine curve.@.";
   named
 
-let latency_table ?(servers = [ 2; 4; 6; 8; 10; 12; 14 ]) ppf () =
+let latency_table ppf () =
   (* One client, sequential actions over a 20 s window. *)
+  let servers = [ 2; 4; 6; 8; 10; 12; 14 ] in
   let protocols =
     [
       Experiment.Twopc_protocol;
@@ -131,7 +134,8 @@ let latency_table ?(servers = [ 2; 4; 6; 8; 10; 12; 14 ]) ppf () =
 (* §7's wide-area prediction: "on wide area network, where network
    latency becomes a more important factor, COReL will further outperform
    two-phase commit". *)
-let wan_prediction ?(servers = 5) ppf () =
+let wan_prediction ppf () =
+  let servers = 5 in
   let run protocol net_config params =
     (Experiment.run ~net_config ~params ~servers ~warmup:(Time.of_sec 5.)
        ~duration:(Time.of_sec 30.) ~clients:1 protocol)
@@ -165,8 +169,8 @@ let wan_prediction ?(servers = 5) ppf () =
   | _ -> ());
   rows
 
-let ablation_ack_batching ?(delays_us = [ 100; 250; 500; 1000; 2000; 5000 ])
-    ?(clients = 14) ?(duration = Time.of_sec 6.) ppf () =
+let ablation_ack_batching ?(duration = Time.of_sec 6.) ppf () =
+  let delays_us = [ 100; 250; 500; 1000; 2000; 5000 ] and clients = 14 in
   let points =
     List.map
       (fun delay_us ->
@@ -197,7 +201,8 @@ let ablation_ack_batching ?(delays_us = [ 100; 250; 500; 1000; 2000; 5000 ])
 (* Ablation A5: quorum-policy availability under partition churn — the
    design choice §3.1 makes ("we opted to use dynamic linear voting")
    quantified: fraction of time some primary component exists. *)
-let ablation_quorum_availability ?(n = 5) ?(rounds = 12) ppf () =
+let ablation_quorum_availability ppf () =
+  let n = 5 and rounds = 12 in
   let run policy ~cascading =
     let w = World.make ~quorum_policy:policy ~seed:509 ~n () in
     World.run w ~ms:1000.;
@@ -270,8 +275,8 @@ let ablation_quorum_availability ?(n = 5) ?(rounds = 12) ppf () =
   ((dlv_casc, sta_casc), (dlv_chaos, sta_chaos))
 
 (* Ablation A4: replica-count scalability at a fixed offered load. *)
-let ablation_scale ?(servers = [ 2; 4; 8; 14; 20 ]) ?(clients = 8)
-    ?(duration = Time.of_sec 6.) ppf () =
+let ablation_scale ?(duration = Time.of_sec 6.) ppf () =
+  let servers = [ 2; 4; 8; 14; 20 ] and clients = 8 in
   let points =
     List.map
       (fun n ->
@@ -294,8 +299,8 @@ let ablation_scale ?(servers = [ 2; 4; 8; 14; 20 ]) ?(clients = 8)
 
 (* Ablation A3: the §6 read-only optimisation — a read-heavy workload
    with reads served through the ordered path vs the local session path. *)
-let ablation_query_path ?(clients = 8) ?(read_fraction = 0.8)
-    ?(duration = Time.of_sec 6.) ppf () =
+let ablation_query_path ?(duration = Time.of_sec 6.) ppf () =
+  let clients = 8 and read_fraction = 0.8 in
   let run optimized =
     let w =
       World.make ~net_config:Network.lan_gigabit
@@ -333,7 +338,8 @@ let ablation_query_path ?(clients = 8) ?(read_fraction = 0.8)
     "shape: read-only actions need no global order — answering them after@.     the session's writes drain removes the ordering round and the forced@.     write from every read.@.";
   ((ordered_tput, ordered_lat), (local_tput, local_lat))
 
-let partition_timeline ?(servers = 7) ?(clients = 7) ppf () =
+let partition_timeline ppf () =
+  let servers = 7 and clients = 7 in
   let w =
     World.make ~net_config:Network.lan_gigabit ~params:Repro_gcs.Params.default
       ~disk_config:{ Disk.default_forced with sync_latency = Time.of_ms 5. }

@@ -13,7 +13,6 @@ type series = (int * float) list
 
 val figure_5a :
   ?clients:int list ->
-  ?servers:int ->
   ?duration:Time.t ->
   Format.formatter ->
   unit ->
@@ -23,7 +22,6 @@ val figure_5a :
 
 val figure_5b :
   ?clients:int list ->
-  ?servers:int ->
   ?duration:Time.t ->
   Format.formatter ->
   unit ->
@@ -31,48 +29,32 @@ val figure_5b :
 (** Figure 5(b): engine with forced vs delayed (asynchronous) disk
     writes. *)
 
-val latency_table :
-  ?servers:int list ->
-  Format.formatter ->
-  unit ->
-  (string * series) list
+val latency_table : Format.formatter -> unit -> (string * series) list
 (** The §7 latency experiment: one client, sequential actions, average
     response time per protocol as the number of servers grows (paper:
     ≈19.3 ms for 2PC, ≈11.4 ms for COReL and the engine, flat in the
     number of servers). *)
 
-val wan_prediction :
-  ?servers:int -> Format.formatter -> unit -> (string * float * float) list
+val wan_prediction : Format.formatter -> unit -> (string * float * float) list
 (** §7's wide-area claim: with network latency dominant, COReL's (and the
     engine's) advantage over 2PC grows — per-protocol mean latency on the
     LAN profile vs a 30 ms WAN profile.  Returns (protocol, lan_ms,
     wan_ms) rows. *)
 
 val ablation_ack_batching :
-  ?delays_us:int list ->
-  ?clients:int ->
-  ?duration:Time.t ->
-  Format.formatter ->
-  unit ->
-  series
+  ?duration:Time.t -> Format.formatter -> unit -> series
 (** Ablation A1: cost of per-action end-to-end acknowledgement pressure —
     sweep the group-communication acknowledgement batching delay and
     measure engine throughput (smaller delay ≈ per-action acks). *)
 
 val ablation_quorum_availability :
-  ?n:int ->
-  ?rounds:int ->
-  Format.formatter ->
-  unit ->
-  (float * float) * (float * float)
+  Format.formatter -> unit -> (float * float) * (float * float)
 (** Ablation A5: fraction of churn time with a live primary component,
     ((dlv, static) under cascading splits, (dlv, static) under chaotic
     splits) — quantifies the §3.1 quorum-system choice and its known
     trade-off. *)
 
 val ablation_scale :
-  ?servers:int list ->
-  ?clients:int ->
   ?duration:Time.t ->
   Format.formatter ->
   unit ->
@@ -82,8 +64,6 @@ val ablation_scale :
     acknowledged per action. *)
 
 val ablation_query_path :
-  ?clients:int ->
-  ?read_fraction:float ->
   ?duration:Time.t ->
   Format.formatter ->
   unit ->
@@ -92,12 +72,7 @@ val ablation_query_path :
     with ordered reads, (throughput, latency) with local session reads)
     under a read-heavy mix. *)
 
-val partition_timeline :
-  ?servers:int ->
-  ?clients:int ->
-  Format.formatter ->
-  unit ->
-  (float * float) list
+val partition_timeline : Format.formatter -> unit -> (float * float) list
 (** Ablation A2: throughput timeline across a partition and a merge —
     demonstrates that the engine pays end-to-end synchronisation only at
     membership-change events.  Returns (second, actions/s) buckets. *)

@@ -124,8 +124,7 @@ let minimize ~policy ~nodes script =
   in
   go script 0
 
-let run ?(policy = Quorum.Dynamic_linear) ?(use_cache = true)
-    ?(max_states = 5_000_000) ~nodes ~depth ~faults ~submits () =
+let run ?(policy = Quorum.Dynamic_linear) ?(max_states = 5_000_000) ~nodes ~depth ~faults ~submits () =
   (* wall-clock of the exploration itself, reported in stats — not
      protocol-visible time.  repcheck: allow *)
   let started = Sys.time () in
@@ -176,7 +175,7 @@ let run ?(policy = Quorum.Dynamic_linear) ?(use_cache = true)
     stats.st_states <- stats.st_states + 1;
     let fp = System.fingerprint sys in
     let bud = (budgets.b_depth, budgets.b_faults, budgets.b_submits) in
-    if use_cache && dominated fp bud then
+    if dominated fp bud then
       stats.st_cache_hits <- stats.st_cache_hits + 1
     else begin
       let budget_ok = function
@@ -255,7 +254,7 @@ let run ?(policy = Quorum.Dynamic_linear) ?(use_cache = true)
       in
       loop ();
       path := List.tl !path;
-      if use_cache && sleep = [] then remember fp bud
+      if sleep = [] then remember fp bud
     end
   (* An executed delivery [tr] races with the most recent path transition
      it depends on: that choice point must also try [tr] first. *)

@@ -43,7 +43,6 @@ type outcome = {
 
 val run :
   ?policy:Quorum.policy ->
-  ?use_cache:bool ->
   ?max_states:int ->
   nodes:int ->
   depth:int ->

@@ -25,10 +25,11 @@ val create : ?policy:Quorum.policy -> nodes:int -> unit -> t
     dynamic linear voting; pass [Mutated_weak_majority] to hunt the
     seeded bug). *)
 
-val stabilize : ?max_steps:int -> t -> Check.Snapshot.violation list
-(** Delivers everything round-robin until quiescent — boots the system
-    to its first installed primary, outside any exploration budget —
-    and runs the oracles once.  A correct engine returns []. *)
+val stabilize : t -> Check.Snapshot.violation list
+(** Delivers everything round-robin until quiescent (at most 10,000
+    deliveries) — boots the system to its first installed primary,
+    outside any exploration budget — and runs the oracles once.  A
+    correct engine returns []. *)
 
 val enabled : t -> Script.transition list
 (** All currently enabled transitions in canonical order: deliveries,
@@ -40,10 +41,11 @@ val apply : t -> Script.transition -> result
     minimized scripts skip such lines. *)
 
 val fingerprint : t -> string
-(** Digest of the logical state: topology, per-node engine state (or
-    crash marker) and durable-log length, and the EVS model.  Virtual
-    time and incarnation counters are excluded — they encode history,
-    not state. *)
+(** Digest of the logical state: topology, per node the engine's
+    {!Check.Snapshot.facts} (or a crash marker) and durable-log length,
+    and the EVS model with its queued payloads as {!Types.pp_payload}
+    prints them.  Virtual time and incarnation counters are excluded —
+    they encode history, not state. *)
 
 val trace : t -> Script.transition list
 (** Applied transitions, oldest first. *)
