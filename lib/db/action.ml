@@ -16,7 +16,8 @@ module Id = struct
      one (65,599 is 63 modulo every table size up to 2^16) stacks every
      creator's run within a few dozen buckets of the others'. *)
   let hash t = (Node_id.hash t.server * 0x9E3779B1) + t.index
-  let pp ppf t = Format.fprintf ppf "%a#%d" Node_id.pp t.server t.index
+  let to_string t = Node_id.to_string t.server ^ "#" ^ string_of_int t.index
+  let pp ppf t = Format.pp_print_string ppf (to_string t)
 
   module Tbl = Hashtbl.Make (struct
     type nonrec t = t
@@ -70,17 +71,18 @@ type response =
   | Aborted
   | Busy
 
-let pp_kind ppf = function
-  | Query keys -> Format.fprintf ppf "query[%s]" (String.concat "," keys)
-  | Update ops -> Format.fprintf ppf "update[%d ops]" (List.length ops)
+let kind_to_string = function
+  | Query keys -> "query[" ^ String.concat "," keys ^ "]"
+  | Update ops -> "update[" ^ string_of_int (List.length ops) ^ " ops]"
   | Read_write (keys, ops) ->
-    Format.fprintf ppf "rw[%d keys,%d ops]" (List.length keys) (List.length ops)
-  | Active { proc; _ } -> Format.fprintf ppf "active[%s]" proc
-  | Interactive _ -> Format.fprintf ppf "interactive"
-  | Join n -> Format.fprintf ppf "join[%a]" Node_id.pp n
-  | Leave n -> Format.fprintf ppf "leave[%a]" Node_id.pp n
+    Printf.sprintf "rw[%d keys,%d ops]" (List.length keys) (List.length ops)
+  | Active { proc; _ } -> "active[" ^ proc ^ "]"
+  | Interactive _ -> "interactive"
+  | Join n -> "join[" ^ Node_id.to_string n ^ "]"
+  | Leave n -> "leave[" ^ Node_id.to_string n ^ "]"
 
-let pp ppf t = Format.fprintf ppf "%a:%a" Id.pp t.id pp_kind t.kind
+let to_string t = Id.to_string t.id ^ ":" ^ kind_to_string t.kind
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let pp_response ppf = function
   | Committed results ->

@@ -18,6 +18,9 @@ module Id : sig
   val hash : t -> int
   (** Allocation-free; consistent with {!equal}. *)
 
+  val to_string : t -> string
+  (** [n0#3]: creator and index. *)
+
   val pp : Format.formatter -> t -> unit
 
   (** Hash tables keyed by action id.  Bucket order follows {!hash}, so
@@ -100,6 +103,11 @@ type response =
       (** admission control shed the request before it entered the
           global order: nothing was executed or logged.  The client
           should back off and retry. *)
+
+val to_string : t -> string
+(** [id:kind], the kind summarised: an update prints its op count, not
+    its ops; the client, semantics, size and request sequence are left
+    out. *)
 
 val pp : Format.formatter -> t -> unit
 val pp_response : Format.formatter -> response -> unit

@@ -7,5 +7,5 @@ let compare a b =
   if c <> 0 then c else Node_id.compare a.coord b.coord
 
 let equal a b = compare a b = 0
-let pp ppf t = Format.fprintf ppf "c%d.%d" t.coord t.counter
-let to_string t = Format.asprintf "%a" pp t
+let to_string t = "c" ^ string_of_int t.coord ^ "." ^ string_of_int t.counter
+let pp ppf t = Format.pp_print_string ppf (to_string t)

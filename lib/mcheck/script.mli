@@ -17,11 +17,6 @@ type transition =
 val is_deliver : transition -> bool
 val equal : transition -> transition -> bool
 val pp : Format.formatter -> transition -> unit
-val to_line : transition -> string
-
-val of_line : string -> transition option
-(** [None] on anything that is not a transition line. *)
-
 val to_string : transition list -> string
 
 val of_string : string -> transition list

@@ -20,4 +20,7 @@ module Tbl : Hashtbl.S with type key = t
     polymorphic hash or compare per lookup. *)
 
 val set_of_list : t list -> Set.t
+val set_to_string : Set.t -> string
+(** [{n0,n1}], in id order. *)
+
 val pp_set : Format.formatter -> Set.t -> unit

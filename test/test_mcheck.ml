@@ -128,6 +128,17 @@ let test_explore_clean_small () =
   Alcotest.(check int) "states expanded" 1098 o.Explore.stats.Explore.st_states;
   Alcotest.(check int) "distinct states" 936 o.Explore.stats.Explore.st_distinct
 
+(* Two submissions: an action created after a green one carries a
+   different creation-time green count, which the white line follows
+   once the action is resent and delivered in RegPrim.  A state hash
+   that left the count out merges such states and reads fewer
+   distinct states (7,089 here). *)
+let test_explore_creation_green_count () =
+  let o = Explore.run ~nodes:3 ~depth:6 ~faults:1 ~submits:2 () in
+  Alcotest.(check bool) "no violations" true (o.Explore.found = None);
+  Alcotest.(check int) "states expanded" 8666 o.Explore.stats.Explore.st_states;
+  Alcotest.(check int) "distinct states" 7137 o.Explore.stats.Explore.st_distinct
+
 let test_explore_reductions_prune () =
   let o = Explore.run ~nodes:3 ~depth:8 ~faults:2 ~submits:0 () in
   Alcotest.(check bool) "exhaustive" true o.Explore.complete;
@@ -219,5 +230,7 @@ let () =
             test_explore_finds_seeded_mutation;
           Alcotest.test_case "minimization drops noise" `Slow
             test_explore_minimize_drops_noise;
+          Alcotest.test_case "creation green counts reach the hash" `Slow
+            test_explore_creation_green_count;
         ] );
     ]
