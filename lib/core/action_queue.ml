@@ -81,16 +81,22 @@ let discard_below t n =
     (* The last discarded body becomes the floor line. *)
     let last = t.green.(dropped - 1) in
     let remaining = stored - dropped in
-    let ng = if remaining = 0 then [||] else Array.make remaining last in
-    Array.blit t.green dropped ng 0 remaining;
-    t.green <- ng;
+    (* The suffix moves down in place, so the array keeps the capacity
+       the next greens fill; every slot above it then holds a retained
+       body (or, with none retained, the array goes), so no discarded
+       body stays reachable. *)
+    if remaining = 0 then t.green <- [||]
+    else begin
+      Array.blit t.green dropped t.green 0 remaining;
+      Array.fill t.green remaining (Array.length t.green - remaining) t.green.(0)
+    end;
     t.floor <- n;
     t.floor_line <- Some last.Action.id;
     dropped
   end
-  (* Walks and reallocates the retained green suffix — the in-memory
-     image of the log kept above the checkpoint floor. *)
-  [@@analysis.cost "O(log); alloc O(log)"]
+  (* Walks the retained green suffix and the discarded slots — the
+     in-memory image of the log kept above the checkpoint floor. *)
+  [@@analysis.cost "O(log); alloc O(1)"]
 
 (* O(1) amortized: capacity doubles, so each copied slot is paid for by
    the append that first filled it. *)

@@ -1,22 +1,22 @@
 (** The deterministic in-memory database each replica maintains.
 
-    A string-keyed value store: one mutable hash table per version tree,
-    with versions kept by rerooting (Baker's trick).  Timestamps for
-    [Set_if_newer] are stored alongside values.  Costs, for [n] keys:
+    A string-keyed value store: one open-addressing table in flat arrays
+    per version tree, with versions kept by rerooting (Baker's trick).
+    Timestamps for [Set_if_newer] are stored alongside values.  Costs,
+    for [n] keys, on a live handle unless said otherwise:
 
-    - [get], [timestamp], [apply] and [size] on a live handle: O(1)
-      expected per key or op;
-    - [snapshot] and [copy] on a live handle: O(1) — they capture its
-      version, and its next writes record each key's old binding once;
-    - reading a version other than the tree's current one (a snapshot,
-      a copy that wrote, or the handle after either): O(undo entries on
-      the path between them);
-    - [of_snapshot] and [restore]: O(n) — the handle gets its own copy
-      of the table;
+    - [get], [timestamp] and [apply]: one probe per key or op, O(1)
+      expected; [get] allocates only its option, a write one undo entry
+      (5 words, 3 for an absent key) the first time after a capture;
+    - [size]: O(1); [snapshot] and [copy]: O(1), a capture;
+    - reading another version of the tree (a snapshot, a copy that
+      wrote, or the handle after either): O(undo entries on the path);
+    - [of_snapshot] and [restore]: O(n) array copies;
     - [digest], [bindings] and [snapshot_size]: as a read, plus O(n).
 
-    A retained snapshot keeps at most one old binding per key per later
-    capture. *)
+    Memory: 4 words per slot, at most 7/8 of the slots in use (from 4.6
+    words per key); 9 words per capture, and a retained snapshot keeps
+    at most one old binding per key per later capture. *)
 
 type t
 

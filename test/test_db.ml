@@ -367,15 +367,17 @@ let pp_cmd ppf = function
   | Bindings h -> Format.fprintf ppf "bindings h%d" h
   | Read_snapshot s -> Format.fprintf ppf "read s%d" s
 
-let gen_cmds =
+(* Programs over [keys] keys, with up to [batch] ops per apply and
+   removes weighted [removes] against 3 sets. *)
+let gen_cmds ~keys ~batch ~removes =
   let open QCheck.Gen in
-  let key = map (Printf.sprintf "k%d") (int_bound 4) in
+  let key = map (Printf.sprintf "k%d") (int_bound (keys - 1)) in
   let op =
     frequency
       [
         (3, map2 (fun k n -> Op.Set (k, Value.Int n)) key (int_bound 9));
         (2, map2 (fun k n -> Op.Add (k, n)) key (int_range (-5) 5));
-        (1, map (fun k -> Op.Remove k) key);
+        (removes, map (fun k -> Op.Remove k) key);
         ( 1,
           map3
             (fun k n ts -> Op.Set_if_newer (k, Value.Int n, ts))
@@ -386,7 +388,7 @@ let gen_cmds =
   list_size (int_range 1 40)
     (frequency
        [
-         (6, map2 (fun h ops -> Apply (h, ops)) handle (list_size (int_bound 3) op));
+         (6, map2 (fun h ops -> Apply (h, ops)) handle (list_size (int_bound batch) op));
          (3, map (fun h -> Snapshot h) handle);
          (2, map2 (fun h d -> Copy (h, d)) handle handle);
          (1, map2 (fun s d -> Of_snapshot (s, d)) snap handle);
@@ -401,12 +403,11 @@ let gen_cmds =
    through [copy], [of_snapshot] and [restore]; every read — of a live
    handle or of an old snapshot, after writes through the other handles
    of its tree forced reroots — must agree with the map oracle. *)
-let prop_versions_match_map_model =
+let prop_versions_match ~name ~count gen =
   let print cmds =
     Format.asprintf "@[<v>%a@]" (Format.pp_print_list pp_cmd) cmds
   in
-  QCheck.Test.make ~name:"version tree matches the persistent-map model"
-    ~count:1000 (QCheck.make ~print gen_cmds) (fun cmds ->
+  QCheck.Test.make ~name ~count (QCheck.make ~print gen) (fun cmds ->
       let handles =
         Array.init 3 (fun _ ->
             (Database.create (), { Model.map = Model.Smap.empty; version = 0 }))
@@ -473,6 +474,17 @@ let prop_versions_match_map_model =
            (fun (snap, map, _) -> same_bindings (Database.of_snapshot snap) map)
            !snaps)
 
+let prop_versions_match_map_model =
+  prop_versions_match ~name:"version tree matches the persistent-map model"
+    ~count:1000 (gen_cmds ~keys:5 ~batch:3 ~removes:1)
+
+(* The same oracle over 96 keys with removes as frequent as sets: tables
+   grow past their first capacity, rebuild away removed keys, and a key
+   removed and bound again inside one capture reuses its slot. *)
+let prop_wide_versions_match_map_model =
+  prop_versions_match ~name:"wide version tree matches the persistent-map model"
+    ~count:300 (gen_cmds ~keys:96 ~batch:24 ~removes:3)
+
 (* The reroot round trip spelled out: write through a copy, then
    through the original, then read a snapshot taken before both. *)
 let test_reroot_round_trip () =
@@ -520,6 +532,33 @@ let test_retained_snapshot_bounded () =
     (List.for_all
        (fun (_, v) -> Value.equal v (Value.Int 0))
        (Database.bindings (Database.of_snapshot held)))
+
+(* Minor words [f] allocates. *)
+let words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* The write path finds a key's slot once and rewrites it in place: a
+   write with no capture pending allocates nothing beyond the op, the
+   first write of a key after a capture allocates its undo entry (five
+   words: key, value, ts and the rest of the list), a second write of
+   the key nothing, and a read only the option it returns. *)
+let test_write_path_allocation () =
+  let db = Database.create () in
+  Database.apply db (List.init 100 (fun i -> Op.Set (Printf.sprintf "k%d" i, Value.Int i)));
+  let v = Value.Int 7 and ops = [ Op.Set ("k42", Value.Int 8) ] in
+  let set = [ Op.Set ("k42", v) ] in
+  Alcotest.(check (float 0.)) "set, no capture pending" 0.
+    (words (fun () -> Database.apply db set));
+  ignore (Database.snapshot db);
+  Alcotest.(check (float 0.)) "first set after a capture: one undo entry" 5.
+    (words (fun () -> Database.apply db ops));
+  Alcotest.(check (float 0.)) "second set of the key" 0.
+    (words (fun () -> Database.apply db set));
+  Alcotest.(check (float 0.)) "get of a present key: its option" 2.
+    (words (fun () -> ignore (Sys.opaque_identity (Database.get db "k42"))));
+  Alcotest.(check (option value)) "the last write holds" (Some v) (Database.get db "k42")
 
 let prop_value_compare_total_order =
   QCheck.Test.make ~name:"value comparison is antisymmetric" ~count:200
@@ -582,6 +621,9 @@ let () =
           Alcotest.test_case "retained snapshot is bounded" `Quick
             test_retained_snapshot_bounded;
           QCheck_alcotest.to_alcotest prop_versions_match_map_model;
+          QCheck_alcotest.to_alcotest prop_wide_versions_match_map_model;
+          Alcotest.test_case "write path allocation" `Quick
+            test_write_path_allocation;
         ] );
       ( "executor",
         [
