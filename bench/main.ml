@@ -34,8 +34,7 @@ let repcheck_sanity () =
   World.run w ~ms:1500.;
   Repro_core.Replica.crash (World.replica w 3);
   World.heal_and_settle ~ms:5000. w;
-  Check.Monitor.check_now mon;
-  Check.Monitor.assert_ok mon;
+  World.assert_ok w ~ledgers:[];
   Format.fprintf ppf "repcheck: %d sweeps over the sanity scenario, clean@."
     (Check.Monitor.observations mon)
 

@@ -65,14 +65,6 @@ let () =
     (List.for_all
        (fun n -> Replica.in_primary (World.replica w n))
        [ 0; 1; 7 ]);
-  (match
-     Consistency.check_all
-       (List.filter Replica.is_ready (World.replicas w))
-   with
-  | [] -> say "consistency checker: all properties hold"
-  | violations ->
-    List.iter
-      (fun v -> Format.printf "VIOLATION %a@." Consistency.pp_violation v)
-      violations;
-    exit 1);
+  World.assert_ok w ~ledgers:[];
+  say "consistency checker: all properties hold";
   Format.printf "dynamic_replicas OK@."

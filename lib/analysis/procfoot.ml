@@ -3,15 +3,10 @@
    The replication paper's active transactions (§6) are stored
    procedures: deterministic functions from database state and
    arguments to an update list, re-executed at the same global-order
-   position on every replica.  Two forthcoming consumers need static
-   facts about them:
-
-   - the parallel-apply scheduler (ROADMAP, Deferred) needs each action's
-     *predicted* write keys before execution, so independent actions
-     can apply concurrently — the data-item routing assumption of the
-     partial-replication literature;
-   - the §6 relaxed semantics skip validation for procedures that only
-     emit commutative ops, which is a per-procedure classification.
+   position on every replica.  The declared footprints, the runtime
+   guard and a parallel-apply scheduler (ROADMAP, Deferred) all rest on
+   each action's *predicted* keys, known before execution — the
+   data-item routing assumption of the partial-replication literature.
 
    This pass finds every [Procedure.register] site in the loaded units
    (the builtins in lib/db/procedure.ml register through the same
@@ -26,17 +21,7 @@
    (b) a determinism verdict from the [Effects] fixpoint — any
        reachable Random/wall-clock use, unordered [Hashtbl] iteration,
        physical equality on [Value.t], or reference to an ambient
-       mutable global makes the body non-re-executable;
-
-   (c) a commutativity class: a procedure is validation-skippable iff
-       every op it can emit satisfies [Op.is_commutative] AND no op is
-       constructed under a branch whose condition depends on a database
-       read.  The read-guard refinement is what separates [restock]
-       (reads only feed the output) from [transfer] (the balance check
-       guards the updates): re-ordering transfer against a concurrent
-       write to the same account can change whether its ops are emitted
-       at all, so emitting them early is not safe even though [Add]
-       itself commutes.
+       mutable global makes the body non-re-executable.
 
    Declared footprints ([register ?footprint]) are parsed from the
    register site's literal argument and diffed against the inference —
@@ -49,12 +34,6 @@
    runtime validator then checks the concrete executions against the
    declarations the lint proved consistent with inference. *)
 
-type op_write = {
-  w_key : Keyspace.abs;
-  w_commutative : bool;  (* the op constructor satisfies Op.is_commutative *)
-  w_guarded : bool;  (* constructed under a db-read-dependent branch *)
-}
-
 type report = {
   r_name : string;
   r_src : string;  (* source file of the body *)
@@ -62,7 +41,6 @@ type report = {
   r_reg_loc : Location.t;  (* the register site, for drift findings *)
   r_reads : Keyspace.abs list;
   r_writes : Keyspace.abs list;
-  r_commutative : bool;
   r_nondet : string list;  (* nondeterminism sources; [] = deterministic *)
   r_declared : (Keyspace.abs list * Keyspace.abs list) option;  (* reads, writes *)
 }
@@ -71,13 +49,11 @@ type report = {
 
 type helper_summary = {
   h_reads : Keyspace.abs list;
-  h_writes : op_write list;
+  h_writes : Keyspace.abs list;
   h_ret : Keyspace.abs;  (* abstraction of the returned value as a key *)
-  h_reads_db : bool;
 }
 
-let empty_helper =
-  { h_reads = []; h_writes = []; h_ret = Keyspace.Top; h_reads_db = false }
+let empty_helper = { h_reads = []; h_writes = []; h_ret = Keyspace.Top }
 
 type ctx = {
   eff : Effects.t;
@@ -88,8 +64,6 @@ type ctx = {
   ambient : (string * string) list;  (* mutable globals: f_key, kind *)
 }
 
-let read_prims = [ "Database.get"; "Database.timestamp"; "Database.read" ]
-let commutative_ops = [ "Add"; "Set_if_newer" ]
 let op_constructors = [ "Set"; "Add"; "Remove"; "Set_if_newer" ]
 
 let canonical ctx ~caller_unit p =
@@ -109,8 +83,7 @@ let positional args =
 
 type st = {
   mutable reads : Keyspace.abs list;
-  mutable writes : op_write list;
-  mutable tainted : Ident.t list;
+  mutable writes : Keyspace.abs list;
 }
 
 let lookup env id =
@@ -139,14 +112,13 @@ let rec helper_of ctx (fn : Callgraph.fn) =
       | _ -> (env, e)
     in
     let env, body = peel 0 [] fn.Callgraph.f_expr in
-    let st = { reads = []; writes = []; tainted = [] } in
-    walk ctx ~caller_unit st env ~guard:false body;
+    let st = { reads = []; writes = [] } in
+    walk ctx ~caller_unit st env body;
     let s =
       {
         h_reads = Keyspace.normalize st.reads;
         h_writes = st.writes;
         h_ret = eval ctx ~caller_unit env body;
-        h_reads_db = st.reads <> [];
       }
     in
     Hashtbl.replace ctx.helpers fn.Callgraph.f_key (Some s);
@@ -176,43 +148,13 @@ and eval ctx ~caller_unit env (e : Typedtree.expression) =
       | None -> Keyspace.Top))
   | _ -> Keyspace.Top
 
-(* --- taint: does an expression depend on a database read? ------------- *)
-
-and mentions_read ctx ~caller_unit tainted (e : Typedtree.expression) =
-  let found = ref false in
-  let transfer _ () () (e : Typedtree.expression) =
-    if !found then Some ()
-    else
-      match e.exp_desc with
-      | Typedtree.Texp_ident (p, _, _) ->
-        (match p with
-        | Path.Pident id when List.exists (Ident.same id) tainted ->
-          found := true
-        | _ -> ());
-        (if List.mem (canonical ctx ~caller_unit p) read_prims then found := true
-         else
-           match resolve ctx ~caller_unit p with
-           | Some fn -> (
-             match Hashtbl.find_opt ctx.helpers fn.Callgraph.f_key with
-             | Some (Some s) when s.h_reads_db -> found := true
-             | Some _ -> ()
-             | None -> if (helper_of ctx fn).h_reads_db then found := true)
-           | None -> ());
-        Some ()
-      | _ -> None
-  in
-  Walk.descend transfer () e;
-  !found
-
 (* --- the body walk ---------------------------------------------------- *)
 
-(* The context is the key environment and the read guard (is this code
-   under a branch whose condition depends on a database read?); the
-   findings accumulate in [st]. *)
-and walk ctx ~caller_unit (st : st) env ~guard (e : Typedtree.expression) =
-  let taint pat = st.tainted <- Typedtree.pat_bound_idents pat @ st.tainted in
-  let transfer go (env, guard) () (e : Typedtree.expression) =
-    let walk e = go (env, guard) () e in
+(* The context is the key environment; the findings accumulate in
+   [st]. *)
+and walk ctx ~caller_unit (st : st) env (e : Typedtree.expression) =
+  let transfer go env () (e : Typedtree.expression) =
+    let walk e = go env () e in
     let eval' = eval ctx ~caller_unit env in
     match e.exp_desc with
     | Typedtree.Texp_let (_, vbs, body) ->
@@ -226,22 +168,11 @@ and walk ctx ~caller_unit (st : st) env ~guard (e : Typedtree.expression) =
             | _ -> acc)
           env vbs
       in
-      List.iter
-        (fun (vb : Typedtree.value_binding) ->
-          if mentions_read ctx ~caller_unit st.tainted vb.vb_expr then
-            taint vb.vb_pat)
-        vbs;
-      Some (go (env', guard) () body)
+      Some (go env' () body)
     | Typedtree.Texp_construct (_, cstr, key :: _)
       when List.mem cstr.Types.cstr_name op_constructors
            && Cmt_load.has_type "Op.t" e.exp_type ->
-      st.writes <-
-        {
-          w_key = eval' key;
-          w_commutative = List.mem cstr.Types.cstr_name commutative_ops;
-          w_guarded = guard;
-        }
-        :: st.writes;
+      st.writes <- eval' key :: st.writes;
       None
     | Typedtree.Texp_apply ({ exp_desc = Typedtree.Texp_ident (p, _, _); _ }, args)
       -> (
@@ -273,30 +204,11 @@ and walk ctx ~caller_unit (st : st) env ~guard (e : Typedtree.expression) =
             let actuals = List.map eval' pos in
             st.reads <- Keyspace.subst_set actuals s.h_reads @ st.reads;
             st.writes <-
-              List.map
-                (fun w ->
-                  {
-                    w with
-                    w_key = Keyspace.subst actuals w.w_key;
-                    w_guarded = w.w_guarded || guard;
-                  })
-                s.h_writes
-              @ st.writes
+              List.map (Keyspace.subst actuals) s.h_writes @ st.writes
           | None -> ())))
     | _ -> None
   in
-  (* A branch on a read-dependent condition or scrutinee guards both
-     arms; a read-guarded case's pattern variables are tainted. *)
-  let refine (env, guard) () b =
-    let read e = guard || mentions_read ctx ~caller_unit st.tainted e in
-    match b with
-    | Walk.Then c | Walk.Else c -> ((env, read c), ())
-    | Walk.Case (scrut, pat) ->
-      let g = read scrut in
-      if g then taint pat;
-      ((env, g), ())
-  in
-  Walk.descend ~refine transfer (env, guard) e
+  Walk.descend transfer env e
 
 (* --- entry analysis: the two-stage procedure shape -------------------- *)
 
@@ -330,7 +242,7 @@ and bind_element i (p : Typedtree.value Typedtree.general_pattern) =
   | _ -> []
 
 let analyze_body ctx ~caller_unit (body : Typedtree.expression) =
-  let st = { reads = []; writes = []; tainted = [] } in
+  let st = { reads = []; writes = [] } in
   (match body.exp_desc with
   | Typedtree.Texp_function { cases = [ { c_rhs = db_rhs; _ } ]; _ } -> (
     match db_rhs.exp_desc with
@@ -340,18 +252,16 @@ let analyze_body ctx ~caller_unit (body : Typedtree.expression) =
         (fun (c : Typedtree.value Typedtree.case) ->
           let env = bind_list_pattern 0 c.Typedtree.c_lhs in
           Option.iter
-            (walk ctx ~caller_unit st env ~guard:false)
+            (walk ctx ~caller_unit st env)
             c.Typedtree.c_guard;
-          walk ctx ~caller_unit st env ~guard:false c.Typedtree.c_rhs)
+          walk ctx ~caller_unit st env c.Typedtree.c_rhs)
         cases
     | _ ->
       (* unrecognized shape: analyze with no parameter binding — every
          argument-derived key degrades to Top (sound, imprecise) *)
-      walk ctx ~caller_unit st [] ~guard:false db_rhs)
-  | _ -> walk ctx ~caller_unit st [] ~guard:false body);
-  ( Keyspace.normalize st.reads,
-    Keyspace.normalize (List.map (fun w -> w.w_key) st.writes),
-    List.for_all (fun w -> w.w_commutative && not w.w_guarded) st.writes )
+      walk ctx ~caller_unit st [] db_rhs)
+  | _ -> walk ctx ~caller_unit st [] body);
+  (Keyspace.normalize st.reads, Keyspace.normalize st.writes)
 
 (* --- determinism verdict ---------------------------------------------- *)
 
@@ -495,7 +405,6 @@ let analyze (eff : Effects.t) sites =
         r_reg_loc = e.exp_loc;
         r_reads = [ Keyspace.Top ];
         r_writes = [ Keyspace.Top ];
-        r_commutative = false;
         r_nondet = [];
         r_declared = declared;
       }
@@ -503,7 +412,7 @@ let analyze (eff : Effects.t) sites =
     match body_fn with
     | None -> blind
     | Some fn ->
-      let reads, writes, commutative =
+      let reads, writes =
         analyze_body ctx ~caller_unit:fn.Callgraph.f_scope
           fn.Callgraph.f_expr
       in
@@ -513,7 +422,6 @@ let analyze (eff : Effects.t) sites =
         r_body_loc = fn.Callgraph.f_loc;
         r_reads = reads;
         r_writes = writes;
-        r_commutative = commutative;
         r_nondet = nondet_sources ctx fn;
       }
   in
@@ -622,10 +530,10 @@ let manifest_json reports =
       Buffer.add_string b
         (Printf.sprintf
            "\n    {\"name\": \"%s\", \"source\": \"%s\", \"reads\": [%s], \
-            \"writes\": [%s], \"commutative\": %b, \"deterministic\": %b, \
+            \"writes\": [%s], \"deterministic\": %b, \
             \"nondeterminism\": [%s], \"declared\": \"%s\"}"
            (Diag.escape r.r_name) (Diag.escape r.r_src) (strings r.r_reads)
-           (strings r.r_writes) r.r_commutative (r.r_nondet = [])
+           (strings r.r_writes) (r.r_nondet = [])
            (String.concat ", "
               (List.map
                  (fun s -> Printf.sprintf "\"%s\"" (Diag.escape s))

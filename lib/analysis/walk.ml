@@ -151,8 +151,8 @@ let fold h =
   in
   go
 
-(* The fold of a pass whose only state is its context: nothing flows. *)
-let descend ?(refine = no_refine) transfer c e =
-  fold
-    { transfer; refine; join = (fun () () -> ()); literal = (fun () () -> ()) }
-    c () e
+(* The fold of a pass whose only state is its context: nothing flows
+   and no branch refines it. *)
+let descend transfer c e =
+  let nothing () () = () in
+  fold { transfer; refine = no_refine; join = nothing; literal = nothing } c () e

@@ -90,7 +90,7 @@ let handle c ns ~src msg =
           Disk.force ns.ns_disk (fun () ->
               if ns.ns_up then decide c ns v_tx Committed)
       | _ -> ())
-    | Commit _ -> () (* presumed commit: no participant commit record *)
+    | Commit _ -> () (* no participant commit record, no acknowledgement *)
     | Abort _ -> ()
 
 let make_cluster ?(net_config = Network.lan_100mbit)
@@ -138,9 +138,9 @@ let submit c ~node ~on_response () =
     let tx = { tx_coord = node; tx_seq = c.c_seq } in
     let p = { votes = Node_id.Set.empty; decided = false; on_response } in
     Hashtbl.replace ns.ns_pending tx p;
-    (* Presumed-abort 2PC: the coordinator logs nothing before asking for
-       votes, so the critical path carries exactly two forced writes —
-       the participants' prepare and the coordinator's commit decision. *)
+    (* The coordinator logs nothing before asking for votes, so the
+       critical path carries exactly two forced writes — the
+       participants' prepare and the coordinator's commit decision. *)
     (match peers c node with
     | [] -> Disk.force ns.ns_disk (fun () -> decide c ns tx Committed)
     | dsts ->

@@ -5,15 +5,18 @@ open Repro_storage
 (** Two-phase commit replication, the paper's first comparator (§7).
 
     Each action is a distributed transaction coordinated by the replica
-    that received it: PREPARE to all peers (n-1 unicasts), each
-    participant forces a prepare record to disk before voting YES, the
-    coordinator forces the commit decision, then sends COMMIT (n-1
-    unicasts).  Presumed-commit variant: per action, two forced disk
-    writes on the critical path (participant prepare + coordinator
-    commit decision) and 2n unicast messages — the costs the paper
-    cites.  A missing vote aborts the transaction
-    after a timeout (participant crash / partition); 2PC's blocking
-    behaviour under coordinator failure is reported, not worked around.
+    that received it.  The coordinator logs nothing and sends PREPARE
+    to every peer (n-1 unicasts); each participant forces a prepare
+    record to disk and votes YES (n-1 unicasts); once every vote is in,
+    the coordinator forces its commit decision, answers the client and
+    sends COMMIT (n-1 unicasts).  Participants write no commit record
+    and send no acknowledgement, so this is neither textbook
+    presumed-abort nor presumed-commit.  Per action: two forced disk
+    writes on the critical path (participant prepare, then coordinator
+    decision) — the paper's count — and 3(n-1) unicast messages, where
+    the paper counts 2n.  A missing vote aborts the transaction after a
+    timeout (participant crash / partition); 2PC's blocking behaviour
+    under coordinator failure is reported, not worked around.
 
     As in the paper's measurements, clients are answered when the action
     commits globally; no database is attached. *)

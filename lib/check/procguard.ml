@@ -18,13 +18,15 @@
 
    A violation means the declaration (and hence the §6 commutativity /
    validation-skipping reasoning built on it) is wrong for a reachable
-   execution: the guard records it and the harness fails the run. *)
+   execution: the guard records it, and [World.verdict] reports each
+   finding as a [procedure-footprint] violation. *)
 
 open Repro_db
 
 type kind = Read | Write
 
 type violation = {
+  v_node : Repro_net.Node_id.t;  (** the replica that executed it *)
   v_proc : string;  (** procedure name *)
   v_kind : kind;
   v_key : string;  (** the key outside the declared footprint *)
@@ -39,7 +41,7 @@ type t = {
 
 let create () = { violations = []; observed = 0; checked = 0 }
 
-let observe g (procs : Procedure.registry) (tr : Executor.procedure_trace) =
+let observe g ~node procs (tr : Executor.procedure_trace) =
   g.observed <- g.observed + 1;
   match Procedure.declared_footprint procs tr.Executor.t_proc with
   | None -> ()
@@ -47,8 +49,8 @@ let observe g (procs : Procedure.registry) (tr : Executor.procedure_trace) =
     g.checked <- g.checked + 1;
     let flag kind key =
       g.violations <-
-        { v_proc = tr.Executor.t_proc; v_kind = kind; v_key = key;
-          v_args = tr.Executor.t_args }
+        { v_node = node; v_proc = tr.Executor.t_proc; v_kind = kind;
+          v_key = key; v_args = tr.Executor.t_args }
         :: g.violations
     in
     let readable = fp.Procedure.reads @ fp.Procedure.writes in
@@ -65,12 +67,13 @@ let observe g (procs : Procedure.registry) (tr : Executor.procedure_trace) =
 
 let attach g replica =
   Repro_core.Replica.set_procedure_hook replica (fun tr ->
-      observe g (Repro_core.Replica.procedures replica) tr)
+      observe g ~node:(Repro_core.Replica.node replica)
+        (Repro_core.Replica.procedures replica)
+        tr)
 
 let violations g = List.rev g.violations
 let observed g = g.observed
 let checked g = g.checked
-let ok g = g.violations = []
 
 let pp_violation ppf v =
   Format.fprintf ppf "procedure %S %s key %S outside its declared footprint (args: %s)"
@@ -78,13 +81,3 @@ let pp_violation ppf v =
     (match v.v_kind with Read -> "read" | Write -> "wrote")
     v.v_key
     (String.concat ", " (List.map Value.to_string v.v_args))
-
-let assert_ok g =
-  match violations g with
-  | [] -> ()
-  | vs ->
-    let msgs = List.map (Format.asprintf "%a" pp_violation) vs in
-    failwith
-      (Printf.sprintf "procguard: %d footprint violation(s):\n%s"
-         (List.length vs)
-         (String.concat "\n" msgs))

@@ -15,6 +15,7 @@ open Repro_db
 type kind = Read | Write
 
 type violation = {
+  v_node : Repro_net.Node_id.t;  (** the replica that executed it *)
   v_proc : string;  (** procedure name *)
   v_kind : kind;
   v_key : string;  (** the key outside the declared footprint *)
@@ -24,10 +25,6 @@ type violation = {
 type t
 
 val create : unit -> t
-
-val observe : t -> Procedure.registry -> Executor.procedure_trace -> unit
-(** Check one executed procedure's trace against its declaration in the
-    given registry (typically the executing replica's own). *)
 
 val attach : t -> Repro_core.Replica.t -> unit
 (** Install this guard as the replica's procedure hook
@@ -44,9 +41,4 @@ val observed : t -> int
 val checked : t -> int
 (** The subset of {!observed} that had a declared footprint. *)
 
-val ok : t -> bool
-
 val pp_violation : Format.formatter -> violation -> unit
-
-val assert_ok : t -> unit
-(** Raises [Failure] listing every violation, if any. *)

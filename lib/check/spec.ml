@@ -92,8 +92,6 @@ let take t =
   t.violations <- [];
   v
 
-let ok t = t.violations = []
-
 (* ------------------------------------------------------------------ *)
 (* Observed inputs                                                     *)
 
@@ -217,11 +215,10 @@ let on_quorum t ~node ~members ~vulnerable ~prev_prim ~granted =
   if granted <> expected then
     flag t ~node
       "engine %s a quorum the specification would %s (members %a, prev \
-       primary %d %a, vulnerable %a)"
+       primary %a, vulnerable %a)"
       (if granted then "granted" else "denied")
       (if expected then "grant" else "deny")
-      Node_id.pp_set members prev_prim.Types.prim_index Node_id.pp_set
-      prev_prim.Types.prim_servers Node_id.pp_set vulnerable;
+      Node_id.pp_set members Types.pp_prim prev_prim Node_id.pp_set vulnerable;
   sh.sh_quorum <- (if granted then Q_granted (prev_prim, members) else Q_denied)
 
 (* ------------------------------------------------------------------ *)
@@ -253,20 +250,16 @@ let on_install t ~node (prim : Types.prim_component) =
          || not
               (Node_id.Set.equal first.Types.prim_servers
                  prim.Types.prim_servers) ->
-    flag t ~node "primary %d installed twice: attempt %d %a vs attempt %d %a"
-      prim.Types.prim_index first.Types.prim_attempt Node_id.pp_set
-      first.Types.prim_servers prim.Types.prim_attempt Node_id.pp_set
-      prim.Types.prim_servers
+    flag t ~node "primary %d installed twice: %a vs %a" prim.Types.prim_index
+      Types.pp_prim first Types.pp_prim prim
   | Some _ | None -> Hashtbl.replace t.installs prim.Types.prim_index prim);
   match Hashtbl.find_opt t.installs (prim.Types.prim_index - 1) with
   | Some prev
     when not
            (Quorum.has_majority ~prev:prev.Types.prim_servers
               prim.Types.prim_servers) ->
-    flag t ~node "primary %d (%a) is not a majority of primary %d (%a)"
-      prim.Types.prim_index Node_id.pp_set prim.Types.prim_servers
-      (prim.Types.prim_index - 1)
-      Node_id.pp_set prev.Types.prim_servers
+    flag t ~node "primary %a is not a majority of primary %a" Types.pp_prim
+      prim Types.pp_prim prev
   | Some _ | None -> ()
 
 let on_audit t ~node = function
@@ -276,5 +269,3 @@ let on_audit t ~node = function
     on_quorum t ~node ~members:aq_members ~vulnerable:aq_vulnerable
       ~prev_prim:aq_prev_prim ~granted:aq_granted
   | Engine.Audit_install prim -> on_install t ~node prim
-
-let state t node = (shadow t node).sh_state

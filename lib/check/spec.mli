@@ -58,11 +58,5 @@ val on_recover : t -> node:Node_id.t -> unit
     state restarts at NonPrim.  The global install registry survives —
     exclusivity spans crashes. *)
 
-val state : t -> Node_id.t -> Types.engine_state
-(** The node's current abstract state (for reports and tests). *)
-
-val ok : t -> bool
-(** No undrained violations. *)
-
 val take : t -> Snapshot.violation list
 (** Drains accumulated violations, oldest first. *)

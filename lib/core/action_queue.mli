@@ -35,9 +35,6 @@ val set_join_floor :
     actions ending at [line], with no bodies, whose per-creator green
     cut is [cut]. *)
 
-val green_cut : t -> Node_id.t -> int
-(** Index of the creator's last green action (0 when none). *)
-
 val green_cut_map : t -> int Node_id.Map.t
 (** The whole per-creator green cut. *)
 
@@ -55,8 +52,9 @@ val append_green : t -> Action.t -> int
     that is already green. *)
 
 val is_green : t -> Action.Id.t -> bool
-(** [id.index <= green_cut t id.server]: also true for ids greened below
-    a snapshot join floor, which this queue never held. *)
+(** [id.index] is at or below its creator's green cut: also true for
+    ids greened below a snapshot join floor, which this queue never
+    held. *)
 
 val add_red : t -> Action.t -> unit
 val red_actions : t -> Action.t list

@@ -44,8 +44,6 @@ type verdict = Fresh | Duplicate of Action.response option
 let create ~window () =
   { d_window = max 1 window; d_tbl = Types.Int_tbl.create 16 }
 
-let window t = t.d_window
-
 let slot e i = (e.e_head + i) mod Array.length e.e_seqs
 
 (* The cached response for [seq], if the window still holds it: a scan
@@ -156,7 +154,6 @@ let record t ~client ~seq ~ack response =
     if seq > e.e_ack then push t e seq response
   end
 
-let clients t = Types.Int_tbl.length t.d_tbl
 let max_cached t = Types.Int_tbl.fold (fun _ e acc -> max acc e.e_len) t.d_tbl 0
 
 (* ------------------------------------------------------------------ *)
@@ -219,7 +216,3 @@ let of_snapshot s =
    the right convergence check. *)
 let summary t =
   List.map (fun c -> (c.s_client, c.s_hi, c.s_ack)) (snapshot t).s_clients
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>dedup{%d clients, window %d}@]" (clients t)
-    t.d_window

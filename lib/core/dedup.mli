@@ -29,8 +29,6 @@ val create : window:int -> unit -> t
 (** [window] bounds the per-client cached-response list (clamped to at
     least 1). *)
 
-val window : t -> int
-
 val check : t -> client:int -> seq:int -> verdict
 (** Read-only duplicate test.  [seq <= 0] is always [Fresh] (the
     request opted out of exactly-once tracking). *)
@@ -49,10 +47,9 @@ val observe_ack : t -> client:int -> ack:int -> unit
 (** Fold in the ack low-water carried by a request that turned out to
     be a duplicate (it still proves what the client has seen). *)
 
-val clients : t -> int
 val max_cached : t -> int
 (** Largest per-client cached-response list — the quantity the bounded-
-    window property test asserts never exceeds {!window}. *)
+    window property test asserts never exceeds the window. *)
 
 (** {2 Snapshots} — pure data, deterministically ordered. *)
 
@@ -71,5 +68,3 @@ val of_snapshot : snapshot -> t
 val summary : t -> (int * int * int) list
 (** [(client, highest applied seq, acked)] triples in client order —
     what the cross-replica convergence check compares. *)
-
-val pp : Format.formatter -> t -> unit

@@ -109,7 +109,6 @@ let emit_audit t ev = match t.audit with Some f -> f ev | None -> ()
 
 let node t = t.node
 let state t = t.state
-let halted t = t.halted
 let green_count t = Action_queue.green_count t.queue
 let green_actions t = Action_queue.greens_from t.queue 0
 let red_actions t = Action_queue.red_actions t.queue

@@ -208,7 +208,6 @@ val submit :
 
 val node : t -> Node_id.t
 val state : t -> Types.engine_state
-val halted : t -> bool
 val green_count : t -> int
 val green_actions : t -> Action.t list
 val red_actions : t -> Action.t list

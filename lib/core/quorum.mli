@@ -14,8 +14,6 @@ type weights = int Node_id.Map.t
 
 val no_weights : weights
 
-val weight : weights -> Node_id.t -> int
-
 val has_majority :
   ?weights:weights -> prev:Node_id.Set.t -> Node_id.Set.t -> bool
 (** [has_majority ~prev candidate]: does [candidate] hold a strict

@@ -159,6 +159,7 @@ let state t =
 let in_primary t = match t.engine with Some e -> Engine.in_primary e | None -> false
 let is_ready t = t.engine <> None && t.up && not t.left
 let is_up t = t.up
+let has_left t = t.left
 let incarnation t = t.incarnation
 let last_recovery t = t.last_recovery
 let corrupt_log t ~nth = Persist.corrupt_nth t.persist nth

@@ -169,6 +169,9 @@ val dirty_query : t -> string list -> (string * Value.t option) list
 val leave : t -> unit
 (** Permanently leaves the replicated system (PERSISTENT_LEAVE). *)
 
+val has_left : t -> bool
+(** The replica's own leave action was applied: it is gone for good. *)
+
 val checkpoint_now : t -> unit
 (** Takes a durable checkpoint immediately (snapshot + compaction + GC). *)
 

@@ -63,6 +63,12 @@ let bprint_prim b p =
   Printf.bprintf b "%d/%d %s" p.prim_index p.prim_attempt
     (Node_id.set_to_string p.prim_servers)
 
+(** {!bprint_prim} for [Format] reports. *)
+let pp_prim ppf p =
+  let b = Buffer.create 32 in
+  bprint_prim b p;
+  Format.pp_print_string ppf (Buffer.contents b)
+
 let prim_order a b =
   let c = Int.compare a.prim_index b.prim_index in
   if c <> 0 then c else Int.compare a.prim_attempt b.prim_attempt

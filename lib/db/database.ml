@@ -312,8 +312,3 @@ let snapshot_size s =
 let bindings t =
   fold (fun k v _ acc -> (k, v) :: acc) (table t) []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter (fun (k, v) -> Format.fprintf ppf "%s = %a@," k Value.pp v) (bindings t);
-  Format.fprintf ppf "@]"

@@ -55,5 +55,3 @@ val snapshot_size : snapshot -> int
 
 val bindings : t -> (string * Value.t) list
 (** All key/value pairs in key order. *)
-
-val pp : Format.formatter -> t -> unit

@@ -8,4 +8,3 @@ let compare a b =
 
 let equal a b = compare a b = 0
 let to_string t = "c" ^ string_of_int t.coord ^ "." ^ string_of_int t.counter
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -11,5 +11,4 @@ type t = { coord : Node_id.t; counter : int }
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

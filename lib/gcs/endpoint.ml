@@ -145,8 +145,6 @@ type 'p t = {
   mutable periodic : (unit -> unit) option; (* built by the first [join] *)
 }
 
-let node t = t.node
-let params t = t.prm
 let installed_count t = t.installed_count
 
 let current_view t =

@@ -85,9 +85,6 @@ val create :
     which is then never built.  Without it, each delivery reaches
     [on_event] as a [Deliver]. *)
 
-val node : 'p t -> Node_id.t
-val params : 'p t -> Params.t
-
 val join : 'p t -> unit
 (** Starts participating: gathers whoever is reachable and installs a
     configuration (a singleton one when alone). *)

@@ -1,29 +1,16 @@
 open Repro_db
 open Repro_core
+module Snapshot = Repro_check.Snapshot
 
-type violation = { v_property : string; v_detail : string }
+type violation = Snapshot.violation
 
-let pp_violation ppf v =
-  Format.fprintf ppf "%s: %s" v.v_property v.v_detail
-
-let violation property fmt =
-  Format.kasprintf (fun detail -> { v_property = property; v_detail = detail }) fmt
+let pp_violation = Snapshot.pp_violation
+let violation = Snapshot.violation
 
 let ready_engines replicas =
   List.filter_map
     (fun r -> if Replica.is_ready r then Some (r, Replica.engine r) else None)
     replicas
-
-(* Theorems 1 and 2 (global total order, global FIFO) have one
-   implementation, [Repro_check.Snapshot]'s; its findings keep their
-   names here ("global-total-order", "global-fifo"). *)
-let check_global_orders replicas =
-  let module S = Repro_check.Snapshot in
-  let snaps = List.filter_map S.of_replica replicas in
-  List.map
-    (fun (v : S.violation) ->
-      violation v.S.v_invariant "%a" S.pp_violation v)
-    (S.check_total_order snaps @ S.check_fifo snaps)
 
 let check_single_primary replicas =
   let engines = ready_engines replicas in
@@ -53,25 +40,25 @@ let check_convergence replicas =
     in
     List.concat_map
       (fun (r, e) ->
+        let node = Replica.node r in
         let issues = ref [] in
         if Engine.green_count e <> count0 then
           issues :=
-            violation "convergence" "replica %d green count %d vs replica %d's %d"
-              (Replica.node r) (Engine.green_count e) (Replica.node r0) count0
+            violation ~node "convergence" "green count %d vs n%d's %d"
+              (Engine.green_count e) (Replica.node r0) count0
             :: !issues;
         if Database.digest (Replica.database r) <> digest0 then
           issues :=
-            violation "convergence" "replica %d database differs from replica %d"
-              (Replica.node r) (Replica.node r0)
+            violation ~node "convergence" "database differs from n%d's"
+              (Replica.node r0)
             :: !issues;
         (* The exactly-once window is replicated state too: replicas at
            the same green position must agree on every client's highest
            applied and acked sequence numbers. *)
         if not (summaries_equal (Replica.dedup_summary r) dedup0) then
           issues :=
-            violation "convergence"
-              "replica %d exactly-once window differs from replica %d"
-              (Replica.node r) (Replica.node r0)
+            violation ~node "convergence"
+              "exactly-once window differs from n%d's" (Replica.node r0)
             :: !issues;
         !issues)
       rest
@@ -91,6 +78,7 @@ let check_exactly_once ~ledgers replicas =
   let ready = List.filter Replica.is_ready replicas in
   List.concat_map
     (fun r ->
+      let node = Replica.node r in
       List.filter_map
         (fun l ->
           let v =
@@ -101,30 +89,23 @@ let check_exactly_once ~ledgers replicas =
           in
           if v < l.l_acked then
             Some
-              (violation "exactly-once"
-                 "lost ack: client %d acked %d increments of %s but replica \
-                  %d holds %d"
-                 l.l_client l.l_acked l.l_key (Replica.node r) v)
+              (violation ~node "exactly-once"
+                 "lost ack: client %d acked %d increments of %s, %d held"
+                 l.l_client l.l_acked l.l_key v)
           else if v > l.l_issued then
             Some
-              (violation "exactly-once"
-                 "double-apply: client %d issued %d increments of %s but \
-                  replica %d holds %d"
-                 l.l_client l.l_issued l.l_key (Replica.node r) v)
+              (violation ~node "exactly-once"
+                 "double-apply: client %d issued %d increments of %s, %d held"
+                 l.l_client l.l_issued l.l_key v)
           else None)
         ledgers)
     ready
 
+(* Theorems 1 and 2 (global total order, global FIFO) have one
+   implementation, [Snapshot]'s. *)
 let check_all ?(converged = false) replicas =
-  check_global_orders replicas
+  let snaps = List.filter_map Snapshot.of_replica replicas in
+  Snapshot.check_total_order snaps
+  @ Snapshot.check_fifo snaps
   @ check_single_primary replicas
   @ if converged then check_convergence replicas else []
-
-let assert_ok ?converged replicas =
-  match check_all ?converged replicas with
-  | [] -> ()
-  | violations ->
-    failwith
-      (Format.asprintf "@[<v>consistency violations:@,%a@]"
-         (Format.pp_print_list pp_violation)
-         violations)

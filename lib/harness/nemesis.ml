@@ -64,7 +64,7 @@ type outcome = {
   o_failovers : int;
   o_dupes_suppressed : int;
   o_shed : int;
-  o_violations : string list;
+  o_violations : Repro_check.Snapshot.violation list;
 }
 
 let converged o = o.o_ready > 0 && o.o_violations = []
@@ -92,7 +92,9 @@ let pp_outcome ppf o =
      else
        Printf.sprintf "FAILED (%d violations)" (List.length o.o_violations));
   if o.o_violations <> [] then
-    List.iter (fun v -> Format.fprintf ppf "@.  %s" v) o.o_violations
+    List.iter
+      (fun v -> Format.fprintf ppf "@.  %a" Repro_check.Snapshot.pp_violation v)
+      o.o_violations
 
 (* ------------------------------------------------------------------ *)
 (* The campaign                                                        *)
@@ -306,12 +308,6 @@ let run ?(config = default_config) () =
   done;
   World.run w ~ms:2_000.;
   (* --- verdicts ---------------------------------------------------- *)
-  Monitor.check_now monitor;
-  let monitor_violations =
-    List.map
-      (fun v -> Format.asprintf "%a" Repro_check.Snapshot.pp_violation v)
-      (Monitor.violations monitor)
-  in
   let ledgers =
     List.map
       (fun c ->
@@ -323,30 +319,8 @@ let run ?(config = default_config) () =
         })
       sessions
   in
-  let consistency_violations =
-    List.map
-      (fun v -> Format.asprintf "%a" Consistency.pp_violation v)
-      (Consistency.check_all ~converged:true (World.replicas w)
-      @ Consistency.check_exactly_once ~ledgers (World.replicas w))
-  in
-  let guard_violations =
-    List.map
-      (fun v -> Format.asprintf "%a" Procguard.pp_violation v)
-      (Procguard.violations guard)
-  in
+  let violations = World.verdict w ~ledgers in
   let ready = List.filter Replica.is_ready (World.replicas w) in
-  let stragglers =
-    if all_ready () then []
-    else
-      List.filter_map
-        (fun r ->
-          if Replica.is_ready r then None
-          else
-            Some
-              (Printf.sprintf "liveness: n%d never became ready again"
-                 (Replica.node r)))
-        (World.replicas w)
-  in
   let greens =
     List.fold_left
       (fun acc r -> max acc (Repro_core.Engine.green_count (Replica.engine r)))
@@ -373,7 +347,5 @@ let run ?(config = default_config) () =
     o_failovers = sum Client.failovers sessions;
     o_dupes_suppressed = sum Replica.dupes_suppressed (World.replicas w);
     o_shed = sum Replica.shed (World.replicas w);
-    o_violations =
-      monitor_violations @ consistency_violations @ guard_violations
-      @ stragglers;
+    o_violations = violations;
   }

@@ -24,12 +24,12 @@ open Repro_storage
 
     After the active phase it heals every partition, recovers every
     crashed replica (tallying each recovery's {!Repro_core.Persist}
-    verdict), lets the cluster settle, and evaluates the checkers:
-    the global {!Consistency} catalogue with the convergence (liveness)
-    check enabled, the {!Consistency.check_exactly_once} ledger over
-    the client counters (no lost acks, no double-applies), and a final
-    sweep of the online repcheck {!Repro_check.Monitor} that observed
-    the whole run. *)
+    verdict), lets the cluster settle, and takes the {!World.verdict}:
+    a final sweep of the online repcheck {!Repro_check.Monitor} that
+    observed the whole run, the global {!Consistency} catalogue, the
+    exactly-once ledger over the client counters (no lost acks, no
+    double-applies), the footprint guard, and liveness (every replica
+    ready again). *)
 
 type config = {
   seed : int;
@@ -75,9 +75,8 @@ type outcome = {
       (** retried attempts answered from a replica's exactly-once window
           instead of re-executing *)
   o_shed : int;  (** requests refused [Busy] by admission control *)
-  o_violations : string list;
-      (** rendered monitor + consistency + exactly-once ledger +
-          footprint-guard violations; empty on a pass *)
+  o_violations : Repro_check.Snapshot.violation list;
+      (** the {!World.verdict}; empty on a pass *)
 }
 
 val converged : outcome -> bool

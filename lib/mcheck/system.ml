@@ -39,7 +39,6 @@ type t = {
   history : (Node_id.t, Check.Snapshot.node_snap) Hashtbl.t;
   nodes : node array;
   servers : Node_id.Set.t;
-  mutable trace : Script.transition list; (* newest first *)
 }
 
 type result = {
@@ -110,7 +109,6 @@ let create ?(policy = Quorum.Dynamic_linear) ~nodes:n () =
                })
              ids);
       servers;
-      trace = [];
     }
   in
   Array.iter
@@ -219,7 +217,6 @@ let submittable e =
 let apply t tr =
   let inapplicable = { applied = false; appends = []; violations = [] } in
   let finish () =
-    t.trace <- tr :: t.trace;
     {
       applied = true;
       appends = Model.take_appended t.model;
@@ -372,8 +369,4 @@ let stabilize t =
   ignore (Model.take_appended t.model);
   check t
 
-let trace t = List.rev t.trace
-let n_nodes t = t.cfg.nodes
-let policy t = t.cfg.policy
 let node_state t n = Option.map Engine.state t.nodes.(n).engine
-let lost_sends t = Model.lost_sends t.model

@@ -47,10 +47,4 @@ val fingerprint : t -> string
     prints them.  Virtual time and incarnation counters are excluded —
     they encode history, not state. *)
 
-val trace : t -> Script.transition list
-(** Applied transitions, oldest first. *)
-
-val n_nodes : t -> int
-val policy : t -> Quorum.policy
 val node_state : t -> Node_id.t -> Types.engine_state option
-val lost_sends : t -> int

@@ -107,7 +107,6 @@ let create ~engine ~topology ~config () =
     messages_dropped = 0;
   }
 
-let topology t = t.topology
 let engine t = t.engine
 
 let node t id =
@@ -120,9 +119,6 @@ let node t id =
 
 let register t id ~handler = (node t id).handler <- Some handler
 let set_up t id b = (node t id).up <- b
-
-let is_up t id =
-  match Tbl.find t.nodes id with n -> n.up | exception Not_found -> true
 
 let drop t = t.messages_dropped <- t.messages_dropped + 1
 

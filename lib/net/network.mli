@@ -49,7 +49,6 @@ type 'msg t
 val create :
   engine:Engine.t -> topology:Topology.t -> config:config -> unit -> 'msg t
 
-val topology : 'msg t -> Topology.t
 val engine : 'msg t -> Engine.t
 
 val register :
@@ -64,8 +63,6 @@ val attach_cpu : 'msg t -> Node_id.t -> Resource.t -> unit
 (** Routes this node's message processing through a serial CPU resource:
     sends occupy it for [send_cpu_cost], deliveries for [recv_cpu_cost].
     Without an attached CPU, processing is free (pure-latency model). *)
-
-val is_up : 'msg t -> Node_id.t -> bool
 
 val unicast : 'msg t -> src:Node_id.t -> dst:Node_id.t -> size:int -> 'msg -> unit
 (** Sends one message of [size] bytes.  Silently dropped when the source

@@ -25,8 +25,6 @@ let create ~nodes =
   set_groups t (List.fold_left (fun m n -> Node_id.Map.add n 0 m) Node_id.Map.empty nodes);
   t
 
-let nodes t = List.map fst (Node_id.Map.bindings t.group_of)
-
 let label t n =
   let i = Node_id.hash n in
   if i >= 0 && i < Array.length t.labels && t.labels.(i) >= 0 then t.labels.(i)

@@ -12,8 +12,6 @@ type t
 val create : nodes:Node_id.t list -> t
 (** All [nodes] start in a single component. *)
 
-val nodes : t -> Node_id.t list
-
 val connected : t -> Node_id.t -> Node_id.t -> bool
 (** Whether two nodes are currently in the same component.  A node is
     always connected to itself.  Two array reads: the network asks per

@@ -50,8 +50,6 @@ type 'body t = {
 let create ~engine:_ ~disk ~records () =
   { disk; records; frames = []; next_seq = 0; record_count = 0 }
 
-let disk t = t.disk
-
 let count_records t =
   List.fold_left (fun n f -> n + t.records f.body) 0 t.frames
 

@@ -66,8 +66,6 @@ val create :
   engine:Engine.t -> disk:Disk.t -> records:('body -> int) -> unit -> 'body t
 (** [records body] is the number of records a frame body holds. *)
 
-val disk : 'body t -> Disk.t
-
 val append : 'body t -> 'body -> unit
 (** Buffer one frame, not yet durable: one sequence number, one
     checksum, one device write — so one covering [sync] makes all of

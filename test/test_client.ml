@@ -27,7 +27,7 @@ let value_t = Alcotest.testable Value.pp Value.equal
 let test_failover_fifo_read_your_writes () =
   let total = 20 in
   let w = World.make ~disk_config:quiet_disk ~seed:11 ~n:5 () in
-  let monitor = World.attach_monitor w in
+  ignore (World.attach_monitor w);
   World.run w ~ms:1000.;
   let c =
     Client.create ~sim:(World.sim w) ~id:1
@@ -93,12 +93,7 @@ let test_failover_fifo_read_your_writes () =
         (Some (Some (Value.Int total)))
         (List.assoc_opt "stream" (Replica.weak_query r [ "stream" ])))
     (World.replicas w);
-  Alcotest.(check (list string)) "all safety + convergence checks" []
-    (List.map
-       (fun v -> Format.asprintf "%a" Consistency.pp_violation v)
-       (Consistency.check_all ~converged:true (World.replicas w)));
-  Repro_check.Monitor.check_now monitor;
-  Repro_check.Monitor.assert_ok monitor
+  World.assert_ok w ~ledgers:[]
 
 (* Property: the per-client response cache that backs exactly-once
    never grows past the configured window, no matter how many clients,
@@ -160,12 +155,7 @@ let test_dedup_cache_bounded () =
       done;
       World.heal_and_settle w;
       List.iter (fun c -> Client.stop c) clients;
-      Alcotest.(check (list string))
-        (Printf.sprintf "seed %d converged with checks clean" seed)
-        []
-        (List.map
-           (fun v -> Format.asprintf "%a" Consistency.pp_violation v)
-           (Consistency.check_all ~converged:true (World.replicas w))))
+      World.assert_ok w ~ledgers:[])
     [ 3; 9; 27 ]
 
 (* The retried-applied path specifically: across the bounded-window
@@ -217,10 +207,8 @@ let test_duplicate_answered_from_cache () =
       };
     ]
   in
-  Alcotest.(check (list string)) "exactly-once despite duplicates" []
-    (List.map
-       (fun v -> Format.asprintf "%a" Consistency.pp_violation v)
-       (Consistency.check_exactly_once ~ledgers (World.replicas w)))
+  (* Exactly-once despite duplicates. *)
+  World.assert_ok w ~ledgers
 
 (* Sessions with ids past the replica count start on a replica that
    exists: in a 3-replica world, sessions 4 and 5 wrap to replicas 0 and

@@ -23,9 +23,10 @@ let total_chunks w =
   List.fold_left (fun acc r -> acc + Replica.transfer_chunks_sent r) 0
     (World.replicas w)
 
-let assert_converged ?(msg = "converged") w =
-  Alcotest.(check int) msg 0
-    (List.length (Consistency.check_all ~converged:true (World.replicas w)))
+let rendered o =
+  List.map
+    (Format.asprintf "%a" Repro_check.Snapshot.pp_violation)
+    o.Nemesis.o_violations
 
 let submit_settled w ~n =
   for i = 1 to n do
@@ -42,7 +43,7 @@ let test_torn_tail_recovers_in_place () =
     quiet_disk ~faults:{ Disk.no_faults with torn_tail_on_crash = 1.0 } ()
   in
   let w = World.make ~disk_config ~n:3 () in
-  let monitor = World.attach_monitor w in
+  ignore (World.attach_monitor w);
   World.run w ~ms:1000.;
   submit_settled w ~n:6;
   let chunks_before = total_chunks w in
@@ -63,9 +64,7 @@ let test_torn_tail_recovers_in_place () =
       | Some v -> Format.asprintf "%a" Persist.pp_verdict v));
   World.run w ~ms:3000.;
   Alcotest.(check int) "no state transfer" chunks_before (total_chunks w);
-  assert_converged w;
-  Repro_check.Monitor.check_now monitor;
-  Repro_check.Monitor.assert_ok monitor
+  World.assert_ok w ~ledgers:[]
 
 (* Interior corruption beyond the trusted prefix (and not undermining a
    checkpoint): the prefix is salvaged, the lost suffix re-learned from
@@ -74,7 +73,7 @@ let test_interior_corruption_salvages () =
   let w =
     World.make ~disk_config:(quiet_disk ()) ~checkpoint_every:None ~n:3 ()
   in
-  let monitor = World.attach_monitor w in
+  ignore (World.attach_monitor w);
   World.run w ~ms:1000.;
   submit_settled w ~n:9;
   let chunks_before = total_chunks w in
@@ -95,16 +94,14 @@ let test_interior_corruption_salvages () =
       | Some v -> Format.asprintf "%a" Persist.pp_verdict v));
   World.run w ~ms:3000.;
   Alcotest.(check int) "no state transfer" chunks_before (total_chunks w);
-  assert_converged w;
-  Repro_check.Monitor.check_now monitor;
-  Repro_check.Monitor.assert_ok monitor
+  World.assert_ok w ~ledgers:[]
 
 (* Corruption at the log's head: nothing is trustworthy.  The victim
    must discard its state and re-enter through the §5.1 join/state-
    transfer path under a fresh incarnation, then converge. *)
 let test_head_corruption_goes_amnesiac () =
   let w = World.make ~disk_config:(quiet_disk ()) ~n:5 () in
-  let monitor = World.attach_monitor w in
+  ignore (World.attach_monitor w);
   World.run w ~ms:1000.;
   submit_settled w ~n:10;
   let chunks_before = total_chunks w in
@@ -125,15 +122,13 @@ let test_head_corruption_goes_amnesiac () =
   Alcotest.(check (option (option value_t)))
     "transferred state holds the history" (Some (Some (Value.Int 10)))
     (List.assoc_opt "k10" (Replica.weak_query victim [ "k10" ]));
-  assert_converged w;
-  Repro_check.Monitor.check_now monitor;
-  Repro_check.Monitor.assert_ok monitor
+  World.assert_ok w ~ledgers:[]
 
 (* A crashed replica's durable-but-undelivered action must survive as
    ongoing and be re-proposed after restart (CodeSegment A.13). *)
 let test_ongoing_reproposed_after_restart () =
   let w = World.make ~disk_config:(quiet_disk ()) ~n:3 () in
-  let monitor = World.attach_monitor w in
+  ignore (World.attach_monitor w);
   World.run w ~ms:1000.;
   submit_settled w ~n:3;
   let victim = World.replica w 2 in
@@ -161,9 +156,7 @@ let test_ongoing_reproposed_after_restart () =
         (Some (Some (Value.Int 42)))
         (List.assoc_opt "repropose" (Replica.weak_query r [ "repropose" ])))
     (World.replicas w);
-  assert_converged w;
-  Repro_check.Monitor.check_now monitor;
-  Repro_check.Monitor.assert_ok monitor
+  World.assert_ok w ~ledgers:[]
 
 (* Figure 5(b)'s trade-off, the loss side: in Delayed mode the client
    is acknowledged before durability.  Crash between the ack and the
@@ -181,7 +174,7 @@ let test_delayed_mode_lost_ack_window () =
     }
   in
   let w = World.make ~disk_config ~n:3 () in
-  let monitor = World.attach_monitor w in
+  ignore (World.attach_monitor w);
   World.run w ~ms:1000.;
   let victim = World.replica w 0 in
   let acked = ref false in
@@ -203,9 +196,7 @@ let test_delayed_mode_lost_ack_window () =
   Alcotest.(check (option (option value_t)))
     "action re-learned from the survivors" (Some (Some (Value.Int 7)))
     (List.assoc_opt "risky" (Replica.weak_query victim [ "risky" ]));
-  assert_converged w;
-  Repro_check.Monitor.check_now monitor;
-  Repro_check.Monitor.assert_ok monitor
+  World.assert_ok w ~ledgers:[]
 
 (* The pinned campaign the dune @nemesis-smoke alias also runs: seed 42
    exercises every recovery verdict in one schedule — including a
@@ -216,7 +207,7 @@ let test_nemesis_campaign_seed42 () =
     { Nemesis.default_config with seed = 42; active_ms = 3_000. }
   in
   let o = Nemesis.run ~config () in
-  Alcotest.(check (list string)) "no checker violations" [] o.Nemesis.o_violations;
+  Alcotest.(check (list string)) "no checker violations" [] (rendered o);
   Alcotest.(check bool) "converged" true (Nemesis.converged o);
   Alcotest.(check int) "every replica ready" config.Nemesis.nodes o.Nemesis.o_ready;
   Alcotest.(check bool) "monitor observed the run" true (o.Nemesis.o_sweeps > 0);
@@ -250,8 +241,7 @@ let test_nemesis_deterministic () =
 let test_nemesis_campaign_clean seed () =
   let config = { Nemesis.default_config with seed; active_ms = 3_000. } in
   let o = Nemesis.run ~config () in
-  Alcotest.(check (list string))
-    "no checker violations" [] o.Nemesis.o_violations;
+  Alcotest.(check (list string)) "no checker violations" [] (rendered o);
   Alcotest.(check bool) "converged" true (Nemesis.converged o);
   Alcotest.(check int)
     "every replica ready" config.Nemesis.nodes o.Nemesis.o_ready
