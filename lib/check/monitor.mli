@@ -60,7 +60,3 @@ val recent : t -> entry list
 val report : t -> Format.formatter -> unit
 (** Pretty-prints every violation with its audit window, or a one-line
     all-clear. *)
-
-val assert_ok : t -> unit
-(** Raises [Failure] with the rendered {!report} if any violation was
-    recorded. *)
