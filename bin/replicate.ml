@@ -77,23 +77,15 @@ let nemesis_outcome_json seed (o : Repro_harness.Nemesis.outcome) =
   Buffer.add_string b "}";
   Buffer.contents b
 
-let nemesis seed nodes ms settle expect json =
+let nemesis seed nodes ms expect json =
   let open Repro_harness in
-  let config =
-    {
-      Nemesis.default_config with
-      seed;
-      nodes;
-      active_ms = ms;
-      settle_ms = settle;
-    }
-  in
+  let config = { Nemesis.seed; nodes; active_ms = ms } in
   (* [--json] keeps stdout machine-parseable: the human narration moves
      to stderr so the document can be piped or archived as-is. *)
   let human = if json then Format.err_formatter else ppf in
   Format.fprintf human
     "nemesis: seed %d, %d nodes, %.0f ms active / %.0f ms settle@." seed nodes
-    ms settle;
+    ms Nemesis.settle_ms;
   let o = Nemesis.run ~config () in
   Format.fprintf human "%a@." Nemesis.pp_outcome o;
   if json then Format.fprintf ppf "%s@." (nemesis_outcome_json seed o);
@@ -115,12 +107,6 @@ let nemesis_cmd =
       value & opt float 4_000.
       & info [ "ms" ] ~docv:"MS"
           ~doc:"Fault-injection phase duration in virtual milliseconds.")
-  in
-  let settle_t =
-    Arg.(
-      value & opt float 30_000.
-      & info [ "settle-ms" ] ~docv:"MS"
-          ~doc:"Budget for the final heal-and-settle phase.")
   in
   let expect_t =
     Arg.(
@@ -147,7 +133,7 @@ let nemesis_cmd =
           faults (torn tails, corruption, read errors), partitions and \
           heals under sustained load, then heal, recover and assert \
           convergence and a clean invariant-monitor sweep.")
-    Term.(const nemesis $ seed_t $ nodes_t $ ms_t $ settle_t $ expect_t $ json_t)
+    Term.(const nemesis $ seed_t $ nodes_t $ ms_t $ expect_t $ json_t)
 
 let scenario_cmd =
   let seed_t =

@@ -67,8 +67,8 @@ let on_audit t ~node ev =
   List.iter (add t) (Spec.take t.spec);
   schedule_observe t
 
-(* Replicas can appear after creation (joiners): re-scan on every
-   [check_now] and hook anything new.  A changed incarnation (crash,
+(* Replicas can appear after creation (joiners): hook anything new,
+   here and on every [check_now].  A changed incarnation (crash,
    amnesia, resync) restarts the node's abstract state at NonPrim. *)
 let attach_new t =
   List.iter

@@ -38,7 +38,13 @@ type record = {
 
 val create : sim:Repro_sim.Engine.t -> replicas:(unit -> Replica.t list) -> t
 (** [create ~sim ~replicas] attaches to every replica currently returned
-    by [replicas]; {!check_now} re-scans for newcomers (joiners). *)
+    by [replicas]; {!attach_new} and {!check_now} re-scan for newcomers
+    (joiners). *)
+
+val attach_new : t -> unit
+(** Hooks every replica [replicas] now returns that is not yet hooked.
+    Call it when a replica is added and before it starts, so that its
+    first audit event is seen. *)
 
 val check_now : t -> unit
 (** Forces a sweep immediately (use at quiescence, after [Sim.Engine.run]

@@ -61,7 +61,7 @@ type t = {
   sim : Sim.Engine.t;
   node : Node_id.t;
   persist : Persist.t;
-  quorum : Quorum.rule;
+  quorum : Quorum.policy;
   stats : stats;
   cb : callbacks;
   mutable state : engine_state;
@@ -524,18 +524,15 @@ let my_state_msg t conf_id =
     sm_yellow = yellow t;
   }
 
-let is_quorum t knowledge members =
-  let vulnerable_present =
-    Node_id.Set.exists
-      (fun m ->
-        match Node_id.Map.find_opt m knowledge.Knowledge.k_vulnerable with
-        | Some v -> v.v_valid
-        | None -> false)
-      members
-  in
-  Quorum.policy_quorum t.quorum.policy ~weights:t.quorum.weights
-    ~prev:knowledge.Knowledge.k_prim.prim_servers ~all:t.known_servers
-    ~vulnerable_present members
+(* The members whose knowledge-computed vulnerable record is still
+   valid: one scan decides the quorum and fills its audit event. *)
+let vulnerable_members knowledge members =
+  Node_id.Set.filter
+    (fun m ->
+      match Node_id.Map.find_opt m knowledge.Knowledge.k_vulnerable with
+      | Some v -> v.v_valid
+      | None -> false)
+    members
 
 let retrans_batch = 32
 let retrans_pace = Sim.Time.of_ms 1.
@@ -675,20 +672,19 @@ and end_of_retrans t knowledge =
     (match Node_id.Map.find_opt t.node knowledge.Knowledge.k_vulnerable with
     | Some v -> t.vulnerable <- v
     | None -> ());
-    let granted = is_quorum t knowledge view.Endpoint.members in
+    let members = view.Endpoint.members in
+    let vulnerable = vulnerable_members knowledge members in
+    let granted =
+      Quorum.policy_quorum t.quorum
+        ~prev:knowledge.Knowledge.k_prim.prim_servers ~all:t.known_servers
+        ~vulnerable_present:(not (Node_id.Set.is_empty vulnerable))
+        members
+    in
     emit_audit t
       (Audit_quorum
          {
-           aq_members = view.Endpoint.members;
-           aq_vulnerable =
-             Node_id.Set.filter
-               (fun m ->
-                 match
-                   Node_id.Map.find_opt m knowledge.Knowledge.k_vulnerable
-                 with
-                 | Some v -> v.v_valid
-                 | None -> false)
-               view.Endpoint.members;
+           aq_members = members;
+           aq_vulnerable = vulnerable;
            aq_prev_prim = knowledge.Knowledge.k_prim;
            aq_granted = granted;
          });
@@ -990,12 +986,7 @@ let create_from_snapshot ~quorum ~action_floor ~sim ~node ~servers
   sync_then t (fun () -> ());
   t
 
-let recover ~quorum ?recovered ~sim ~node ~servers ~persist ~callbacks () =
-  let r =
-    match recovered with
-    | Some r -> r
-    | None -> Persist.recover ~self:node persist
-  in
+let recover ~quorum ~recovered:r ~sim ~node ~servers ~persist ~callbacks () =
   let t = make_blank ~quorum ~sim ~node ~servers ~persist ~callbacks () in
   (match r.Persist.r_meta with
   | Some m ->

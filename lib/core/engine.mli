@@ -79,7 +79,7 @@ val set_audit :
 (** Attaches (or replaces) the audit and {!handle_event} input sinks. *)
 
 val create :
-  quorum:Quorum.rule ->
+  quorum:Quorum.policy ->
   sim:Repro_sim.Engine.t ->
   node:Node_id.t ->
   servers:Node_id.Set.t ->
@@ -92,7 +92,7 @@ val create :
     component installs primary #1. *)
 
 val create_from_snapshot :
-  quorum:Quorum.rule ->
+  quorum:Quorum.policy ->
   action_floor:int ->
   sim:Repro_sim.Engine.t ->
   node:Node_id.t ->
@@ -117,8 +117,8 @@ val create_from_snapshot :
     are never re-minted. *)
 
 val recover :
-  quorum:Quorum.rule ->
-  ?recovered:Persist.recovered ->
+  quorum:Quorum.policy ->
+  recovered:Persist.recovered ->
   sim:Repro_sim.Engine.t ->
   node:Node_id.t ->
   servers:Node_id.Set.t ->
@@ -132,11 +132,10 @@ val recover :
     green actions after it, in green order, so the caller can rebuild
     its database.  Ongoing own actions past the durable red
     cut are re-marked red and stay queued for re-proposal after the
-    next state exchange.  [recovered] supplies an already-performed
-    [Persist.recover] result (the caller typically branched on its
-    verdict first — amnesiac recovery must not build an engine from the
-    discarded log); when absent the log is recovered here.  Do not call
-    with a [V_amnesia] verdict. *)
+    next state exchange.  [recovered] is the caller's
+    [Persist.recover] result: the caller reads the log and branches on
+    its verdict first, since amnesiac recovery must not build an engine
+    from the discarded log.  Do not call with a [V_amnesia] verdict. *)
 
 val checkpoint : t -> dedup:Dedup.snapshot -> Database.snapshot -> unit
 (** Records a durable checkpoint of the engine's green knowledge paired

@@ -3,29 +3,19 @@ open Repro_net
 (** Dynamic linear voting (Jajodia & Mutchler), the paper's quorum system.
 
     A connected component may install the next primary component iff it
-    contains a weighted majority of the membership of the *last* primary
+    contains a majority of the membership of the {e last} primary
     component.  An exact half also qualifies when it contains the
-    highest-precedence (lowest-id, or heaviest) member — the classic
-    linear tie-breaker, which keeps quorums unique: two disjoint sets can
-    never both be quorate over the same previous primary. *)
+    lowest-id member of that primary — the classic linear tie-breaker,
+    which keeps quorums unique: two disjoint sets can never both be
+    quorate over the same previous primary. *)
 
-type weights = int Node_id.Map.t
-(** Per-server voting weight; servers absent from the map weigh 1. *)
-
-val no_weights : weights
-
-val has_majority :
-  ?weights:weights -> prev:Node_id.Set.t -> Node_id.Set.t -> bool
+val has_majority : prev:Node_id.Set.t -> Node_id.Set.t -> bool
 (** [has_majority ~prev candidate]: does [candidate] hold a strict
-    weighted majority of [prev], or exactly half including the
-    tie-breaker member? [prev] empty returns [false]. *)
+    majority of [prev], or exactly half including the tie-breaker
+    member? [prev] empty returns [false]. *)
 
 val is_quorum :
-  ?weights:weights ->
-  prev:Node_id.Set.t ->
-  vulnerable_present:bool ->
-  Node_id.Set.t ->
-  bool
+  prev:Node_id.Set.t -> vulnerable_present:bool -> Node_id.Set.t -> bool
 (** The paper's [IsQuorum]: no member of the component may be vulnerable,
     and the component must hold a dynamic-linear-voting majority of the
     last primary component. *)
@@ -44,15 +34,13 @@ type policy =
           both be quorate — the seeded fault the model checker's smoke
           test must catch.  Never use outside checker tests. *)
 
-type rule = { policy : policy; weights : weights }
-(** How one replica votes.  Every engine it builds — fresh, rebuilt from
-    its log, or built from a transferred snapshot — takes the same rule. *)
-
 val policy_quorum :
   policy ->
-  ?weights:weights ->
   prev:Node_id.Set.t ->
   all:Node_id.Set.t ->
   vulnerable_present:bool ->
   Node_id.Set.t ->
   bool
+(** How a replica under [policy] votes.  [Dynamic_linear] is exactly
+    {!is_quorum} over [prev]; [Static_majority] is {!is_quorum} over
+    [all]. *)

@@ -95,8 +95,6 @@ type t = {
          crash (unlike [db], procedures are configuration, so a restart
          of the same replica value still knows them) and is never
          shared with another engine in the process *)
-  mutable dirty_cache : (int * int * Database.t) option;
-      (* (db version, red count) -> cached dirty copy *)
   cpu : Sim.Resource.t option;
   pending : (Action.response -> unit) Action.Id.Tbl.t;
   transfer_sessions : (Node_id.t, unit) Hashtbl.t;
@@ -106,7 +104,7 @@ type t = {
   mutable transfer_chunks_sent : int;
   mutable incoming : (transfer_version * int) option;
       (* joiner: version being received + contiguous chunks received *)
-  quorum : Quorum.rule; (* given to every engine this replica builds *)
+  quorum : Quorum.policy; (* given to every engine this replica builds *)
   checkpoint_every : int option;
   mutable greens_since_checkpoint : int;
   mutable query_waiters : (unit -> unit) list; (* awaiting own-action drain *)
@@ -253,12 +251,11 @@ let rec apply_greens t (actions : Action.t array) i =
 
 (* Group-committed apply: one delivery burst's green actions execute
    back to back against the database, with the per-burst bookkeeping
-   (dirty-cache invalidation, query-waiter flush, checkpoint cadence)
-   paid once instead of per action. *)
+   (query-waiter flush, checkpoint cadence) paid once instead of per
+   action. *)
 let apply_green_batch t (actions : Action.t array) =
   let n = Array.length actions in
   t.greens_applied <- t.greens_applied + n;
-  t.dirty_cache <- None;
   apply_greens t actions 0;
   flush_query_waiters t;
   match t.checkpoint_every with
@@ -270,7 +267,6 @@ let apply_green_batch t (actions : Action.t array) =
   [@@analysis.hotpath "O(batch+members+queue+log)"]
 
 let apply_red t (a : Action.t) =
-  t.dirty_cache <- None;
   (* Commutative-semantics actions answer at first local application:
      their effect is order-insensitive, so the final state converges
      (paper §6). *)
@@ -416,7 +412,6 @@ let drop_volatile t =
   Hashtbl.reset t.transfer_sessions;
   t.db <- Database.create ();
   t.dedup <- Dedup.create ~window:t.dedup_window ();
-  t.dirty_cache <- None;
   t.engine <- None
 
 (* A state exchange found [e]'s green prefix below every body the group
@@ -579,9 +574,8 @@ let on_transfer_msg t ~src msg =
 (* Construction                                                        *)
 
 let base ?(disk_config = Disk.default_forced) ?(attach_cpu = true)
-    ?(checkpoint_every = Some 2000) ?(weights = Quorum.no_weights)
-    ?(quorum_policy = Quorum.Dynamic_linear) ?(dedup_window = 8) ?admission
-    ~cluster ~node ~servers ~role () =
+    ?(checkpoint_every = Some 2000) ?(quorum_policy = Quorum.Dynamic_linear)
+    ?(dedup_window = 8) ?admission ~cluster ~node ~servers ~role () =
   let disk = Disk.create ~engine:cluster.c_sim ~config:disk_config () in
   let persist = Persist.create ~engine:cluster.c_sim ~disk () in
   let cpu =
@@ -606,11 +600,10 @@ let base ?(disk_config = Disk.default_forced) ?(attach_cpu = true)
       endpoint = None;
       db = Database.create ();
       procs = Procedure.builtins ();
-      dirty_cache = None;
       cpu;
       pending = Action.Id.Tbl.create 32;
       transfer_sessions = Hashtbl.create 4;
-      quorum = { policy = quorum_policy; weights };
+      quorum = quorum_policy;
       checkpoint_every;
       greens_since_checkpoint = 0;
       query_waiters = [];
@@ -639,11 +632,11 @@ let base ?(disk_config = Disk.default_forced) ?(attach_cpu = true)
       on_transfer_msg t ~src msg);
   t
 
-let create ?disk_config ?attach_cpu ?checkpoint_every ?weights ?quorum_policy
+let create ?disk_config ?attach_cpu ?checkpoint_every ?quorum_policy
     ?dedup_window ?admission ~cluster ~node ~servers () =
   let servers = Node_id.set_of_list servers in
   let t =
-    base ?disk_config ?attach_cpu ?checkpoint_every ?weights ?quorum_policy
+    base ?disk_config ?attach_cpu ?checkpoint_every ?quorum_policy
       ?dedup_window ?admission ~cluster ~node ~servers ~role:Static ()
   in
   let e =
@@ -720,32 +713,26 @@ let local_query t keys ~on_response =
   if Action.Id.Tbl.length t.pending = 0 then answer ()
   else t.query_waiters <- answer :: t.query_waiters
 
+(* Green state plus every locally known red action, built per call. *)
 let dirty_db t =
   match t.engine with
   | None -> t.db
-  | Some e -> (
-    (* Cache key in O(1): building the red list is deferred to a miss. *)
-    let key = (Database.version t.db, Engine.red_count e) in
-    match t.dirty_cache with
-    | Some (v, r, cached) when (v, r) = key -> cached
-    | _ ->
-      let copy = Database.copy t.db in
-      List.iter
-        (fun (a : Action.t) ->
-          (* Red copies of already-green requests must not double-apply
-             even in the dirty view; read-only check, no recording (the
-             dedup table only advances on the green path). *)
-          if
-            not
-              (Dedup.is_applied t.dedup ~client:a.Action.client
-                 ~seq:a.Action.req_seq)
-          then
-            ignore
-              (Executor.execute ?on_procedure:t.proc_hook ~procs:t.procs copy
-                 a))
-        (Engine.red_actions e);
-      t.dirty_cache <- Some (fst key, snd key, copy);
-      copy)
+  | Some e ->
+    let copy = Database.copy t.db in
+    List.iter
+      (fun (a : Action.t) ->
+        (* Red copies of already-green requests must not double-apply
+           even in the dirty view; read-only check, no recording (the
+           dedup table only advances on the green path). *)
+        if
+          not
+            (Dedup.is_applied t.dedup ~client:a.Action.client
+               ~seq:a.Action.req_seq)
+        then
+          ignore
+            (Executor.execute ?on_procedure:t.proc_hook ~procs:t.procs copy a))
+      (Engine.red_actions e);
+    copy
 
 let dirty_query t keys = Database.read (dirty_db t) keys
 

@@ -43,7 +43,6 @@ val create :
   ?disk_config:Disk.config ->
   ?attach_cpu:bool ->
   ?checkpoint_every:int option ->
-  ?weights:Quorum.weights ->
   ?quorum_policy:Quorum.policy ->
   ?dedup_window:int ->
   ?admission:admission ->

@@ -178,8 +178,11 @@ let set_status t status =
 (* ------------------------------------------------------------------ *)
 (* Wire sizes (bytes): a rough but monotone model used for bandwidth.  *)
 
-let size_of_wire prm = function
-  | Data d -> prm.Params.header_bytes + d.d_size
+(* Per-message wire overhead of a data message. *)
+let header_bytes = 48
+
+let size_of_wire = function
+  | Data d -> header_bytes + d.d_size
   | Order { o_entries; _ } -> 24 + (12 * List.length o_entries)
   | Ack _ -> 24
   | Heartbeat _ -> 16
@@ -189,21 +192,21 @@ let size_of_wire prm = function
   | MFlush { f_record; _ } -> 48 + (8 * List.length f_record.fr_inventory)
   | MRetrans { r_entries; _ } ->
     List.fold_left
-      (fun acc (_, d) -> acc + prm.Params.header_bytes + d.d_size + 8)
+      (fun acc (_, d) -> acc + header_bytes + d.d_size + 8)
       24 r_entries
   | MReady _ -> 24
   | MInstall { i_members; _ } -> 32 + (8 * Node_id.Set.cardinal i_members)
   | Nack _ -> 32
   | Repair { q_entries; _ } ->
     List.fold_left
-      (fun acc (_, d) -> acc + prm.Params.header_bytes + d.d_size + 8)
+      (fun acc (_, d) -> acc + header_bytes + d.d_size + 8)
       24 q_entries
   (* Folds over the one message's own entry list — batch-sized. *)
   [@@analysis.cost "O(batch); alloc O(1)"]
 
 let multicast_list t ~dsts msg =
   t.last_sent <- Engine.now t.engine;
-  Network.multicast t.net ~src:t.node ~dsts ~size:(size_of_wire t.prm msg) msg
+  Network.multicast t.net ~src:t.node ~dsts ~size:(size_of_wire msg) msg
 
 let multicast_set t ~dsts msg =
   multicast_list t msg
@@ -215,11 +218,11 @@ let multicast_view t cs msg = multicast_list t ~dsts:cs.others msg
 
 let unicast t ~dst msg =
   t.last_sent <- Engine.now t.engine;
-  Network.unicast t.net ~src:t.node ~dst ~size:(size_of_wire t.prm msg) msg
+  Network.unicast t.net ~src:t.node ~dst ~size:(size_of_wire msg) msg
 
 let broadcast_component t msg =
   t.last_sent <- Engine.now t.engine;
-  Network.broadcast_component t.net ~src:t.node ~size:(size_of_wire t.prm msg) msg
+  Network.broadcast_component t.net ~src:t.node ~size:(size_of_wire msg) msg
 
 (* ------------------------------------------------------------------ *)
 (* Data plane within an installed configuration.                       *)

@@ -10,7 +10,6 @@ type t = {
   flush_timeout : Time.t;
   order_delay : Time.t;
   ack_delay : Time.t;
-  header_bytes : int;
 }
 
 let default =
@@ -32,7 +31,6 @@ let default =
        without making the cadence itself the bottleneck at low load. *)
     order_delay = Time.of_us 50;
     ack_delay = Time.of_us 150;
-    header_bytes = 48;
   }
 
 let wan =
@@ -46,7 +44,6 @@ let wan =
     flush_timeout = Time.of_sec 3.;
     order_delay = Time.of_ms 1.;
     ack_delay = Time.of_ms 5.;
-    header_bytes = 48;
   }
 
 let fast =
@@ -60,5 +57,4 @@ let fast =
     flush_timeout = Time.of_ms 100.;
     order_delay = Time.of_us 100;
     ack_delay = Time.of_us 200;
-    header_bytes = 48;
   }

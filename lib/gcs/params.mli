@@ -22,7 +22,6 @@ type t = {
           assignments *)
   ack_delay : Time.t;
       (** batching delay before a member multicasts a cumulative ack *)
-  header_bytes : int;  (** per-message wire overhead *)
 }
 
 val default : t

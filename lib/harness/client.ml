@@ -16,20 +16,9 @@ open Repro_core
    the session may retry as aggressively as it likes without risking a
    double-apply. *)
 
-type config = {
-  request_timeout : Sim.Time.t;
-      (* per-attempt deadline before the target is presumed dead,
-         partitioned or hopelessly lagging *)
-  backoff_base : Sim.Time.t;
-  backoff_cap : Sim.Time.t;
-}
-
-let default_config =
-  {
-    request_timeout = Sim.Time.of_ms 400.;
-    backoff_base = Sim.Time.of_ms 20.;
-    backoff_cap = Sim.Time.of_ms 2_000.;
-  }
+let default_request_timeout = Sim.Time.of_ms 400.
+let backoff_base = Sim.Time.of_ms 20.
+let backoff_cap = Sim.Time.of_ms 2_000.
 
 type op = {
   op_semantics : Action.semantics;
@@ -43,7 +32,9 @@ type t = {
   rng : Sim.Rng.t;
   id : int;
   replicas : unit -> Replica.t list;
-  cfg : config;
+  request_timeout : Sim.Time.t;
+      (* per-attempt deadline before the target is presumed dead,
+         partitioned or hopelessly lagging *)
   queue : op Queue.t;
   mutable current : op option;
   mutable seq : int;  (* last issued sequence number *)
@@ -79,8 +70,8 @@ let stop t = t.stopped <- true
    (0, min cap (base * 2^(attempt-1))], drawn from the session's own
    split of the sim RNG stream. *)
 let backoff_delay t =
-  let base = Sim.Time.to_ms t.cfg.backoff_base in
-  let cap = Sim.Time.to_ms t.cfg.backoff_cap in
+  let base = Sim.Time.to_ms backoff_base in
+  let cap = Sim.Time.to_ms backoff_cap in
   let exp =
     Float.min cap (base *. (2. ** float_of_int (min 16 (t.attempt - 1))))
   in
@@ -152,7 +143,7 @@ and attempt t =
       (* No usable target right now: burn the attempt, let the deadline
          below fire and rotate. *)
       ());
-    t.deadline <- Sim.Time.add (Sim.Engine.now t.sim) ~span:t.cfg.request_timeout;
+    t.deadline <- Sim.Time.add (Sim.Engine.now t.sim) ~span:t.request_timeout;
     t.deadline_epoch <- epoch;
     t.deadline_seq <- seq;
     if not t.timer_armed then arm_timer t
@@ -186,7 +177,7 @@ and retry t =
   Sim.Engine.schedule t.sim ~delay:(backoff_delay t) (fun () ->
       if not t.stopped then attempt t)
 
-let create ?(config = default_config) ~sim ~id ~replicas () =
+let create ?(request_timeout = default_request_timeout) ~sim ~id ~replicas () =
   if id <= 0 then invalid_arg "Client.create: id must be positive";
   (* Spread clients across replicas; a start past the end of the list
      wraps, or the first attempt would wait out a whole deadline. *)
@@ -201,7 +192,7 @@ let create ?(config = default_config) ~sim ~id ~replicas () =
       rng;
       id;
       replicas;
-      cfg = config;
+      request_timeout;
       queue;
       current = None;
       seq = 0;

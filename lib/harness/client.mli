@@ -23,17 +23,12 @@ open Repro_core
 
 type t
 
-type config = {
-  request_timeout : Repro_sim.Time.t;
-      (** per-attempt deadline before failover (default 400 ms) *)
-  backoff_base : Repro_sim.Time.t;  (** default 20 ms *)
-  backoff_cap : Repro_sim.Time.t;  (** default 2 s *)
-}
-
-val default_config : config
+val default_request_timeout : Repro_sim.Time.t
+(** 400 ms: the per-attempt deadline before failover.  Backoff after a
+    timeout or [Busy] is drawn from (0, min 2 s (20 ms * 2^(attempt-1))]. *)
 
 val create :
-  ?config:config ->
+  ?request_timeout:Repro_sim.Time.t ->
   sim:Repro_sim.Engine.t ->
   id:int ->
   replicas:(unit -> Replica.t list) ->

@@ -11,32 +11,26 @@ open Repro_core
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)
 
-type config = {
-  seed : int;
-  nodes : int;
-  clients : int;
-  active_ms : float;
-  settle_ms : float;
-  faults : Disk.fault_config;
-  checkpoint_every : int option;
-}
+type config = { seed : int; nodes : int; active_ms : float }
 
-let default_config =
+let default_config = { seed = 1; nodes = 5; active_ms = 4_000. }
+
+(* The campaign's fixed shape: failover sessions driving the
+   exactly-once oracle, the budget of the final heal-and-settle phase,
+   every replica's disk fault model, and a checkpoint every 40 applied
+   actions so salvage-vs-amnesia decisions meet real checkpoints. *)
+let clients = 4
+let settle_ms = 30_000.
+
+let faults =
   {
-    seed = 1;
-    nodes = 5;
-    clients = 4;
-    active_ms = 4_000.;
-    settle_ms = 30_000.;
-    faults =
-      {
-        Disk.no_faults with
-        torn_tail_on_crash = 0.6;
-        corrupt_on_crash = 0.02;
-        read_error = 0.01;
-      };
-    checkpoint_every = Some 40;
+    Disk.no_faults with
+    torn_tail_on_crash = 0.6;
+    corrupt_on_crash = 0.02;
+    read_error = 0.01;
   }
+
+let checkpoint_every = Some 40
 
 (* Admission thresholds for the campaign's replicas: tight enough that
    retry storms into a struggling replica shed, loose enough that the
@@ -135,11 +129,11 @@ let run ?(config = default_config) () =
     {
       Disk.default_forced with
       sync_latency = Sim.Time.of_ms 1.;
-      faults = cfg.faults;
+      faults;
     }
   in
   let w =
-    World.make ~disk_config ~checkpoint_every:cfg.checkpoint_every
+    World.make ~disk_config ~checkpoint_every
       ~admission:campaign_admission ~seed:cfg.seed ~n:cfg.nodes ()
   in
   let monitor = World.attach_monitor w in
@@ -151,13 +145,13 @@ let run ?(config = default_config) () =
      the dedup window).  Sessions retry and fail over on their own;
      the campaign only pumps the next request after each ack. *)
   let sessions =
-    List.init cfg.clients (fun i ->
+    List.init clients (fun i ->
         Client.create ~sim:(World.sim w) ~id:(i + 1)
           ~replicas:(fun () -> World.replicas w)
           ())
   in
   let load =
-    Experiment.closed (World.sim w) ~clients:cfg.clients ~issue:(fun i ~k ->
+    Experiment.closed (World.sim w) ~clients ~issue:(fun i ~k ->
         let c = List.nth sessions i in
         Client.exec c
           (Action.Update [ Op.Add (Printf.sprintf "cc%d" (Client.id c), 1) ])
@@ -299,7 +293,7 @@ let run ?(config = default_config) () =
   List.iter (recover_and_tally tally) (down ());
   let all_ready () = List.for_all Replica.is_ready (World.replicas w) in
   let settle_deadline =
-    Sim.Time.add (Sim.Engine.now sim) ~span:(Sim.Time.of_ms cfg.settle_ms)
+    Sim.Time.add (Sim.Engine.now sim) ~span:(Sim.Time.of_ms settle_ms)
   in
   (* Amnesiac rejoins go through sponsor retries and state transfer:
      poll in slices rather than burning the whole budget blindly. *)

@@ -1,5 +1,3 @@
-open Repro_storage
-
 (** A seeded, randomized fault-schedule driver ("nemesis").
 
     One run builds a {!World.t} whose disks carry an injectable fault
@@ -34,20 +32,18 @@ open Repro_storage
 type config = {
   seed : int;
   nodes : int;  (** replicas on nodes [0..nodes-1] *)
-  clients : int;
-      (** failover {!Client} sessions driving the exactly-once oracle *)
   active_ms : float;  (** duration of the fault-injection phase *)
-  settle_ms : float;  (** budget for the final heal-and-settle phase *)
-  faults : Disk.fault_config;  (** fault model of every replica's disk *)
-  checkpoint_every : int option;  (** see {!Repro_core.Replica.create} *)
 }
 
 val default_config : config
-(** 5 nodes, 4 client sessions, 4 s active phase, 30 s settle budget,
-    moderate fault probabilities (torn tails likely, occasional
-    crash-time corruption and transient read errors), checkpoint every
-    40 applied actions so salvage-vs-amnesia decisions meet real
-    checkpoints. *)
+(** Seed 1, 5 nodes, 4 s active phase. *)
+
+val settle_ms : float
+(** The budget of the final heal-and-settle phase: 30 s.  Every campaign
+    also runs 4 client sessions, checkpoints every 40 applied actions,
+    and gives every disk moderate fault probabilities (torn tails
+    likely, occasional crash-time corruption and transient read
+    errors). *)
 
 type outcome = {
   o_steps : int;  (** schedule steps executed *)

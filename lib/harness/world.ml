@@ -74,6 +74,9 @@ let add_joiner t ~node ~sponsors =
   (match t.w_proc_guard with
   | Some g -> Repro_check.Procguard.attach g r
   | None -> ());
+  (match t.w_monitor with
+  | Some m -> Repro_check.Monitor.attach_new m
+  | None -> ());
   Replica.start r;
   r
 

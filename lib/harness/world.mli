@@ -38,11 +38,13 @@ val replica : t -> Node_id.t -> Replica.t
 val nodes : t -> Node_id.t list
 
 val add_joiner : t -> node:Node_id.t -> sponsors:Node_id.t list -> Replica.t
-(** Adds the node to the topology, creates and starts a joining replica. *)
+(** Adds the node to the topology, creates a joining replica, hooks it
+    to the attached monitor and footprint guard, and starts it. *)
 
 val attach_monitor : t -> Repro_check.Monitor.t
 (** Attaches a repcheck invariant monitor (see [Repro_check]) to every
-    replica of the world, or returns the one already attached; it holds
+    replica of the world, joiners {!add_joiner} adds later included, or
+    returns the one already attached; it holds
     the engines to the paper's dynamic linear voting, whatever quorum
     policy the world runs.  Call before running the scenario; {!verdict}
     takes its final sweep. *)

@@ -18,11 +18,6 @@ module Check = Repro_check
    snapshots) and the abstract-spec conformance oracle ([Spec]), wired
    as each engine's input and audit sinks. *)
 
-type config = {
-  nodes : int;
-  policy : Quorum.policy;
-}
-
 type node = {
   id : Node_id.t;
   persist : Persist.t;  (** survives crashes: the durable log *)
@@ -31,7 +26,7 @@ type node = {
 }
 
 type t = {
-  cfg : config;
+  policy : Quorum.policy;
   sim : Sim.Engine.t;
   model : Types.payload Model.t;
   topo : Topology.t;
@@ -69,8 +64,6 @@ let callbacks t node_id =
     on_resync = (fun () -> ());
   }
 
-let quorum t = { Quorum.policy = t.cfg.policy; weights = Quorum.no_weights }
-
 let attach_audit t nd e =
   Engine.set_audit e
     ~input:(Check.Spec.on_input t.spec ~node:nd.id)
@@ -90,7 +83,7 @@ let create ?(policy = Quorum.Dynamic_linear) ~nodes:n () =
   let spec = Check.Spec.create () in
   let t =
     {
-      cfg = { nodes = n; policy };
+      policy;
       sim;
       model;
       topo;
@@ -114,7 +107,7 @@ let create ?(policy = Quorum.Dynamic_linear) ~nodes:n () =
   Array.iter
     (fun nd ->
       let e =
-        Engine.create ~quorum:(quorum t) ~sim ~node:nd.id ~servers
+        Engine.create ~quorum:t.policy ~sim ~node:nd.id ~servers
           ~persist:nd.persist
           ~callbacks:(callbacks t nd.id)
           ()
@@ -190,7 +183,9 @@ let crash t nd =
 let recover t nd =
   Check.Spec.on_recover t.spec ~node:nd.id;
   let e, _snapshot, _greens =
-    Engine.recover ~quorum:(quorum t) ~sim:t.sim ~node:nd.id
+    Engine.recover ~quorum:t.policy
+      ~recovered:(Persist.recover ~self:nd.id nd.persist)
+      ~sim:t.sim ~node:nd.id
       ~servers:t.servers ~persist:nd.persist
       ~callbacks:(callbacks t nd.id)
       ()
@@ -311,7 +306,7 @@ let enabled t =
   in
   let cur = current_groups t in
   let partitions =
-    canned_partitions t.cfg.nodes
+    canned_partitions (Array.length t.nodes)
     |> List.filter (fun g -> norm_groups g <> cur)
     |> List.map (fun g -> Script.T_partition g)
   in

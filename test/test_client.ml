@@ -111,12 +111,7 @@ let test_dedup_cache_bounded () =
       World.run w ~ms:1000.;
       let clients =
         List.init 4 (fun i ->
-            Client.create
-              ~config:
-                {
-                  Client.default_config with
-                  request_timeout = Sim.Time.of_ms 120.;
-                }
+            Client.create ~request_timeout:(Sim.Time.of_ms 120.)
               ~sim:(World.sim w)
               ~id:(i + 1)
               ~replicas:(fun () -> World.replicas w)
@@ -167,9 +162,7 @@ let test_duplicate_answered_from_cache () =
   let w = World.make ~disk_config:quiet_disk ~seed:42 ~n:5 () in
   World.run w ~ms:1000.;
   let c =
-    Client.create
-      ~config:
-        { Client.default_config with request_timeout = Sim.Time.of_ms 60. }
+    Client.create ~request_timeout:(Sim.Time.of_ms 60.)
       ~sim:(World.sim w) ~id:1
       ~replicas:(fun () -> World.replicas w)
       ()

@@ -34,6 +34,24 @@ let test_world_replicas_include_joiner () =
   Alcotest.(check bool) "the joiner is ready" true (Replica.is_ready joiner);
   Alcotest.(check int) "four replicas" 4 (List.length (World.replicas w))
 
+(* A joiner is hooked to the world's monitor when it is created, so the
+   monitor holds its first install with no [check_now] in between. *)
+let test_world_monitor_hooks_joiner () =
+  let w = World.make ~n:3 () in
+  let m = World.attach_monitor w in
+  World.run w ~ms:1000.;
+  let joiner = World.add_joiner w ~node:3 ~sponsors:[ 0 ] in
+  World.run w ~ms:3000.;
+  Alcotest.(check bool) "the joiner is in the primary" true
+    (Replica.in_primary joiner);
+  Alcotest.(check bool) "the monitor holds the joiner's install" true
+    (List.exists
+       (fun (_, node, ev) ->
+         node = 3
+         && match ev with Engine.Audit_install _ -> true | _ -> false)
+       (Repro_check.Monitor.recent m));
+  Alcotest.(check int) "no findings" 0 (List.length (World.safety w))
+
 let test_world_heal_and_settle () =
   let w = World.make ~n:4 () in
   World.run w ~ms:1000.;
@@ -464,7 +482,7 @@ let test_timeout_exact_after_crash () =
   let w = World.make ~n:3 () in
   let sim = World.sim w in
   World.run w ~ms:1000.;
-  let timeout = Client.default_config.Client.request_timeout in
+  let timeout = Client.default_request_timeout in
   let c = Client.create ~sim ~id:1 ~replicas:(fun () -> World.replicas w) () in
   let answered = ref 0 in
   let exec () = Client.exec c (Action.Update []) ~k:(fun _ -> incr answered) in
@@ -495,6 +513,8 @@ let () =
           Alcotest.test_case "heal and settle" `Quick test_world_heal_and_settle;
           Alcotest.test_case "replicas include a joiner" `Quick
             test_world_replicas_include_joiner;
+          Alcotest.test_case "monitor hooks a joiner" `Quick
+            test_world_monitor_hooks_joiner;
         ] );
       ( "checker",
         [
