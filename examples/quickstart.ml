@@ -15,7 +15,7 @@ let () =
   let replicas =
     List.map
       (fun node ->
-        let r = Replica.create ~cluster ~node ~servers:nodes () in
+        let r = Replica.create ~cluster ~node ~role:(Replica.Static nodes) () in
         Replica.start r;
         (node, r))
       nodes

@@ -16,25 +16,15 @@
    no declared footprint are skipped — the guard checks declarations,
    it does not invent them.
 
-   A violation means the declaration (and hence the §6 commutativity /
-   validation-skipping reasoning built on it) is wrong for a reachable
-   execution: the guard records it, and [World.verdict] reports each
-   finding as a [procedure-footprint] violation. *)
+   A violation means the declaration, and with it the footprint the
+   procedure manifest certifies, is wrong for a reachable execution:
+   the guard records it as a [procedure-footprint] violation of the
+   executing node, which [World.verdict] reports. *)
 
 open Repro_db
 
-type kind = Read | Write
-
-type violation = {
-  v_node : Repro_net.Node_id.t;  (** the replica that executed it *)
-  v_proc : string;  (** procedure name *)
-  v_kind : kind;
-  v_key : string;  (** the key outside the declared footprint *)
-  v_args : Value.t list;  (** arguments of the offending invocation *)
-}
-
 type t = {
-  mutable violations : violation list;  (* newest first *)
+  mutable violations : Snapshot.violation list;  (* newest first *)
   mutable observed : int;
   mutable checked : int;
 }
@@ -47,22 +37,24 @@ let observe g ~node procs (tr : Executor.procedure_trace) =
   | None -> ()
   | Some fp ->
     g.checked <- g.checked + 1;
-    let flag kind key =
+    let flag verb key =
       g.violations <-
-        { v_node = node; v_proc = tr.Executor.t_proc; v_kind = kind;
-          v_key = key; v_args = tr.Executor.t_args }
+        Snapshot.violation ~node "procedure-footprint"
+          "procedure %S %s key %S outside its declared footprint (args: %s)"
+          tr.Executor.t_proc verb key
+          (String.concat ", " (List.map Value.to_string tr.Executor.t_args))
         :: g.violations
     in
     let readable = fp.Procedure.reads @ fp.Procedure.writes in
     List.iter
       (fun key ->
         if not (Procedure.covers tr.Executor.t_args readable key) then
-          flag Read key)
+          flag "read" key)
       tr.Executor.t_reads;
     List.iter
       (fun key ->
         if not (Procedure.covers tr.Executor.t_args fp.Procedure.writes key)
-        then flag Write key)
+        then flag "wrote" key)
       tr.Executor.t_writes
 
 let attach g replica =
@@ -74,10 +66,3 @@ let attach g replica =
 let violations g = List.rev g.violations
 let observed g = g.observed
 let checked g = g.checked
-
-let pp_violation ppf v =
-  Format.fprintf ppf "procedure %S %s key %S outside its declared footprint (args: %s)"
-    v.v_proc
-    (match v.v_kind with Read -> "read" | Write -> "wrote")
-    v.v_key
-    (String.concat ", " (List.map Value.to_string v.v_args))

@@ -1,5 +1,3 @@
-open Repro_db
-
 (** Runtime validation of declared procedure footprints (paper §6).
 
     The static key-space analysis (lib/analysis/procfoot.ml) infers each
@@ -12,16 +10,6 @@ open Repro_db
     declared writes.  Procedures without a declaration are counted but
     not checked. *)
 
-type kind = Read | Write
-
-type violation = {
-  v_node : Repro_net.Node_id.t;  (** the replica that executed it *)
-  v_proc : string;  (** procedure name *)
-  v_kind : kind;
-  v_key : string;  (** the key outside the declared footprint *)
-  v_args : Value.t list;  (** arguments of the offending invocation *)
-}
-
 type t
 
 val create : unit -> t
@@ -32,13 +20,14 @@ val attach : t -> Repro_core.Replica.t -> unit
     replica executes — green apply, commutative red answer, dirty-read
     materialisation, recovery replay — is observed. *)
 
-val violations : t -> violation list
-(** Violations in observation order. *)
+val violations : t -> Snapshot.violation list
+(** Violations in observation order: each a [procedure-footprint]
+    violation of the node that executed the procedure, naming the
+    procedure, whether it read or wrote, the key outside the declared
+    footprint and the invocation's arguments. *)
 
 val observed : t -> int
 (** Procedures executed under this guard. *)
 
 val checked : t -> int
 (** The subset of {!observed} that had a declared footprint. *)
-
-val pp_violation : Format.formatter -> violation -> unit

@@ -939,50 +939,49 @@ let make_blank ~quorum ~sim ~node ~servers ~persist ~callbacks () =
     input = None;
   }
 
-let create ~quorum ~sim ~node ~servers ~persist ~callbacks () =
-  let t = make_blank ~quorum ~sim ~node ~servers ~persist ~callbacks () in
-  log_meta t;
-  t
-
 let stats t = t.stats
 
-let create_from_snapshot ~quorum ~action_floor ~sim ~node ~servers
-    ~snapshot ~green_count ~green_line ~red_cut ~prim ~dedup ~persist
-    ~callbacks () =
-  let t = make_blank ~quorum ~sim ~node ~servers ~persist ~callbacks () in
+(* The green prefix a checkpoint summarises: this queue starts at its
+   green position with no bodies below it. *)
+let restore_checkpoint t (c : Persist.checkpoint) =
+  Action_queue.set_join_floor t.queue ~count:c.c_green_count
+    ~line:c.c_green_line ~cut:c.c_green_cut;
+  Node_id.Tbl.replace t.green_counts t.node c.c_green_count
+
+let create_from_snapshot ~quorum ~checkpoint:(c : Persist.checkpoint)
+    ~action_floor ~sim ~node ~persist ~callbacks () =
+  let t =
+    make_blank ~quorum ~sim ~node ~servers:c.c_meta.m_servers ~persist
+      ~callbacks ()
+  in
   (* An amnesiac rejoiner must not re-mint action ids its previous life
-     used: start counting from the sponsor's red cut for this node, or
-     from the floor recovered from still-readable log records when that
-     is higher.  In the latter case the ids between the two are known
-     only to the dead incarnation; since per-creator delivery is
-     gap-free, they are re-proposed as no-op fillers (bodies lost) so
-     peers can advance past them. *)
+     used: start counting from the checkpoint's green cut for this node,
+     or from [action_floor] (the sponsor's red cut for it, or the floor
+     recovered from still-readable log records) when that is higher.
+     In the latter case the ids between the two are known only to the
+     dead incarnation; since per-creator delivery is gap-free, they are
+     re-proposed as no-op fillers (bodies lost) so peers can advance
+     past them.  Unlike A.13's re-injection they stay off the red
+     region: each is logged as its own ongoing frame, before the
+     checkpoint. *)
   let own_cut =
-    match Node_id.Map.find_opt node red_cut with Some c -> c | None -> 0
+    match Node_id.Map.find_opt node c.c_green_cut with Some n -> n | None -> 0
   in
   t.action_index <- max action_floor own_cut;
-  for index = own_cut + 1 to action_floor do
-    let filler = Persist.filler ~server:node ~index in
-    Persist.log_ongoing_batch t.persist [ filler ];
-    push_ongoing t filler
-  done;
-  Action_queue.set_join_floor t.queue ~count:green_count ~line:green_line
-    ~cut:red_cut;
-  Node_id.Map.iter (fun s c -> Node_id.Tbl.replace t.red_cut s c) red_cut;
-  t.prim <- prim;
-  Node_id.Tbl.replace t.green_counts node green_count;
-  (* The transferred state is this replica's first checkpoint: crash
-     recovery restores it from disk rather than replaying actions it
-     never held. *)
-  Persist.log_checkpoint t.persist
-    {
-      Persist.c_snapshot = snapshot;
-      c_green_count = green_count;
-      c_green_line = green_line;
-      c_green_cut = red_cut;
-      c_meta = meta_of t;
-      c_dedup = dedup;
-    };
+  List.iter
+    (fun filler ->
+      Persist.log_ongoing_batch t.persist [ filler ];
+      push_ongoing t filler)
+    (Persist.mint_own ~self:node ~body:(fun _ -> None) ~own_cut
+       ~floor:action_floor);
+  restore_checkpoint t c;
+  Node_id.Map.iter (fun s n -> Node_id.Tbl.replace t.red_cut s n) c.c_green_cut;
+  t.prim <- c.c_meta.m_prim;
+  (* The transferred state is this replica's first checkpoint, under its
+     own meta — the sponsor's primary and server set, none of its
+     installation attempt: crash recovery restores it from disk rather
+     than replaying actions it never held. *)
+  Persist.log_checkpoint t.persist { c with c_meta = meta_of t };
   sync_then t (fun () -> ());
   t
 
@@ -996,14 +995,9 @@ let recover ~quorum ~recovered:r ~sim ~node ~servers ~persist ~callbacks () =
     set_yellow t m.m_yellow;
     t.known_servers <- m.m_servers
   | None -> ());
-  (match r.Persist.r_checkpoint with
-  | Some c ->
-    Action_queue.set_join_floor t.queue ~count:c.Persist.c_green_count
-      ~line:c.Persist.c_green_line ~cut:c.Persist.c_green_cut;
-    Node_id.Tbl.replace t.green_counts node c.Persist.c_green_count
-  | None -> ());
+  Option.iter (restore_checkpoint t) r.Persist.r_checkpoint;
   (* Rebuild the queue without firing application callbacks: the caller
-     replays the returned green prefix into its database itself. *)
+     replays the recovered green prefix into its database itself. *)
   List.iter
     (fun a ->
       note_own_green t (Action_queue.append_green t.queue a))
@@ -1023,22 +1017,23 @@ let recover ~quorum ~recovered:r ~sim ~node ~servers ~persist ~callbacks () =
      accumulate: the queue above was rebuilt without [mark_green].) *)
   flush_marks t;
   log_meta t;
-  sync_then t (fun () -> ());
-  (t, r.Persist.r_checkpoint, r.Persist.r_green)
+  t
+
+let checkpoint_record t ~dedup snapshot =
+  {
+    Persist.c_snapshot = snapshot;
+    c_green_count = Action_queue.green_count t.queue;
+    c_green_line = Action_queue.green_line t.queue;
+    c_green_cut = green_cut_map t;
+    c_meta = meta_of t;
+    c_dedup = dedup;
+  }
 
 (* A durable checkpoint: the caller supplies the database snapshot taken
    at the current green position; the log is then compacted and white
    action bodies (green everywhere) are dropped from memory. *)
 let checkpoint t ~dedup snapshot =
-  Persist.log_checkpoint t.persist
-    {
-      Persist.c_snapshot = snapshot;
-      c_green_count = Action_queue.green_count t.queue;
-      c_green_line = Action_queue.green_line t.queue;
-      c_green_cut = green_cut_map t;
-      c_meta = meta_of t;
-      c_dedup = dedup;
-    };
+  Persist.log_checkpoint t.persist (checkpoint_record t ~dedup snapshot);
   sync_then t (fun () ->
       Persist.compact t.persist;
       ignore (Action_queue.discard_below t.queue (white_line t)))

@@ -78,44 +78,6 @@ val set_audit :
   (audit_event -> unit) -> unit
 (** Attaches (or replaces) the audit and {!handle_event} input sinks. *)
 
-val create :
-  quorum:Quorum.policy ->
-  sim:Repro_sim.Engine.t ->
-  node:Node_id.t ->
-  servers:Node_id.Set.t ->
-  persist:Persist.t ->
-  callbacks:callbacks ->
-  unit ->
-  t
-(** A fresh replica of the initial server set [servers]; the initial
-    primary component is the full set with index 0, so the first quorate
-    component installs primary #1. *)
-
-val create_from_snapshot :
-  quorum:Quorum.policy ->
-  action_floor:int ->
-  sim:Repro_sim.Engine.t ->
-  node:Node_id.t ->
-  servers:Node_id.Set.t ->
-  snapshot:Database.snapshot ->
-  green_count:int ->
-  green_line:Action.Id.t option ->
-  red_cut:int Node_id.Map.t ->
-  prim:Types.prim_component ->
-  dedup:Dedup.snapshot ->
-  persist:Persist.t ->
-  callbacks:callbacks ->
-  unit ->
-  t
-(** A dynamically instantiated replica (paper CodeSegment 5.2): its green
-    prefix starts at the transferred [green_count] with no action bodies
-    (the database state arrived by [snapshot], which is logged as this
-    replica's first durable checkpoint, [dedup] — the sponsor's
-    exactly-once window at the same green position — included).
-    [action_floor] seeds the action-index counter: an amnesiac rejoiner
-    passes the sponsor's red cut for it, so ids of its discarded life
-    are never re-minted. *)
-
 val recover :
   quorum:Quorum.policy ->
   recovered:Persist.recovered ->
@@ -125,17 +87,44 @@ val recover :
   persist:Persist.t ->
   callbacks:callbacks ->
   unit ->
-  t * Persist.checkpoint option * Action.t list
-(** Rebuilds the engine from the durable log (paper CodeSegment A.13):
-    returns the engine, the latest durable checkpoint (if any — its
-    database snapshot and exactly-once window travel together) and the
-    green actions after it, in green order, so the caller can rebuild
-    its database.  Ongoing own actions past the durable red
-    cut are re-marked red and stay queued for re-proposal after the
-    next state exchange.  [recovered] is the caller's
-    [Persist.recover] result: the caller reads the log and branches on
-    its verdict first, since amnesiac recovery must not build an engine
-    from the discarded log.  Do not call with a [V_amnesia] verdict. *)
+  t
+(** The one start of a server with a log (paper CodeSegment A.13):
+    the engine rebuilt from [recovered], a [Persist.recover] result or
+    {!Persist.fresh} for a new member of the initial set [servers]
+    (whose initial primary is the full set with index 0).  Own ongoing
+    actions past the durable red cut are re-marked red and stay queued
+    for re-proposal after the next state exchange.  The re-marks and one
+    meta record are logged but not forced: a crash-recovering caller
+    forces them.  The caller rebuilds its database from [recovered]; no
+    application callback fires.  Not for a [V_amnesia] verdict: that
+    server rejoins through {!create_from_snapshot}. *)
+
+val create_from_snapshot :
+  quorum:Quorum.policy ->
+  checkpoint:Persist.checkpoint ->
+  action_floor:int ->
+  sim:Repro_sim.Engine.t ->
+  node:Node_id.t ->
+  persist:Persist.t ->
+  callbacks:callbacks ->
+  unit ->
+  t
+(** A dynamically instantiated replica (paper CodeSegment 5.2): its green
+    prefix starts at the sponsor's [checkpoint] with no action bodies
+    (the database state and exactly-once window arrived in it).  The
+    checkpoint is logged as this replica's first, under its own meta:
+    the sponsor's primary and server set, an invalid vulnerable record
+    and yellow set, attempt 0.  [action_floor] seeds the action-index
+    counter: an amnesiac rejoiner passes the sponsor's red cut for it,
+    so ids of its discarded life are never re-minted; the ids above the
+    checkpoint's green cut up to the floor are re-proposed as no-op
+    fillers, each logged as an ongoing frame before the checkpoint. *)
+
+val checkpoint_record :
+  t -> dedup:Dedup.snapshot -> Database.snapshot -> Persist.checkpoint
+(** The checkpoint at the current green position, for the caller's
+    database [snapshot] and exactly-once window [dedup] taken there:
+    what {!checkpoint} logs and what a sponsor ships to a joiner. *)
 
 val checkpoint : t -> dedup:Dedup.snapshot -> Database.snapshot -> unit
 (** Records a durable checkpoint of the engine's green knowledge paired

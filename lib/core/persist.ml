@@ -187,8 +187,15 @@ let max_own_index ~self frames =
       | Meta _ | Checkpoint _ -> acc)
     0 frames
 
-let filler ~server ~index =
-  Action.make ~client:0 ~size:32 ~server ~index (Action.Update [])
+(* The own actions with indexes [own_cut + 1 .. floor], in index order:
+   the body [body] still holds for an index, else a no-op filler. *)
+let mint_own ~self ~body ~own_cut ~floor =
+  List.init (max 0 (floor - own_cut)) (fun i ->
+      let index = own_cut + 1 + i in
+      match body index with
+      | Some a -> a
+      | None ->
+        Action.make ~client:0 ~size:32 ~server:self ~index (Action.Update []))
 
 (* Own-creator action bodies found among [frames] (readable records,
    possibly beyond the damage point), indexed by action index. *)
@@ -217,17 +224,7 @@ let own_bodies ~self frames =
    green assignment is totally ordered and delivery dedups by id. *)
 let refill_own ~self ~readable ~own_cut ~floor =
   let bodies = own_bodies ~self readable in
-  let rec build idx acc =
-    if idx > floor then List.rev acc
-    else
-      let a =
-        match Hashtbl.find_opt bodies idx with
-        | Some a -> a
-        | None -> filler ~server:self ~index:idx
-      in
-      build (idx + 1) (a :: acc)
-  in
-  build (own_cut + 1) []
+  mint_own ~self ~body:(Hashtbl.find_opt bodies) ~own_cut ~floor
 
 (* The newest meta record among [frames] (checkpoints carry one too).
    Under-claiming green/red knowledge is safe — peers retransmit — but
@@ -242,6 +239,20 @@ let newest_meta frames =
       | Checkpoint c -> Some c.c_meta
       | Ongoing _ | Red _ | Green _ -> acc)
     None frames
+
+let fresh =
+  {
+    r_meta = None;
+    r_green = [];
+    r_checkpoint = None;
+    r_red = [];
+    r_ongoing = [];
+    r_red_cut = Node_id.Map.empty;
+    r_action_index = 0;
+    r_verdict = V_clean;
+    r_read_retries = 0;
+    r_backoff = Repro_sim.Time.zero;
+  }
 
 let recover ~self t =
   let rv = Wlog.recover t.log in
@@ -292,12 +303,7 @@ let recover ~self t =
       let action_floor = max_own_index ~self rv.Wlog.rv_readable in
       Wlog.reset t.log;
       {
-        r_meta = None;
-        r_green = [];
-        r_checkpoint = None;
-        r_red = [];
-        r_ongoing = [];
-        r_red_cut = Node_id.Map.empty;
+        fresh with
         r_action_index = action_floor;
         r_verdict = V_amnesia;
         r_read_retries = rv.Wlog.rv_read_retries;

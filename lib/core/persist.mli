@@ -31,11 +31,18 @@ val log_ongoing_batch : t -> Action.t list -> unit
     batch as a unit (frame-granular torn tail).  The empty batch writes
     nothing. *)
 
-val filler : server:Node_id.t -> index:int -> Action.t
-(** The no-op action (client 0, 32 bytes, an empty update) re-proposed
-    for an own index whose body is lost: per-creator delivery is
-    gap-free, so peers can pass the index only once some action holds
-    it.  Salvage recovery and an amnesiac rejoiner both mint it. *)
+val mint_own :
+  self:Node_id.t ->
+  body:(int -> Action.t option) ->
+  own_cut:int ->
+  floor:int ->
+  Action.t list
+(** The own actions with indexes [own_cut + 1 .. floor], in index order,
+    that a restarting server re-proposes: the body [body] still holds
+    for an index, else a no-op filler (client 0, 32 bytes, an empty
+    update).  Per-creator delivery is gap-free, so peers can pass an
+    index only once some action holds it.  Salvage recovery and an
+    amnesiac rejoiner both mint them. *)
 
 val log_red_batch : t -> Action.t list -> unit
 val log_green_batch : t -> Action.Id.t list -> unit
@@ -51,9 +58,11 @@ val log_green_marks : t -> Action.t array -> unit
 
 (** A durable summary of everything up to a green position: the database
     snapshot at that point, the green line, and the per-creator green
-    cuts.  Written by a replica instantiated from a state transfer
-    (paper CodeSegment 5.2) and periodically as a checkpoint; log entries
-    it covers can then be compacted away. *)
+    cuts.  It is the one description of a replica's starting state:
+    written periodically as a checkpoint (log entries it covers can then
+    be compacted away), shipped by a sponsor to a joiner (paper §5.1,
+    CodeSegment 5.2), which logs it as its first checkpoint, and
+    restored by recovery. *)
 type checkpoint = {
   c_snapshot : Database.snapshot;
   c_green_count : int;
@@ -141,6 +150,11 @@ type recovered = {
   r_read_retries : int;  (** transient read errors retried *)
   r_backoff : Repro_sim.Time.t;  (** total read-retry backoff charged *)
 }
+
+val fresh : recovered
+(** The record of an empty log: no meta, checkpoint or actions, verdict
+    [V_clean].  A server of the initial set starts as the recovery of
+    it; the amnesia verdict is it with the readable floor. *)
 
 val recover : self:Node_id.t -> t -> recovered
 (** The only sanctioned way to read the log back (the lint rule

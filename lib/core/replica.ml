@@ -16,19 +16,14 @@ module Log = (val Logs.src_log log_src)
 type transfer_version = { tv_green_count : int; tv_digest : int }
 
 type transfer_payload = {
-  td_green_line : Action.Id.t option;
-  td_red_cut : int Node_id.Map.t;
-  td_prim : Types.prim_component;
-  td_servers : Node_id.Set.t;
-  td_snapshot : Database.snapshot;
+  td_checkpoint : Persist.checkpoint;
+      (* the sponsor's checkpoint at the transfer point: database,
+         exactly-once window (the joiner must suppress retries of
+         requests applied before it existed) and green knowledge *)
   td_joiner_floor : int;
       (* the sponsor's red cut for the joiner: an amnesiac rejoiner
          resumes action numbering above everything the group has seen
          from its previous life *)
-  td_dedup : Dedup.snapshot;
-      (* the sponsor's exactly-once window at the same green position
-         as td_snapshot: the joiner must suppress retries of requests
-         applied before it existed *)
 }
 
 type transfer_msg =
@@ -65,9 +60,7 @@ let make_cluster ?(net_config = Network.lan_gigabit) ?(params = Params.default)
 let cluster_sim c = c.c_sim
 let cluster_topology c = c.c_topology
 
-type role =
-  | Static  (** member of the initial server set *)
-  | Joiner of Node_id.t list  (** sponsors, asked in turn *)
+type role = Static of Node_id.t list | Joiner of Node_id.t list
 
 (* Admission control: shed a submission with [Action.Busy] — before it
    is created, logged or ordered — once this replica's backlog crosses
@@ -313,13 +306,9 @@ let do_transfer ?(from_chunk = 0) t ~joiner =
     in
     let payload =
       {
-        td_green_line = Engine.green_line e;
-        td_red_cut = Engine.green_cut_map e;
-        td_prim = Engine.prim_component e;
-        td_servers = Engine.known_servers e;
-        td_snapshot = snapshot;
+        td_checkpoint =
+          Engine.checkpoint_record e ~dedup:(Dedup.snapshot t.dedup) snapshot;
         td_joiner_floor = Engine.red_cut e joiner;
-        td_dedup = Dedup.snapshot t.dedup;
       }
     in
     (* Paced at roughly line rate: streaming, not a burst — a crash or
@@ -370,7 +359,7 @@ let rec joiner_request_loop t sponsors_left all_sponsors =
       | [] -> (
         match all_sponsors with
         | s :: rest -> (s, rest)
-        | [] -> invalid_arg "Replica.create_joiner: no sponsors")
+        | [] -> invalid_arg "Replica.create: a joiner without sponsors")
     in
     Network.unicast t.cluster.c_transfer ~src:t.node_id ~dst:sponsor ~size:64
       (Treq { tr_joiner = t.node_id; tr_resume = t.incoming });
@@ -394,7 +383,7 @@ let amnesiac_rejoin t =
   let sponsors =
     match t.role with
     | Joiner sponsors -> sponsors
-    | Static -> Node_id.Set.elements (Node_id.Set.remove t.node_id t.servers)
+    | Static _ -> Node_id.Set.elements (Node_id.Set.remove t.node_id t.servers)
   in
   if sponsors = [] then
     (* Nobody to transfer from: a lone replica with a destroyed log is
@@ -413,6 +402,21 @@ let drop_volatile t =
   t.db <- Database.create ();
   t.dedup <- Dedup.create ~window:t.dedup_window ();
   t.engine <- None
+
+(* The database and exactly-once window at [checkpoint]'s green position
+   (they were captured together; empty without a checkpoint), then
+   [greens] replayed through the same dedup-aware path as live
+   application. *)
+let restore t checkpoint greens =
+  (match checkpoint with
+  | Some (c : Persist.checkpoint) ->
+    t.db <- Database.of_snapshot c.c_snapshot;
+    t.dedup <- Dedup.of_snapshot c.c_dedup
+  | None ->
+    t.db <- Database.create ();
+    t.dedup <- Dedup.create ~window:t.dedup_window ());
+  List.iter (fun a -> ignore (execute_green t a)) greens;
+  t.greens_applied <- t.greens_applied + List.length greens
 
 (* A state exchange found [e]'s green prefix below every body the group
    still holds, and [e] has halted ([Engine.callbacks.on_resync]).  Leave
@@ -539,17 +543,12 @@ let on_transfer_msg t ~src msg =
           | Some p when have + 1 = tc_total ->
             t.joiner_waiting <- false;
             t.incoming <- None;
-            t.db <- Database.of_snapshot p.td_snapshot;
-            t.dedup <- Dedup.of_snapshot p.td_dedup;
+            restore t (Some p.td_checkpoint) [];
             let e =
               Engine.create_from_snapshot ~quorum:t.quorum
+                ~checkpoint:p.td_checkpoint
                 ~action_floor:(max p.td_joiner_floor t.amnesia_floor)
-                ~sim:t.cluster.c_sim
-                ~node:t.node_id ~servers:p.td_servers
-                ~snapshot:p.td_snapshot
-                ~green_count:tc_version.tv_green_count
-                ~green_line:p.td_green_line ~red_cut:p.td_red_cut
-                ~prim:p.td_prim ~dedup:p.td_dedup ~persist:t.persist
+                ~sim:t.cluster.c_sim ~node:t.node_id ~persist:t.persist
                 ~callbacks:(make_callbacks t) ()
             in
             t.amnesia_floor <- 0;
@@ -557,7 +556,7 @@ let on_transfer_msg t ~src msg =
             let ep =
               (* as in [create]: installs the event handler; nothing is
                  multicast until the network delivers an event, so the
-                 meta record the engine appended need not be forced yet.
+                 records the engine appended need not be forced yet.
                  repcheck: allow *)
               match t.endpoint with Some ep -> ep | None -> make_endpoint t
             in
@@ -573,9 +572,22 @@ let on_transfer_msg t ~src msg =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 
-let base ?(disk_config = Disk.default_forced) ?(attach_cpu = true)
+(* The one start of a server with a log: an engine rebuilt from
+   [recovered] ([Persist.fresh] for a new server), the database and
+   exactly-once window restored from its checkpoint, its greens
+   replayed. *)
+let start_engine t (r : Persist.recovered) =
+  let e =
+    Engine.recover ~quorum:t.quorum ~recovered:r ~sim:t.cluster.c_sim
+      ~node:t.node_id ~servers:t.servers ~persist:t.persist
+      ~callbacks:(make_callbacks t) ()
+  in
+  restore t r.r_checkpoint r.r_green;
+  adopt_engine t e
+
+let create ?(disk_config = Disk.default_forced) ?(attach_cpu = true)
     ?(checkpoint_every = Some 2000) ?(quorum_policy = Quorum.Dynamic_linear)
-    ?(dedup_window = 8) ?admission ~cluster ~node ~servers ~role () =
+    ?(dedup_window = 8) ?admission ~cluster ~node ~role () =
   let disk = Disk.create ~engine:cluster.c_sim ~config:disk_config () in
   let persist = Persist.create ~engine:cluster.c_sim ~disk () in
   let cpu =
@@ -591,7 +603,10 @@ let base ?(disk_config = Disk.default_forced) ?(attach_cpu = true)
     {
       cluster;
       node_id = node;
-      servers;
+      servers =
+        (match role with
+        | Static servers -> Node_id.set_of_list servers
+        | Joiner _ -> Node_id.Set.empty);
       role;
       disk_config;
       disk;
@@ -630,36 +645,21 @@ let base ?(disk_config = Disk.default_forced) ?(attach_cpu = true)
   in
   Network.register cluster.c_transfer node ~handler:(fun ~src msg ->
       on_transfer_msg t ~src msg);
+  (match role with
+  | Static _ ->
+    start_engine t Persist.fresh;
+    (* installs the event handler; nothing is multicast until the
+       network delivers an event, so the meta record the fresh start
+       appended need not be forced yet.  repcheck: allow *)
+    ignore (make_endpoint t)
+  | Joiner _ -> ());
   t
-
-let create ?disk_config ?attach_cpu ?checkpoint_every ?quorum_policy
-    ?dedup_window ?admission ~cluster ~node ~servers () =
-  let servers = Node_id.set_of_list servers in
-  let t =
-    base ?disk_config ?attach_cpu ?checkpoint_every ?quorum_policy
-      ?dedup_window ?admission ~cluster ~node ~servers ~role:Static ()
-  in
-  let e =
-    Engine.create ~quorum:t.quorum ~sim:cluster.c_sim ~node ~servers
-      ~persist:t.persist ~callbacks:(make_callbacks t) ()
-  in
-  adopt_engine t e;
-  (* installs the event handler; nothing is multicast until the network
-     delivers an event, so the meta record Engine.create appended need
-     not be forced yet.  repcheck: allow *)
-  ignore (make_endpoint t);
-  t
-
-let create_joiner ?disk_config ?attach_cpu ?checkpoint_every ?quorum_policy
-    ?dedup_window ?admission ~cluster ~node ~sponsors () =
-  base ?disk_config ?attach_cpu ?checkpoint_every ?quorum_policy ?dedup_window
-    ?admission ~cluster ~node ~servers:Node_id.Set.empty ~role:(Joiner sponsors) ()
 
 let start t =
   if not t.started then begin
     t.started <- true;
     match t.role with
-    | Static -> (
+    | Static _ -> (
       match t.endpoint with Some ep -> Endpoint.join ep | None -> ())
     | Joiner sponsors ->
       t.joiner_waiting <- true;
@@ -780,25 +780,10 @@ let recover t =
       t.amnesia_floor <- max t.amnesia_floor r.Persist.r_action_index;
       amnesiac_rejoin t
     | Persist.V_clean | Persist.V_torn_tail _ | Persist.V_salvaged _ ->
-      let e, ckpt, greens =
-        Engine.recover ~quorum:t.quorum ~recovered:r ~sim:t.cluster.c_sim
-          ~node:t.node_id ~servers:t.servers ~persist:t.persist
-          ~callbacks:(make_callbacks t) ()
-      in
-      (* Rebuild the database and the exactly-once window from the
-         latest durable checkpoint (they were captured at the same
-         green position), then replay the green actions logged after it
-         through the same dedup-aware path as live application. *)
-      (match ckpt with
-      | Some c ->
-        t.db <- Database.of_snapshot c.Persist.c_snapshot;
-        t.dedup <- Dedup.of_snapshot c.Persist.c_dedup
-      | None ->
-        t.db <- Database.create ();
-        t.dedup <- Dedup.create ~window:t.dedup_window ());
-      List.iter (fun a -> ignore (execute_green t a)) greens;
-      t.greens_applied <- t.greens_applied + List.length greens;
-      adopt_engine t e;
+      start_engine t r;
+      (* A.13's sync to disk of the re-injected red marks and the meta
+         record. *)
+      Persist.sync t.persist (fun () -> ());
       let rejoin () =
         match t.endpoint with
         | Some ep -> if t.up && not t.left then Endpoint.recover ep

@@ -39,6 +39,18 @@ type admission = {
   adm_max_red : int;  (** ordered-but-not-yet-green backlog bound *)
 }
 
+(** How a replica enters the system. *)
+type role =
+  | Static of Node_id.t list
+      (** a member of the initial server set (the list): it starts from
+          an empty log ({!Persist.fresh}) *)
+  | Joiner of Node_id.t list
+      (** a dynamically instantiated replica (paper §5.1/5.2), with its
+          sponsors in the order they are asked: it obtains a
+          PERSISTENT_JOIN and the sponsor's checkpoint, and only then
+          joins the replicated group.  Remember to add the node to the
+          topology first. *)
+
 val create :
   ?disk_config:Disk.config ->
   ?attach_cpu:bool ->
@@ -48,34 +60,17 @@ val create :
   ?admission:admission ->
   cluster:cluster ->
   node:Node_id.t ->
-  servers:Node_id.t list ->
+  role:role ->
   unit ->
   t
-(** A replica of the initial (static) server set.  [attach_cpu] (default
-    true) routes its message processing through a serial CPU resource.
+(** A replica of [role].  [attach_cpu] (default true) routes its
+    message processing through a serial CPU resource.
     [checkpoint_every] (default [Some 2000]) takes a durable checkpoint —
     database snapshot + green knowledge, followed by log compaction and
     white-action garbage collection — every that many applied actions;
     [None] disables checkpointing.  [dedup_window] (default 8)
     bounds the per-client exactly-once response cache (see {!Dedup});
     [admission] (default none) enables overload shedding. *)
-
-val create_joiner :
-  ?disk_config:Disk.config ->
-  ?attach_cpu:bool ->
-  ?checkpoint_every:int option ->
-  ?quorum_policy:Quorum.policy ->
-  ?dedup_window:int ->
-  ?admission:admission ->
-  cluster:cluster ->
-  node:Node_id.t ->
-  sponsors:Node_id.t list ->
-  unit ->
-  t
-(** A dynamically instantiated replica (paper §5.1/5.2): it connects to
-    the sponsor list in order, obtains a PERSISTENT_JOIN and a database
-    snapshot, and only then joins the replicated group.  Remember to add
-    the node to the topology first. *)
 
 val start : t -> unit
 (** Joins the group (or begins the join-by-transfer procedure). *)

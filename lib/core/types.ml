@@ -14,13 +14,8 @@ open Repro_db
 
 (** Tables keyed by plain ints (client ids, action indexes), hashed by
     the key itself: a lookup makes no call into the polymorphic hash or
-    compare. *)
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash (k : int) = k land max_int
-end)
+    compare.  A node id is an int, so this is the node table. *)
+module Int_tbl = Node_id.Tbl
 
 (** The engine state machine (paper Figure 4). *)
 type engine_state =

@@ -9,8 +9,8 @@ type t = {
   w_replicas : (Node_id.t, Replica.t) Hashtbl.t;
   mutable w_nodes : Node_id.t list;
   mutable w_list : Replica.t list; (* the replicas of [w_nodes], in order *)
-  w_joiner : node:Node_id.t -> sponsors:Node_id.t list -> Replica.t;
-      (* built with the settings every initial replica got *)
+  w_replica : node:Node_id.t -> Replica.role -> Replica.t;
+      (* every replica, joiners included, is built with the same settings *)
   mutable w_proc_guard : Repro_check.Procguard.t option;
       (* attached to every replica, joiners included, once requested *)
   mutable w_monitor : Repro_check.Monitor.t option;
@@ -32,27 +32,23 @@ let make ?(net_config = default_net) ?(params = Repro_gcs.Params.fast)
     ?quorum_policy ?(seed = 17) ?dedup_window ?admission ~n () =
   let nodes = List.init n Fun.id in
   let cluster = Replica.make_cluster ~net_config ~params ~seed ~nodes () in
+  let replica ~node role =
+    Replica.create ~disk_config ~attach_cpu ?checkpoint_every ?quorum_policy
+      ?dedup_window ?admission ~cluster ~node ~role ()
+  in
   let replicas = Hashtbl.create n in
   List.iter
     (fun node ->
-      let r =
-        Replica.create ~disk_config ~attach_cpu ?checkpoint_every
-          ?quorum_policy ?dedup_window ?admission ~cluster ~node ~servers:nodes
-          ()
-      in
+      let r = replica ~node (Replica.Static nodes) in
       Hashtbl.replace replicas node r;
       Replica.start r)
     nodes;
-  let joiner ~node ~sponsors =
-    Replica.create_joiner ~disk_config ~attach_cpu ?checkpoint_every
-      ?quorum_policy ?dedup_window ?admission ~cluster ~node ~sponsors ()
-  in
   {
     w_cluster = cluster;
     w_replicas = replicas;
     w_nodes = nodes;
     w_list = List.map (Hashtbl.find replicas) nodes;
-    w_joiner = joiner;
+    w_replica = replica;
     w_proc_guard = None;
     w_monitor = None;
   }
@@ -67,7 +63,7 @@ let nodes t = t.w_nodes
 
 let add_joiner t ~node ~sponsors =
   Topology.add_node (topology t) node;
-  let r = t.w_joiner ~node ~sponsors in
+  let r = t.w_replica ~node (Replica.Joiner sponsors) in
   Hashtbl.replace t.w_replicas node r;
   t.w_nodes <- t.w_nodes @ [ node ];
   t.w_list <- List.map (Hashtbl.find t.w_replicas) t.w_nodes;
@@ -136,12 +132,7 @@ let verdict t ~ledgers =
   let footprints =
     match t.w_proc_guard with
     | None -> []
-    | Some g ->
-      List.map
-        (fun (v : Repro_check.Procguard.violation) ->
-          Snapshot.violation ~node:v.v_node "procedure-footprint" "%a"
-            Repro_check.Procguard.pp_violation v)
-        (Repro_check.Procguard.violations g)
+    | Some g -> Repro_check.Procguard.violations g
   in
   let stragglers =
     List.filter_map

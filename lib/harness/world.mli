@@ -22,11 +22,13 @@ val make :
   n:int ->
   unit ->
   t
-(** [n] replicas on nodes [0..n-1], started.  [disk_config] (and its
+(** [n] replicas on nodes [0..n-1], started, each a
+    [Replica.Static] member of the initial set.  [disk_config] (and its
     fault model), [checkpoint_every], [quorum_policy], [dedup_window]
     (exactly-once response cache bound) and [admission] (overload
     shedding) — see {!Replica.create} — apply to every replica, joiners
-    included. *)
+    included: the world builds each with one [Replica.create] call over
+    these settings, differing only in node and role. *)
 
 val sim : t -> Repro_sim.Engine.t
 val topology : t -> Topology.t
@@ -38,8 +40,10 @@ val replica : t -> Node_id.t -> Replica.t
 val nodes : t -> Node_id.t list
 
 val add_joiner : t -> node:Node_id.t -> sponsors:Node_id.t list -> Replica.t
-(** Adds the node to the topology, creates a joining replica, hooks it
-    to the attached monitor and footprint guard, and starts it. *)
+(** Adds the node to the topology, creates a [Replica.Joiner] with the
+    world's settings, hooks it to the attached monitor and footprint
+    guard, and starts it: it enters from the checkpoint the first
+    sponsor that answers ships. *)
 
 val attach_monitor : t -> Repro_check.Monitor.t
 (** Attaches a repcheck invariant monitor (see [Repro_check]) to every

@@ -107,8 +107,8 @@ let create ?(policy = Quorum.Dynamic_linear) ~nodes:n () =
   Array.iter
     (fun nd ->
       let e =
-        Engine.create ~quorum:t.policy ~sim ~node:nd.id ~servers
-          ~persist:nd.persist
+        Engine.recover ~quorum:t.policy ~recovered:Persist.fresh ~sim
+          ~node:nd.id ~servers ~persist:nd.persist
           ~callbacks:(callbacks t nd.id)
           ()
       in
@@ -182,7 +182,7 @@ let crash t nd =
 
 let recover t nd =
   Check.Spec.on_recover t.spec ~node:nd.id;
-  let e, _snapshot, _greens =
+  let e =
     Engine.recover ~quorum:t.policy
       ~recovered:(Persist.recover ~self:nd.id nd.persist)
       ~sim:t.sim ~node:nd.id
@@ -190,6 +190,8 @@ let recover t nd =
       ~callbacks:(callbacks t nd.id)
       ()
   in
+  (* A.13's sync to disk of what the recovery logged. *)
+  Persist.sync nd.persist (fun () -> ());
   attach_audit t nd e;
   nd.engine <- Some e;
   Model.recover t.model nd.id;

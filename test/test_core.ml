@@ -39,7 +39,7 @@ let make_world ?(seed = 21) n =
     (fun node ->
       let r =
         Replica.create ~disk_config:fast_disk ~attach_cpu:false ~cluster ~node
-          ~servers:nodes ()
+          ~role:(Replica.Static nodes) ()
       in
       Hashtbl.replace replicas node r)
     nodes;
@@ -268,8 +268,8 @@ let test_join_new_replica () =
   (* A brand-new node 7 joins via sponsor 1. *)
   Topology.add_node (topo w) 7;
   let joiner =
-    Replica.create_joiner ~disk_config:fast_disk ~attach_cpu:false
-      ~cluster:w.cluster ~node:7 ~sponsors:[ 1 ] ()
+    Replica.create ~disk_config:fast_disk ~attach_cpu:false
+      ~cluster:w.cluster ~node:7 ~role:(Replica.Joiner [ 1 ]) ()
   in
   Hashtbl.replace w.replicas 7 joiner;
   Replica.start joiner;
@@ -411,8 +411,8 @@ let test_joiner_crash_recovers_inherited_state () =
   run_sim w ~ms:500.;
   Topology.add_node (topo w) 7;
   let joiner =
-    Replica.create_joiner ~disk_config:fast_disk ~attach_cpu:false
-      ~cluster:w.cluster ~node:7 ~sponsors:[ 1 ] ()
+    Replica.create ~disk_config:fast_disk ~attach_cpu:false
+      ~cluster:w.cluster ~node:7 ~role:(Replica.Joiner [ 1 ]) ()
   in
   Hashtbl.replace w.replicas 7 joiner;
   Replica.start joiner;
@@ -482,7 +482,8 @@ let test_periodic_checkpoint_bounds_log () =
       (fun node ->
         let r =
           Replica.create ~disk_config:fast_disk ~attach_cpu:false
-            ~checkpoint_every:(Some 20) ~cluster ~node ~servers:nodes ()
+            ~checkpoint_every:(Some 20) ~cluster ~node
+            ~role:(Replica.Static nodes) ()
         in
         Replica.start r;
         (node, r))
@@ -595,8 +596,7 @@ let test_submission_is_one_frame_one_batch () =
     }
   in
   let e =
-    Engine.create
-      ~quorum:Quorum.Dynamic_linear
+    Engine.recover ~quorum:Quorum.Dynamic_linear ~recovered:Persist.fresh
       ~sim ~node:0 ~servers:(Node_id.Set.singleton 0) ~persist ~callbacks ()
   in
   Engine.set_audit e (function
@@ -1899,8 +1899,7 @@ let reg_prim_engine ?(on_green = ignore) ?(own_via_model = true) () =
     }
   in
   let e =
-    Engine.create
-      ~quorum:Quorum.Dynamic_linear
+    Engine.recover ~quorum:Quorum.Dynamic_linear ~recovered:Persist.fresh
       ~sim ~node:0 ~servers:(Node_id.Set.singleton 0) ~persist ~callbacks ()
   in
   let rec settle () =
@@ -1972,6 +1971,87 @@ let test_green_skips_red_region () =
     [ yellow.Action.id ] (ids (Engine.red_actions e));
   Alcotest.(check bool) "and yellow" true
     (List.exists (Action.Id.equal yellow.Action.id) (Engine.yellow e).Types.y_set)
+
+(* A joiner starts from the checkpoint its sponsor ships (paper §5.1):
+   the newest checkpoint in its log is the sponsor's at the transfer
+   point, under the joiner's own meta — the sponsor's primary and
+   server set, but none of the sponsor's installation attempt, whose
+   vulnerable record the sponsor still holds valid in its primary. *)
+let test_joiner_logs_sponsor_checkpoint () =
+  let procs = Procedure.builtins () and db = Database.create () in
+  let dedup = Dedup.create ~window:4 () in
+  let apply batch =
+    Array.iter
+      (fun (a : Action.t) ->
+        Dedup.record dedup ~client:a.client ~seq:a.req_seq ~ack:a.req_ack
+          (Executor.execute ~procs db a))
+      batch
+  in
+  let _, _, sponsor, settle = reg_prim_engine ~on_green:apply () in
+  List.iteri
+    (fun i key ->
+      Engine.submit sponsor ~client:3 ~semantics:Action.Strict ~size:200
+        ~req_seq:(i + 1) ~req_ack:i
+        ~kind:(Action.Update [ Op.Set (key, Value.Int i) ])
+        ~on_created:ignore)
+    [ "a"; "b"; "c" ];
+  settle ();
+  Alcotest.(check int) "the sponsor greened its history" 3
+    (Engine.green_count sponsor);
+  Alcotest.(check bool) "the sponsor's vulnerable record is valid" true
+    (Engine.vulnerable sponsor).Types.v_valid;
+  let shipped =
+    Engine.checkpoint_record sponsor ~dedup:(Dedup.snapshot dedup)
+      (Database.snapshot db)
+  in
+  let sim, persist = make_persist () in
+  let silent =
+    {
+      Engine.on_green = ignore;
+      on_red = ignore;
+      on_transfer_request = (fun ~joiner:_ -> ());
+      on_self_leave = ignore;
+      on_resync = ignore;
+      send = (fun ~service:_ ~size:_ _ -> ());
+    }
+  in
+  ignore
+    (Engine.create_from_snapshot ~quorum:Quorum.Dynamic_linear
+       ~checkpoint:shipped ~action_floor:0 ~sim ~node:1 ~persist
+       ~callbacks:silent ());
+  let logged =
+    match
+      Persist.find_newest persist (function
+        | Persist.Checkpoint c -> Some c
+        | _ -> None)
+    with
+    | Some c -> c
+    | None -> Alcotest.fail "the joiner logged no checkpoint"
+  in
+  Alcotest.(check int) "green count" (Engine.green_count sponsor)
+    logged.c_green_count;
+  Alcotest.(check (option (of_pp Action.Id.pp))) "green line"
+    (Engine.green_line sponsor) logged.c_green_line;
+  Alcotest.(check (list (pair int int))) "green cut"
+    (Node_id.Map.bindings (Engine.green_cut_map sponsor))
+    (Node_id.Map.bindings logged.c_green_cut);
+  Alcotest.(check int) "snapshot digest" (Database.digest db)
+    (Database.digest (Database.of_snapshot logged.c_snapshot));
+  Alcotest.(check bool) "dedup snapshot" true
+    (logged.c_dedup = Dedup.snapshot dedup);
+  let m = logged.c_meta and prim = Engine.prim_component sponsor in
+  Alcotest.(check (pair int int)) "the sponsor's primary"
+    (prim.prim_index, prim.prim_attempt)
+    (m.m_prim.prim_index, m.m_prim.prim_attempt);
+  Alcotest.(check bool) "the sponsor's primary members" true
+    (Node_id.Set.equal prim.prim_servers m.m_prim.prim_servers);
+  Alcotest.(check bool) "the sponsor's server set" true
+    (Node_id.Set.equal (Engine.known_servers sponsor) m.m_servers);
+  Alcotest.(check bool) "an invalid vulnerable record" false
+    m.m_vulnerable.v_valid;
+  Alcotest.(check bool) "an invalid, empty yellow set" true
+    ((not m.m_yellow.y_valid) && m.m_yellow.y_set = []);
+  Alcotest.(check int) "attempt 0" 0 m.m_attempt
 
 (* Marking an action yellow costs the same whether it is the first or
    the 256th of its transitional configuration: the yellow set is not
@@ -2196,7 +2276,7 @@ let test_ongoing_queue_matches_list_model () =
       send = (fun ~service:_ ~size:_ _ -> ());
     }
   in
-  let e, _, _ =
+  let e =
     Engine.recover ~quorum:Quorum.Dynamic_linear
       ~recovered:(Persist.recover ~self:0 persist)
       ~sim ~node:0 ~servers:(Node_id.Set.singleton 0) ~persist ~callbacks ()
@@ -2313,6 +2393,8 @@ let () =
         [
           Alcotest.test_case "join new replica" `Quick test_join_new_replica;
           Alcotest.test_case "leave replica" `Quick test_leave_replica;
+          Alcotest.test_case "joiner logs the sponsor's checkpoint" `Quick
+            test_joiner_logs_sponsor_checkpoint;
         ] );
       ( "features",
         [

@@ -421,17 +421,23 @@ let test_procedure_guard () =
   | vs ->
     Alcotest.(check bool) "every replica reports it" true (List.length vs >= 3);
     List.iter
-      (fun v ->
-        Alcotest.(check string) "procedure" "sneaky" v.Check.Procguard.v_proc;
-        Alcotest.(check string) "offending key" "shadow" v.Check.Procguard.v_key;
-        Alcotest.(check bool) "kind is write" true
-          (v.Check.Procguard.v_kind = Check.Procguard.Write))
+      (fun (v : Check.Snapshot.violation) ->
+        Alcotest.(check string) "invariant" "procedure-footprint" v.v_invariant;
+        Alcotest.(check bool) "names the executing node" true
+          (v.v_node <> None);
+        Alcotest.(check string) "procedure, write and offending key"
+          (Printf.sprintf
+             "procedure \"sneaky\" wrote key \"shadow\" outside its declared \
+              footprint (args: %s)"
+             (Value.to_string (Value.Text "front")))
+          v.v_detail)
       vs);
   (* The verdict reports the guard's findings and nothing else. *)
   Alcotest.(check (list string)) "only footprint findings"
-    (List.map (fun _ -> "procedure-footprint") (Check.Procguard.violations guard))
+    (List.map Check.Snapshot.(Format.asprintf "%a" pp_violation)
+       (Check.Procguard.violations guard))
     (List.map
-       (fun v -> v.Check.Snapshot.v_invariant)
+       Check.Snapshot.(Format.asprintf "%a" pp_violation)
        (World.verdict w ~ledgers:[]))
 
 let () =
