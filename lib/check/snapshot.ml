@@ -39,34 +39,32 @@ type node_snap = {
   ns_known_servers : Node_id.Set.t;
 }
 
-let of_engine ~incarnation e =
-  let greens = Engine.green_actions e in
-  let green_count = Engine.green_count e in
-  {
-    ns_node = Engine.node e;
-    ns_incarnation = incarnation;
-    ns_state = Engine.state e;
-    ns_green_floor = green_count - List.length greens;
-    ns_green = greens;
-    ns_green_count = green_count;
-    ns_green_line = Engine.green_line e;
-    ns_red = Engine.red_actions e;
-    ns_yellow = Engine.yellow e;
-    ns_red_cut = Engine.red_cut_map e;
-    ns_white_line = Engine.white_line e;
-    ns_prim = Engine.prim_component e;
-    ns_vulnerable = Engine.vulnerable e;
-    ns_in_primary = Engine.in_primary e;
-    ns_attempt = Engine.attempt e;
-    ns_ongoing = Engine.ongoing_actions e;
-    ns_known_servers = Engine.known_servers e;
-  }
-
 let of_replica r =
   if not (Replica.is_ready r) then None
   else
+    let e = Replica.engine r in
+    let greens = Engine.green_actions e in
+    let green_count = Engine.green_count e in
     Some
-      (of_engine ~incarnation:(Replica.incarnation r) (Replica.engine r))
+      {
+        ns_node = Engine.node e;
+        ns_incarnation = Replica.incarnation r;
+        ns_state = Engine.state e;
+        ns_green_floor = green_count - List.length greens;
+        ns_green = greens;
+        ns_green_count = green_count;
+        ns_green_line = Engine.green_line e;
+        ns_red = Engine.red_actions e;
+        ns_yellow = Engine.yellow e;
+        ns_red_cut = Engine.red_cut_map e;
+        ns_white_line = Engine.white_line e;
+        ns_prim = Engine.prim_component e;
+        ns_vulnerable = Engine.vulnerable e;
+        ns_in_primary = Engine.in_primary e;
+        ns_attempt = Engine.attempt e;
+        ns_ongoing = Engine.ongoing_actions e;
+        ns_known_servers = Engine.known_servers e;
+      }
 
 let bprint_facts b s =
   let node = Node_id.to_string s.ns_node in

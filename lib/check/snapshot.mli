@@ -45,14 +45,10 @@ type node_snap = {
   ns_known_servers : Node_id.Set.t;
 }
 
-val of_engine : incarnation:int -> Engine.t -> node_snap
-(** Snapshot a bare engine — the entry point for harnesses (the model
-    checker) that drive engines without a full {!Replica} around them.
-    [incarnation] scopes step checks: bump it at every crash. *)
-
 val of_replica : Replica.t -> node_snap option
-(** [None] while the replica is down, has left, or is a joiner whose
-    state transfer has not completed. *)
+(** The replica's engine state, under its {!Replica.incarnation} (which
+    scopes step checks).  [None] while the replica is down, has left, or
+    is a joiner whose state transfer has not completed. *)
 
 val bprint_facts : Buffer.t -> node_snap -> unit
 (** The snapshot as text, one line per field, each led by the node and

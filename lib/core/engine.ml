@@ -106,6 +106,7 @@ let set_audit ?input t f =
   t.audit <- Some f;
   t.input <- input
 let emit_audit t ev = match t.audit with Some f -> f ev | None -> ()
+let halt t = t.halted <- true
 
 let node t = t.node
 let state t = t.state

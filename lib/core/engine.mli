@@ -133,6 +133,12 @@ val checkpoint : t -> dedup:Dedup.snapshot -> Database.snapshot -> unit
     bodies of white actions (green at every known server).  Call with a
     snapshot taken at the current green position. *)
 
+val halt : t -> unit
+(** Silences the engine for good: later input and submissions are
+    ignored, and pending continuations (a paced retransmission, the send
+    after a log force) never run.  A replica halts the engine it drops,
+    so a dead life sends nothing into its successor's configuration. *)
+
 (* --- Event input -------------------------------------------------- *)
 
 val handle_event : t -> Types.payload Endpoint.event -> unit

@@ -39,23 +39,41 @@ type transfer_msg =
       tc_payload : transfer_payload option;  (** carried by the last chunk *)
     }
 
+(* The group communication a cluster's replicas reach: EVS endpoints
+   over a shared payload network, or the abstract EVS model whose
+   deliveries and reconfigurations a model checker drives itself. *)
+type gcs =
+  | Endpoints of {
+      net : Types.payload Endpoint.wire Network.t;
+      params : Params.t;
+    }
+  | Abstract of Types.payload Model.t
+
 type cluster = {
   c_sim : Sim.Engine.t;
   c_topology : Topology.t;
-  c_net : Types.payload Endpoint.wire Network.t;
+  c_gcs : gcs;
   c_transfer : transfer_msg Network.t;
-  c_params : Params.t;
 }
 
 let make_cluster ?(net_config = Network.lan_gigabit) ?(params = Params.default)
     ?(seed = 11) ~nodes () =
   let c_sim = Sim.Engine.create ~seed () in
   let c_topology = Topology.create ~nodes in
-  let c_net = Network.create ~engine:c_sim ~topology:c_topology ~config:net_config () in
+  let net = Network.create ~engine:c_sim ~topology:c_topology ~config:net_config () in
   let c_transfer =
     Network.create ~engine:c_sim ~topology:c_topology ~config:net_config ()
   in
-  { c_sim; c_topology; c_net; c_transfer; c_params = params }
+  { c_sim; c_topology; c_gcs = Endpoints { net; params }; c_transfer }
+
+let model_cluster ~model ~nodes () =
+  let c_sim = Sim.Engine.create () in
+  let c_topology = Topology.create ~nodes in
+  let c_transfer =
+    Network.create ~engine:c_sim ~topology:c_topology
+      ~config:Network.lan_gigabit ()
+  in
+  { c_sim; c_topology; c_gcs = Abstract model; c_transfer }
 
 let cluster_sim c = c.c_sim
 let cluster_topology c = c.c_topology
@@ -72,16 +90,22 @@ type admission = {
   adm_max_red : int;  (* ordered-but-not-yet-green backlog *)
 }
 
+(* A replica's one handle on its group, whichever [gcs] carries it. *)
+type group = {
+  g_multicast : service:Endpoint.service -> size:int -> Types.payload -> unit;
+  g_join : unit -> unit;
+  g_crash : unit -> unit;
+  g_recover : unit -> unit;
+}
+
 type t = {
   cluster : cluster;
   node_id : Node_id.t;
   servers : Node_id.Set.t; (* initial set (static) or empty (joiner) *)
   role : role;
-  disk_config : Disk.config;
-  mutable disk : Disk.t;
-  mutable persist : Persist.t;
+  persist : Persist.t;
   mutable engine : Engine.t option; (* joiners have none until transferred *)
-  mutable endpoint : Types.payload Endpoint.t option;
+  mutable group : group option; (* joiners have none until transferred *)
   mutable db : Database.t;
   procs : Procedure.registry;
       (* this instance's stored procedures — code, not data: survives
@@ -394,13 +418,15 @@ let amnesiac_rejoin t =
     joiner_request_loop t sponsors sponsors
   end
 
-(* Volatile state a crash or a resync loses. *)
+(* Volatile state a crash or a resync loses, the engine included: it is
+   halted, so none of its continuations outlives it. *)
 let drop_volatile t =
   Action.Id.Tbl.reset t.pending;
   t.query_waiters <- [];
   Hashtbl.reset t.transfer_sessions;
   t.db <- Database.create ();
   t.dedup <- Dedup.create ~window:t.dedup_window ();
+  (match t.engine with Some e -> Engine.halt e | None -> ());
   t.engine <- None
 
 (* The database and exactly-once window at [checkpoint]'s green position
@@ -432,7 +458,7 @@ let resync t e =
         m "n%d: green prefix unservable, resyncing by state transfer"
           t.node_id);
     t.amnesia_floor <- max t.amnesia_floor (Engine.action_index e);
-    (match t.endpoint with Some ep -> Endpoint.crash ep | None -> ());
+    (match t.group with Some g -> g.g_crash () | None -> ());
     Persist.reset t.persist;
     drop_volatile t;
     amnesiac_rejoin t
@@ -453,11 +479,11 @@ let make_callbacks t =
     on_self_leave =
       (fun () ->
         t.left <- true;
-        match t.endpoint with Some ep -> Endpoint.crash ep | None -> ());
+        match t.group with Some g -> g.g_crash () | None -> ());
     send =
       (fun ~service ~size payload ->
-        match t.endpoint with
-        | Some ep -> Endpoint.send ep ~service ~size payload
+        match t.group with
+        | Some g -> g.g_multicast ~service ~size payload
         | None -> ());
     on_resync =
       (fun () ->
@@ -468,30 +494,51 @@ let make_callbacks t =
         | None -> ());
   }
 
-(* The endpoint's two engine entries.  Deliveries come first: a
-   delivery may multicast (a retransmission during a state exchange), a
-   configuration change only logs and syncs, so no send follows an
-   unforced append here. *)
-let make_endpoint t =
-  let on_deliver ~sender ~conf ~seq ~in_regular payload =
-    match t.engine with
-    | Some e -> Engine.handle_delivery e ~sender ~conf ~seq ~in_regular payload
-    | None -> ()
+(* The group handle, built on first use.  Over endpoints it creates
+   this node's endpoint with the engine's two entries.  Deliveries come
+   first: a delivery may multicast (a retransmission during a state
+   exchange), a configuration change only logs and syncs, so no send
+   follows an unforced append here.  Over the model the caller delivers
+   and reconfigures, so joining is a no-op. *)
+let make_group t =
+  let g =
+    match t.cluster.c_gcs with
+    | Endpoints { net; params } ->
+      let on_deliver ~sender ~conf ~seq ~in_regular payload =
+        match t.engine with
+        | Some e ->
+          Engine.handle_delivery e ~sender ~conf ~seq ~in_regular payload
+        | None -> ()
+      in
+      let on_event event =
+        match t.engine with Some e -> Engine.handle_conf e event | None -> ()
+      in
+      let ep =
+        Endpoint.create ~network:net ~params ~node:t.node_id ~on_event
+          ~on_deliver
+          ~on_burst_start:(fun () ->
+            match t.engine with Some e -> Engine.begin_burst e | None -> ())
+          ~on_burst_end:(fun () ->
+            match t.engine with Some e -> Engine.end_burst e | None -> ())
+          ()
+      in
+      {
+        g_multicast = (fun ~service ~size p -> Endpoint.send ep ~service ~size p);
+        g_join = (fun () -> Endpoint.join ep);
+        g_crash = (fun () -> Endpoint.crash ep);
+        g_recover = (fun () -> Endpoint.recover ep);
+      }
+    | Abstract model ->
+      let node = t.node_id in
+      {
+        g_multicast = (fun ~service:_ ~size:_ p -> Model.send model ~from:node p);
+        g_join = ignore;
+        g_crash = (fun () -> Model.crash model node);
+        g_recover = (fun () -> Model.recover model node);
+      }
   in
-  let on_event event =
-    match t.engine with Some e -> Engine.handle_conf e event | None -> ()
-  in
-  let ep =
-    Endpoint.create ~network:t.cluster.c_net ~params:t.cluster.c_params
-      ~node:t.node_id ~on_event ~on_deliver
-      ~on_burst_start:(fun () ->
-        match t.engine with Some e -> Engine.begin_burst e | None -> ())
-      ~on_burst_end:(fun () ->
-        match t.engine with Some e -> Engine.end_burst e | None -> ())
-      ()
-  in
-  t.endpoint <- Some ep;
-  ep
+  t.group <- Some g;
+  g
 
 (* ------------------------------------------------------------------ *)
 (* Transfer channel                                                    *)
@@ -553,18 +600,18 @@ let on_transfer_msg t ~src msg =
             in
             t.amnesia_floor <- 0;
             adopt_engine t e;
-            let ep =
+            let g =
               (* as in [create]: installs the event handler; nothing is
                  multicast until the network delivers an event, so the
                  records the engine appended need not be forced yet.
                  repcheck: allow *)
-              match t.endpoint with Some ep -> ep | None -> make_endpoint t
+              match t.group with Some g -> g | None -> make_group t
             in
-            (* An amnesiac rejoiner's endpoint is still crashed; a fresh
+            (* An amnesiac rejoiner's group is still crashed; a fresh
                joiner's is idle.  [recover] revives the former (and
                no-ops on the latter), [join] starts the gather. *)
-            Endpoint.recover ep;
-            Endpoint.join ep
+            g.g_recover ();
+            g.g_join ()
           | _ -> ()
         end
       end
@@ -593,7 +640,9 @@ let create ?(disk_config = Disk.default_forced) ?(attach_cpu = true)
   let cpu =
     if attach_cpu then begin
       let cpu = Sim.Resource.create cluster.c_sim in
-      Network.attach_cpu cluster.c_net node cpu;
+      (match cluster.c_gcs with
+      | Endpoints { net; _ } -> Network.attach_cpu net node cpu
+      | Abstract _ -> ());
       Network.attach_cpu cluster.c_transfer node cpu;
       Some cpu
     end
@@ -608,11 +657,9 @@ let create ?(disk_config = Disk.default_forced) ?(attach_cpu = true)
         | Static servers -> Node_id.set_of_list servers
         | Joiner _ -> Node_id.Set.empty);
       role;
-      disk_config;
-      disk;
       persist;
       engine = None;
-      endpoint = None;
+      group = None;
       db = Database.create ();
       procs = Procedure.builtins ();
       cpu;
@@ -651,7 +698,7 @@ let create ?(disk_config = Disk.default_forced) ?(attach_cpu = true)
     (* installs the event handler; nothing is multicast until the
        network delivers an event, so the meta record the fresh start
        appended need not be forced yet.  repcheck: allow *)
-    ignore (make_endpoint t)
+    ignore (make_group t)
   | Joiner _ -> ());
   t
 
@@ -660,7 +707,7 @@ let start t =
     t.started <- true;
     match t.role with
     | Static _ -> (
-      match t.endpoint with Some ep -> Endpoint.join ep | None -> ())
+      match t.group with Some g -> g.g_join () | None -> ())
     | Joiner sponsors ->
       t.joiner_waiting <- true;
       joiner_request_loop t sponsors sponsors
@@ -751,7 +798,7 @@ let crash t =
     Log.info (fun m -> m "n%d: crash" t.node_id);
     t.up <- false;
     t.incarnation <- t.incarnation + 1;
-    (match t.endpoint with Some ep -> Endpoint.crash ep | None -> ());
+    (match t.group with Some g -> g.g_crash () | None -> ());
     Network.set_up t.cluster.c_transfer t.node_id false;
     Persist.crash t.persist;
     (match t.cpu with Some cpu -> Sim.Resource.reset cpu | None -> ());
@@ -785,8 +832,8 @@ let recover t =
          record. *)
       Persist.sync t.persist (fun () -> ());
       let rejoin () =
-        match t.endpoint with
-        | Some ep -> if t.up && not t.left then Endpoint.recover ep
+        match t.group with
+        | Some g -> if t.up && not t.left then g.g_recover ()
         | None -> ()
       in
       (* Transient read errors charged their backoff: the node comes

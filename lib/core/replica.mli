@@ -12,7 +12,10 @@ open Repro_db
     uses to pull a database snapshot from its representative, §5.1). *)
 
 type cluster
-(** The shared substrate: simulation engine, topology, both networks. *)
+(** The shared substrate: simulation engine, topology, transfer network
+    and the group communication — EVS endpoints over a payload network
+    ({!make_cluster}) or the abstract EVS {!Model} ({!model_cluster}).
+    Everything else a replica does is the same code over both. *)
 
 val make_cluster :
   ?net_config:Network.config ->
@@ -21,6 +24,13 @@ val make_cluster :
   nodes:Node_id.t list ->
   unit ->
   cluster
+
+val model_cluster :
+  model:Types.payload Model.t -> nodes:Node_id.t list -> unit -> cluster
+(** Replicas multicast into [model].  The caller feeds each {!engine}
+    the events {!Model.deliver} yields and calls {!Model.reconfigure}
+    after every crash, recovery or topology change, as the model
+    checker does; {!start} does nothing here. *)
 
 val cluster_sim : cluster -> Repro_sim.Engine.t
 val cluster_topology : cluster -> Topology.t

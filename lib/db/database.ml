@@ -208,8 +208,8 @@ let bind t tb k h i v ts =
   record t tb i k;
   set_slot tb k h i ~stamp:t.stamp v ts
 
-(* Key-class separation (paper §6, and the pairwise law Op.commutes
-   promises): a key written through [Set_if_newer] carries ts > 0 and is
+(* Key-class separation (paper §6, and the pairwise law op.mli
+   states): a key written through [Set_if_newer] carries ts > 0 and is
    a last-writer-wins register; a key written through [Add] is a counter
    and keeps ts = 0.  An [Add] against a register key is dropped, a
    [Set_if_newer] never beats the ts-0 sentinel, and equal-timestamp

@@ -4,15 +4,8 @@ type t =
   | Remove of string
   | Set_if_newer of string * Value.t * int
 
-let is_commutative = function
-  | Add _ | Set_if_newer _ -> true
-  | Set _ | Remove _ -> false
-
 let key = function
   | Set (k, _) | Add (k, _) | Remove k | Set_if_newer (k, _, _) -> k
-
-let commutes a b =
-  key a <> key b || (is_commutative a && is_commutative b)
 
 let pp ppf = function
   | Set (k, v) -> Format.fprintf ppf "set %s=%a" k Value.pp v

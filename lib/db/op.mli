@@ -3,7 +3,14 @@
     [Add] is commutative and [Set_if_newer] is timestamp-guarded; these
     two support the relaxed update semantics of the paper's Section 6
     (inventory-style and location-tracking-style applications): applying
-    them in different interleavings converges to the same state. *)
+    them in different interleavings converges to the same state.  That
+    rests on the key-class separation [Database.apply] enforces: a key
+    is either a counter key (written by [Add], timestamp 0) or a
+    timestamped register key (written by [Set_if_newer]); an [Add] to a
+    register key is dropped, and equal-timestamp [Set_if_newer] races
+    resolve by value order.  So ops on distinct keys always commute, and
+    ops on one key commute when both are [Add] or [Set_if_newer] — the
+    pairwise law a property test in [test_db] checks. *)
 
 type t =
   | Set of string * Value.t
@@ -12,22 +19,7 @@ type t =
   | Set_if_newer of string * Value.t * int
       (** write wins only if its timestamp exceeds the stored one *)
 
-val is_commutative : t -> bool
-(** Whether re-ordering this op against any other commutative op leaves
-    the final state unchanged ([Add] and [Set_if_newer]).  The pairwise
-    law this promises — checked by a property test in [test_db] — rests
-    on the key-class separation [Database.apply] enforces: a key is
-    either a counter key (written by [Add], timestamp 0) or a
-    timestamped register key (written by [Set_if_newer]); an [Add] to a
-    register key is dropped, and equal-timestamp [Set_if_newer] races
-    resolve by value order, so any interleaving of commutative ops
-    converges (paper §6). *)
-
 val key : t -> string
 (** The database key the op writes. *)
-
-val commutes : t -> t -> bool
-(** The pairwise law: ops on distinct keys always commute; ops on the
-    same key commute iff both are [is_commutative]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -6,34 +6,25 @@ open Repro_db
 open Repro_core
 module Check = Repro_check
 
-(* The system under test: one replication [Engine] per node, wired to the
-   abstract EVS service ([Model]) instead of the timing-driven endpoint
-   stack.  The checker drives it one {!Script.transition} at a time; each
-   transition runs to quiescence (the simulation queue drains fully), so
-   the only nondeterminism left is the choice of transition — exactly
-   what the explorer branches on.
+(* The system under test: one [Replica] per node, the same replica the
+   simulated world runs, over the abstract EVS service ([Model]) instead
+   of the timing-driven endpoint stack.  The checker drives it one
+   {!Script.transition} at a time; each transition runs to quiescence
+   (the simulation queue drains fully), so the only nondeterminism left
+   is the choice of transition — exactly what the explorer branches on.
 
    Every transition is followed by the two oracles: the repcheck
-   [Snapshot] sweep (instantaneous + step invariants over engine
+   [Snapshot] sweep (instantaneous + step invariants over replica
    snapshots) and the abstract-spec conformance oracle ([Spec]), wired
-   as each engine's input and audit sinks. *)
-
-type node = {
-  id : Node_id.t;
-  persist : Persist.t;  (** survives crashes: the durable log *)
-  mutable engine : Engine.t option;  (** [None] while crashed *)
-  mutable incarnation : int;
-}
+   as each replica's input and audit sinks. *)
 
 type t = {
-  policy : Quorum.policy;
   sim : Sim.Engine.t;
   model : Types.payload Model.t;
   topo : Topology.t;
   spec : Check.Spec.t;
   history : (Node_id.t, Check.Snapshot.node_snap) Hashtbl.t;
-  nodes : node array;
-  servers : Node_id.Set.t;
+  replicas : Replica.t array;
 }
 
 type result = {
@@ -52,70 +43,38 @@ type result = {
 let mc_disk_config =
   { Disk.default_forced with Disk.sync_latency = Sim.Time.zero; sync_jitter = 0. }
 
-let callbacks t node_id =
-  {
-    Engine.on_green = (fun _ -> ());
-    on_red = (fun _ -> ());
-    on_transfer_request = (fun ~joiner:_ -> ());
-    on_self_leave = (fun () -> ());
-    send =
-      (fun ~service:_ ~size:_ payload ->
-        Model.send t.model ~from:node_id payload);
-    on_resync = (fun () -> ());
-  }
-
-let attach_audit t nd e =
-  Engine.set_audit e
-    ~input:(Check.Spec.on_input t.spec ~node:nd.id)
-    (Check.Spec.on_audit t.spec ~node:nd.id)
-
 let drain t = ignore (Sim.Engine.drain t.sim)
 
 let create ?(policy = Quorum.Dynamic_linear) ~nodes:n () =
   if n < 1 then invalid_arg "System.create: need at least one node";
   let ids = List.init n (fun i -> i) in
-  let servers = Node_id.Set.of_list ids in
-  let sim = Sim.Engine.create () in
   let model =
     Model.create ~nodes:ids ~pp_payload:Types.payload_to_string ()
   in
-  let topo = Topology.create ~nodes:ids in
+  let cluster = Replica.model_cluster ~model ~nodes:ids () in
   let spec = Check.Spec.create () in
+  let replica id =
+    let r =
+      Replica.create ~disk_config:mc_disk_config ~attach_cpu:false
+        ~checkpoint_every:None ~quorum_policy:policy ~cluster ~node:id
+        ~role:(Replica.Static ids) ()
+    in
+    Replica.set_audit r
+      ~input:(Check.Spec.on_input spec ~node:id)
+      (Check.Spec.on_audit spec ~node:id);
+    r
+  in
   let t =
     {
-      policy;
-      sim;
+      sim = Replica.cluster_sim cluster;
       model;
-      topo;
+      topo = Replica.cluster_topology cluster;
       spec;
       history = Hashtbl.create 8;
-      nodes =
-        Array.of_list
-          (List.map
-             (fun id ->
-               let disk = Disk.create ~engine:sim ~config:mc_disk_config () in
-               {
-                 id;
-                 persist = Persist.create ~engine:sim ~disk ();
-                 engine = None;
-                 incarnation = 0;
-               })
-             ids);
-      servers;
+      replicas = Array.of_list (List.map replica ids);
     }
   in
-  Array.iter
-    (fun nd ->
-      let e =
-        Engine.recover ~quorum:t.policy ~recovered:Persist.fresh ~sim
-          ~node:nd.id ~servers ~persist:nd.persist
-          ~callbacks:(callbacks t nd.id)
-          ()
-      in
-      attach_audit t nd e;
-      nd.engine <- Some e)
-    t.nodes;
-  Model.reconfigure model ~components:(Topology.components topo);
+  Model.reconfigure model ~components:(Topology.components t.topo);
   drain t;
   t
 
@@ -125,12 +84,7 @@ let create ?(policy = Quorum.Dynamic_linear) ~nodes:n () =
 let check t =
   let spec_violations = Check.Spec.take t.spec in
   let snaps =
-    Array.fold_right
-      (fun nd acc ->
-        match nd.engine with
-        | Some e -> Check.Snapshot.of_engine ~incarnation:nd.incarnation e :: acc
-        | None -> acc)
-      t.nodes []
+    List.filter_map Check.Snapshot.of_replica (Array.to_list t.replicas)
   in
   spec_violations @ Check.Snapshot.sweep t.history snaps
 
@@ -139,11 +93,11 @@ let check t =
 
 (* One endpoint event (the engine's input sink hands it to the spec
    oracle first), then quiescence. *)
-let deliver_one t nd e =
-  match Model.deliver t.model nd.id with
+let deliver_one t r =
+  match Model.deliver t.model (Replica.node r) with
   | None -> None
   | Some ev ->
-    Engine.handle_event e ev;
+    Engine.handle_event (Replica.engine r) ev;
     drain t;
     Some ev
 
@@ -152,16 +106,17 @@ let deliver_one t nd e =
    event: a fresh open-configuration delivery or the next regular
    configuration.  Coalescing keeps fallout — which has no interleaving
    freedom worth exploring against itself — out of the depth budget. *)
-let deliver_step t nd e =
+let deliver_step t r =
+  let n = Replica.node r in
   let rec loop () =
-    let fresh = Model.next_is_fresh t.model nd.id in
-    match deliver_one t nd e with
+    let fresh = Model.next_is_fresh t.model n in
+    match deliver_one t r with
     | None -> ()
     | Some ev ->
       let landed =
         fresh || (match ev with Endpoint.Reg_conf _ -> true | _ -> false)
       in
-      if (not landed) && Model.has_pending t.model nd.id then loop ()
+      if (not landed) && Model.has_pending t.model n then loop ()
   in
   loop ()
 
@@ -169,33 +124,17 @@ let reconfigure t =
   Model.reconfigure t.model ~components:(Topology.components t.topo);
   drain t
 
-let crash t nd =
-  nd.incarnation <- nd.incarnation + 1;
-  (* Detach the audit and input sinks before dropping the engine:
-     era-guarded closures of the dead incarnation may still fire inside
-     later drains and must not feed the spec oracle as this node. *)
-  (match nd.engine with Some e -> Engine.set_audit e (fun _ -> ()) | None -> ());
-  Persist.crash nd.persist;
-  nd.engine <- None;
-  Model.crash t.model nd.id;
-  reconfigure t
+let deliverable t r =
+  Replica.is_ready r && Model.has_pending t.model (Replica.node r)
 
-let recover t nd =
-  Check.Spec.on_recover t.spec ~node:nd.id;
-  let e =
-    Engine.recover ~quorum:t.policy
-      ~recovered:(Persist.recover ~self:nd.id nd.persist)
-      ~sim:t.sim ~node:nd.id
-      ~servers:t.servers ~persist:nd.persist
-      ~callbacks:(callbacks t nd.id)
-      ()
-  in
-  (* A.13's sync to disk of what the recovery logged. *)
-  Persist.sync nd.persist (fun () -> ());
-  attach_audit t nd e;
-  nd.engine <- Some e;
-  Model.recover t.model nd.id;
-  reconfigure t
+let submittable r =
+  Replica.is_ready r
+  &&
+  match Replica.state r with
+  | Types.Reg_prim | Types.Non_prim -> true
+  | Types.Trans_prim | Types.Exchange_states | Types.Exchange_actions
+  | Types.Construct | Types.No_state | Types.Un_state ->
+    false
 
 let norm_groups groups =
   List.sort compare (List.map (fun g -> List.sort_uniq compare g) groups)
@@ -203,13 +142,6 @@ let norm_groups groups =
 let current_groups t =
   norm_groups
     (List.map (fun c -> Node_id.Set.elements c) (Topology.components t.topo))
-
-let submittable e =
-  match Engine.state e with
-  | Types.Reg_prim | Types.Non_prim -> true
-  | Types.Trans_prim | Types.Exchange_states | Types.Exchange_actions
-  | Types.Construct | Types.No_state | Types.Un_state ->
-    false
 
 let apply t tr =
   let inapplicable = { applied = false; appends = []; violations = [] } in
@@ -221,36 +153,39 @@ let apply t tr =
     }
   in
   match tr with
-  | Script.T_deliver n -> (
-    let nd = t.nodes.(n) in
-    match nd.engine with
-    | Some e when Model.has_pending t.model n ->
-      deliver_step t nd e;
+  | Script.T_deliver n ->
+    let r = t.replicas.(n) in
+    if not (deliverable t r) then inapplicable
+    else begin
+      deliver_step t r;
       finish ()
-    | Some _ | None -> inapplicable)
-  | Script.T_submit n -> (
-    let nd = t.nodes.(n) in
-    match nd.engine with
-    | Some e when submittable e ->
-      Engine.submit e ~client:1 ~semantics:Action.Strict ~size:200 ~req_seq:0
-        ~req_ack:0
-        ~kind:(Action.Update [ Op.Add ("mc", 1) ])
-        ~on_created:(fun _ -> ());
+    end
+  | Script.T_submit n ->
+    let r = t.replicas.(n) in
+    if not (submittable r) then inapplicable
+    else begin
+      Replica.submit_request r ~client:1 ~semantics:Action.Strict ~size:200
+        ~req_seq:0 ~req_ack:0
+        (Action.Update [ Op.Add ("mc", 1) ])
+        ~on_response:ignore;
       drain t;
       finish ()
-    | Some _ | None -> inapplicable)
+    end
   | Script.T_crash n ->
-    let nd = t.nodes.(n) in
-    if nd.engine = None then inapplicable
+    let r = t.replicas.(n) in
+    if not (Replica.is_up r) then inapplicable
     else begin
-      crash t nd;
+      Replica.crash r;
+      reconfigure t;
       finish ()
     end
   | Script.T_recover n ->
-    let nd = t.nodes.(n) in
-    if nd.engine <> None then inapplicable
+    let r = t.replicas.(n) in
+    if Replica.is_up r then inapplicable
     else begin
-      recover t nd;
+      Check.Spec.on_recover t.spec ~node:n;
+      Replica.recover r;
+      reconfigure t;
       finish ()
     end
   | Script.T_partition groups ->
@@ -281,34 +216,20 @@ let canned_partitions n =
   |> List.filter (fun g -> g <> [])
 
 let enabled t =
-  let delivers =
-    Array.to_list t.nodes
-    |> List.filter_map (fun nd ->
-           match nd.engine with
-           | Some _ when Model.has_pending t.model nd.id ->
-             Some (Script.T_deliver nd.id)
-           | Some _ | None -> None)
+  let each keep tr =
+    Array.to_list t.replicas
+    |> List.filter_map (fun r ->
+           if keep r then Some (tr (Replica.node r)) else None)
   in
-  let submits =
-    Array.to_list t.nodes
-    |> List.filter_map (fun nd ->
-           match nd.engine with
-           | Some e when submittable e -> Some (Script.T_submit nd.id)
-           | Some _ | None -> None)
-  in
-  let crashes =
-    Array.to_list t.nodes
-    |> List.filter_map (fun nd ->
-           if nd.engine <> None then Some (Script.T_crash nd.id) else None)
-  in
+  let delivers = each (deliverable t) (fun n -> Script.T_deliver n) in
+  let submits = each submittable (fun n -> Script.T_submit n) in
+  let crashes = each Replica.is_up (fun n -> Script.T_crash n) in
   let recovers =
-    Array.to_list t.nodes
-    |> List.filter_map (fun nd ->
-           if nd.engine = None then Some (Script.T_recover nd.id) else None)
+    each (fun r -> not (Replica.is_up r)) (fun n -> Script.T_recover n)
   in
   let cur = current_groups t in
   let partitions =
-    canned_partitions (Array.length t.nodes)
+    canned_partitions (Array.length t.replicas)
     |> List.filter (fun g -> norm_groups g <> cur)
     |> List.map (fun g -> Script.T_partition g)
   in
@@ -328,15 +249,14 @@ let fingerprint t =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf (Topology.fingerprint t.topo);
   Array.iter
-    (fun nd ->
-      Printf.bprintf buf "/n%d:" nd.id;
-      match nd.engine with
+    (fun r ->
+      Printf.bprintf buf "/n%d:" (Replica.node r);
+      match Check.Snapshot.of_replica r with
       | None -> Buffer.add_string buf "down"
-      | Some e ->
-        Check.Snapshot.bprint_facts buf
-          (Check.Snapshot.of_engine ~incarnation:nd.incarnation e);
-        Printf.bprintf buf "log%d" (Persist.entries_logged nd.persist))
-    t.nodes;
+      | Some snap ->
+        Check.Snapshot.bprint_facts buf snap;
+        Printf.bprintf buf "log%d" (Replica.log_entries r))
+    t.replicas;
   Buffer.add_char buf '/';
   Buffer.add_string buf (Model.fingerprint t.model);
   Digest.to_hex (Digest.string (Buffer.contents buf))
@@ -349,21 +269,16 @@ let fingerprint t =
 let stabilize t =
   let rec loop budget =
     if budget = 0 then invalid_arg "System.stabilize: no quiescence";
-    let next =
-      Array.to_list t.nodes
-      |> List.find_opt (fun nd ->
-             nd.engine <> None && Model.has_pending t.model nd.id)
-    in
-    match next with
+    match Array.find_opt (deliverable t) t.replicas with
     | None -> ()
-    | Some nd ->
-      (match nd.engine with
-      | Some e -> ignore (deliver_one t nd e)
-      | None -> ());
+    | Some r ->
+      ignore (deliver_one t r);
       loop (budget - 1)
   in
   loop 10_000;
   ignore (Model.take_appended t.model);
   check t
 
-let node_state t n = Option.map Engine.state t.nodes.(n).engine
+let node_state t n =
+  let r = t.replicas.(n) in
+  if Replica.is_ready r then Some (Replica.state r) else None

@@ -3,9 +3,11 @@ open Repro_gcs
 open Repro_core
 module Check = Repro_check
 
-(** The system under test: one replication {!Engine} per node over the
-    abstract EVS service ({!Model}), driven one {!Script.transition} at
-    a time.  Each transition runs the simulation to quiescence, so the
+(** The system under test: one {!Replica} per node — the replica the
+    simulated world runs, with its engine, log, crash and recovery —
+    over the abstract EVS service ({!Model}, through
+    {!Replica.model_cluster}), driven one {!Script.transition} at a
+    time.  Each transition runs the simulation to quiescence, so the
     only nondeterminism is the caller's choice of transition; after each
     one the repcheck [Snapshot] catalogue and the abstract-spec
     refinement oracle ({!Check.Spec}) are evaluated. *)
@@ -20,7 +22,7 @@ type result = {
 }
 
 val create : ?policy:Quorum.policy -> nodes:int -> unit -> t
-(** Fresh engines on nodes [0 .. nodes-1], one connected component, no
+(** Fresh replicas on nodes [0 .. nodes-1], one connected component, no
     configuration delivered yet ([policy] defaults to the paper's
     dynamic linear voting; pass [Mutated_weak_majority] to hunt the
     seeded bug). *)
@@ -41,7 +43,7 @@ val apply : t -> Script.transition -> result
     minimized scripts skip such lines. *)
 
 val fingerprint : t -> string
-(** Digest of the logical state: topology, per node the engine's
+(** Digest of the logical state: topology, per node the replica's
     {!Check.Snapshot.facts} (or a crash marker) and durable-log length,
     and the EVS model with its queued payloads as {!Types.pp_payload}
     prints them.  Virtual time and incarnation counters are excluded —

@@ -1872,6 +1872,39 @@ let test_rebuilt_engines_keep_quorum_policy () =
   run ~amnesia:false;
   run ~amnesia:true
 
+(* A crash halts the engine the replica drops.  After a long partition
+   the merge's exchange makes one member retransmit the missed greens
+   in paced batches; crashing it mid-pacing must stop the rest — the
+   dead life's batches would otherwise keep flowing into its endpoint,
+   and into the next life's configuration if it recovered in time. *)
+let test_crashed_engine_stays_silent () =
+  let w = make_world 3 in
+  start_all w;
+  run_sim w ~ms:800.;
+  Topology.partition (topo w) [ [ 0; 1 ]; [ 2 ] ];
+  run_sim w ~ms:1500.;
+  for i = 1 to 200 do
+    set_kv' (rep w 0) (Printf.sprintf "k%d" i) i
+  done;
+  run_sim w ~ms:1000.;
+  Topology.merge_all (topo w);
+  let batches r = (Engine.stats (Replica.engine r)).Engine.s_retrans_batches in
+  let before = List.map (fun r -> (r, batches r)) (all_replicas w) in
+  let rec until_retransmitting budget =
+    if budget = 0 then Alcotest.fail "no retransmission after the merge";
+    run_sim w ~ms:0.25;
+    match List.find_opt (fun (r, b) -> batches r > b) before with
+    | Some (r, _) -> r
+    | None -> until_retransmitting (budget - 1)
+  in
+  let sender = until_retransmitting 20_000 in
+  let dead = Replica.engine sender in
+  Replica.crash sender;
+  let sent = (Engine.stats dead).Engine.s_retrans_batches in
+  run_sim w ~ms:100.;
+  Alcotest.(check int) "no batch after the crash" sent
+    (Engine.stats dead).Engine.s_retrans_batches
+
 (* A one-node engine over the abstract EVS model, settled into the
    regular primary: every frame, batch and delivery is observable.
    [own_via_model:false] drops the engine's own [Action_batch]
@@ -2379,6 +2412,8 @@ let () =
             test_total_crash_blocks_until_full_exchange;
           Alcotest.test_case "rebuilt engines keep quorum policy" `Quick
             test_rebuilt_engines_keep_quorum_policy;
+          Alcotest.test_case "crashed engine stays silent" `Quick
+            test_crashed_engine_stays_silent;
         ] );
       ( "semantics",
         [
